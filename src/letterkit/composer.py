@@ -12,14 +12,16 @@ afterwards, and the certificate measures the gap against the bound tables.
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 from dataclasses import dataclass
 
 from .graphs import DOMINATING, ISOLATED, Graph, to_graph6
 from .letters import Decoder, Lettering, symbol, verify
 from .modular import quotient
 from .obstructions import f_impl, f_paper, profile
-from .solver import lettericity
+from .solver import BudgetExceeded, lettericity
 
 
 @dataclass(frozen=True)
@@ -96,16 +98,12 @@ def attach_peeled(core_lettering: Lettering, trace: PeelTrace,
              core_lettering.word[i]) for i in range(core_lettering.n)]
     pairs = {(a, b) for a in range(dec.size) for b in range(dec.size)
              if dec.pairs[a][b]}
-    counter = [dec.size]
-
-    def alloc():
-        counter[0] += 1
-        return counter[0] - 1
-
+    alloc = itertools.count(dec.size).__next__
     new_word, new_pairs, new_letters = _attach_peeled_ids(
         word, pairs, set(range(dec.size)), trace, alloc)
     lett = _finalize(new_word, new_pairs)
-    assert verify(g, lett)
+    if not verify(g, lett):
+        raise AssertionError("reattached lettering failed verification")
     return lett
 
 
@@ -149,15 +147,14 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
     Every prime quotient met in the recursion must fit the exact solver's
     scale guard; the certificate records the maximum quotient lettericity
     encountered and compares the alphabet against the bound tables.
+    ``budget`` is wall-clock seconds for the whole call: each prime-quotient
+    solve gets the time left, and :class:`BudgetExceeded` is raised once
+    none is left.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
-    counter = [0]
-
-    def alloc() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
+    deadline = None if budget is None else time.monotonic() + budget
+    alloc = itertools.count().__next__  # fresh global letter ids
     prime_ls: list[int] = []
 
     def build(graph: Graph, ids: list[int]):
@@ -205,8 +202,12 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": subtrees}
         else:
+            remaining = None if deadline is None else \
+                deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise BudgetExceeded("compose ran past its budget")
             ell, h_lett = lettericity(h, max_n=max_n, max_k=max_k,
-                                      budget=budget)
+                                      budget=remaining)
             prime_ls.append(ell)
             d_h = h_lett.decoder
             pos_of_vertex = [0] * h.n
@@ -298,7 +299,7 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
 
     word, pairs, _, tree = build(g, list(range(g.n)))
     lett = _finalize(word, pairs)
-    if not verify(g, lett):  # pragma: no cover - soundness guard
+    if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
     prof = profile(g)
     m_obs = max(prime_ls) if prime_ls else 0

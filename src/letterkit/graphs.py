@@ -8,7 +8,7 @@ cheap at the scales this package targets (a few hundred vertices at most).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -287,38 +287,46 @@ def contains_induced(g: Graph, pattern: Graph):
 
     The map is a tuple phi with phi[i] the image of pattern vertex i;
     adjacency is both preserved and reflected.
+
+    Bitmask domains with forward checking: pattern vertex i starts with
+    the g-vertices of degree at least its own, and placing v for i cuts
+    the domain of each later j to v's neighbours or to its non-neighbours
+    (never v itself, so the map is injective), as i ~ j in the pattern.
+    An emptied domain prunes the branch. Pattern vertices are placed in id
+    order and domains walked lowest vertex first, so the first complete
+    map found is the lexicographically least witness.
     """
     k, n = pattern.n, g.n
     if k > n:
         return None
-    pdeg = [pattern.degree(i) for i in range(k)]
+    full = (1 << n) - 1
+    # masks[v][a]: v's non-neighbours (a = 0) or neighbours (a = 1)
+    masks = [(full & ~row & ~(1 << v), row) for v, row in enumerate(g.rows)]
     gdeg = [g.degree(v) for v in range(n)]
+    domains = [sum(1 << v for v in range(n) if gdeg[v] >= pattern.degree(i))
+               for i in range(k)]
+    later_adj = [[pattern.rows[i] >> j & 1 for j in range(i + 1, k)]
+                 for i in range(k)]
     phi: list[int] = []
-    used = 0
 
-    def extend(i: int):
-        nonlocal used
+    def extend(i: int, doms: list[int]) -> bool:
         if i == k:
             return True
-        for v in range(n):
-            if used >> v & 1 or gdeg[v] < pdeg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if g.adjacent(phi[j], v) != pattern.adjacent(j, i):
-                    ok = False
-                    break
-            if not ok:
+        dom, rest, adj = doms[0], doms[1:], later_adj[i]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            v = low.bit_length() - 1
+            new = [d & masks[v][a] for d, a in zip(rest, adj)]
+            if 0 in new:
                 continue
             phi.append(v)
-            used |= 1 << v
-            if extend(i + 1):
+            if extend(i + 1, new):
                 return True
             phi.pop()
-            used &= ~(1 << v)
         return False
 
-    return tuple(phi) if extend(0) else None
+    return tuple(phi) if extend(0, domains) else None
 
 
 def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 16) -> bool:

@@ -187,7 +187,8 @@ def threshold_lettering(creation_sequence) -> Lettering:
                              [(a, "d") for a in letters if "d" in letters])
     word = tuple(dec.index("d" if k == DOMINATING else "i") for k in kinds)
     lett = Lettering(dec, word, tuple(range(g.n)))
-    assert verify(g, lett)
+    if not verify(g, lett):
+        raise AssertionError("threshold lettering failed verification")
     return lett
 
 

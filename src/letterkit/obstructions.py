@@ -42,13 +42,9 @@ def max_induced_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return best((1 << g.n) - 1)
 
 
-_STACKED_CACHE: dict[int, Graph] = {}
-
-
+@lru_cache(maxsize=None)
 def _stacked(r: int) -> Graph:
-    if r not in _STACKED_CACHE:
-        _STACKED_CACHE[r] = stacked_path(r)[0]
-    return _STACKED_CACHE[r]
+    return stacked_path(r)[0]
 
 
 def max_stacked_path(g: Graph) -> tuple[int, tuple[int, ...]]:

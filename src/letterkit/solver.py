@@ -68,17 +68,10 @@ class SolveReport:
 
 # -- decoder enumeration ----------------------------------------------------
 
-def _matrix_code(matrix: tuple[int, ...], k: int) -> int:
-    """Row-major code with the (0,0) bit most significant, so integer order
-    equals lexicographic order on the flattened matrix."""
-    code = 0
-    for i in range(k):
-        for j in range(k):
-            code = code << 1 | (matrix[i] >> j & 1)
-    return code
-
-
 def _code_matrix(code: int, k: int) -> tuple[int, ...]:
+    """Decoder matrix (row bitmasks) of a row-major code whose most
+    significant bit is entry (0, 0), so integer order on codes equals
+    lexicographic order on the flattened matrices."""
     rows = []
     for i in range(k):
         row = 0
@@ -319,7 +312,8 @@ def is_k_letterable(g: Graph, k: int,
                           tuple(tuple(bool(matrix[a] >> b & 1)
                                       for b in range(k)) for a in range(k)))
             lett = Lettering(dec, tuple(word), tuple(placed))
-            assert verify(g, lett)
+            if not verify(g, lett):
+                raise AssertionError("solver lettering failed verification")
             return SolveReport("found", lett, tried, counter[0],
                                time.monotonic() - start)
     return SolveReport("exhausted", None, tried, counter[0],

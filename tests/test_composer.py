@@ -1,8 +1,11 @@
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from letterkit import (
+    BudgetExceeded,
     Lettering,
     all_graphs,
     attach_peeled,
@@ -19,6 +22,7 @@ from letterkit import (
     threshold,
     verify,
 )
+from letterkit import composer
 from letterkit.graphs import DOMINATING, ISOLATED, empty
 from letterkit.letters import Decoder
 from tests.conftest import random_cograph
@@ -192,3 +196,72 @@ def test_compose_decode_roundtrip():
 def test_compose_rejects_empty_graph():
     with pytest.raises(ValueError):
         compose(empty(0))
+
+
+def _nested_primes():
+    # P4 of P4 modules: five prime quotients, so five solver calls
+    return inflate(path(4), [path(4)] * 4)[0]
+
+
+def _record_budgets(monkeypatch):
+    """Wrap the composer's solver call; returns the list of
+    (budget, seconds spent inside the call) it fills."""
+    calls = []
+    real = composer.lettericity
+
+    def recording(h, **kwargs):
+        start = time.monotonic()
+        out = real(h, **kwargs)
+        calls.append((kwargs["budget"], time.monotonic() - start))
+        return out
+
+    monkeypatch.setattr(composer, "lettericity", recording)
+    return calls
+
+
+def test_compose_budget_bounds_the_whole_call(monkeypatch):
+    calls = _record_budgets(monkeypatch)
+    budget = 100.0
+    cert = compose(_nested_primes(), budget=budget)
+    assert verify(_nested_primes(), cert.lettering)
+    assert len(calls) == 5
+    assert calls[0][0] <= budget
+    # each solve gets what is left after the previous solves' own time
+    for (before, spent), (after, _) in zip(calls, calls[1:]):
+        assert after <= before - spent
+        assert after < before
+
+
+def test_compose_without_budget_passes_none(monkeypatch):
+    calls = _record_budgets(monkeypatch)
+    compose(_nested_primes())
+    assert [b for b, _ in calls] == [None] * 5
+
+
+def test_compose_raises_once_the_budget_is_spent(monkeypatch):
+    # a fake clock that advances one second per reading
+    ticks = iter(range(1000))
+    monkeypatch.setattr(composer, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    calls = _record_budgets(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        compose(_nested_primes(), budget=2.5)
+    assert [b for b, _ in calls] == [1.5, 0.5]
+
+
+def test_attach_peeled_soundness_guard_raises(monkeypatch):
+    g = disjoint_union(path(4), path(1))
+    trace = peel(g)
+    core_lett = Lettering(
+        Decoder.from_pairs("ab", [("b", "a")]), (1, 0, 1, 0), (1, 0, 3, 2))
+    # the core check passes; only the reattached lettering fails
+    monkeypatch.setattr(composer, "verify",
+                        lambda graph, lett: graph is trace.core)
+    with pytest.raises(AssertionError, match="failed verification"):
+        attach_peeled(core_lett, trace, g)
+
+
+def test_compose_soundness_guard_raises(monkeypatch):
+    monkeypatch.setattr(composer, "verify", lambda graph, lett: False)
+    with pytest.raises(AssertionError, match="failed verification"):
+        compose(path(4))

@@ -26,6 +26,7 @@ from letterkit import (
     to_graph6,
 )
 from letterkit.graphs import DOMINATING, ISOLATED, ScaleError, generate
+from tests.conftest import random_cograph
 
 
 def test_graph_invariants_enforced():
@@ -217,3 +218,98 @@ def test_induced_witness_property(n, rnd):
     phi = contains_induced(g, path(4))
     if phi is not None:
         assert is_isomorphic(g.induced(phi), path(4))
+
+
+# -- contains_induced against the pair-by-pair search it replaced ----------
+
+def _reference_contains_induced(g: Graph, pattern: Graph):
+    """Lexicographically least injective map realizing ``pattern`` as an
+    induced subgraph of ``g``, or None.
+
+    The map is a tuple phi with phi[i] the image of pattern vertex i;
+    adjacency is both preserved and reflected.
+    """
+    k, n = pattern.n, g.n
+    if k > n:
+        return None
+    pdeg = [pattern.degree(i) for i in range(k)]
+    gdeg = [g.degree(v) for v in range(n)]
+    phi: list[int] = []
+    used = 0
+
+    def extend(i: int):
+        nonlocal used
+        if i == k:
+            return True
+        for v in range(n):
+            if used >> v & 1 or gdeg[v] < pdeg[i]:
+                continue
+            ok = True
+            for j in range(i):
+                if g.adjacent(phi[j], v) != pattern.adjacent(j, i):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            phi.append(v)
+            used |= 1 << v
+            if extend(i + 1):
+                return True
+            phi.pop()
+            used &= ~(1 << v)
+        return False
+
+    return tuple(phi) if extend(0) else None
+
+
+def _random_graph(rnd, n: int) -> Graph:
+    density = rnd.random()
+    return Graph.from_edges(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n)
+                                if rnd.random() < density])
+
+
+def _check_against_oracles(g: Graph, pattern: Graph):
+    nx = pytest.importorskip("networkx")
+    phi = contains_induced(g, pattern)
+    assert phi == _reference_contains_induced(g, pattern)
+    # GraphMatcher's subgraph isomorphism is the induced kind
+    matcher = nx.algorithms.isomorphism.GraphMatcher(_to_nx(nx, g),
+                                                     _to_nx(nx, pattern))
+    assert (phi is not None) == matcher.subgraph_is_isomorphic()
+    if phi is not None:
+        assert len(set(phi)) == pattern.n
+        assert all(g.adjacent(phi[i], phi[j]) == pattern.adjacent(i, j)
+                   for i, j in itertools.combinations(range(pattern.n), 2))
+
+
+def _to_nx(nx, g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_contains_induced_matches_oracles_random(n, k, rnd):
+    _check_against_oracles(_random_graph(rnd, n), _random_graph(rnd, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["P4", "bull", "C5", "R2", "R3"]), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_contains_induced_matches_oracles_stacked(base_name, r, rnd):
+    base = {"P4": path(4), "bull": bull(), "C5": cycle(5),
+            "R2": stacked_path(2)[0], "R3": stacked_path(3)[0]}[base_name]
+    g, _ = inflate(base, [random_cograph(rnd, rnd.randint(1, 16 // base.n))
+                          for _ in range(base.n)])
+    _check_against_oracles(g, stacked_path(r)[0])
+
+
+def test_contains_induced_edge_cases():
+    assert contains_induced(path(3), Graph(0, ())) == ()
+    assert contains_induced(Graph(0, ()), Graph(0, ())) == ()
+    assert contains_induced(Graph(0, ()), path(1)) is None
+    assert contains_induced(path(3), path(4)) is None
+    assert contains_induced(path(1), path(1)) == (0,)

@@ -187,3 +187,11 @@ def test_lettering_json_roundtrip():
     text = lettering_to_json(lett)
     assert lettering_from_json(text) == lett
     assert '"alphabet": ["a", "b"]' in text
+
+
+def test_threshold_lettering_soundness_guard_raises(monkeypatch):
+    # an explicit raise, so the guard also runs under python -O
+    from letterkit import letters
+    monkeypatch.setattr(letters, "verify", lambda g, lett: False)
+    with pytest.raises(AssertionError, match="failed verification"):
+        threshold_lettering([ISOLATED, DOMINATING])

@@ -162,3 +162,11 @@ def test_found_lettering_decodes_back():
     # positions graph equals R2 relabeled by the stored bijection
     assert contains_induced(g, g) is not None  # sanity: decode worked
     assert verify(stacked_path(2)[0], lett)
+
+
+def test_solver_soundness_guard_raises(monkeypatch):
+    # an explicit raise, so the guard also runs under python -O
+    from letterkit import solver
+    monkeypatch.setattr(solver, "verify", lambda g, lett: False)
+    with pytest.raises(AssertionError, match="failed verification"):
+        is_k_letterable(path(4), 2)
