@@ -170,3 +170,12 @@ def test_solver_soundness_guard_raises(monkeypatch):
     monkeypatch.setattr(solver, "verify", lambda g, lett: False)
     with pytest.raises(AssertionError, match="failed verification"):
         is_k_letterable(path(4), 2)
+
+
+def test_golden_solver_outputs():
+    # tests/data/golden_solver.json was generated by tests/golden_solver.py
+    # before the solver's word search was rewritten
+    from .golden_solver import build, load
+    got, want = build(), load()
+    assert got["letterings"] == want["letterings"]
+    assert got["counters"] == want["counters"]
