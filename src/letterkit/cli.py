@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import composer, graphs, letters, modular, obstructions, solver
 
@@ -122,32 +120,48 @@ def _cmd_compose(args) -> int:
 
 
 # -- the claim-verification suite --------------------------------------------
+# Each check takes the seed of the randomized checks and the command's
+# deadline (None for no budget), and hands every solver and composer call
+# the time left.
 
-def _check_matching_lettericity() -> dict:
-    ok = all(solver.lettericity(graphs.matching(m))[0] == m
+def _time_left(deadline: float | None) -> float | None:
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise solver.BudgetExceeded("verify-paper ran past its budget")
+    return left
+
+
+def _check_matching_lettericity(seed: int, deadline) -> dict:
+    ok = all(solver.lettericity(graphs.matching(m),
+                                budget=_time_left(deadline))[0] == m
              for m in (1, 2, 3))
     ok = ok and solver.is_k_letterable(
-        graphs.matching(3), 2).outcome == "exhausted"
+        graphs.matching(3), 2,
+        budget=_time_left(deadline)).outcome == "exhausted"
     return {"pass": ok}
 
 
-def _check_constrained_stacked() -> dict:
+def _check_constrained_stacked(seed: int, deadline) -> dict:
     g, labels = graphs.stacked_path(2)
     constraint = solver.LetterClassConstraint.of(
         {labels.id_of("s", 1, 1), labels.id_of("s", 2, 1)},
         {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
         {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
         {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
-    report = solver.is_k_letterable(g, 4, constraint)
+    report = solver.is_k_letterable(g, 4, constraint,
+                                    budget=_time_left(deadline))
     return {"pass": report.outcome == "exhausted",
             "decoders_tried": report.decoders_tried,
             "nodes_expanded": report.nodes_expanded}
 
 
-def _check_prime_classification() -> dict:
+def _check_prime_classification(seed: int, deadline) -> dict:
     checked = 0
     for n in range(4, 8):
         for g in graphs.all_graphs(n):
+            _time_left(deadline)
             if not modular.is_prime(g):
                 continue
             for v in range(g.n):
@@ -159,13 +173,13 @@ def _check_prime_classification() -> dict:
     return {"pass": True, "vertices_checked": checked}
 
 
-def _check_composer(seed: int) -> dict:
+def _check_composer(seed: int, deadline) -> dict:
     import random
     rng = random.Random(seed)
     count = 0
     for n in range(1, 7):
         for g in graphs.all_graphs(n):
-            cert = composer.compose(g)
+            cert = composer.compose(g, budget=_time_left(deadline))
             if not cert.bound_check["within_F_impl"]:
                 return {"pass": False, "graph": graphs.to_graph6(g)}
             count += 1
@@ -173,7 +187,7 @@ def _check_composer(seed: int) -> dict:
         base = rng.choice([graphs.path(4), graphs.bull(), graphs.cycle(5)])
         mods = [_random_cograph(rng, rng.randint(1, 5)) for _ in range(base.n)]
         g, _ = graphs.inflate(base, mods)
-        cert = composer.compose(g)
+        cert = composer.compose(g, budget=_time_left(deadline))
         if not cert.bound_check["within_F_impl"]:
             return {"pass": False, "graph": graphs.to_graph6(g)}
         count += 1
@@ -188,22 +202,24 @@ def _random_cograph(rng, n: int) -> graphs.Graph:
     return op(_random_cograph(rng, left), _random_cograph(rng, n - left))
 
 
-def _check_dualities() -> dict:
+def _check_dualities(seed: int, deadline) -> dict:
     count = 0
     for n in range(1, 6):
         for g in graphs.all_graphs(n):
-            if solver.lettericity(g)[0] != solver.lettericity(g.complement())[0]:
+            k = solver.lettericity(g, budget=_time_left(deadline))[0]
+            if k != solver.lettericity(g.complement(),
+                                       budget=_time_left(deadline))[0]:
                 return {"pass": False, "graph": graphs.to_graph6(g)}
             count += 1
     return {"pass": True, "graphs_checked": count}
 
 
 _SUITES = {
-    "prop41": lambda seed: _check_matching_lettericity(),
-    "prop43": lambda seed: _check_constrained_stacked(),
-    "thm32": lambda seed: _check_prime_classification(),
+    "prop41": _check_matching_lettericity,
+    "prop43": _check_constrained_stacked,
+    "thm32": _check_prime_classification,
     "thm51": _check_composer,
-    "dualities": lambda seed: _check_dualities(),
+    "dualities": _check_dualities,
 }
 
 
@@ -213,29 +229,18 @@ def _cmd_verify_paper(args) -> int:
         if name not in _SUITES:
             print(f"unknown suite {name!r}", file=sys.stderr)
             return 2
-    deadline = time.monotonic() + args.budget if args.budget else None
-    threads = int(os.environ.get("LETTERKIT_THREADS", "0"))
-
-    def run_one(name: str) -> tuple[str, dict]:
-        start = time.monotonic()
-        if deadline is not None and start > deadline:
-            return name, {"status": "budget-exhausted"}
-        try:
-            result = _SUITES[name](args.seed)
-        except solver.BudgetExceeded:
-            return name, {"status": "budget-exhausted"}
-        result["status"] = "pass" if result.pop("pass") else "FAIL"
-        result["elapsed"] = round(time.monotonic() - start, 3)
-        return name, result
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_one, names))
-    else:
-        results = dict(run_one(name) for name in names)
+    deadline = None if args.budget is None else \
+        time.monotonic() + args.budget
     failed = False
     for name in names:  # output ordering fixed by check name
-        result = results[name]
+        start = time.monotonic()
+        try:
+            result = _SUITES[name](args.seed, deadline)
+        except solver.BudgetExceeded:
+            result = {"status": "budget-exhausted"}
+        else:
+            result["status"] = "pass" if result.pop("pass") else "FAIL"
+            result["elapsed"] = round(time.monotonic() - start, 3)
         print(json.dumps({"check": name, **result}))
         if result["status"] != "pass":
             failed = True

@@ -157,9 +157,18 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
     alloc = itertools.count().__next__  # fresh global letter ids
     prime_ls: list[int] = []
 
+    def time_left() -> float | None:
+        if deadline is None:
+            return None
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise BudgetExceeded("compose ran past its budget")
+        return left
+
     def build(graph: Graph, ids: list[int]):
         """Return (word, pairs, letters, tree) for ``graph``; word entries
         carry original vertex ids via ``ids``."""
+        time_left()
         # homogeneous graphs take one letter; this also floors the bound
         # tables' p=1 / q=1 base cases
         edge_count = graph.edge_count()
@@ -202,12 +211,8 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": subtrees}
         else:
-            remaining = None if deadline is None else \
-                deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise BudgetExceeded("compose ran past its budget")
             ell, h_lett = lettericity(h, max_n=max_n, max_k=max_k,
-                                      budget=remaining)
+                                      budget=time_left())
             prime_ls.append(ell)
             d_h = h_lett.decoder
             pos_of_vertex = [0] * h.n
@@ -301,6 +306,7 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
+    time_left()
     prof = profile(g)
     m_obs = max(prime_ls) if prime_ls else 0
     m_eff = max(m_obs, 1)

@@ -2,10 +2,12 @@
 
 The outer loop enumerates decoder matrices over k letters (up to letter
 permutation for k <= 4); the inner loop builds the word left to right,
-branching on (letter, vertex) pairs and propagating per-vertex feasible
-letter sets. Results are canonical: the first success in enumeration order
-is the minimal successful decoder matrix in row-major order, with the
-lexicographically least word for that decoder.
+branching on (letter, vertex) pairs. Its state is one candidate vertex
+bitmask per letter, so placing a vertex costs k mask operations and a
+dead end is found by one cover test per candidate. Results are
+canonical: the first success in enumeration order is the minimal
+successful decoder matrix in row-major order, with the lexicographically
+least word for that decoder.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import lru_cache
 
 from .graphs import Graph, ScaleError
 from .letters import Decoder, Lettering, symbol, verify
+from .obstructions import max_induced_matching
 
 
 class BudgetExceeded(RuntimeError):
@@ -72,14 +75,9 @@ def _code_matrix(code: int, k: int) -> tuple[int, ...]:
     """Decoder matrix (row bitmasks) of a row-major code whose most
     significant bit is entry (0, 0), so integer order on codes equals
     lexicographic order on the flattened matrices."""
-    rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            bit = code >> (k * k - 1 - (i * k + j)) & 1
-            row |= bit << j
-        rows.append(row)
-    return tuple(rows)
+    top = k * k - 1
+    return tuple(sum((code >> (top - i * k - j) & 1) << j for j in range(k))
+                 for i in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -119,34 +117,23 @@ def _decoder_matrices(k: int):
     yielded; for larger k the full space is enumerated (still complete,
     just without the symmetry reduction, whose precomputation cost would
     exceed its savings there)."""
-    if k <= 4:
-        for code in _canonical_codes(k):
-            yield _code_matrix(code, k)
-    else:
-        for code in range(1 << (k * k)):
-            yield _code_matrix(code, k)
+    codes = _canonical_codes(k) if k <= 4 else range(1 << (k * k))
+    for code in codes:
+        yield _code_matrix(code, k)
 
 
 def _equivalent_letter_pair(matrix: tuple[int, ...], k: int) -> bool:
     """True if two letters are interchangeable and mergeable: equal rows and
     columns elsewhere, and all four entries among the pair equal. Words
     using both letters then collapse to k-1 letters."""
-    for a in range(k):
-        for b in range(a + 1, k):
-            inner = {matrix[a] >> a & 1, matrix[a] >> b & 1,
-                     matrix[b] >> a & 1, matrix[b] >> b & 1}
-            if len(inner) != 1:
-                continue
-            ok = True
-            for x in range(k):
-                if x in (a, b):
-                    continue
-                if (matrix[a] >> x & 1) != (matrix[b] >> x & 1) or \
-                   (matrix[x] >> a & 1) != (matrix[x] >> b & 1):
-                    ok = False
-                    break
-            if ok:
-                return True
+    for a, b in itertools.combinations(range(k), 2):
+        inner = {matrix[a] >> a & 1, matrix[a] >> b & 1,
+                 matrix[b] >> a & 1, matrix[b] >> b & 1}
+        if len(inner) == 1 and all(
+                (matrix[a] >> x & 1) == (matrix[b] >> x & 1) and
+                (matrix[x] >> a & 1) == (matrix[x] >> b & 1)
+                for x in range(k) if x not in (a, b)):
+            return True
     return False
 
 
@@ -157,49 +144,59 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                  require_all: bool, counter: list[int],
                  deadline: float | None):
     """Find the lexicographically least word (letters ascending, then vertex
-    ids ascending) decoding to ``g`` under ``matrix``; None if exhausted."""
-    n = g.n
-    full_letters = (1 << k) - 1
-    # letters compatible with each class's clique/co-clique kind
-    kind_mask = []
-    for kind in class_kind:
-        mask = 0
-        for a in range(k):
-            self_pair = matrix[a] >> a & 1
-            if kind == -1 or kind == self_pair:
-                mask |= 1 << a
-        kind_mask.append(mask)
-    if any(m == 0 for m in kind_mask):
-        return None
-    # propagation masks: after placing letter a, a later vertex adjacent to
-    # it needs a letter in row_true[a], a non-adjacent one in row_false[a]
-    row_true = [matrix[a] for a in range(k)]
-    row_false = [full_letters & ~matrix[a] for a in range(k)]
+    ids ascending) decoding to ``g`` under ``matrix``; None if exhausted.
 
-    feas = [full_letters] * n
+    The state is one candidate vertex mask per letter: ``cand[b]`` holds the
+    unplaced vertices that may still take letter b. Placing v with letter a
+    keeps in ``cand[b]`` only v's neighbours when ``matrix[a]`` has bit b
+    (a later b must then be adjacent to v) and only its non-neighbours
+    otherwise. A branch is dead once some unplaced vertex is left in no
+    mask; the candidates for letter a are the bits of ``cand[a]``, lowest
+    first.
+    """
+    # letters compatible with each class's clique/co-clique kind
+    kind_mask = [sum(1 << a for a in range(k)
+                     if kind in (-1, matrix[a] >> a & 1))
+                 for kind in class_kind]
+    if 0 in kind_mask:
+        return None
+    rows = g.rows
+    full = (1 << g.n) - 1
+    non = [full & ~rows[v] & ~(1 << v) for v in range(g.n)]
+    keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
+
     word: list[int] = []
     placed: list[int] = []
-    n_classes = len(class_kind)
-    class_letter = [-1] * n_classes
+    class_letter = [-1] * len(class_kind)
     letters_bound = 0  # letters claimed by some class
     used_letters = 0
 
-    def dfs() -> bool:
+    def dfs(cand: list[int], rest: int) -> bool:
         nonlocal letters_bound, used_letters
-        pos = len(placed)
-        if pos == n:
+        if not rest:
             return True
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("lettering search ran past its budget")
-        if require_all:
-            missing = k - bin(used_letters).count("1")
-            if missing > n - pos:
-                return False
+        if require_all and k - used_letters.bit_count() > rest.bit_count():
+            return False
         for a in range(k):
+            todo = cand[a]
+            if not todo:
+                continue
             bit = 1 << a
-            for v in range(n):
-                if v in placed_set or not feas[v] & bit:
-                    continue
+            keeps = keeps_row[a]
+            # the vertices left in some mask after placing any v with a are
+            # (rows[v] & on) | (non[v] & off)
+            on = off = 0
+            for m, keep in zip(cand, keeps):
+                if keep:
+                    on |= m
+                else:
+                    off |= m
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
                 c = class_of[v]
                 if c >= 0:
                     if class_letter[c] >= 0:
@@ -209,44 +206,31 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                         continue
                 counter[0] += 1
                 # place v with letter a
-                saved = []
-                ok = True
-                row = g.rows[v]
-                for u in range(n):
-                    if u == v or u in placed_set:
-                        continue
-                    upd = row_true[a] if row >> u & 1 else row_false[a]
-                    newf = feas[u] & upd
-                    if newf != feas[u]:
-                        saved.append((u, feas[u]))
-                        feas[u] = newf
-                        if not newf:
-                            ok = False
-                if ok:
-                    placed.append(v)
-                    placed_set.add(v)
-                    word.append(a)
-                    bound_here = c >= 0 and class_letter[c] < 0
-                    if bound_here:
-                        class_letter[c] = a
-                        letters_bound |= bit
-                    prev_used = used_letters
-                    used_letters |= bit
-                    if dfs():
-                        return True
-                    used_letters = prev_used
-                    if bound_here:
-                        class_letter[c] = -1
-                        letters_bound &= ~bit
-                    word.pop()
-                    placed_set.remove(v)
-                    placed.pop()
-                for u, old in saved:
-                    feas[u] = old
+                row, row_non = rows[v], non[v]
+                left = rest ^ low
+                if row & on | row_non & off != left:
+                    continue
+                nxt = [m & row if keep else m & row_non
+                       for m, keep in zip(cand, keeps)]
+                placed.append(v)
+                word.append(a)
+                bound_here = c >= 0 and class_letter[c] < 0
+                if bound_here:
+                    class_letter[c] = a
+                    letters_bound |= bit
+                prev_used = used_letters
+                used_letters |= bit
+                if dfs(nxt, left):
+                    return True
+                used_letters = prev_used
+                if bound_here:
+                    class_letter[c] = -1
+                    letters_bound &= ~bit
+                word.pop()
+                placed.pop()
         return False
 
-    placed_set: set[int] = set()
-    if dfs():
+    if dfs([full] * k, full):
         return word, placed
     return None
 
@@ -283,15 +267,13 @@ def is_k_letterable(g: Graph, k: int,
                 raise ValueError("constraint class contains bad vertex ids")
             for v in members:
                 class_of[v] = ci
-            has_edge = any(g.adjacent(u, v) for u, v in
-                           itertools.combinations(members, 2))
-            has_nonedge = any(not g.adjacent(u, v) for u, v in
-                              itertools.combinations(members, 2))
-            if has_edge and has_nonedge:
+            kinds = {g.adjacent(u, v)
+                     for u, v in itertools.combinations(members, 2)}
+            if len(kinds) > 1:
                 # a same-letter set is a clique or a co-clique, never mixed
                 return SolveReport("exhausted", None, 0, 0,
                                    time.monotonic() - start)
-            class_kind.append(1 if has_edge else 0 if has_nonedge else -1)
+            class_kind.append(int(kinds.pop()) if kinds else -1)
         if len(constraint.classes) > k:
             return SolveReport("exhausted", None, 0, 0,
                                time.monotonic() - start)
@@ -322,13 +304,20 @@ def is_k_letterable(g: Graph, k: int,
 
 def lettericity(g: Graph, *, max_n: int = 12, max_k: int = 5,
                 budget: float | None = None) -> tuple[int, Lettering]:
-    """Exact lettericity with a witnessing lettering; climbs k from 1.
+    """Exact lettericity with a witnessing lettering.
 
-    Once k-1 has been exhausted, any k-lettering must use all k letters,
-    which the climb exploits as a pruning rule.
+    The climb starts at the largest m such that ``g`` or its complement
+    has an induced mK2: mK2 needs m letters, complements keep lettericity
+    and induced subgraphs cannot need more. So no smaller k can succeed,
+    and any k-lettering found must use all k letters, which the search
+    exploits as a pruning rule.
     """
     start = time.monotonic()
-    for k in range(1, g.n + 1):
+    if g.n > max_n:  # before the bound's search over vertex subsets
+        raise ScaleError(f"graph exceeds the solver scale guard n <= {max_n}")
+    low = max(1, max_induced_matching(g)[0],
+              max_induced_matching(g.complement())[0])
+    for k in range(low, g.n + 1):
         remaining = None if budget is None else \
             budget - (time.monotonic() - start)
         report = is_k_letterable(g, k, max_n=max_n, max_k=max_k,

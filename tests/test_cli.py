@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,44 @@ def test_verify_paper_budget_exhaustion(capsys):
     assert code == 1
     entry = json.loads(out.strip().splitlines()[-1])
     assert entry["status"] == "budget-exhausted"
+
+
+def _record_solver_budgets(monkeypatch, pause=0.0):
+    """Wrap solver.is_k_letterable (lettericity and compose reach it too);
+    returns the list of budgets it is handed. Each call first sleeps
+    ``pause`` seconds."""
+    from letterkit import solver
+    budgets = []
+    real = solver.is_k_letterable
+
+    def recording(*args, **kwargs):
+        budgets.append(kwargs.get("budget"))
+        time.sleep(pause)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "is_k_letterable", recording)
+    return budgets
+
+
+def test_verify_paper_hands_each_solve_the_time_left(capsys, monkeypatch):
+    budgets = _record_solver_budgets(monkeypatch)
+    code, out, _ = run(capsys, "verify-paper", "--suite",
+                       "dualities,prop41,prop43,thm51", "--budget", "600")
+    assert code == 0
+    assert all(json.loads(line)["status"] == "pass"
+               for line in out.strip().splitlines())
+    assert budgets and all(b is not None and 0 < b <= 600 for b in budgets)
+
+
+def test_verify_paper_budget_runs_out_inside_a_check(capsys, monkeypatch):
+    # prop41 makes four solver calls; at 0.1 s each the 0.25 s budget
+    # runs out inside the check, not between checks
+    budgets = _record_solver_budgets(monkeypatch, pause=0.1)
+    code, out, _ = run(capsys, "verify-paper", "--suite", "prop41",
+                       "--budget", "0.25")
+    assert code == 1
+    assert json.loads(out)["status"] == "budget-exhausted"
+    assert budgets and all(b <= 0.25 for b in budgets)
 
 
 def test_usage_error_exit_code(capsys):

@@ -244,9 +244,33 @@ def test_compose_raises_once_the_budget_is_spent(monkeypatch):
     monkeypatch.setattr(composer, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     calls = _record_budgets(monkeypatch)
+    # readings: the deadline (0), the top of build (1), the outer solve
+    # (2: 2.5 s left), the first module's build (3) and its solve (4:
+    # 0.5 s left), the second module's build (5: none left)
     with pytest.raises(BudgetExceeded):
-        compose(_nested_primes(), budget=2.5)
-    assert [b for b, _ in calls] == [1.5, 0.5]
+        compose(_nested_primes(), budget=4.5)
+    assert [b for b, _ in calls] == [2.5, 0.5]
+
+
+def test_compose_zero_budget_raises_before_any_work():
+    # matching(3) is a disjoint union: no prime quotient is ever solved
+    with pytest.raises(BudgetExceeded):
+        compose(matching(3), budget=0.0)
+
+
+def test_compose_budget_bounds_the_final_profile(monkeypatch):
+    ticks = iter(range(1000))
+    monkeypatch.setattr(composer, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    profiled = []
+    real = composer.profile
+    monkeypatch.setattr(composer, "profile",
+                        lambda g: profiled.append(g) or real(g))
+    # readings: the deadline (0), the top of build (1: 0.5 s left), before
+    # the profile (2: none left)
+    with pytest.raises(BudgetExceeded):
+        compose(complete(3), budget=1.5)
+    assert profiled == []
 
 
 def test_attach_peeled_soundness_guard_raises(monkeypatch):

@@ -1,6 +1,10 @@
+import itertools
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterkit import (
     BudgetExceeded,
@@ -16,7 +20,9 @@ from letterkit import (
     stacked_path,
     verify,
 )
-from letterkit.graphs import ScaleError
+from letterkit.graphs import Graph, ScaleError
+from letterkit.solver import _search_word
+from tests.conftest import random_graph
 
 
 def test_matching_lettericities():
@@ -136,6 +142,32 @@ def test_scale_guards():
     assert is_k_letterable(complete(13), 2, max_n=13).outcome == "found"
 
 
+def test_climb_starts_at_matching_bound(monkeypatch):
+    from letterkit import solver
+    seen = []
+    real = solver.is_k_letterable
+
+    def record(g, k, *args, **kwargs):
+        seen.append(k)
+        return real(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "is_k_letterable", record)
+    assert lettericity(matching(3))[0] == 3
+    assert lettericity(matching(3).complement())[0] == 3
+    assert lettericity(path(4))[0] == 2
+    assert seen == [3, 3, 1, 2]
+
+
+def test_six_matching_hits_scale_guard_at_once():
+    # 6K2 needs 6 letters; the climb starts there instead of spending
+    # its budget (BudgetExceeded) on the 2^25 decoders of k = 5
+    with pytest.raises(ScaleError):
+        lettericity(matching(6), budget=1.0)
+    # too many vertices: the guard fires before the lower bound is sought
+    with pytest.raises(ScaleError):
+        lettericity(matching(30), budget=1.0)
+
+
 def test_budget():
     g = stacked_path(2)[0]
     with pytest.raises(BudgetExceeded):
@@ -175,7 +207,182 @@ def test_solver_soundness_guard_raises(monkeypatch):
 def test_golden_solver_outputs():
     # tests/data/golden_solver.json was generated by tests/golden_solver.py
     # before the solver's word search was rewritten
-    from .golden_solver import build, load
+    from tests.golden_solver import build, load
     got, want = build(), load()
     assert got["letterings"] == want["letterings"]
     assert got["counters"] == want["counters"]
+
+
+# -- _search_word against the per-vertex search it replaced ----------------
+
+def _reference_search_word(g: Graph, k: int, matrix: tuple[int, ...],
+                           class_of: list[int], class_kind: list[int],
+                           require_all: bool, counter: list[int],
+                           deadline: float | None):
+    """Find the lexicographically least word (letters ascending, then vertex
+    ids ascending) decoding to ``g`` under ``matrix``; None if exhausted."""
+    n = g.n
+    full_letters = (1 << k) - 1
+    # letters compatible with each class's clique/co-clique kind
+    kind_mask = []
+    for kind in class_kind:
+        mask = 0
+        for a in range(k):
+            self_pair = matrix[a] >> a & 1
+            if kind == -1 or kind == self_pair:
+                mask |= 1 << a
+        kind_mask.append(mask)
+    if any(m == 0 for m in kind_mask):
+        return None
+    # propagation masks: after placing letter a, a later vertex adjacent to
+    # it needs a letter in row_true[a], a non-adjacent one in row_false[a]
+    row_true = [matrix[a] for a in range(k)]
+    row_false = [full_letters & ~matrix[a] for a in range(k)]
+
+    feas = [full_letters] * n
+    word: list[int] = []
+    placed: list[int] = []
+    n_classes = len(class_kind)
+    class_letter = [-1] * n_classes
+    letters_bound = 0  # letters claimed by some class
+    used_letters = 0
+
+    def dfs() -> bool:
+        nonlocal letters_bound, used_letters
+        pos = len(placed)
+        if pos == n:
+            return True
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("lettering search ran past its budget")
+        if require_all:
+            missing = k - bin(used_letters).count("1")
+            if missing > n - pos:
+                return False
+        for a in range(k):
+            bit = 1 << a
+            for v in range(n):
+                if v in placed_set or not feas[v] & bit:
+                    continue
+                c = class_of[v]
+                if c >= 0:
+                    if class_letter[c] >= 0:
+                        if class_letter[c] != a:
+                            continue
+                    elif (letters_bound & bit) or not kind_mask[c] & bit:
+                        continue
+                counter[0] += 1
+                # place v with letter a
+                saved = []
+                ok = True
+                row = g.rows[v]
+                for u in range(n):
+                    if u == v or u in placed_set:
+                        continue
+                    upd = row_true[a] if row >> u & 1 else row_false[a]
+                    newf = feas[u] & upd
+                    if newf != feas[u]:
+                        saved.append((u, feas[u]))
+                        feas[u] = newf
+                        if not newf:
+                            ok = False
+                if ok:
+                    placed.append(v)
+                    placed_set.add(v)
+                    word.append(a)
+                    bound_here = c >= 0 and class_letter[c] < 0
+                    if bound_here:
+                        class_letter[c] = a
+                        letters_bound |= bit
+                    prev_used = used_letters
+                    used_letters |= bit
+                    if dfs():
+                        return True
+                    used_letters = prev_used
+                    if bound_here:
+                        class_letter[c] = -1
+                        letters_bound &= ~bit
+                    word.pop()
+                    placed_set.remove(v)
+                    placed.pop()
+                for u, old in saved:
+                    feas[u] = old
+        return False
+
+    placed_set: set[int] = set()
+    if dfs():
+        return word, placed
+    return None
+
+
+def _class_arrays(g: Graph, classes):
+    """class_of and class_kind as is_k_letterable builds them; classes
+    must be cliques, co-cliques or singletons."""
+    class_of = [-1] * g.n
+    class_kind = []
+    for ci, cls in enumerate(classes):
+        for v in cls:
+            class_of[v] = ci
+        pairs = list(itertools.combinations(sorted(cls), 2))
+        class_kind.append(-1 if not pairs else int(g.adjacent(*pairs[0])))
+    return class_of, class_kind
+
+
+def _uniform_classes(g: Graph, rnd, count: int):
+    """Up to ``count`` disjoint random classes, each a clique, a co-clique
+    or a singleton of ``g``."""
+    free = list(range(g.n))
+    rnd.shuffle(free)
+    classes = []
+    while free and len(classes) < count:
+        cls = [free.pop()]
+        for v in list(free)[:rnd.randint(0, 3)]:
+            trial = cls + [v]
+            kinds = {g.adjacent(x, y)
+                     for x, y in itertools.combinations(trial, 2)}
+            if len(kinds) == 1:
+                cls = trial
+                free.remove(v)
+        classes.append(frozenset(cls))
+    return classes
+
+
+def _both_searches(g: Graph, k: int, matrix, classes, require_all: bool):
+    class_of, class_kind = _class_arrays(g, classes)
+    results = []
+    for search in (_search_word, _reference_search_word):
+        counter = [0]
+        hit = search(g, k, matrix, class_of, class_kind, require_all,
+                     counter, None)
+        results.append((hit, counter[0]))
+    return results
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.booleans(),
+       st.integers(0, 5), st.randoms(use_true_random=False))
+def test_search_word_matches_reference(n, k, require_all, n_classes, rnd):
+    g = random_graph(rnd, n, rnd.random())
+    matrix = tuple(rnd.getrandbits(k) for _ in range(k))
+    classes = _uniform_classes(g, rnd, n_classes)
+    LetterClassConstraint(tuple(classes))  # the classes are valid
+    new, ref = _both_searches(g, k, matrix, classes, require_all)
+    assert new == ref
+
+
+def test_search_word_edge_cases():
+    one = path(1)
+    for k, matrix in ((1, (0,)), (1, (1,)), (2, (0b10, 0b01))):
+        for require_all in (False, True):
+            new, ref = _both_searches(one, k, matrix, [], require_all)
+            assert new == ref
+            assert new[0] == (None if require_all and k > 1 else ([0], [0]))
+    # a clique class under a decoder whose only letter has no self-pair
+    new, ref = _both_searches(complete(3), 1, (0,), [frozenset({0, 1})],
+                              False)
+    assert new == ref == (None, 0)
+    # the class's kind is allowed on letter b only, so a is never tried
+    # for its members
+    new, ref = _both_searches(complete(3), 2, (0b10, 0b11),
+                              [frozenset({0, 1})], False)
+    assert new == ref
+    assert new[0] is not None
