@@ -27,13 +27,6 @@ from letterkit.letters import lettering_to_json
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "golden_solver.json")
-R2_CLASSES_KEY = "R2 four classes k=4"
-
-
-def golden_graphs() -> list[graphs.Graph]:
-    out = [g for n in range(1, 7) for g in graphs.all_graphs(n)]
-    out.append(graphs.stacked_path(2)[0])
-    return out
 
 
 def r2_four_classes() -> solver.LetterClassConstraint:
@@ -51,7 +44,8 @@ def _counts(report: solver.SolveReport) -> list:
 def build() -> dict:
     letterings: dict[str, dict] = {}
     counters: dict[str, list] = {}
-    for g in golden_graphs():
+    r2 = graphs.stacked_path(2)[0]
+    for g in [g for n in range(1, 7) for g in graphs.all_graphs(n)] + [r2]:
         key = graphs.to_graph6(g)
         k, lett = solver.lettericity(g)
         letterings[key] = {"lettericity": k,
@@ -59,8 +53,8 @@ def build() -> dict:
         counters[key] = [
             _counts(solver.is_k_letterable(g, j, _require_all=j > 1))
             for j in range(1, k + 1)]
-    counters[R2_CLASSES_KEY] = _counts(solver.is_k_letterable(
-        graphs.stacked_path(2)[0], 4, r2_four_classes()))
+    counters["R2 four classes k=4"] = _counts(
+        solver.is_k_letterable(r2, 4, r2_four_classes()))
     return {"letterings": letterings, "counters": counters}
 
 
