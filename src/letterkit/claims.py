@@ -1,0 +1,129 @@
+"""The paper's checkable claims, each written once.
+
+``letterkit verify-paper`` runs them at a scale that finishes in seconds;
+``tests/test_acceptance.py`` runs them at full scale. Each check takes the
+deadline of the run (a ``time.monotonic()`` value, or None for no budget),
+hands every solver and composer call the time left, and returns a dict
+with ``"pass"`` and the counts that explain its work (or the failing
+graph).
+
+The checks call letterkit through module attributes (``solver.lettericity``,
+not a name bound at import), so a test or a tracer that replaces a module
+attribute sees every call.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+
+from . import composer, graphs, letters, modular, solver
+
+
+def _time_left(deadline: float | None) -> float | None:
+    """Seconds left before ``deadline`` (None for no deadline); raises
+    :class:`solver.BudgetExceeded` once none is left."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise solver.BudgetExceeded("claim check ran past its budget")
+    return left
+
+
+def random_cograph(rng: random.Random, n: int) -> graphs.Graph:
+    """Random cograph on n vertices from a random cotree."""
+    if n == 1:
+        return graphs.path(1)
+    left = rng.randint(1, n - 1)
+    op = graphs.join if rng.random() < 0.5 else graphs.disjoint_union
+    return op(random_cograph(rng, left), random_cograph(rng, n - left))
+
+
+def matching_lettericity(deadline: float | None = None) -> dict:
+    """Prop. 4.1: mK2 has lettericity m (m <= 3), and 3K2 has no
+    2-lettering."""
+    ok = all(solver.lettericity(graphs.matching(m),
+                                budget=_time_left(deadline))[0] == m
+             for m in (1, 2, 3))
+    ok = ok and solver.is_k_letterable(
+        graphs.matching(3), 2,
+        budget=_time_left(deadline)).outcome == "exhausted"
+    return {"pass": ok}
+
+
+def constrained_stacked(deadline: float | None = None) -> dict:
+    """Prop. 4.3: the stacked path R2 has no 4-lettering that gives each of
+    its four vertex classes one letter."""
+    g, labels = graphs.stacked_path(2)
+    constraint = solver.LetterClassConstraint.of(
+        {labels.id_of("s", 1, 1), labels.id_of("s", 2, 1)},
+        {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
+        {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
+        {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
+    report = solver.is_k_letterable(g, 4, constraint,
+                                    budget=_time_left(deadline))
+    return {"pass": report.outcome == "exhausted",
+            "decoders_tried": report.decoders_tried,
+            "nodes_expanded": report.nodes_expanded}
+
+
+def prime_classification(deadline: float | None = None) -> dict:
+    """Thm. 3.2: every vertex of a prime graph (4 <= n <= 7) has a role
+    (P4 end or middle, bull nose) that its witness confirms."""
+    checked = 0
+    for n in range(4, 8):
+        for g in graphs.all_graphs(n):
+            _time_left(deadline)
+            if not modular.is_prime(g):
+                continue
+            for v in range(g.n):
+                role = modular.classify_vertex(g, v)
+                if not modular.verify_role(g, v, role):
+                    return {"pass": False, "graph": graphs.to_graph6(g),
+                            "vertex": v}
+                checked += 1
+    return {"pass": True, "vertices_checked": checked}
+
+
+def _composer_inputs(max_n: int, inflations: int, max_module: int,
+                     rng: random.Random):
+    for n in range(1, max_n + 1):
+        yield from graphs.all_graphs(n)
+    for _ in range(inflations):
+        base = rng.choice([graphs.path(4), graphs.bull(), graphs.cycle(5)])
+        cap = min(max_module, 40 // base.n)
+        mods = [random_cograph(rng, rng.randint(1, cap))
+                for _ in range(base.n)]
+        yield graphs.inflate(base, mods)[0]
+
+
+def composer_bound(max_n: int, inflations: int, max_module: int, seed: int,
+                   deadline: float | None = None) -> dict:
+    """Thm. 5.1: ``compose`` returns a verified lettering within the bound
+    F_impl, on every graph with n <= ``max_n`` and on ``inflations`` random
+    inflations of P4, the bull or C5 drawn from ``seed``. Each module is a
+    random cograph on 1..min(``max_module``, 40 // base.n) vertices."""
+    count = 0
+    for g in _composer_inputs(max_n, inflations, max_module,
+                              random.Random(seed)):
+        cert = composer.compose(g, budget=_time_left(deadline))
+        if not (letters.verify(g, cert.lettering)
+                and cert.bound_check["within_F_impl"]):
+            return {"pass": False, "graph": graphs.to_graph6(g)}
+        count += 1
+    return {"pass": True, "graphs_checked": count}
+
+
+def complement_duality(max_n: int, deadline: float | None = None) -> dict:
+    """A graph and its complement have the same lettericity, on every graph
+    with n <= ``max_n``."""
+    count = 0
+    for n in range(1, max_n + 1):
+        for g in graphs.all_graphs(n):
+            k = solver.lettericity(g, budget=_time_left(deadline))[0]
+            if k != solver.lettericity(g.complement(),
+                                       budget=_time_left(deadline))[0]:
+                return {"pass": False, "graph": graphs.to_graph6(g)}
+            count += 1
+    return {"pass": True, "graphs_checked": count}

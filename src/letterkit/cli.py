@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from . import composer, graphs, letters, modular, obstructions, solver
+from . import claims, composer, graphs, letters, modular, obstructions, solver
 
 
 def _read_graph(path: str) -> graphs.Graph:
@@ -69,12 +69,10 @@ def _cmd_lettericity(args) -> int:
     if args.classes or args.max_k is not None:
         k = args.max_k if args.max_k is not None else min(g.n, 5)
         constraint = _parse_classes(args.classes) if args.classes else None
-        report = solver.is_k_letterable(g, k, constraint,
-                                        max_n=max(12, g.n), max_k=max(5, k),
-                                        budget=args.budget)
+        report = solver.is_k_letterable(g, k, constraint, budget=args.budget)
         print(report.to_json())
         return 0
-    k, lett = solver.lettericity(g, max_n=max(12, g.n), budget=args.budget)
+    k, lett = solver.lettericity(g, budget=args.budget)
     if args.json:
         print(json.dumps({"lettericity": k,
                           "lettering": json.loads(
@@ -107,7 +105,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_compose(args) -> int:
     g = _read_graph(args.graph)
-    cert = composer.compose(g, max_n=max(12, g.n), budget=args.budget)
+    cert = composer.compose(g, budget=args.budget)
     if args.verify and not letters.verify(g, cert.lettering):
         print("verification failed", file=sys.stderr)
         return 1
@@ -120,111 +118,25 @@ def _cmd_compose(args) -> int:
 
 
 # -- the claim-verification suite --------------------------------------------
-# Each check takes the seed of the randomized checks and the command's
-# deadline (None for no budget), and hands every solver and composer call
-# the time left.
-
-def _time_left(deadline: float | None) -> float | None:
-    if deadline is None:
-        return None
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise solver.BudgetExceeded("verify-paper ran past its budget")
-    return left
-
-
-def _check_matching_lettericity(seed: int, deadline) -> dict:
-    ok = all(solver.lettericity(graphs.matching(m),
-                                budget=_time_left(deadline))[0] == m
-             for m in (1, 2, 3))
-    ok = ok and solver.is_k_letterable(
-        graphs.matching(3), 2,
-        budget=_time_left(deadline)).outcome == "exhausted"
-    return {"pass": ok}
-
-
-def _check_constrained_stacked(seed: int, deadline) -> dict:
-    g, labels = graphs.stacked_path(2)
-    constraint = solver.LetterClassConstraint.of(
-        {labels.id_of("s", 1, 1), labels.id_of("s", 2, 1)},
-        {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
-        {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
-        {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
-    report = solver.is_k_letterable(g, 4, constraint,
-                                    budget=_time_left(deadline))
-    return {"pass": report.outcome == "exhausted",
-            "decoders_tried": report.decoders_tried,
-            "nodes_expanded": report.nodes_expanded}
-
-
-def _check_prime_classification(seed: int, deadline) -> dict:
-    checked = 0
-    for n in range(4, 8):
-        for g in graphs.all_graphs(n):
-            _time_left(deadline)
-            if not modular.is_prime(g):
-                continue
-            for v in range(g.n):
-                role = modular.classify_vertex(g, v)
-                if not modular.verify_role(g, v, role):
-                    return {"pass": False, "graph": graphs.to_graph6(g),
-                            "vertex": v}
-                checked += 1
-    return {"pass": True, "vertices_checked": checked}
-
-
-def _check_composer(seed: int, deadline) -> dict:
-    import random
-    rng = random.Random(seed)
-    count = 0
-    for n in range(1, 7):
-        for g in graphs.all_graphs(n):
-            cert = composer.compose(g, budget=_time_left(deadline))
-            if not cert.bound_check["within_F_impl"]:
-                return {"pass": False, "graph": graphs.to_graph6(g)}
-            count += 1
-    for _ in range(25):
-        base = rng.choice([graphs.path(4), graphs.bull(), graphs.cycle(5)])
-        mods = [_random_cograph(rng, rng.randint(1, 5)) for _ in range(base.n)]
-        g, _ = graphs.inflate(base, mods)
-        cert = composer.compose(g, budget=_time_left(deadline))
-        if not cert.bound_check["within_F_impl"]:
-            return {"pass": False, "graph": graphs.to_graph6(g)}
-        count += 1
-    return {"pass": True, "graphs_checked": count}
-
-
-def _random_cograph(rng, n: int) -> graphs.Graph:
-    if n == 1:
-        return graphs.path(1)
-    left = rng.randint(1, n - 1)
-    op = graphs.join if rng.random() < 0.5 else graphs.disjoint_union
-    return op(_random_cograph(rng, left), _random_cograph(rng, n - left))
-
-
-def _check_dualities(seed: int, deadline) -> dict:
-    count = 0
-    for n in range(1, 6):
-        for g in graphs.all_graphs(n):
-            k = solver.lettericity(g, budget=_time_left(deadline))[0]
-            if k != solver.lettericity(g.complement(),
-                                       budget=_time_left(deadline))[0]:
-                return {"pass": False, "graph": graphs.to_graph6(g)}
-            count += 1
-    return {"pass": True, "graphs_checked": count}
-
+# Each suite runs one claim of letterkit.claims at a scale that finishes in
+# seconds; tests/test_acceptance.py runs the same claims at full scale.
 
 _SUITES = {
-    "prop41": _check_matching_lettericity,
-    "prop43": _check_constrained_stacked,
-    "thm32": _check_prime_classification,
-    "thm51": _check_composer,
-    "dualities": _check_dualities,
+    "prop41": lambda seed, deadline: claims.matching_lettericity(deadline),
+    "prop43": lambda seed, deadline: claims.constrained_stacked(deadline),
+    "thm32": lambda seed, deadline: claims.prime_classification(deadline),
+    "thm51": lambda seed, deadline: claims.composer_bound(
+        max_n=6, inflations=25, max_module=5, seed=seed, deadline=deadline),
+    "dualities": lambda seed, deadline: claims.complement_duality(
+        max_n=5, deadline=deadline),
 }
+
+# perfbench/workloads.py draws its inflations through this name.
+_random_cograph = claims.random_cograph
 
 
 def _cmd_verify_paper(args) -> int:
-    names = sorted(args.suite.split(",")) if args.suite else sorted(_SUITES)
+    names = sorted(set(args.suite.split(",")) if args.suite else _SUITES)
     for name in names:
         if name not in _SUITES:
             print(f"unknown suite {name!r}", file=sys.stderr)

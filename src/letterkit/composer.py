@@ -61,13 +61,14 @@ def peel(g: Graph) -> PeelTrace:
 
 # letters are integers during composition; pairs live in a set
 
-def _attach_peeled_ids(word, pairs, letters, trace: PeelTrace, alloc):
-    """Append the peeled vertices (in addition order) after the core word.
+def _attach_peeled_ids(word, pairs, letters, removed, alloc):
+    """Append the peeled ``(vertex, kind)`` pairs of ``removed`` (in
+    addition order) after the core word.
 
     Every existing letter points at the fresh dominating letter d; nothing
     points at the fresh isolated letter i.
     """
-    kinds = {kind for _, kind in trace.removed}
+    kinds = {kind for _, kind in removed}
     iso = alloc() if ISOLATED in kinds else None
     dom = alloc() if DOMINATING in kinds else None
     new_letters = set(letters)
@@ -79,7 +80,7 @@ def _attach_peeled_ids(word, pairs, letters, trace: PeelTrace, alloc):
     if dom is not None:
         new_pairs |= {(x, dom) for x in new_letters}
     new_word = list(word)
-    for v, kind in trace.removed:
+    for v, kind in removed:
         new_word.append((v, iso if kind == ISOLATED else dom))
     return new_word, new_pairs, new_letters
 
@@ -100,7 +101,7 @@ def attach_peeled(core_lettering: Lettering, trace: PeelTrace,
              if dec.pairs[a][b]}
     alloc = itertools.count(dec.size).__next__
     new_word, new_pairs, new_letters = _attach_peeled_ids(
-        word, pairs, set(range(dec.size)), trace, alloc)
+        word, pairs, set(range(dec.size)), trace.removed, alloc)
     lett = _finalize(new_word, new_pairs)
     if not verify(g, lett):
         raise AssertionError("reattached lettering failed verification")
@@ -181,13 +182,11 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
 
         trace = peel(graph)
         core, core_ids = trace.core, [ids[v] for v in trace.core_ids]
+        removed = [(ids[v], kind) for v, kind in trace.removed]
         if core.n == 0:
             # fully peelable: both kinds occurred, else step one fired
             word, pairs, letters = _attach_peeled_ids(
-                [], set(), set(),
-                PeelTrace(tuple((ids[v], k) for v, k in trace.removed),
-                          core, ()),
-                alloc)
+                [], set(), set(), removed, alloc)
             return word, pairs, letters, {"case": "peel", "n": graph.n,
                                           "letters": len(letters)}
 
@@ -292,14 +291,11 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
                     "quotient": to_graph6(h), "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
 
-        if trace.removed:
+        if removed:
             word, all_pairs, all_letters = _attach_peeled_ids(
-                word, all_pairs, all_letters,
-                PeelTrace(tuple((ids[v], k) for v, k in trace.removed),
-                          core, ()),
-                alloc)
+                word, all_pairs, all_letters, removed, alloc)
             node = {"case": "peel", "n": graph.n, "core": node,
-                    "peeled": len(trace.removed)}
+                    "peeled": len(removed)}
         return word, all_pairs, all_letters, node
 
     word, pairs, _, tree = build(g, list(range(g.n)))

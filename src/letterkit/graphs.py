@@ -259,24 +259,22 @@ _FAMILIES = ("path", "cycle", "complete", "matching", "co-matching",
 
 def generate(family: str, n: int | None = None, seq=None):
     """Dispatch to a family generator; returns (Graph, labels-or-None)."""
-    if family == "path":
-        return path(n), None
-    if family == "cycle":
-        return cycle(n), None
-    if family == "complete":
-        return complete(n), None
-    if family == "matching":
-        return matching(n), None
-    if family == "co-matching":
-        return co_matching(n), None
+    if family not in _FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
     if family == "bull":
         return bull(), None
-    if family == "stacked":
-        g, labels = stacked_path(n)
-        return g, labels
     if family == "threshold":
+        if seq is None:
+            raise ValueError("family 'threshold' needs a creation sequence")
         return threshold(seq), None
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
+    if n is None:
+        raise ValueError(f"family {family!r} needs a size n")
+    if family == "stacked":
+        return stacked_path(n)
+    sized = {"path": path, "cycle": cycle, "complete": complete,
+             "matching": matching, "co-matching": co_matching}
+    return sized[family](n), None
 
 
 # -- induced subgraph isomorphism -----------------------------------------

@@ -3,25 +3,18 @@
 Each test covers one advertised guarantee of the toolkit, runs it at full
 stated scale, and prints a single pass/fail line with its runtime.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the lines as they complete.
+Checks 1-4 and 6 run the claims of ``letterkit.claims``, which
+``letterkit verify-paper`` runs at a smaller scale.
 """
 
 import random
 import time
 
 from letterkit import (
-    LetterClassConstraint,
-    all_graphs,
-    bull,
-    compose,
-    classify_vertex,
-    cycle,
-    inflate,
+    claims,
     is_k_letterable,
     is_prime,
-    lettericity,
-    matching,
     max_induced_matching,
-    path,
     quotient,
     reconstruct,
     stacked_path,
@@ -30,8 +23,7 @@ from letterkit import (
     verify,
 )
 from letterkit.graphs import DOMINATING, ISOLATED, is_isomorphic, threshold
-from letterkit.modular import verify_role
-from tests.conftest import random_cograph, random_graph
+from tests.conftest import random_graph
 
 
 def report(num, name, ok, elapsed, limit):
@@ -43,44 +35,25 @@ def report(num, name, ok, elapsed, limit):
 
 def test_01_matching_lettericity():
     start = time.monotonic()
-    ok = all(lettericity(matching(m))[0] == m for m in (1, 2, 3))
-    ok = ok and is_k_letterable(matching(3), 2).outcome == "exhausted"
+    ok = claims.matching_lettericity()["pass"]
     report(1, "matching lettericity", ok, time.monotonic() - start, 60)
 
 
 def test_02_r2_constrained_exhaustion():
-    g, labels = stacked_path(2)
-    constraint = LetterClassConstraint.of(
-        {labels.id_of("s", 1, 1), labels.id_of("s", 2, 1)},
-        {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
-        {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
-        {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
     start = time.monotonic()
-    outcome = is_k_letterable(g, 4, constraint).outcome
-    report(2, "R2 four-class exhaustion", outcome == "exhausted",
-           time.monotonic() - start, 600)
+    ok = claims.constrained_stacked()["pass"]
+    report(2, "R2 four-class exhaustion", ok, time.monotonic() - start, 600)
 
 
 def test_03_complement_duality_n6():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 7):
-        for g in all_graphs(n):
-            if lettericity(g)[0] != lettericity(g.complement())[0]:
-                ok = False
+    ok = claims.complement_duality(max_n=6)["pass"]
     report(3, "complement duality n<=6", ok, time.monotonic() - start, 1800)
 
 
 def test_04_prime_vertex_classification():
     start = time.monotonic()
-    ok = True
-    for n in range(4, 8):
-        for g in all_graphs(n):
-            if not is_prime(g):
-                continue
-            for v in range(g.n):
-                if not verify_role(g, v, classify_vertex(g, v)):
-                    ok = False
+    ok = claims.prime_classification()["pass"]
     report(4, "prime vertex roles n<=7", ok, time.monotonic() - start, 600)
 
 
@@ -103,24 +76,9 @@ def test_05_decomposition_roundtrip():
 
 
 def test_06_composer_soundness_and_bound():
-    rng = random.Random(0x5EED)
     start = time.monotonic()
-    ok = True
-    for n in range(1, 8):
-        for g in all_graphs(n):
-            cert = compose(g)
-            if not (verify(g, cert.lettering)
-                    and cert.bound_check["within_F_impl"]):
-                ok = False
-    for _ in range(200):
-        base = rng.choice([path(4), bull(), cycle(5)])
-        mods = [random_cograph(rng, rng.randint(1, 40 // base.n))
-                for _ in range(base.n)]
-        g, _ = inflate(base, mods)
-        cert = compose(g)
-        if not (verify(g, cert.lettering)
-                and cert.bound_check["within_F_impl"]):
-            ok = False
+    ok = claims.composer_bound(max_n=7, inflations=200, max_module=40,
+                               seed=0x5EED)["pass"]
     report(6, "composer soundness and bound", ok,
            time.monotonic() - start, 1200)
 

@@ -40,6 +40,15 @@ def test_gen_dot(capsys):
     assert code == 0 and "0 -- 1;" in out
 
 
+def test_gen_missing_argument_is_a_usage_error(capsys):
+    for family in ("path", "stacked"):
+        code, out, err = run(capsys, "gen", "--family", family)
+        assert code == 2 and out == ""
+        assert err == f"error: family {family!r} needs a size n\n"
+    code, _, err = run(capsys, "gen", "--family", "threshold")
+    assert code == 2 and "needs a creation sequence" in err
+
+
 def test_decode(capsys):
     code, out, _ = run(capsys, "decode", "--decoder", "ba",
                        "--word", "baba")
@@ -114,12 +123,48 @@ def test_compose_cli(tmp_path, capsys):
     assert code == 0 and obj["alphabet_size"] == 2
 
 
+def test_cli_keeps_the_solver_scale_guards(tmp_path, capsys):
+    def graph_file(name, g):
+        f = tmp_path / name
+        f.write_text(to_graph6(g))
+        return str(f)
+
+    p4, p13 = graph_file("p4.g6", path(4)), graph_file("p13.g6", path(13))
+    code, out, err = run(capsys, "lettericity", p4, "--max-k", "6")
+    assert code == 2 and out == "" and "k <= 5" in err
+    for command in ("lettericity", "compose"):
+        code, out, err = run(capsys, command, p13)
+        assert code == 2 and out == "" and "n <= 12" in err
+    # n = 14, but no prime quotient: the guard applies to prime quotients
+    code, out, _ = run(capsys, "compose", graph_file("m7.g6", matching(7)),
+                       "--verify")
+    assert code == 0 and out.startswith("alphabet_size=")
+
+
 def test_verify_paper_fast_suites(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--suite", "prop41,dualities")
+    code, out, _ = run(capsys, "verify-paper", "--suite",
+                       "prop41,dualities,prop41")
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [entry["check"] for entry in lines] == ["dualities", "prop41"]
     assert all(entry["status"] == "pass" for entry in lines)
+
+
+def test_verify_paper_default_run_results(capsys):
+    # every check with the default seed; only the timings may change
+    code, out, _ = run(capsys, "verify-paper")
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    for entry in lines:
+        del entry["elapsed"]
+    assert code == 0
+    assert lines == [
+        {"check": "dualities", "graphs_checked": 52, "status": "pass"},
+        {"check": "prop41", "status": "pass"},
+        {"check": "prop43", "decoders_tried": 3044,
+         "nodes_expanded": 403488, "status": "pass"},
+        {"check": "thm32", "vertices_checked": 2000, "status": "pass"},
+        {"check": "thm51", "graphs_checked": 233, "status": "pass"},
+    ]
 
 
 def test_verify_paper_unknown_suite(capsys):

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -202,6 +205,29 @@ def test_solver_soundness_guard_raises(monkeypatch):
     monkeypatch.setattr(solver, "verify", lambda g, lett: False)
     with pytest.raises(AssertionError, match="failed verification"):
         is_k_letterable(path(4), 2)
+
+
+_GUARD_UNDER_O = """
+import sys
+from letterkit import path, solver
+solver.verify = lambda g, lett: False
+try:
+    solver.is_k_letterable(path(4), 2)
+except AssertionError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_solver_soundness_guard_runs_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", _GUARD_UNDER_O],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 ") and \
+        "failed verification" in proc.stdout
 
 
 def test_golden_solver_outputs():
