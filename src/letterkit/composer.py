@@ -264,24 +264,14 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
             pairs = set(internal_pairs)
             for x in all_base:
                 for y in all_base:
-                    if x == y and group_of[x] >= 0:
-                        continue  # recursive-module internals stay internal
                     if group_of[x] >= 0 and group_of[x] == group_of[y]:
-                        continue
-                    if x != y and (x, y) in internal_pairs:
-                        continue
-                    if group_of[x] == -1 and group_of[y] == -1 and x != y and \
-                            base_of[x] == base_of[y]:
-                        # copies of one base letter: copy the base self-pair
-                        if d_h.pairs[base_of[x]][base_of[x]]:
-                            pairs.add((x, y))
-                        continue
+                        continue  # recursive-module internals stay internal
                     if x == y:
+                        # a copy's self-pair is flipped, not inherited
                         if x in base_id.values() and \
                                 d_h.pairs[base_of[x]][base_of[x]]:
                             pairs.add((x, x))
-                        continue
-                    if d_h.pairs[base_of[x]][base_of[y]]:
+                    elif d_h.pairs[base_of[x]][base_of[y]]:
                         pairs.add((x, y))
             word = []
             for pos in range(h.n):

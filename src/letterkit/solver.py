@@ -1,13 +1,13 @@
 """Exhaustive lettericity search.
 
-The outer loop enumerates decoder matrices over k letters (up to letter
-permutation for k <= 4); the inner loop builds the word left to right,
-branching on (letter, vertex) pairs. Its state is one candidate vertex
-bitmask per letter, so placing a vertex costs k mask operations and a
-dead end is found by one cover test per candidate. Results are
-canonical: the first success in enumeration order is the minimal
-successful decoder matrix in row-major order, with the lexicographically
-least word for that decoder.
+The outer loop enumerates the decoder matrices over k letters up to
+letter renaming, by orderly generation; the inner loop builds the word
+left to right, branching on (letter, vertex) pairs. Its state is one
+candidate vertex bitmask per letter, so placing a vertex costs k mask
+operations and a dead end is found by one cover test per candidate.
+Results are canonical: the first success in enumeration order is the
+minimal successful decoder matrix in row-major order, with the
+lexicographically least word for that decoder.
 """
 
 from __future__ import annotations
@@ -71,55 +71,59 @@ class SolveReport:
 
 # -- decoder enumeration ----------------------------------------------------
 
-def _code_matrix(code: int, k: int) -> tuple[int, ...]:
-    """Decoder matrix (row bitmasks) of a row-major code whose most
-    significant bit is entry (0, 0), so integer order on codes equals
-    lexicographic order on the flattened matrices."""
-    top = k * k - 1
-    return tuple(sum((code >> (top - i * k - j) & 1) << j for j in range(k))
-                 for i in range(k))
+def _canonical_matrices(k: int):
+    """Yield, in increasing row-major code order, the decoder matrices
+    (row bitmasks; bit j of row i is entry (i, j)) that are least in their
+    orbit under letter renaming, which maps entry (i, j) to (sigma[i],
+    sigma[j]). Code order compares the rows read from column 0.
+
+    Orderly generation (Read 1978; McKay, J. Algorithms 1998) appends rows
+    in increasing order. Row i of a renaming is known once row sigma[i] is,
+    so each renaming is compared with the prefix as far as the known rows
+    go and the tie is carried down: a larger renaming is dropped, and a
+    smaller one cuts the prefix. At full depth the test is exact."""
+    full = 1 << k
+    # key[row] reads the row from column 0, so keys order rows by code
+    key = [sum((row >> j & 1) << (k - 1 - j) for j in range(k))
+           for row in range(full)]
+    by_key = sorted(range(full), key=key.__getitem__)
+    # each renaming but the identity, with the keys of the rows under its
+    # column permutation and the number of leading rows tied so far
+    renamings = [(sigma, [key[sum((row >> sigma[j] & 1) << j
+                                  for j in range(k))]
+                          for row in range(full)], 0)
+                 for sigma in itertools.permutations(range(k))][1:]
+    rows: list[int] = []
+
+    def extend(tied):
+        r = len(rows) + 1
+        for row in by_key:
+            rows.append(row)
+            still = []
+            for sigma, moved, i in tied:
+                while i < r and sigma[i] < r:
+                    a, b = moved[rows[sigma[i]]], key[rows[i]]
+                    if a != b:
+                        break
+                    i += 1
+                else:
+                    still.append((sigma, moved, i))
+                    continue
+                if a < b:
+                    break  # a smaller renaming: cut
+            else:
+                if r == k:
+                    yield tuple(rows)
+                else:
+                    yield from extend(still)
+            rows.pop()
+
+    yield from extend(renamings)
 
 
 @lru_cache(maxsize=None)
-def _canonical_codes(k: int) -> tuple[int, ...]:
-    """Codes of all k x k binary matrices that are lexicographically least
-    in their orbit under simultaneous row/column permutation. Eagerly
-    computed for k <= 4 only."""
-    perms = list(itertools.permutations(range(k)))[1:]
-    # bit position maps: applying sigma sends bit (i, j) to (sigma-inverse...)
-    maps = []
-    for sigma in perms:
-        src = [0] * (k * k)
-        for i in range(k):
-            for j in range(k):
-                # bit (i, j) of permuted matrix comes from (sigma[i], sigma[j])
-                src[i * k + j] = sigma[i] * k + sigma[j]
-        maps.append(src)
-    out = []
-    top = k * k - 1
-    for code in range(1 << (k * k)):
-        canonical = True
-        for src in maps:
-            permuted = 0
-            for dst in range(k * k):
-                permuted |= (code >> (top - src[dst]) & 1) << (top - dst)
-            if permuted < code:
-                canonical = False
-                break
-        if canonical:
-            out.append(code)
-    return tuple(out)
-
-
-def _decoder_matrices(k: int):
-    """Yield decoder matrices (tuples of row bitmasks) in increasing
-    row-major code order. For k <= 4 only canonical representatives are
-    yielded; for larger k the full space is enumerated (still complete,
-    just without the symmetry reduction, whose precomputation cost would
-    exceed its savings there)."""
-    codes = _canonical_codes(k) if k <= 4 else range(1 << (k * k))
-    for code in codes:
-        yield _code_matrix(code, k)
+def _kept_matrices(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_canonical_matrices(k))
 
 
 def _equivalent_letter_pair(matrix: tuple[int, ...], k: int) -> bool:
@@ -280,7 +284,9 @@ def is_k_letterable(g: Graph, k: int,
 
     counter = [0]
     tried = 0
-    for matrix in _decoder_matrices(k):
+    # kept after the first call for k <= 4 (at most 3044 matrices); streamed
+    # beyond (291,968 for k = 5), so the deadline check below bounds the call
+    for matrix in _kept_matrices(k) if k <= 4 else _canonical_matrices(k):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("decoder enumeration ran past its budget")
         tried += 1

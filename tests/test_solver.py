@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,10 @@ from letterkit import (
     BudgetExceeded,
     LetterClassConstraint,
     all_graphs,
+    bull,
     complete,
     contains_induced,
+    cycle,
     decode,
     is_k_letterable,
     lettericity,
@@ -23,8 +26,9 @@ from letterkit import (
     stacked_path,
     verify,
 )
+from letterkit import solver
 from letterkit.graphs import Graph, ScaleError
-from letterkit.solver import _search_word
+from letterkit.solver import _canonical_matrices, _kept_matrices, _search_word
 from tests.conftest import random_graph
 
 
@@ -146,7 +150,6 @@ def test_scale_guards():
 
 
 def test_climb_starts_at_matching_bound(monkeypatch):
-    from letterkit import solver
     seen = []
     real = solver.is_k_letterable
 
@@ -163,7 +166,7 @@ def test_climb_starts_at_matching_bound(monkeypatch):
 
 def test_six_matching_hits_scale_guard_at_once():
     # 6K2 needs 6 letters; the climb starts there instead of spending
-    # its budget (BudgetExceeded) on the 2^25 decoders of k = 5
+    # its budget (BudgetExceeded) on an exhaustive k = 5 search
     with pytest.raises(ScaleError):
         lettericity(matching(6), budget=1.0)
     # too many vertices: the guard fires before the lower bound is sought
@@ -201,7 +204,6 @@ def test_found_lettering_decodes_back():
 
 def test_solver_soundness_guard_raises(monkeypatch):
     # an explicit raise, so the guard also runs under python -O
-    from letterkit import solver
     monkeypatch.setattr(solver, "verify", lambda g, lett: False)
     with pytest.raises(AssertionError, match="failed verification"):
         is_k_letterable(path(4), 2)
@@ -412,3 +414,108 @@ def test_search_word_edge_cases():
                               [frozenset({0, 1})], False)
     assert new == ref
     assert new[0] is not None
+
+
+# -- decoder generation against the brute-force table it replaced ----------
+
+def _code_matrix(code: int, k: int) -> tuple[int, ...]:
+    """Decoder matrix (row bitmasks) of a row-major code whose most
+    significant bit is entry (0, 0), so integer order on codes equals
+    lexicographic order on the flattened matrices."""
+    top = k * k - 1
+    return tuple(sum((code >> (top - i * k - j) & 1) << j for j in range(k))
+                 for i in range(k))
+
+
+def _matrix_code(matrix: tuple[int, ...], k: int) -> int:
+    top = k * k - 1
+    return sum((matrix[i] >> j & 1) << (top - i * k - j)
+               for i in range(k) for j in range(k))
+
+
+def _reference_canonical_codes(k: int) -> tuple[int, ...]:
+    """Codes of all k x k binary matrices that are lexicographically least
+    in their orbit under simultaneous row/column permutation, by brute
+    force over all 2^(k*k) codes and all permutations."""
+    maps = [[sigma[i] * k + sigma[j] for i in range(k) for j in range(k)]
+            for sigma in itertools.permutations(range(k))][1:]
+    out = []
+    top = k * k - 1
+    for code in range(1 << (k * k)):
+        # bit (i, j) of the permuted matrix comes from (sigma[i], sigma[j])
+        if all(sum((code >> (top - src[dst]) & 1) << (top - dst)
+                   for dst in range(k * k)) >= code for src in maps):
+            out.append(code)
+    return tuple(out)
+
+
+def _burnside_orbits(k: int) -> int:
+    """Orbits of k x k binary matrices under simultaneous row/column
+    permutation: sigma fixes 2^c matrices, c being its number of cycles on
+    the k^2 entries; cycles of lengths a and b share gcd(a, b) of them."""
+    total = 0
+    for sigma in itertools.permutations(range(k)):
+        lengths, seen = [], set()
+        for start in range(k):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = sigma[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        total += 2 ** sum(math.gcd(a, b) for a in lengths for b in lengths)
+    return total // math.factorial(k)
+
+
+def _least_in_orbit(matrix: tuple[int, ...], k: int) -> bool:
+    code = _matrix_code(matrix, k)
+    return all(_matrix_code(tuple(sum((matrix[s[i]] >> s[j] & 1) << j
+                                      for j in range(k)) for i in range(k)),
+                            k) >= code
+               for s in itertools.permutations(range(k)))
+
+
+def test_generator_matches_brute_force_table():
+    for k in range(1, 5):
+        want = tuple(_code_matrix(c, k) for c in _reference_canonical_codes(k))
+        assert tuple(_canonical_matrices(k)) == want
+        assert _kept_matrices(k) == want
+        assert len(want) == _burnside_orbits(k)
+    assert [_burnside_orbits(k) for k in range(1, 5)] == [2, 10, 104, 3044]
+
+
+def test_generator_k5_count_and_order():
+    codes = [_matrix_code(m, 5) for m in _canonical_matrices(5)]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert len(codes) == _burnside_orbits(5) == 291968
+    # a sample is least in its orbit, so none was yielded in place of a
+    # canonical matrix
+    assert all(_least_in_orbit(_code_matrix(c, 5), 5) for c in codes[::997])
+
+
+def _full_space(k: int):
+    """The enumeration k = 5 used before orderly generation: every code,
+    with no symmetry reduction."""
+    return (_code_matrix(code, k) for code in range(1 << (k * k)))
+
+
+@pytest.mark.parametrize("g, require_all, tried", [
+    (bull(), False, 15), (bull(), True, 76), (cycle(5), False, 79),
+    (cycle(5), True, 351), (matching(2), False, 14)],
+    ids=["bull", "bull-all", "C5", "C5-all", "2K2"])
+def test_k5_search_matches_full_space(monkeypatch, g, require_all, tried):
+    # the full space tried 38, 170, 173, 1321 and 37 decoders
+    new = is_k_letterable(g, 5, _require_all=require_all)
+    monkeypatch.setattr(solver, "_canonical_matrices", _full_space)
+    old = is_k_letterable(g, 5, _require_all=require_all)
+    assert new.outcome == old.outcome == "found"
+    assert new.lettering == old.lettering
+    assert new.decoders_tried == tried < old.decoders_tried
+
+
+def test_k5_exhaustion_stops_at_its_budget():
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        is_k_letterable(path(4), 5, _require_all=True, budget=0.5)
+    assert time.monotonic() - start < 3.0
