@@ -61,6 +61,10 @@ def _cmd_decode(args) -> int:
 def _parse_classes(path: str):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, list) or not all(
+            isinstance(cls, list) and all(type(v) is int for v in cls)
+            for cls in data):
+        raise ValueError("classes must be a JSON list of lists of vertex ids")
     return solver.LetterClassConstraint.of(*data)
 
 

@@ -1,13 +1,11 @@
 """Exhaustive lettericity search.
 
-The outer loop enumerates the decoder matrices over k letters up to
-letter renaming, by orderly generation; the inner loop builds the word
-left to right, branching on (letter, vertex) pairs. Its state is one
-candidate vertex bitmask per letter, so placing a vertex costs k mask
-operations and a dead end is found by one cover test per candidate.
-Results are canonical: the first success in enumeration order is the
-minimal successful decoder matrix in row-major order, with the
-lexicographically least word for that decoder.
+A search over letter classes decides k-letterability: at most k cliques or
+co-cliques, one decoder orientation per mixed class pair and an order with
+no forced cycle (Petkovsek 2002). With a fixed prefix of decoder entries it
+grows the least fitting decoder in row-major code order, entry by entry.
+A word search, over one candidate vertex bitmask per letter, then finds
+the lexicographically least word for that decoder.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import Graph, ScaleError
 from .letters import Decoder, Lettering, symbol, verify
@@ -50,6 +47,10 @@ class LetterClassConstraint:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """``decoders_tried`` counts letter-class searches (one to decide, one per
+    decoder entry asked about); ``nodes_expanded`` their placements plus the
+    word search's nodes."""
+
     outcome: str  # "found" | "exhausted"
     lettering: Lettering | None
     decoders_tried: int
@@ -69,84 +70,92 @@ class SolveReport:
         return json.dumps(obj)
 
 
-# -- decoder enumeration ----------------------------------------------------
+# -- letter-class search ------------------------------------------------------
 
-def _canonical_matrices(k: int):
-    """Yield, in increasing row-major code order, the decoder matrices
-    (row bitmasks; bit j of row i is entry (i, j)) that are least in their
-    orbit under letter renaming, which maps entry (i, j) to (sigma[i],
-    sigma[j]). Code order compares the rows read from column 0.
+def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
+          counter: list[int], deadline: float | None) -> int | None:
+    """A decoder code (bit a*k + b is entry (a, b), unset entries 0) that
+    agrees with ``prefix`` on its ``fixed`` low bits and has a k-lettering of
+    ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a first if
+    uw is an edge and w in b first if not, (0, 1) the reverse, and equal ones
+    fix the adjacency (Petkovsek 2002). Entries outside the prefix are set
+    once both letters have members; ``cand[a]`` holds who may join letter a,
+    and a cycle in the closed successor masks ``succ`` cuts the branch."""
+    n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
+    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
+    column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
+              for a in range(k)]
+    cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
+           range(max(class_of, default=-1) + 1)]
+    members = [(0, full, full)] * k  # members, adjacent to none, to all
 
-    Orderly generation (Read 1978; McKay, J. Algorithms 1998) appends rows
-    in increasing order. Row i of a renaming is known once row sigma[i] is,
-    so each renaming is compared with the prefix as far as the known rows
-    go and the tie is carried down: a larger renaming is dropped, and a
-    smaller one cuts the prefix. At full depth the test is exact."""
-    full = 1 << k
-    # key[row] reads the row from column 0, so keys order rows by code
-    key = [sum((row >> j & 1) << (k - 1 - j) for j in range(k))
-           for row in range(full)]
-    by_key = sorted(range(full), key=key.__getitem__)
-    # each renaming but the identity, with the keys of the rows under its
-    # column permutation and the number of leading rows tied so far
-    renamings = [(sigma, [key[sum((row >> sigma[j] & 1) << j
-                                  for j in range(k))]
-                          for row in range(full)], 0)
-                 for sigma in itertools.permutations(range(k))][1:]
-    rows: list[int] = []
+    def place(code: int, placed: int, near: int, cand: list[int],
+              succ: list[int]):
+        left = full & ~placed
+        if not left:
+            return code
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("lettering search ran past its budget")
+        one = two = three = 0  # in at least one, two, three masks
+        for m in cand:
+            one, two, three = one | m, two | one & m, three | two & m
+        if one & left != left:
+            return None
+        v = (one & ~two & left) or (two & ~three & left) or left
+        v = ((v & near or v) & -(v & near or v)).bit_length() - 1
+        c, bit = class_of[v], 1 << v
+        sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
+        for a in range(k):  # empty letters, free rows, equal columns: twins
+            own, none, every = members[a]
+            if not cand[a] >> v & 1 or not own and a * k >= fixed and (
+                    column[a] in opened or opened.add(column[a])):
+                continue
+            here = code | bool(0 < own == own & -own and a * k + a >= fixed
+                               and rows[v] & own) << a * k + a
+            choices = itertools.product(*(  # entries (a, b) and (b, a)
+                [(b, x, y) for y in ((here >> b * k + a & 1,) if own or
+                                     known >> b * k + a & 1 else (0, 1))
+                 for x in ((here >> a * k + b & 1,) if own or
+                           known >> a * k + b & 1 else (0, 1))
+                 if x != y or members[b][0] & sides[x] == members[b][0]]
+                for b in range(k) if b != a and members[b][0]))
+            members[a] = own | bit, none & sides[0], every & sides[1]
+            for choice in choices:
+                counter[0] += 1
+                nxt, now, after, before = cand[:], here, 0, 0
+                for b, x, y in choice:
+                    now |= x << a * k + b | y << b * k + a
+                    if x != y:
+                        after |= members[b][0] & sides[x]
+                        before |= members[b][0] & sides[y]
+                    else:
+                        nxt[b] &= sides[x]
+                        nxt[a] &= members[b][1 + x]
+                if own or a * k + a < fixed:
+                    nxt[a] &= members[a][1 + (now >> a * k + a & 1)]
+                for b in range(k) if c >= 0 else ():  # one letter per class
+                    nxt[b] &= ~(sum(cls) ^ cls[c]) if b == a else ~cls[c]
+                for u in range(n) if after else ():
+                    after |= succ[u] if after >> u & 1 else 0
+                if after & before:
+                    continue  # the forced order has a cycle
+                hit = place(now, placed | bit, near | rows[v], nxt, [
+                    after if u == v else s | after | bit if s & before or
+                    before >> u & 1 else s for u, s in enumerate(succ)]
+                    if after | before else succ)
+                if hit is not None:
+                    return hit
+            members[a] = own, none, every
+        return None
 
-    def extend(tied):
-        r = len(rows) + 1
-        for row in by_key:
-            rows.append(row)
-            still = []
-            for sigma, moved, i in tied:
-                while i < r and sigma[i] < r:
-                    a, b = moved[rows[sigma[i]]], key[rows[i]]
-                    if a != b:
-                        break
-                    i += 1
-                else:
-                    still.append((sigma, moved, i))
-                    continue
-                if a < b:
-                    break  # a smaller renaming: cut
-            else:
-                if r == k:
-                    yield tuple(rows)
-                else:
-                    yield from extend(still)
-            rows.pop()
-
-    yield from extend(renamings)
-
-
-@lru_cache(maxsize=None)
-def _kept_matrices(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_canonical_matrices(k))
-
-
-def _equivalent_letter_pair(matrix: tuple[int, ...], k: int) -> bool:
-    """True if two letters are interchangeable and mergeable: equal rows and
-    columns elsewhere, and all four entries among the pair equal. Words
-    using both letters then collapse to k-1 letters."""
-    for a, b in itertools.combinations(range(k), 2):
-        inner = {matrix[a] >> a & 1, matrix[a] >> b & 1,
-                 matrix[b] >> a & 1, matrix[b] >> b & 1}
-        if len(inner) == 1 and all(
-                (matrix[a] >> x & 1) == (matrix[b] >> x & 1) and
-                (matrix[x] >> a & 1) == (matrix[x] >> b & 1)
-                for x in range(k) if x not in (a, b)):
-            return True
-    return False
+    return place(prefix & known, 0, 0, [full] * k, [0] * n)
 
 
 # -- word search -------------------------------------------------------------
 
 def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                  class_of: list[int], class_kind: list[int],
-                 require_all: bool, counter: list[int],
-                 deadline: float | None):
+                 counter: list[int], deadline: float | None):
     """Find the lexicographically least word (letters ascending, then vertex
     ids ascending) decoding to ``g`` under ``matrix``; None if exhausted.
 
@@ -173,16 +182,13 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     placed: list[int] = []
     class_letter = [-1] * len(class_kind)
     letters_bound = 0  # letters claimed by some class
-    used_letters = 0
 
     def dfs(cand: list[int], rest: int) -> bool:
-        nonlocal letters_bound, used_letters
+        nonlocal letters_bound
         if not rest:
             return True
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("lettering search ran past its budget")
-        if require_all and k - used_letters.bit_count() > rest.bit_count():
-            return False
         for a in range(k):
             todo = cand[a]
             if not todo:
@@ -222,11 +228,8 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                 if bound_here:
                     class_letter[c] = a
                     letters_bound |= bit
-                prev_used = used_letters
-                used_letters |= bit
                 if dfs(nxt, left):
                     return True
-                used_letters = prev_used
                 if bound_here:
                     class_letter[c] = -1
                     letters_bound &= ~bit
@@ -242,13 +245,12 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
 def is_k_letterable(g: Graph, k: int,
                     constraint: LetterClassConstraint | None = None,
                     *, max_n: int = 12, max_k: int = 5,
-                    budget: float | None = None,
-                    _require_all: bool = False) -> SolveReport:
+                    budget: float | None = None) -> SolveReport:
     """Complete search for a k-lettering of ``g`` (optionally constrained).
 
-    Returns the canonically least lettering on success, or "exhausted" after
-    the full (symmetry-reduced) space is covered. ``budget`` is wall-clock
-    seconds; exceeding it raises :class:`BudgetExceeded`.
+    Returns the canonically least lettering on success, or "exhausted" once
+    the letter-class search has covered every partition. ``budget`` is
+    wall-clock seconds; exceeding it raises :class:`BudgetExceeded`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -278,33 +280,27 @@ def is_k_letterable(g: Graph, k: int,
                 return SolveReport("exhausted", None, 0, 0,
                                    time.monotonic() - start)
             class_kind.append(int(kinds.pop()) if kinds else -1)
-        if len(constraint.classes) > k:
-            return SolveReport("exhausted", None, 0, 0,
-                               time.monotonic() - start)
 
-    counter = [0]
-    tried = 0
-    # kept after the first call for k <= 4 (at most 3044 matrices); streamed
-    # beyond (291,968 for k = 5), so the deadline check below bounds the call
-    for matrix in _kept_matrices(k) if k <= 4 else _canonical_matrices(k):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("decoder enumeration ran past its budget")
-        tried += 1
-        if _require_all and k > 1 and _equivalent_letter_pair(matrix, k):
-            continue
-        hit = _search_word(g, k, matrix, class_of, class_kind,
-                           _require_all, counter, deadline)
-        if hit is not None:
-            word, placed = hit
-            dec = Decoder(tuple(symbol(i) for i in range(k)),
-                          tuple(tuple(bool(matrix[a] >> b & 1)
-                                      for b in range(k)) for a in range(k)))
-            lett = Lettering(dec, tuple(word), tuple(placed))
-            if not verify(g, lett):
-                raise AssertionError("solver lettering failed verification")
-            return SolveReport("found", lett, tried, counter[0],
-                               time.monotonic() - start)
-    return SolveReport("exhausted", None, tried, counter[0],
+    counter, tried = [0], 1
+    code = _fits(g, k, 0, 0, class_of, counter, deadline)
+    if code is None:
+        return SolveReport("exhausted", None, tried, counter[0],
+                           time.monotonic() - start)
+    for e in range(k * k):  # the least fitting decoder, entry by entry
+        if code >> e & 1:
+            tried, hit = tried + 1, _fits(g, k, code ^ 1 << e, e + 1,
+                                          class_of, counter, deadline)
+            code = code if hit is None else hit
+    matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
+    word, placed = _search_word(g, k, matrix, class_of, class_kind, counter,
+                                deadline) or ((), ())
+    dec = Decoder(tuple(symbol(i) for i in range(k)),
+                  tuple(tuple(bool(matrix[a] >> b & 1) for b in range(k))
+                        for a in range(k)))
+    lett = Lettering(dec, tuple(word), tuple(placed))
+    if not verify(g, lett):
+        raise AssertionError("solver lettering failed verification")
+    return SolveReport("found", lett, tried, counter[0],
                        time.monotonic() - start)
 
 
@@ -314,10 +310,10 @@ def lettericity(g: Graph, *, max_n: int = 12, max_k: int = 5,
 
     The climb starts at the largest m such that ``g`` or its complement
     has an induced mK2: mK2 needs m letters, complements keep lettericity
-    and induced subgraphs cannot need more. So no smaller k can succeed,
-    and any k-lettering found must use all k letters, which the search
-    exploits as a pruning rule.
+    and induced subgraphs cannot need more. So no smaller k can succeed.
     """
+    if g.n == 0:
+        raise ValueError("graph must be nonempty")
     start = time.monotonic()
     if g.n > max_n:  # before the bound's search over vertex subsets
         raise ScaleError(f"graph exceeds the solver scale guard n <= {max_n}")
@@ -327,7 +323,7 @@ def lettericity(g: Graph, *, max_n: int = 12, max_k: int = 5,
         remaining = None if budget is None else \
             budget - (time.monotonic() - start)
         report = is_k_letterable(g, k, max_n=max_n, max_k=max_k,
-                                 budget=remaining, _require_all=(k > 1))
+                                 budget=remaining)
         if report.outcome == "found":
             return k, report.lettering
     raise AssertionError("every graph is |V|-letterable")  # pragma: no cover

@@ -8,9 +8,8 @@ letterings:
   for the stacked path R2, keyed by graph6: the lettericity and the
   canonical lettering (alphabet, decoder pairs, word, vertex_of_position).
 - ``counters``: for the same graphs, ``[outcome, decoders_tried,
-  nodes_expanded]`` of ``is_k_letterable(g, k, _require_all=k > 1)`` for
-  k = 1..lettericity; and the same triple for the R2 four-class k = 4
-  exhaustion.
+  nodes_expanded]`` of ``is_k_letterable(g, k)`` for k = 1..lettericity;
+  and the same triple for the R2 four-class k = 4 exhaustion.
 
 Regenerate the file only on purpose, from the repository root:
 
@@ -51,7 +50,7 @@ def build() -> dict:
         letterings[key] = {"lettericity": k,
                            **json.loads(lettering_to_json(lett))}
         counters[key] = [
-            _counts(solver.is_k_letterable(g, j, _require_all=j > 1))
+            _counts(solver.is_k_letterable(g, j))
             for j in range(1, k + 1)]
     counters["R2 four classes k=4"] = _counts(
         solver.is_k_letterable(r2, 4, r2_four_classes()))

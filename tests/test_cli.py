@@ -95,6 +95,26 @@ def test_single_k_check_with_classes(tmp_path, capsys):
     assert code == 0 and obj["outcome"] == "exhausted"
 
 
+@pytest.mark.parametrize("data", [{"a": 1}, [[0, "x"]], [0, 1], [[True, 1]]],
+                         ids=["dict", "string-id", "flat-list", "bool-id"])
+def test_malformed_classes_are_a_usage_error(tmp_path, capsys, data):
+    f = tmp_path / "p4.g6"
+    f.write_text(to_graph6(path(4)))
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lettericity", str(f), "--max-k", "2",
+                         "--classes", str(classes))
+    assert code == 2 and out == ""
+    assert "list of lists of vertex ids" in err
+
+
+def test_lettericity_of_the_empty_graph_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "empty.g6"
+    f.write_text("?")
+    code, out, err = run(capsys, "lettericity", str(f))
+    assert code == 2 and out == "" and "graph must be nonempty" in err
+
+
 def test_decompose(tmp_path, capsys):
     f = tmp_path / "m2.g6"
     f.write_text(to_graph6(matching(2)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -28,7 +29,8 @@ from letterkit import (
 )
 from letterkit import solver
 from letterkit.graphs import Graph, ScaleError
-from letterkit.solver import _canonical_matrices, _kept_matrices, _search_word
+from letterkit.letters import Decoder, Lettering, symbol
+from letterkit.solver import _search_word
 from tests.conftest import random_graph
 
 
@@ -172,6 +174,11 @@ def test_six_matching_hits_scale_guard_at_once():
     # too many vertices: the guard fires before the lower bound is sought
     with pytest.raises(ScaleError):
         lettericity(matching(30), budget=1.0)
+
+
+def test_lettericity_of_the_empty_graph_raises():
+    with pytest.raises(ValueError, match="graph must be nonempty"):
+        lettericity(Graph(0, ()))
 
 
 def test_budget():
@@ -374,46 +381,153 @@ def _uniform_classes(g: Graph, rnd, count: int):
     return classes
 
 
-def _both_searches(g: Graph, k: int, matrix, classes, require_all: bool):
+def _both_searches(g: Graph, k: int, matrix, classes):
     class_of, class_kind = _class_arrays(g, classes)
-    results = []
-    for search in (_search_word, _reference_search_word):
-        counter = [0]
-        hit = search(g, k, matrix, class_of, class_kind, require_all,
-                     counter, None)
-        results.append((hit, counter[0]))
-    return results
+    new, ref = [0], [0]
+    return [(_search_word(g, k, matrix, class_of, class_kind, new, None),
+             new[0]),
+            (_reference_search_word(g, k, matrix, class_of, class_kind,
+                                    False, ref, None), ref[0])]
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.booleans(),
-       st.integers(0, 5), st.randoms(use_true_random=False))
-def test_search_word_matches_reference(n, k, require_all, n_classes, rnd):
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 5),
+       st.randoms(use_true_random=False))
+def test_search_word_matches_reference(n, k, n_classes, rnd):
     g = random_graph(rnd, n, rnd.random())
     matrix = tuple(rnd.getrandbits(k) for _ in range(k))
     classes = _uniform_classes(g, rnd, n_classes)
     LetterClassConstraint(tuple(classes))  # the classes are valid
-    new, ref = _both_searches(g, k, matrix, classes, require_all)
+    new, ref = _both_searches(g, k, matrix, classes)
     assert new == ref
 
 
 def test_search_word_edge_cases():
     one = path(1)
     for k, matrix in ((1, (0,)), (1, (1,)), (2, (0b10, 0b01))):
-        for require_all in (False, True):
-            new, ref = _both_searches(one, k, matrix, [], require_all)
-            assert new == ref
-            assert new[0] == (None if require_all and k > 1 else ([0], [0]))
+        new, ref = _both_searches(one, k, matrix, [])
+        assert new == ref
+        assert new[0] == ([0], [0])
     # a clique class under a decoder whose only letter has no self-pair
-    new, ref = _both_searches(complete(3), 1, (0,), [frozenset({0, 1})],
-                              False)
+    new, ref = _both_searches(complete(3), 1, (0,), [frozenset({0, 1})])
     assert new == ref == (None, 0)
     # the class's kind is allowed on letter b only, so a is never tried
     # for its members
     new, ref = _both_searches(complete(3), 2, (0b10, 0b11),
-                              [frozenset({0, 1})], False)
+                              [frozenset({0, 1})])
     assert new == ref
     assert new[0] is not None
+
+
+# -- the decoder walk that the letter-class search replaced ------------------
+
+def _canonical_matrices(k: int):
+    """Yield, in increasing row-major code order, the decoder matrices
+    (row bitmasks; bit j of row i is entry (i, j)) that are least in their
+    orbit under letter renaming, which maps entry (i, j) to (sigma[i],
+    sigma[j]). Code order compares the rows read from column 0.
+
+    Orderly generation (Read 1978; McKay, J. Algorithms 1998) appends rows
+    in increasing order. Row i of a renaming is known once row sigma[i] is,
+    so each renaming is compared with the prefix as far as the known rows
+    go and the tie is carried down: a larger renaming is dropped, and a
+    smaller one cuts the prefix. At full depth the test is exact."""
+    full = 1 << k
+    # key[row] reads the row from column 0, so keys order rows by code
+    key = [sum((row >> j & 1) << (k - 1 - j) for j in range(k))
+           for row in range(full)]
+    by_key = sorted(range(full), key=key.__getitem__)
+    # each renaming but the identity, with the keys of the rows under its
+    # column permutation and the number of leading rows tied so far
+    renamings = [(sigma, [key[sum((row >> sigma[j] & 1) << j
+                                  for j in range(k))]
+                          for row in range(full)], 0)
+                 for sigma in itertools.permutations(range(k))][1:]
+    rows: list[int] = []
+
+    def extend(tied):
+        r = len(rows) + 1
+        for row in by_key:
+            rows.append(row)
+            still = []
+            for sigma, moved, i in tied:
+                while i < r and sigma[i] < r:
+                    a, b = moved[rows[sigma[i]]], key[rows[i]]
+                    if a != b:
+                        break
+                    i += 1
+                else:
+                    still.append((sigma, moved, i))
+                    continue
+                if a < b:
+                    break  # a smaller renaming: cut
+            else:
+                if r == k:
+                    yield tuple(rows)
+                else:
+                    yield from extend(still)
+            rows.pop()
+
+    yield from extend(renamings)
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_matrices(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_canonical_matrices(k))
+
+
+def _equivalent_letter_pair(matrix: tuple[int, ...], k: int) -> bool:
+    """True if two letters are interchangeable and mergeable: equal rows and
+    columns elsewhere, and all four entries among the pair equal. Words
+    using both letters then collapse to k-1 letters."""
+    for a, b in itertools.combinations(range(k), 2):
+        inner = {matrix[a] >> a & 1, matrix[a] >> b & 1,
+                 matrix[b] >> a & 1, matrix[b] >> b & 1}
+        if len(inner) == 1 and all(
+                (matrix[a] >> x & 1) == (matrix[b] >> x & 1) and
+                (matrix[x] >> a & 1) == (matrix[x] >> b & 1)
+                for x in range(k) if x not in (a, b)):
+            return True
+    return False
+
+
+def _decoder_walk(g: Graph, k: int, classes=(), require_all=False,
+                  matrices=None):
+    """The lettering is_k_letterable returned before the letter-class
+    search, and the number of decoders tried: the word search on each
+    decoder up to letter renaming, in code order, first success wins.
+    ``require_all`` (the old lettericity climb's prune) skips decoders with
+    a mergeable letter pair and words that leave a letter unused."""
+    class_of, class_kind = _class_arrays(g, classes)
+    tried, counter = 0, [0]
+    for matrix in _kept_matrices(k) if matrices is None else matrices:
+        tried += 1
+        if not require_all:
+            hit = _search_word(g, k, matrix, class_of, class_kind, counter,
+                               None)
+        elif k > 1 and _equivalent_letter_pair(matrix, k):
+            continue
+        else:
+            hit = _reference_search_word(g, k, matrix, class_of, class_kind,
+                                         True, counter, None)
+        if hit is not None:
+            dec = Decoder(tuple(symbol(i) for i in range(k)),
+                          tuple(tuple(bool(matrix[a] >> b & 1)
+                                      for b in range(k)) for a in range(k)))
+            return Lettering(dec, tuple(hit[0]), tuple(hit[1])), tried
+    return None, tried
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 4),
+       st.randoms(use_true_random=False))
+def test_letter_class_search_matches_decoder_walk(n, k, n_classes, rnd):
+    g = random_graph(rnd, n, rnd.random())
+    classes = _uniform_classes(g, rnd, n_classes)
+    report = is_k_letterable(g, k, LetterClassConstraint(tuple(classes)))
+    want, _ = _decoder_walk(g, k, classes)
+    assert report.outcome == ("exhausted" if want is None else "found")
+    assert report.lettering == want
 
 
 # -- decoder generation against the brute-force table it replaced ----------
@@ -504,18 +618,21 @@ def _full_space(k: int):
     (bull(), False, 15), (bull(), True, 76), (cycle(5), False, 79),
     (cycle(5), True, 351), (matching(2), False, 14)],
     ids=["bull", "bull-all", "C5", "C5-all", "2K2"])
-def test_k5_search_matches_full_space(monkeypatch, g, require_all, tried):
+def test_k5_search_matches_full_space(g, require_all, tried):
     # the full space tried 38, 170, 173, 1321 and 37 decoders
-    new = is_k_letterable(g, 5, _require_all=require_all)
-    monkeypatch.setattr(solver, "_canonical_matrices", _full_space)
-    old = is_k_letterable(g, 5, _require_all=require_all)
-    assert new.outcome == old.outcome == "found"
-    assert new.lettering == old.lettering
-    assert new.decoders_tried == tried < old.decoders_tried
+    new, new_tried = _decoder_walk(g, 5, require_all=require_all,
+                                   matrices=_canonical_matrices(5))
+    old, old_tried = _decoder_walk(g, 5, require_all=require_all,
+                                   matrices=_full_space(5))
+    assert new is not None and new == old
+    assert new_tried == tried < old_tried
+    if not require_all:
+        assert is_k_letterable(g, 5).lettering == new
 
 
 def test_k5_exhaustion_stops_at_its_budget():
+    # R3 has no 5-lettering; the full search takes about ten seconds
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        is_k_letterable(path(4), 5, _require_all=True, budget=0.5)
+        is_k_letterable(stacked_path(3)[0], 5, budget=0.5)
     assert time.monotonic() - start < 3.0
