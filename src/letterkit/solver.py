@@ -286,14 +286,14 @@ def is_k_letterable(g: Graph, k: int,
     if code is None:
         return SolveReport("exhausted", None, tried, counter[0],
                            time.monotonic() - start)
-    for e in range(k * k):  # the least fitting decoder, entry by entry
+    for e in range(k * k):  # least fitting decoder: ask only the witness's 1s
         if code >> e & 1:
             tried, hit = tried + 1, _fits(g, k, code ^ 1 << e, e + 1,
                                           class_of, counter, deadline)
             code = code if hit is None else hit
     matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
     word, placed = _search_word(g, k, matrix, class_of, class_kind, counter,
-                                deadline) or ((), ())
+                                deadline) or ((), ())  # none: fails verify
     dec = Decoder(tuple(symbol(i) for i in range(k)),
                   tuple(tuple(bool(matrix[a] >> b & 1) for b in range(k))
                         for a in range(k)))

@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from letterkit import (
@@ -492,7 +492,7 @@ def _equivalent_letter_pair(matrix: tuple[int, ...], k: int) -> bool:
 
 
 def _decoder_walk(g: Graph, k: int, classes=(), require_all=False,
-                  matrices=None):
+                  matrices=None, deadline=None):
     """The lettering is_k_letterable returned before the letter-class
     search, and the number of decoders tried: the word search on each
     decoder up to letter renaming, in code order, first success wins.
@@ -504,12 +504,12 @@ def _decoder_walk(g: Graph, k: int, classes=(), require_all=False,
         tried += 1
         if not require_all:
             hit = _search_word(g, k, matrix, class_of, class_kind, counter,
-                               None)
+                               deadline)
         elif k > 1 and _equivalent_letter_pair(matrix, k):
             continue
         else:
             hit = _reference_search_word(g, k, matrix, class_of, class_kind,
-                                         True, counter, None)
+                                         True, counter, deadline)
         if hit is not None:
             dec = Decoder(tuple(symbol(i) for i in range(k)),
                           tuple(tuple(bool(matrix[a] >> b & 1)
@@ -525,7 +525,11 @@ def test_letter_class_search_matches_decoder_walk(n, k, n_classes, rnd):
     g = random_graph(rnd, n, rnd.random())
     classes = _uniform_classes(g, rnd, n_classes)
     report = is_k_letterable(g, k, LetterClassConstraint(tuple(classes)))
-    want, _ = _decoder_walk(g, k, classes)
+    try:
+        # with classes the walk's word search can take a minute at n = 9
+        want, _ = _decoder_walk(g, k, classes, deadline=time.monotonic() + 2)
+    except BudgetExceeded:
+        reject()
     assert report.outcome == ("exhausted" if want is None else "found")
     assert report.lettering == want
 
