@@ -1,11 +1,10 @@
 """Exhaustive lettericity search.
 
-A search over letter classes decides k-letterability: at most k cliques or
-co-cliques, one decoder orientation per mixed class pair and an order with
-no forced cycle (Petkovsek 2002). With a fixed prefix of decoder entries it
-grows the least fitting decoder in row-major code order, entry by entry.
-A word search, over one candidate vertex bitmask per letter, then finds
-the lexicographically least word for that decoder.
+A search over letter classes (at most k cliques or co-cliques, one decoder
+orientation per mixed class pair, no forced cycle; Petkovsek 2002) decides
+k-letterability and, given a prefix of decoder entries, grows the least
+fitting decoder in row-major code order entry by entry. A word search over
+one candidate vertex bitmask per letter then finds its least word.
 """
 
 from __future__ import annotations
@@ -75,12 +74,11 @@ class SolveReport:
 def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
           counter: list[int], deadline: float | None) -> int | None:
     """A decoder code (bit a*k + b is entry (a, b), unset entries 0) that
-    agrees with ``prefix`` on its ``fixed`` low bits and has a k-lettering of
-    ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a first if
-    uw is an edge and w in b first if not, (0, 1) the reverse, and equal ones
-    fix the adjacency (Petkovsek 2002). Entries outside the prefix are set
-    once both letters have members; ``cand[a]`` holds who may join letter a,
-    and a cycle in the closed successor masks ``succ`` cuts the branch."""
+    agrees with ``prefix`` on its ``fixed`` low bits and fits a k-lettering
+    of ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a before
+    w in b if uw is an edge and after it if not, (0, 1) the reverse; equal
+    ones fix the adjacency. Entries are set once both letters have members;
+    a vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
     column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
@@ -105,11 +103,13 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
         c, bit = class_of[v], 1 << v
         sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
-        for a in range(k):  # empty letters, free rows, equal columns: twins
+        first = members[0][0]  # (0, 0) leads the code: try clique a last
+        for a in (*range(1, k), 0) if not fixed and rows[v] & first and \
+                0 < first == first & -first else range(k):
             own, none, every = members[a]
             if not cand[a] >> v & 1 or not own and a * k >= fixed and (
                     column[a] in opened or opened.add(column[a])):
-                continue
+                continue  # v can't join a, or a is a twin of a letter tried
             here = code | bool(0 < own == own & -own and a * k + a >= fixed
                                and rows[v] & own) << a * k + a
             choices = itertools.product(*(  # entries (a, b) and (b, a)
