@@ -71,7 +71,7 @@ def _parse_classes(path: str):
 def _cmd_lettericity(args) -> int:
     g = _read_graph(args.graph)
     if args.classes or args.max_k is not None:
-        k = args.max_k if args.max_k is not None else min(g.n, 5)
+        k = args.max_k if args.max_k is not None else min(g.n, solver.MAX_K)
         constraint = _parse_classes(args.classes) if args.classes else None
         report = solver.is_k_letterable(g, k, constraint, budget=args.budget)
         print(report.to_json())

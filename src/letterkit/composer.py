@@ -38,25 +38,18 @@ class PeelTrace:
 def peel(g: Graph) -> PeelTrace:
     """Successively remove the least-id isolated vertex, or failing that the
     least-id dominating vertex, until neither kind remains."""
-    alive = list(range(g.n))
+    rows, live, alive = g.rows, list(range(g.n)), (1 << g.n) - 1
     removal: list[tuple[int, str]] = []
-    while alive:
-        k = len(alive)
-        pick = None
-        for v in alive:
-            if all(not g.adjacent(v, u) for u in alive if u != v):
-                pick = (v, ISOLATED)
-                break
-        if pick is None:
-            for v in alive:
-                if all(g.adjacent(v, u) for u in alive if u != v):
-                    pick = (v, DOMINATING)
-                    break
+    while live:
+        pick = next(((v, ISOLATED) for v in live if not rows[v] & alive),
+                    None) or next(((v, DOMINATING) for v in live
+                                   if rows[v] & alive | 1 << v == alive), None)
         if pick is None:
             break
         removal.append(pick)
-        alive.remove(pick[0])
-    return PeelTrace(tuple(reversed(removal)), g.induced(alive), tuple(alive))
+        live.remove(pick[0])
+        alive ^= 1 << pick[0]
+    return PeelTrace(tuple(reversed(removal)), g.induced(live), tuple(live))
 
 
 # letters are integers during composition; pairs live in a set
@@ -141,16 +134,17 @@ class CompositionCertificate:
         })
 
 
-def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
+def compose(g: Graph, *,
             budget: float | None = None) -> CompositionCertificate:
     """Produce a verified lettering of ``g`` with alphabet accounting.
 
     Every prime quotient met in the recursion must fit the exact solver's
-    scale guard; the certificate records the maximum quotient lettericity
-    encountered and compares the alphabet against the bound tables.
-    ``budget`` is wall-clock seconds for the whole call: each prime-quotient
-    solve gets the time left, and :class:`BudgetExceeded` is raised once
-    none is left.
+    scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
+    :class:`ScaleError` is raised. The certificate records the maximum
+    quotient lettericity encountered and compares the alphabet against the
+    bound tables. ``budget`` is wall-clock seconds for the whole call: each
+    prime-quotient solve gets the time left, and :class:`BudgetExceeded` is
+    raised once none is left.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -210,8 +204,7 @@ def compose(g: Graph, *, max_n: int = 12, max_k: int = 5,
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": subtrees}
         else:
-            ell, h_lett = lettericity(h, max_n=max_n, max_k=max_k,
-                                      budget=time_left())
+            ell, h_lett = lettericity(h, budget=time_left())
             prime_ls.append(ell)
             d_h = h_lett.decoder
             pos_of_vertex = [0] * h.n

@@ -84,23 +84,19 @@ class Graph:
         ids = sorted(set(vertex_ids))
         if ids and not (0 <= ids[0] and ids[-1] < self.n):
             raise ValueError("vertex id out of range")
-        pos = {v: i for i, v in enumerate(ids)}
-        return Graph.from_edges(len(ids),
-                                ((pos[u], pos[v]) for u, v in self.edges()
-                                 if u in pos and v in pos))
+        return Graph(len(ids), tuple(
+            sum((self.rows[u] >> v & 1) << i for i, v in enumerate(ids))
+            for u in ids))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shift = g1.n
-    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
-    return Graph.from_edges(g1.n + g2.n, edges)
+    return Graph(g1.n + g2.n, g1.rows + tuple(r << g1.n for r in g2.rows))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
-    shift = g1.n
-    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
-    edges += [(u, v + shift) for u in range(g1.n) for v in range(g2.n)]
-    return Graph.from_edges(g1.n + g2.n, edges)
+    low, high = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
+    return Graph(g1.n + g2.n, tuple(r | high for r in g1.rows) +
+                 tuple(r << g1.n | low for r in g2.rows))
 
 
 def inflate(h: Graph, module_graphs) -> tuple[Graph, list[list[int]]]:
@@ -112,21 +108,19 @@ def inflate(h: Graph, module_graphs) -> tuple[Graph, list[list[int]]]:
     if len(module_graphs) != h.n:
         raise ValueError("need one module graph per vertex")
     blocks: list[list[int]] = []
+    spans: list[int] = []  # each block as a bitmask
     offset = 0
     for g in module_graphs:
         if g.n == 0:
             raise ValueError("module graphs must be nonempty")
         blocks.append(list(range(offset, offset + g.n)))
+        spans.append(((1 << g.n) - 1) << offset)
         offset += g.n
-    edges = []
+    rows: list[int] = []
     for v, g in enumerate(module_graphs):
-        base = blocks[v][0]
-        edges += [(base + a, base + b) for a, b in g.edges()]
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if h.adjacent(u, v):
-                edges += [(a, b) for a in blocks[u] for b in blocks[v]]
-    return Graph.from_edges(offset, edges), blocks
+        outside = sum(spans[u] for u in _bits(h.rows[v]))
+        rows += [r << blocks[v][0] | outside for r in g.rows]
+    return Graph(offset, tuple(rows)), blocks
 
 
 # -- graph families -------------------------------------------------------
@@ -393,6 +387,8 @@ def canonical_code(g: Graph) -> int:
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism (one representative each),
     built by extending the (n-1)-vertex catalogue. Intended for n <= 8."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > 8:
         raise ScaleError("exhaustive enumeration is capped at 8 vertices")
     if n == 0:

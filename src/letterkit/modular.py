@@ -18,10 +18,10 @@ from .graphs import Graph, bull, inflate, path, to_graph6
 def is_module(g: Graph, vertex_set) -> bool:
     """True iff all members share the same neighborhood outside the set."""
     members = set(vertex_set)
-    if any(not 0 <= v < g.n for v in members):
-        raise ValueError("vertex id out of range")
     mask = 0
     for v in members:
+        if not 0 <= v < g.n:
+            raise ValueError("vertex id out of range")
         mask |= 1 << v
     outside = None
     for v in members:
@@ -104,44 +104,33 @@ def quotient(g: Graph) -> QuotientDecomposition:
     if g.n < 2:
         raise ValueError("quotient needs at least 2 vertices")
     comps = _components(g)
+    if len(comps) == 1:
+        comps = _components(g.complement())
     if len(comps) > 1:
-        first = comps[0]
-        rest = sorted(v for v in range(g.n) if v not in first)
-        parts = [first, rest]
-        h = Graph(2, (0, 0))
+        parts = [comps[0], [v for v in range(g.n) if v not in comps[0]]]
     else:
-        co_comps = _components(g.complement())
-        if len(co_comps) > 1:
-            first = co_comps[0]
-            rest = sorted(v for v in range(g.n) if v not in first)
-            parts = [first, rest]
-            h = Graph.from_edges(2, [(0, 1)])
-        else:
-            # connected and co-connected: maximal proper modules partition
-            # V; u, v share a part iff their pair closure is proper
-            full = (1 << g.n) - 1
-            parent = list(range(g.n))
+        # connected and co-connected: maximal proper modules partition
+        # V; u, v share a part iff their pair closure is proper
+        full = (1 << g.n) - 1
+        parent = list(range(g.n))
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    if find(u) != find(v) and \
-                       _module_closure(g, 1 << u | 1 << v) != full:
-                        parent[find(v)] = find(u)
-            groups: dict[int, list[int]] = {}
-            for v in range(g.n):
-                groups.setdefault(find(v), []).append(v)
-            parts = sorted(groups.values())
-            reps = [p[0] for p in parts]
-            h = Graph.from_edges(len(parts),
-                                 ((i, j) for i, j in
-                                  itertools.combinations(range(len(parts)), 2)
-                                  if g.adjacent(reps[i], reps[j])))
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if find(u) != find(v) and \
+                   _module_closure(g, 1 << u | 1 << v) != full:
+                    parent[find(v)] = find(u)
+        groups: dict[int, list[int]] = {}
+        for v in range(g.n):
+            groups.setdefault(find(v), []).append(v)
+        parts = sorted(groups.values())
+    # parts are ordered by least member, so H is induced on those members
+    h = g.induced(p[0] for p in parts)
     if not is_prime(h):  # pragma: no cover - guards the closure argument
         raise AssertionError("quotient produced a non-prime graph")
     for part in parts:
@@ -187,6 +176,8 @@ def classify_vertex(h: Graph, v: int) -> VertexRole:
     """
     if h.n < 4:
         raise ValueError("classification needs at least 4 vertices")
+    if not 0 <= v < h.n:
+        raise ValueError(f"vertex {v} is not in 0..{h.n - 1}")
     others = [u for u in range(h.n) if u != v]
 
     def induced_path4(p):

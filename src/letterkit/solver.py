@@ -19,6 +19,12 @@ from .letters import Decoder, Lettering, symbol, verify
 from .obstructions import max_induced_matching
 
 
+# The solver's scale guards, n <= MAX_N and k <= MAX_K. Only the max_n and
+# max_k arguments of is_k_letterable lift them.
+MAX_N = 12
+MAX_K = 5
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when a search runs past its wall-clock budget."""
 
@@ -244,13 +250,15 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
 
 def is_k_letterable(g: Graph, k: int,
                     constraint: LetterClassConstraint | None = None,
-                    *, max_n: int = 12, max_k: int = 5,
+                    *, max_n: int = MAX_N, max_k: int = MAX_K,
                     budget: float | None = None) -> SolveReport:
     """Complete search for a k-lettering of ``g`` (optionally constrained).
 
     Returns the canonically least lettering on success, or "exhausted" once
     the letter-class search has covered every partition. ``budget`` is
-    wall-clock seconds; exceeding it raises :class:`BudgetExceeded`.
+    wall-clock seconds; exceeding it raises :class:`BudgetExceeded`. A graph
+    with more than ``max_n`` vertices or a ``k`` above ``max_k`` raises
+    :class:`ScaleError`; the defaults are the scale guards.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -304,26 +312,28 @@ def is_k_letterable(g: Graph, k: int,
                        time.monotonic() - start)
 
 
-def lettericity(g: Graph, *, max_n: int = 12, max_k: int = 5,
+def lettericity(g: Graph, *,
                 budget: float | None = None) -> tuple[int, Lettering]:
     """Exact lettericity with a witnessing lettering.
 
     The climb starts at the largest m such that ``g`` or its complement
     has an induced mK2: mK2 needs m letters, complements keep lettericity
     and induced subgraphs cannot need more. So no smaller k can succeed.
+    ``budget`` is wall-clock seconds for the whole climb. A graph with more
+    than ``MAX_N`` vertices, or one whose climb passes ``MAX_K`` letters,
+    raises :class:`ScaleError`.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     start = time.monotonic()
-    if g.n > max_n:  # before the bound's search over vertex subsets
-        raise ScaleError(f"graph exceeds the solver scale guard n <= {max_n}")
+    if g.n > MAX_N:  # before the bound's search over vertex subsets
+        raise ScaleError(f"graph exceeds the solver scale guard n <= {MAX_N}")
     low = max(1, max_induced_matching(g)[0],
               max_induced_matching(g.complement())[0])
     for k in range(low, g.n + 1):
         remaining = None if budget is None else \
             budget - (time.monotonic() - start)
-        report = is_k_letterable(g, k, max_n=max_n, max_k=max_k,
-                                 budget=remaining)
+        report = is_k_letterable(g, k, budget=remaining)
         if report.outcome == "found":
             return k, report.lettering
     raise AssertionError("every graph is |V|-letterable")  # pragma: no cover

@@ -3,6 +3,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterkit import (
     BudgetExceeded,
@@ -23,9 +25,9 @@ from letterkit import (
     verify,
 )
 from letterkit import composer
-from letterkit.graphs import DOMINATING, ISOLATED, empty
+from letterkit.graphs import DOMINATING, ISOLATED, Graph, empty, join
 from letterkit.letters import Decoder
-from tests.conftest import random_cograph
+from tests.conftest import random_cograph, random_graph
 
 
 def test_peel_threshold_graph_fully():
@@ -58,6 +60,36 @@ def test_peel_replay_reconstructs():
         for u in present:
             assert g.adjacent(u, v) == (kind == DOMINATING)
         present.append(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_peel_matches_definition(n, extra, rnd):
+    # a random graph with isolated and dominating vertices added around it,
+    # relabelled at random
+    g = random_graph(rnd, n, rnd.random())
+    for _ in range(extra):
+        g = rnd.choice((disjoint_union, join))(g, path(1))
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    trace = peel(g)
+    alive = set(range(g.n))
+    for v, kind in reversed(trace.removed):  # removal order
+        kinds = [(x, ISOLATED) for x in sorted(alive)
+                 if not any(g.adjacent(x, u) for u in alive - {x})]
+        kinds += [(x, DOMINATING) for x in sorted(alive)
+                  if all(g.adjacent(x, u) for u in alive - {x})]
+        assert (v, kind) == kinds[0]  # the least isolated, else dominating
+        alive.remove(v)
+    assert trace.core_ids == tuple(sorted(alive))
+    core = trace.core
+    assert core.n == len(alive)
+    assert all(core.adjacent(i, j) ==
+               g.adjacent(trace.core_ids[i], trace.core_ids[j])
+               for i in range(core.n) for j in range(i + 1, core.n))
+    # the core has no isolated and no dominating vertex
+    assert all(0 < core.degree(v) < core.n - 1 for v in range(core.n))
 
 
 def test_attach_peeled_on_empty_core():

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from letterkit import (
@@ -175,6 +176,11 @@ def test_all_graphs_counts():
         [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
+def test_all_graphs_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        all_graphs(-1)
+
+
 def test_graph6_roundtrip_small():
     for n in range(1, 6):
         for g in all_graphs(n):
@@ -267,6 +273,58 @@ def _random_graph(rnd, n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n)
                                 for v in range(u + 1, n)
                                 if rnd.random() < density])
+
+
+# -- the row-built constructions against their definitions -----------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.randoms(use_true_random=False))
+def test_induced_matches_definition(n, rnd):
+    g = _random_graph(rnd, n)
+    ids = rnd.sample(range(n), rnd.randint(0, n))
+    sub = g.induced(ids)
+    ids.sort()  # retained ids keep their relative order
+    assert sub.n == len(ids)
+    assert all(sub.adjacent(i, j) == g.adjacent(ids[i], ids[j])
+               for i, j in itertools.combinations(range(sub.n), 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.randoms(use_true_random=False))
+@example(0, 3, random.Random(0))
+@example(3, 0, random.Random(0))
+@example(0, 0, random.Random(0))
+def test_disjoint_union_and_join_match_definition(n1, n2, rnd):
+    g1, g2 = _random_graph(rnd, n1), _random_graph(rnd, n2)
+    for op, across in ((disjoint_union, False), (join, True)):
+        g = op(g1, g2)
+        assert g.n == n1 + n2
+        for u, v in itertools.combinations(range(g.n), 2):
+            if v < n1:
+                assert g.adjacent(u, v) == g1.adjacent(u, v)
+            elif u >= n1:
+                assert g.adjacent(u, v) == g2.adjacent(u - n1, v - n1)
+            else:
+                assert g.adjacent(u, v) == across
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.randoms(use_true_random=False))
+def test_inflate_matches_definition(n, rnd):
+    h = _random_graph(rnd, n)
+    modules = [_random_graph(rnd, rnd.randint(1, 4)) for _ in range(n)]
+    g, blocks = inflate(h, modules)
+    # blocks are consecutive id ranges in h's vertex order
+    assert [v for block in blocks for v in block] == list(range(g.n))
+    assert [len(block) for block in blocks] == [m.n for m in modules]
+    block_of = [x for x, block in enumerate(blocks) for _ in block]
+    for u, v in itertools.combinations(range(g.n), 2):
+        x, y = block_of[u], block_of[v]
+        if x == y:  # a module's edges, and only those, inside its block
+            base = blocks[x][0]
+            assert g.adjacent(u, v) == modules[x].adjacent(u - base, v - base)
+        else:
+            assert g.adjacent(u, v) == h.adjacent(x, y)
 
 
 def _check_against_oracles(g: Graph, pattern: Graph):

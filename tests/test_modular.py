@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterkit import (
     all_graphs,
@@ -45,6 +47,25 @@ def test_is_module_basics():
     assert not is_module(g, {0, 3})  # endpoints see different midpoints
     with pytest.raises(ValueError):
         is_module(g, {9})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.randoms(use_true_random=False))
+def test_is_module_matches_definition(n, rnd):
+    # exhaustive_is_prime takes is_module as its oracle, so is_module is
+    # checked here against the definition itself
+    g, blocks = inflate(random_graph(rnd, n, rnd.random()),
+                        [random_graph(rnd, rnd.randint(1, 3), 0.5)
+                         for _ in range(n)])
+    if blocks and rnd.random() < 0.5:
+        members = set(rnd.choice(blocks))  # a module by construction
+    else:
+        members = set(rnd.sample(range(g.n), rnd.randint(0, g.n)))
+    if g.n and rnd.random() < 0.3:
+        members ^= {rnd.randrange(g.n)}
+    want = all(len({g.adjacent(x, v) for v in members}) <= 1
+               for x in range(g.n) if x not in members)
+    assert is_module(g, members) == want
 
 
 def test_module_of_inflated_block():
@@ -124,6 +145,12 @@ def test_classify_vertex_examples():
 def test_classify_vertex_needs_four_vertices():
     with pytest.raises(ValueError):
         classify_vertex(path(3), 0)
+
+
+@pytest.mark.parametrize("v", [-1, 5, 7])
+def test_classify_vertex_rejects_a_vertex_out_of_range(v):
+    with pytest.raises(ValueError, match=f"vertex {v} is not in 0..4"):
+        classify_vertex(bull(), v)
 
 
 def test_classification_on_all_small_primes():

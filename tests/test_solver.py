@@ -252,8 +252,7 @@ def test_golden_solver_outputs():
 
 def _reference_search_word(g: Graph, k: int, matrix: tuple[int, ...],
                            class_of: list[int], class_kind: list[int],
-                           require_all: bool, counter: list[int],
-                           deadline: float | None):
+                           counter: list[int], deadline: float | None):
     """Find the lexicographically least word (letters ascending, then vertex
     ids ascending) decoding to ``g`` under ``matrix``; None if exhausted."""
     n = g.n
@@ -280,19 +279,14 @@ def _reference_search_word(g: Graph, k: int, matrix: tuple[int, ...],
     n_classes = len(class_kind)
     class_letter = [-1] * n_classes
     letters_bound = 0  # letters claimed by some class
-    used_letters = 0
 
     def dfs() -> bool:
-        nonlocal letters_bound, used_letters
+        nonlocal letters_bound
         pos = len(placed)
         if pos == n:
             return True
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("lettering search ran past its budget")
-        if require_all:
-            missing = k - bin(used_letters).count("1")
-            if missing > n - pos:
-                return False
         for a in range(k):
             bit = 1 << a
             for v in range(n):
@@ -328,11 +322,8 @@ def _reference_search_word(g: Graph, k: int, matrix: tuple[int, ...],
                     if bound_here:
                         class_letter[c] = a
                         letters_bound |= bit
-                    prev_used = used_letters
-                    used_letters |= bit
                     if dfs():
                         return True
-                    used_letters = prev_used
                     if bound_here:
                         class_letter[c] = -1
                         letters_bound &= ~bit
@@ -387,7 +378,7 @@ def _both_searches(g: Graph, k: int, matrix, classes):
     return [(_search_word(g, k, matrix, class_of, class_kind, new, None),
              new[0]),
             (_reference_search_word(g, k, matrix, class_of, class_kind,
-                                    False, ref, None), ref[0])]
+                                    ref, None), ref[0])]
 
 
 @settings(max_examples=400, deadline=None)
@@ -476,40 +467,17 @@ def _kept_matrices(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_canonical_matrices(k))
 
 
-def _equivalent_letter_pair(matrix: tuple[int, ...], k: int) -> bool:
-    """True if two letters are interchangeable and mergeable: equal rows and
-    columns elsewhere, and all four entries among the pair equal. Words
-    using both letters then collapse to k-1 letters."""
-    for a, b in itertools.combinations(range(k), 2):
-        inner = {matrix[a] >> a & 1, matrix[a] >> b & 1,
-                 matrix[b] >> a & 1, matrix[b] >> b & 1}
-        if len(inner) == 1 and all(
-                (matrix[a] >> x & 1) == (matrix[b] >> x & 1) and
-                (matrix[x] >> a & 1) == (matrix[x] >> b & 1)
-                for x in range(k) if x not in (a, b)):
-            return True
-    return False
-
-
-def _decoder_walk(g: Graph, k: int, classes=(), require_all=False,
-                  matrices=None, deadline=None):
+def _decoder_walk(g: Graph, k: int, classes=(), matrices=None,
+                  deadline=None):
     """The lettering is_k_letterable returned before the letter-class
     search, and the number of decoders tried: the word search on each
-    decoder up to letter renaming, in code order, first success wins.
-    ``require_all`` (the old lettericity climb's prune) skips decoders with
-    a mergeable letter pair and words that leave a letter unused."""
+    decoder up to letter renaming, in code order, first success wins."""
     class_of, class_kind = _class_arrays(g, classes)
     tried, counter = 0, [0]
     for matrix in _kept_matrices(k) if matrices is None else matrices:
         tried += 1
-        if not require_all:
-            hit = _search_word(g, k, matrix, class_of, class_kind, counter,
-                               deadline)
-        elif k > 1 and _equivalent_letter_pair(matrix, k):
-            continue
-        else:
-            hit = _reference_search_word(g, k, matrix, class_of, class_kind,
-                                         True, counter, deadline)
+        hit = _search_word(g, k, matrix, class_of, class_kind, counter,
+                           deadline)
         if hit is not None:
             dec = Decoder(tuple(symbol(i) for i in range(k)),
                           tuple(tuple(bool(matrix[a] >> b & 1)
@@ -618,20 +586,16 @@ def _full_space(k: int):
     return (_code_matrix(code, k) for code in range(1 << (k * k)))
 
 
-@pytest.mark.parametrize("g, require_all, tried", [
-    (bull(), False, 15), (bull(), True, 76), (cycle(5), False, 79),
-    (cycle(5), True, 351), (matching(2), False, 14)],
-    ids=["bull", "bull-all", "C5", "C5-all", "2K2"])
-def test_k5_search_matches_full_space(g, require_all, tried):
-    # the full space tried 38, 170, 173, 1321 and 37 decoders
-    new, new_tried = _decoder_walk(g, 5, require_all=require_all,
-                                   matrices=_canonical_matrices(5))
-    old, old_tried = _decoder_walk(g, 5, require_all=require_all,
-                                   matrices=_full_space(5))
+@pytest.mark.parametrize("g, tried", [
+    (bull(), 15), (cycle(5), 79), (matching(2), 14)],
+    ids=["bull", "C5", "2K2"])
+def test_k5_search_matches_full_space(g, tried):
+    # the full space tried 38, 173 and 37 decoders
+    new, new_tried = _decoder_walk(g, 5, matrices=_canonical_matrices(5))
+    old, old_tried = _decoder_walk(g, 5, matrices=_full_space(5))
     assert new is not None and new == old
     assert new_tried == tried < old_tried
-    if not require_all:
-        assert is_k_letterable(g, 5).lettering == new
+    assert is_k_letterable(g, 5).lettering == new
 
 
 def test_k5_exhaustion_stops_at_its_budget():
