@@ -58,6 +58,7 @@ from .obstructions import (
 from .solver import (
     BudgetExceeded,
     LetterClassConstraint,
+    Run,
     SolveReport,
     is_k_letterable,
     lettericity,

@@ -1,11 +1,10 @@
 """The paper's checkable claims, each written once.
 
 ``letterkit verify-paper`` runs them at a scale that finishes in seconds;
-``tests/test_acceptance.py`` runs them at full scale. Each check takes the
-deadline of the run (a ``time.monotonic()`` value, or None for no budget),
-hands every solver and composer call the time left, and returns a dict
-with ``"pass"`` and the counts that explain its work (or the failing
-graph).
+``tests/test_acceptance.py`` runs them at full scale. Each check returns a
+dict with ``"pass"`` and the counts that explain its work (or the failing
+graph). A check takes no budget: run it inside a :class:`solver.Run`, and
+every solver and composer call it makes stops at that run's deadline.
 
 The checks call letterkit through module attributes (``solver.lettericity``,
 not a name bound at import), so a test or a tracer that replaces a module
@@ -15,20 +14,8 @@ attribute sees every call.
 from __future__ import annotations
 
 import random
-import time
 
 from . import composer, graphs, letters, modular, solver
-
-
-def _time_left(deadline: float | None) -> float | None:
-    """Seconds left before ``deadline`` (None for no deadline); raises
-    :class:`solver.BudgetExceeded` once none is left."""
-    if deadline is None:
-        return None
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise solver.BudgetExceeded("claim check ran past its budget")
-    return left
 
 
 def random_cograph(rng: random.Random, n: int) -> graphs.Graph:
@@ -40,19 +27,17 @@ def random_cograph(rng: random.Random, n: int) -> graphs.Graph:
     return op(random_cograph(rng, left), random_cograph(rng, n - left))
 
 
-def matching_lettericity(deadline: float | None = None) -> dict:
+def matching_lettericity() -> dict:
     """Prop. 4.1: mK2 has lettericity m (m <= 3), and 3K2 has no
     2-lettering."""
-    ok = all(solver.lettericity(graphs.matching(m),
-                                budget=_time_left(deadline))[0] == m
+    ok = all(solver.lettericity(graphs.matching(m))[0] == m
              for m in (1, 2, 3))
     ok = ok and solver.is_k_letterable(
-        graphs.matching(3), 2,
-        budget=_time_left(deadline)).outcome == "exhausted"
+        graphs.matching(3), 2).outcome == "exhausted"
     return {"pass": ok}
 
 
-def constrained_stacked(deadline: float | None = None) -> dict:
+def constrained_stacked() -> dict:
     """Prop. 4.3: the stacked path R2 has no 4-lettering that gives each of
     its four vertex classes one letter."""
     g, labels = graphs.stacked_path(2)
@@ -61,20 +46,19 @@ def constrained_stacked(deadline: float | None = None) -> dict:
         {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
         {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
         {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
-    report = solver.is_k_letterable(g, 4, constraint,
-                                    budget=_time_left(deadline))
+    report = solver.is_k_letterable(g, 4, constraint)
     return {"pass": report.outcome == "exhausted",
             "decoders_tried": report.decoders_tried,
             "nodes_expanded": report.nodes_expanded}
 
 
-def prime_classification(deadline: float | None = None) -> dict:
+def prime_classification() -> dict:
     """Thm. 3.2: every vertex of a prime graph (4 <= n <= 7) has a role
     (P4 end or middle, bull nose) that its witness confirms."""
     checked = 0
     for n in range(4, 8):
         for g in graphs.all_graphs(n):
-            _time_left(deadline)
+            solver.Run().check("claim check")
             if not modular.is_prime(g):
                 continue
             for v in range(g.n):
@@ -98,8 +82,8 @@ def _composer_inputs(max_n: int, inflations: int, max_module: int,
         yield graphs.inflate(base, mods)[0]
 
 
-def composer_bound(max_n: int, inflations: int, max_module: int, seed: int,
-                   deadline: float | None = None) -> dict:
+def composer_bound(max_n: int, inflations: int, max_module: int,
+                   seed: int) -> dict:
     """Thm. 5.1: ``compose`` returns a verified lettering within the bound
     F_impl, on every graph with n <= ``max_n`` and on ``inflations`` random
     inflations of P4, the bull or C5 drawn from ``seed``. Each module is a
@@ -107,7 +91,7 @@ def composer_bound(max_n: int, inflations: int, max_module: int, seed: int,
     count = 0
     for g in _composer_inputs(max_n, inflations, max_module,
                               random.Random(seed)):
-        cert = composer.compose(g, budget=_time_left(deadline))
+        cert = composer.compose(g)
         if not (letters.verify(g, cert.lettering)
                 and cert.bound_check["within_F_impl"]):
             return {"pass": False, "graph": graphs.to_graph6(g)}
@@ -115,15 +99,14 @@ def composer_bound(max_n: int, inflations: int, max_module: int, seed: int,
     return {"pass": True, "graphs_checked": count}
 
 
-def complement_duality(max_n: int, deadline: float | None = None) -> dict:
+def complement_duality(max_n: int) -> dict:
     """A graph and its complement have the same lettericity, on every graph
     with n <= ``max_n``."""
     count = 0
     for n in range(1, max_n + 1):
         for g in graphs.all_graphs(n):
-            k = solver.lettericity(g, budget=_time_left(deadline))[0]
-            if k != solver.lettericity(g.complement(),
-                                       budget=_time_left(deadline))[0]:
+            k = solver.lettericity(g)[0]
+            if k != solver.lettericity(g.complement())[0]:
                 return {"pass": False, "graph": graphs.to_graph6(g)}
             count += 1
     return {"pass": True, "graphs_checked": count}

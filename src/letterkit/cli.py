@@ -73,10 +73,10 @@ def _cmd_lettericity(args) -> int:
     if args.classes or args.max_k is not None:
         k = args.max_k if args.max_k is not None else min(g.n, solver.MAX_K)
         constraint = _parse_classes(args.classes) if args.classes else None
-        report = solver.is_k_letterable(g, k, constraint, budget=args.budget)
+        report = solver.is_k_letterable(g, k, constraint)
         print(report.to_json())
         return 0
-    k, lett = solver.lettericity(g, budget=args.budget)
+    k, lett = solver.lettericity(g)
     if args.json:
         print(json.dumps({"lettericity": k,
                           "lettering": json.loads(
@@ -109,7 +109,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_compose(args) -> int:
     g = _read_graph(args.graph)
-    cert = composer.compose(g, budget=args.budget)
+    cert = composer.compose(g)
     if args.verify and not letters.verify(g, cert.lettering):
         print("verification failed", file=sys.stderr)
         return 1
@@ -126,13 +126,12 @@ def _cmd_compose(args) -> int:
 # seconds; tests/test_acceptance.py runs the same claims at full scale.
 
 _SUITES = {
-    "prop41": lambda seed, deadline: claims.matching_lettericity(deadline),
-    "prop43": lambda seed, deadline: claims.constrained_stacked(deadline),
-    "thm32": lambda seed, deadline: claims.prime_classification(deadline),
-    "thm51": lambda seed, deadline: claims.composer_bound(
-        max_n=6, inflations=25, max_module=5, seed=seed, deadline=deadline),
-    "dualities": lambda seed, deadline: claims.complement_duality(
-        max_n=5, deadline=deadline),
+    "prop41": lambda seed: claims.matching_lettericity(),
+    "prop43": lambda seed: claims.constrained_stacked(),
+    "thm32": lambda seed: claims.prime_classification(),
+    "thm51": lambda seed: claims.composer_bound(
+        max_n=6, inflations=25, max_module=5, seed=seed),
+    "dualities": lambda seed: claims.complement_duality(max_n=5),
 }
 
 # perfbench/workloads.py draws its inflations through this name.
@@ -145,13 +144,11 @@ def _cmd_verify_paper(args) -> int:
         if name not in _SUITES:
             print(f"unknown suite {name!r}", file=sys.stderr)
             return 2
-    deadline = None if args.budget is None else \
-        time.monotonic() + args.budget
     failed = False
     for name in names:  # output ordering fixed by check name
         start = time.monotonic()
         try:
-            result = _SUITES[name](args.seed, deadline)
+            result = _SUITES[name](args.seed)
         except solver.BudgetExceeded:
             result = {"status": "budget-exhausted"}
         else:
@@ -230,7 +227,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with solver.Run(getattr(args, "budget", None)):
+            return args.func(args)
     except solver.BudgetExceeded as exc:
         print(json.dumps({"status": "budget-exhausted", "detail": str(exc)}))
         return 1

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass
 
 from .graphs import DOMINATING, ISOLATED, Graph, to_graph6
 from .letters import Decoder, Lettering, symbol, verify
 from .modular import quotient
 from .obstructions import f_impl, f_paper, profile
-from .solver import BudgetExceeded, lettericity
+from .solver import Run, lettericity
 
 
 @dataclass(frozen=True)
@@ -142,28 +141,25 @@ def compose(g: Graph, *,
     scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
     :class:`ScaleError` is raised. The certificate records the maximum
     quotient lettericity encountered and compares the alphabet against the
-    bound tables. ``budget`` is wall-clock seconds for the whole call: each
-    prime-quotient solve gets the time left, and :class:`BudgetExceeded` is
-    raised once none is left.
+    bound tables. ``budget`` is wall-clock seconds for the whole call,
+    which runs in a :class:`Run`: every build step, prime-quotient solve
+    and the final profile stop at its deadline (the enclosing run's, if
+    that is earlier) and raise :class:`BudgetExceeded`.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
-    deadline = None if budget is None else time.monotonic() + budget
+    with Run(budget) as run:
+        return _compose(g, run)
+
+
+def _compose(g: Graph, run: Run) -> CompositionCertificate:
     alloc = itertools.count().__next__  # fresh global letter ids
     prime_ls: list[int] = []
-
-    def time_left() -> float | None:
-        if deadline is None:
-            return None
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise BudgetExceeded("compose ran past its budget")
-        return left
 
     def build(graph: Graph, ids: list[int]):
         """Return (word, pairs, letters, tree) for ``graph``; word entries
         carry original vertex ids via ``ids``."""
-        time_left()
+        run.check("compose")
         # homogeneous graphs take one letter; this also floors the bound
         # tables' p=1 / q=1 base cases
         edge_count = graph.edge_count()
@@ -204,7 +200,7 @@ def compose(g: Graph, *,
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": subtrees}
         else:
-            ell, h_lett = lettericity(h, budget=time_left())
+            ell, h_lett = lettericity(h)
             prime_ls.append(ell)
             d_h = h_lett.decoder
             pos_of_vertex = [0] * h.n
@@ -285,7 +281,7 @@ def compose(g: Graph, *,
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
-    time_left()
+    run.check("compose")
     prof = profile(g)
     m_obs = max(prime_ls) if prime_ls else 0
     m_eff = max(m_obs, 1)

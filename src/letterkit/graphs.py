@@ -439,15 +439,14 @@ def from_graph6(text: str) -> Graph:
     if s[0] == chr(126):
         if len(s) < 4 or s[1] == chr(126):
             raise ValueError("unsupported graph6 size encoding")
-        n = 0
-        for ch in s[1:4]:
-            n = n << 6 | (ord(ch) - 63)
-        data = s[4:]
+        size, data = s[1:4], s[4:]
     else:
-        n = ord(s[0]) - 63
-        data = s[1:]
-    if n < 0:
-        raise ValueError("bad graph6 size byte")
+        size, data = s[0], s[1:]
+    n = 0
+    for ch in size:
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"bad graph6 size byte {ch!r}")
+        n = n << 6 | (ord(ch) - 63)
     need = n * (n - 1) // 2
     bits = []
     for ch in data:

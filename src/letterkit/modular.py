@@ -60,22 +60,14 @@ def is_prime(g: Graph) -> bool:
     return True
 
 
-def _components(g: Graph) -> list[list[int]]:
-    seen = 0
-    comps = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        mask = 1 << start
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            new = g.rows[v] & ~mask
-            mask |= new
-            frontier += [u for u in range(g.n) if new >> u & 1]
-        seen |= mask
-        comps.append([v for v in range(g.n) if mask >> v & 1])
-    return comps
+def _reach(g: Graph) -> int:
+    """The component of vertex 0, as a bitmask."""
+    mask = todo = 1
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        new = g.rows[v] & ~mask
+        mask, todo = mask | new, todo & ~(1 << v) | new
+    return mask
 
 
 @dataclass(frozen=True)
@@ -103,15 +95,16 @@ def quotient(g: Graph) -> QuotientDecomposition:
     """
     if g.n < 2:
         raise ValueError("quotient needs at least 2 vertices")
-    comps = _components(g)
-    if len(comps) == 1:
-        comps = _components(g.complement())
-    if len(comps) > 1:
-        parts = [comps[0], [v for v in range(g.n) if v not in comps[0]]]
+    full = (1 << g.n) - 1
+    reach = _reach(g)
+    if reach == full:
+        reach = _reach(g.complement())
+    if reach != full:
+        parts = [[v for v in range(g.n) if reach >> v & 1],
+                 [v for v in range(g.n) if not reach >> v & 1]]
     else:
         # connected and co-connected: maximal proper modules partition
         # V; u, v share a part iff their pair closure is proper
-        full = (1 << g.n) - 1
         parent = list(range(g.n))
 
         def find(x):
@@ -168,7 +161,8 @@ class VertexRole:
 def classify_vertex(h: Graph, v: int) -> VertexRole:
     """Locate ``v`` in an induced P4 (as endpoint, then midpoint) or as the
     nose of an induced bull; one of these must exist in a prime graph on
-    four or more vertices.
+    four or more vertices; on a graph that is not prime it may exist
+    nowhere, and then :class:`ValueError` is raised.
 
     Witnesses are in path order (P4 roles: v first for endpoints, second
     for midpoints) or path-then-nose order for the bull, and are the first
@@ -198,6 +192,8 @@ def classify_vertex(h: Graph, v: int) -> VertexRole:
                 h.adjacent(v, b) and h.adjacent(v, c) and \
                 not h.adjacent(v, a) and not h.adjacent(v, d):
             return VertexRole(BULL_NOSE, (a, b, c, d, v))
+    if not is_prime(h):  # checked only here, so prime inputs pay nothing
+        raise ValueError("classification needs a prime graph")
     raise AssertionError(
         "vertex of a prime graph is in no P4 and noses no bull")
 

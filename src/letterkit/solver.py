@@ -9,6 +9,7 @@ one candidate vertex bitmask per letter then finds its least word.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import json
 import time
@@ -27,6 +28,44 @@ MAX_K = 5
 
 class BudgetExceeded(RuntimeError):
     """Raised when a search runs past its wall-clock budget."""
+
+
+_ENCLOSING: contextvars.ContextVar[Run | None] = \
+    contextvars.ContextVar("letterkit_run", default=None)
+
+
+class Run:
+    """A search's deadline and node count.
+
+    The deadline (a ``time.monotonic()`` value, or None for none) is the
+    earlier of the enclosing run's, that is the innermost run entered with
+    ``with``, and ``budget`` seconds from now. So a nested call cannot
+    outlive its caller's budget, and ``Run()`` reads the enclosing deadline.
+    """
+
+    __slots__ = ("deadline", "nodes", "_token")
+
+    def __init__(self, budget: float | None = None):
+        enclosing = _ENCLOSING.get()
+        self.deadline = None if enclosing is None else enclosing.deadline
+        if budget is not None:
+            own = time.monotonic() + budget
+            self.deadline = own if self.deadline is None else \
+                min(self.deadline, own)
+        self.nodes = 0
+
+    def check(self, what: str) -> None:
+        """Raise :class:`BudgetExceeded`, naming ``what`` ran out, once no
+        time is left."""
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise BudgetExceeded(f"{what} ran past its budget")
+
+    def __enter__(self) -> Run:
+        self._token = _ENCLOSING.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ENCLOSING.reset(self._token)
 
 
 @dataclass(frozen=True)
@@ -78,14 +117,16 @@ class SolveReport:
 # -- letter-class search ------------------------------------------------------
 
 def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
-          counter: list[int], deadline: float | None) -> int | None:
+          run: Run) -> int | None:
     """A decoder code (bit a*k + b is entry (a, b), unset entries 0) that
     agrees with ``prefix`` on its ``fixed`` low bits and fits a k-lettering
     of ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a before
     w in b if uw is an edge and after it if not, (0, 1) the reverse; equal
     ones fix the adjacency. Entries are set once both letters have members;
-    a vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch."""
+    a vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch.
+    Each placement tried counts one ``run`` node."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
+    deadline = run.deadline
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
     column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
               for a in range(k)]
@@ -98,8 +139,8 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
         left = full & ~placed
         if not left:
             return code
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("lettering search ran past its budget")
+        if deadline is not None:
+            run.check("lettering search")
         one = two = three = 0  # in at least one, two, three masks
         for m in cand:
             one, two, three = one | m, two | one & m, three | two & m
@@ -127,7 +168,7 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                 for b in range(k) if b != a and members[b][0]))
             members[a] = own | bit, none & sides[0], every & sides[1]
             for choice in choices:
-                counter[0] += 1
+                run.nodes += 1
                 nxt, now, after, before = cand[:], here, 0, 0
                 for b, x, y in choice:
                     now |= x << a * k + b | y << b * k + a
@@ -160,8 +201,7 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
 # -- word search -------------------------------------------------------------
 
 def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
-                 class_of: list[int], class_kind: list[int],
-                 counter: list[int], deadline: float | None):
+                 class_of: list[int], class_kind: list[int], run: Run):
     """Find the lexicographically least word (letters ascending, then vertex
     ids ascending) decoding to ``g`` under ``matrix``; None if exhausted.
 
@@ -171,7 +211,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     (a later b must then be adjacent to v) and only its non-neighbours
     otherwise. A branch is dead once some unplaced vertex is left in no
     mask; the candidates for letter a are the bits of ``cand[a]``, lowest
-    first.
+    first. Each candidate tried counts one ``run`` node.
     """
     # letters compatible with each class's clique/co-clique kind
     kind_mask = [sum(1 << a for a in range(k)
@@ -183,6 +223,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     full = (1 << g.n) - 1
     non = [full & ~rows[v] & ~(1 << v) for v in range(g.n)]
     keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
+    deadline = run.deadline
 
     word: list[int] = []
     placed: list[int] = []
@@ -193,8 +234,8 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
         nonlocal letters_bound
         if not rest:
             return True
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("lettering search ran past its budget")
+        if deadline is not None:
+            run.check("lettering search")
         for a in range(k):
             todo = cand[a]
             if not todo:
@@ -220,7 +261,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                             continue
                     elif (letters_bound & bit) or not kind_mask[c] & bit:
                         continue
-                counter[0] += 1
+                run.nodes += 1
                 # place v with letter a
                 row, row_non = rows[v], non[v]
                 left = rest ^ low
@@ -256,8 +297,9 @@ def is_k_letterable(g: Graph, k: int,
 
     Returns the canonically least lettering on success, or "exhausted" once
     the letter-class search has covered every partition. ``budget`` is
-    wall-clock seconds; exceeding it raises :class:`BudgetExceeded`. A graph
-    with more than ``max_n`` vertices or a ``k`` above ``max_k`` raises
+    wall-clock seconds; the search raises :class:`BudgetExceeded` at the
+    earlier of that and the enclosing :class:`Run`'s deadline. A graph with
+    more than ``max_n`` vertices or a ``k`` above ``max_k`` raises
     :class:`ScaleError`; the defaults are the scale guards.
     """
     if k < 1:
@@ -269,8 +311,7 @@ def is_k_letterable(g: Graph, k: int,
     if g.n == 0:
         raise ValueError("graph must be nonempty")
 
-    start = time.monotonic()
-    deadline = start + budget if budget is not None else None
+    start, run = time.monotonic(), Run(budget)
 
     class_of = [-1] * g.n
     class_kind: list[int] = []  # 1 clique, 0 co-clique, -1 free (singleton)
@@ -289,26 +330,25 @@ def is_k_letterable(g: Graph, k: int,
                                    time.monotonic() - start)
             class_kind.append(int(kinds.pop()) if kinds else -1)
 
-    counter, tried = [0], 1
-    code = _fits(g, k, 0, 0, class_of, counter, deadline)
+    tried, code = 1, _fits(g, k, 0, 0, class_of, run)
     if code is None:
-        return SolveReport("exhausted", None, tried, counter[0],
+        return SolveReport("exhausted", None, tried, run.nodes,
                            time.monotonic() - start)
     for e in range(k * k):  # least fitting decoder: ask only the witness's 1s
         if code >> e & 1:
             tried, hit = tried + 1, _fits(g, k, code ^ 1 << e, e + 1,
-                                          class_of, counter, deadline)
+                                          class_of, run)
             code = code if hit is None else hit
     matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
-    word, placed = _search_word(g, k, matrix, class_of, class_kind, counter,
-                                deadline) or ((), ())  # none: fails verify
+    word, placed = _search_word(g, k, matrix, class_of, class_kind,
+                                run) or ((), ())  # none: fails verify
     dec = Decoder(tuple(symbol(i) for i in range(k)),
                   tuple(tuple(bool(matrix[a] >> b & 1) for b in range(k))
                         for a in range(k)))
     lett = Lettering(dec, tuple(word), tuple(placed))
     if not verify(g, lett):
         raise AssertionError("solver lettering failed verification")
-    return SolveReport("found", lett, tried, counter[0],
+    return SolveReport("found", lett, tried, run.nodes,
                        time.monotonic() - start)
 
 
@@ -319,21 +359,20 @@ def lettericity(g: Graph, *,
     The climb starts at the largest m such that ``g`` or its complement
     has an induced mK2: mK2 needs m letters, complements keep lettericity
     and induced subgraphs cannot need more. So no smaller k can succeed.
-    ``budget`` is wall-clock seconds for the whole climb. A graph with more
-    than ``MAX_N`` vertices, or one whose climb passes ``MAX_K`` letters,
-    raises :class:`ScaleError`.
+    ``budget`` is wall-clock seconds for the whole climb, which runs in a
+    :class:`Run`, so every solve stops at the same deadline (the enclosing
+    run's, if that is earlier). A graph with more than ``MAX_N`` vertices,
+    or one whose climb passes ``MAX_K`` letters, raises :class:`ScaleError`.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
-    start = time.monotonic()
     if g.n > MAX_N:  # before the bound's search over vertex subsets
         raise ScaleError(f"graph exceeds the solver scale guard n <= {MAX_N}")
-    low = max(1, max_induced_matching(g)[0],
-              max_induced_matching(g.complement())[0])
-    for k in range(low, g.n + 1):
-        remaining = None if budget is None else \
-            budget - (time.monotonic() - start)
-        report = is_k_letterable(g, k, budget=remaining)
-        if report.outcome == "found":
-            return k, report.lettering
+    with Run(budget):
+        low = max(1, max_induced_matching(g)[0],
+                  max_induced_matching(g.complement())[0])
+        for k in range(low, g.n + 1):
+            report = is_k_letterable(g, k)
+            if report.outcome == "found":
+                return k, report.lettering
     raise AssertionError("every graph is |V|-letterable")  # pragma: no cover

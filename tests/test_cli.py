@@ -200,42 +200,57 @@ def test_verify_paper_budget_exhaustion(capsys):
     assert entry["status"] == "budget-exhausted"
 
 
-def _record_solver_budgets(monkeypatch, pause=0.0):
+def _record_solver_time_left(monkeypatch, pause=0.0):
     """Wrap solver.is_k_letterable (lettericity and compose reach it too);
-    returns the list of budgets it is handed. Each call first sleeps
-    ``pause`` seconds."""
+    returns the list of seconds each call has left before the deadline it
+    runs under (None for no deadline). Each call first sleeps ``pause``
+    seconds."""
     from letterkit import solver
-    budgets = []
+    left = []
     real = solver.is_k_letterable
 
     def recording(*args, **kwargs):
-        budgets.append(kwargs.get("budget"))
+        deadline = solver.Run(kwargs.get("budget")).deadline
+        left.append(None if deadline is None else
+                    deadline - time.monotonic())
         time.sleep(pause)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "is_k_letterable", recording)
-    return budgets
+    return left
 
 
 def test_verify_paper_hands_each_solve_the_time_left(capsys, monkeypatch):
-    budgets = _record_solver_budgets(monkeypatch)
+    left = _record_solver_time_left(monkeypatch)
     code, out, _ = run(capsys, "verify-paper", "--suite",
                        "dualities,prop41,prop43,thm51", "--budget", "600")
     assert code == 0
     assert all(json.loads(line)["status"] == "pass"
                for line in out.strip().splitlines())
-    assert budgets and all(b is not None and 0 < b <= 600 for b in budgets)
+    assert left and all(b is not None and 0 < b <= 600 for b in left)
 
 
 def test_verify_paper_budget_runs_out_inside_a_check(capsys, monkeypatch):
     # prop41 makes four solver calls; at 0.1 s each the 0.25 s budget
     # runs out inside the check, not between checks
-    budgets = _record_solver_budgets(monkeypatch, pause=0.1)
+    left = _record_solver_time_left(monkeypatch, pause=0.1)
     code, out, _ = run(capsys, "verify-paper", "--suite", "prop41",
                        "--budget", "0.25")
     assert code == 1
     assert json.loads(out)["status"] == "budget-exhausted"
-    assert budgets and all(b <= 0.25 for b in budgets)
+    assert left and all(b <= 0.25 for b in left)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lettericity", "--max-k", "4", "--budget", "1e-9"),
+    ("compose", "--budget", "1e-9"),
+])
+def test_cli_budget_exhaustion(tmp_path, capsys, argv):
+    f = tmp_path / "r3.g6"
+    f.write_text(to_graph6(stacked_path(3)[0]))
+    code, out, _ = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 1
+    assert json.loads(out)["status"] == "budget-exhausted"
 
 
 def test_usage_error_exit_code(capsys):

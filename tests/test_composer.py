@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from letterkit import (
     BudgetExceeded,
     Lettering,
+    Run,
     all_graphs,
     attach_peeled,
     bull,
@@ -24,7 +25,7 @@ from letterkit import (
     threshold,
     verify,
 )
-from letterkit import composer
+from letterkit import composer, solver
 from letterkit.graphs import DOMINATING, ISOLATED, Graph, empty, join
 from letterkit.letters import Decoder
 from tests.conftest import random_cograph, random_graph
@@ -235,16 +236,22 @@ def _nested_primes():
     return inflate(path(4), [path(4)] * 4)[0]
 
 
-def _record_budgets(monkeypatch):
-    """Wrap the composer's solver call; returns the list of
-    (budget, seconds spent inside the call) it fills."""
+def _record_time_left(monkeypatch, clock=None):
+    """Wrap the composer's solver call; returns the list of (seconds left
+    before the deadline the call runs under, or None for none; seconds
+    spent inside the call) it fills. With ``clock``, a one-item list that
+    stands for the solver's clock, each call takes two seconds of it."""
     calls = []
     real = composer.lettericity
+    now = time.monotonic if clock is None else lambda: clock[0]
 
     def recording(h, **kwargs):
-        start = time.monotonic()
+        deadline, start = Run().deadline, now()
         out = real(h, **kwargs)
-        calls.append((kwargs["budget"], time.monotonic() - start))
+        if clock is not None:
+            clock[0] += 2
+        calls.append((None if deadline is None else deadline - start,
+                      now() - start))
         return out
 
     monkeypatch.setattr(composer, "lettericity", recording)
@@ -252,7 +259,7 @@ def _record_budgets(monkeypatch):
 
 
 def test_compose_budget_bounds_the_whole_call(monkeypatch):
-    calls = _record_budgets(monkeypatch)
+    calls = _record_time_left(monkeypatch)
     budget = 100.0
     cert = compose(_nested_primes(), budget=budget)
     assert verify(_nested_primes(), cert.lettering)
@@ -265,23 +272,22 @@ def test_compose_budget_bounds_the_whole_call(monkeypatch):
 
 
 def test_compose_without_budget_passes_none(monkeypatch):
-    calls = _record_budgets(monkeypatch)
+    calls = _record_time_left(monkeypatch)
     compose(_nested_primes())
     assert [b for b, _ in calls] == [None] * 5
 
 
 def test_compose_raises_once_the_budget_is_spent(monkeypatch):
-    # a fake clock that advances one second per reading
-    ticks = iter(range(1000))
-    monkeypatch.setattr(composer, "time",
-                        SimpleNamespace(monotonic=lambda: next(ticks)))
-    calls = _record_budgets(monkeypatch)
-    # readings: the deadline (0), the top of build (1), the outer solve
-    # (2: 2.5 s left), the first module's build (3) and its solve (4:
-    # 0.5 s left), the second module's build (5: none left)
+    # a fake clock that stands still but for the two seconds of each solve
+    clock = [0]
+    monkeypatch.setattr(solver, "time",
+                        SimpleNamespace(monotonic=lambda: clock[0]))
+    calls = _record_time_left(monkeypatch, clock)
+    # the outer solve has 3.5 s left and the first module's solve 1.5 s;
+    # the second module's build finds none left
     with pytest.raises(BudgetExceeded):
-        compose(_nested_primes(), budget=4.5)
-    assert [b for b, _ in calls] == [2.5, 0.5]
+        compose(_nested_primes(), budget=3.5)
+    assert [b for b, _ in calls] == [3.5, 1.5]
 
 
 def test_compose_zero_budget_raises_before_any_work():
@@ -290,9 +296,14 @@ def test_compose_zero_budget_raises_before_any_work():
         compose(matching(3), budget=0.0)
 
 
+def test_compose_budget_cannot_outlive_the_enclosing_run():
+    with Run(1e-9), pytest.raises(BudgetExceeded):
+        compose(matching(3), budget=600)
+
+
 def test_compose_budget_bounds_the_final_profile(monkeypatch):
     ticks = iter(range(1000))
-    monkeypatch.setattr(composer, "time",
+    monkeypatch.setattr(solver, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     profiled = []
     real = composer.profile

@@ -208,6 +208,18 @@ def test_graph6_header_and_errors():
 def test_graph6_large_n_prefix():
     g = path(100)
     assert from_graph6(to_graph6(g)) == g
+    g = path(63)  # the long form's last size byte is 126
+    assert from_graph6(to_graph6(g)) == g
+
+
+@pytest.mark.parametrize("size", [chr(127), "~??" + chr(127),
+                                  "~" + chr(127) + "??", chr(62)],
+                         ids=["short-127", "long-127-last", "long-127-first",
+                              "short-62"])
+def test_graph6_rejects_size_bytes_outside_63_to_126(size):
+    payload = "?" * 336  # 2016 zero bits, the right length for n = 64
+    with pytest.raises(ValueError, match="size byte"):
+        from_graph6(size + payload)
 
 
 def test_dot_export():

@@ -20,6 +20,7 @@ from letterkit import (
     quotient,
     reconstruct,
 )
+from letterkit.graphs import empty
 from letterkit.modular import (
     BULL_NOSE,
     P4_END,
@@ -145,6 +146,16 @@ def test_classify_vertex_examples():
 def test_classify_vertex_needs_four_vertices():
     with pytest.raises(ValueError):
         classify_vertex(path(3), 0)
+
+
+def test_classify_vertex_rejects_a_graph_that_is_not_prime():
+    # no P4 and no bull: the caller's input is at fault, not the classifier
+    for g in (empty(4), complete(5), matching(2)):
+        with pytest.raises(ValueError, match="prime graph"):
+            classify_vertex(g, 0)
+    # a vertex on a P4 keeps its role, prime graph or not
+    assert classify_vertex(inflate(path(4), [complete(2)] + [path(1)] * 3)[0],
+                           2).role == P4_MID
 
 
 @pytest.mark.parametrize("v", [-1, 5, 7])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from letterkit import (
     BudgetExceeded,
     LetterClassConstraint,
+    Run,
     all_graphs,
     bull,
     complete,
@@ -185,6 +186,14 @@ def test_budget():
     g = stacked_path(2)[0]
     with pytest.raises(BudgetExceeded):
         is_k_letterable(g, 4, budget=1e-9)
+
+
+def test_lettericity_budget_bounds_the_climb():
+    g = stacked_path(2)[0]
+    with pytest.raises(BudgetExceeded):
+        lettericity(g, budget=1e-9)
+    with Run(600), pytest.raises(BudgetExceeded):  # the earlier deadline
+        lettericity(g, budget=1e-9)
 
 
 def test_report_serialization():
@@ -374,9 +383,9 @@ def _uniform_classes(g: Graph, rnd, count: int):
 
 def _both_searches(g: Graph, k: int, matrix, classes):
     class_of, class_kind = _class_arrays(g, classes)
-    new, ref = [0], [0]
-    return [(_search_word(g, k, matrix, class_of, class_kind, new, None),
-             new[0]),
+    new, ref = Run(), [0]
+    return [(_search_word(g, k, matrix, class_of, class_kind, new),
+             new.nodes),
             (_reference_search_word(g, k, matrix, class_of, class_kind,
                                     ref, None), ref[0])]
 
@@ -467,17 +476,15 @@ def _kept_matrices(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_canonical_matrices(k))
 
 
-def _decoder_walk(g: Graph, k: int, classes=(), matrices=None,
-                  deadline=None):
+def _decoder_walk(g: Graph, k: int, classes=(), matrices=None):
     """The lettering is_k_letterable returned before the letter-class
     search, and the number of decoders tried: the word search on each
     decoder up to letter renaming, in code order, first success wins."""
     class_of, class_kind = _class_arrays(g, classes)
-    tried, counter = 0, [0]
+    tried, run = 0, Run()
     for matrix in _kept_matrices(k) if matrices is None else matrices:
         tried += 1
-        hit = _search_word(g, k, matrix, class_of, class_kind, counter,
-                           deadline)
+        hit = _search_word(g, k, matrix, class_of, class_kind, run)
         if hit is not None:
             dec = Decoder(tuple(symbol(i) for i in range(k)),
                           tuple(tuple(bool(matrix[a] >> b & 1)
@@ -495,7 +502,8 @@ def test_letter_class_search_matches_decoder_walk(n, k, n_classes, rnd):
     report = is_k_letterable(g, k, LetterClassConstraint(tuple(classes)))
     try:
         # with classes the walk's word search can take a minute at n = 9
-        want, _ = _decoder_walk(g, k, classes, deadline=time.monotonic() + 2)
+        with Run(2):
+            want, _ = _decoder_walk(g, k, classes)
     except BudgetExceeded:
         reject()
     assert report.outcome == ("exhausted" if want is None else "found")
