@@ -1,8 +1,8 @@
 """Golden outputs of the exact solver, pinned before any change to it.
 
-Two sections, so that a change meant to move the search counters (say,
+Three sections, so that a change meant to move the search counters (say,
 a symmetry that skips decoders) can re-pin them without touching the
-letterings:
+letterings, and a rewrite of the composer is held to its certificates:
 
 - ``letterings``: for every graph from ``all_graphs(n)`` with n <= 6, and
   for the stacked path R2, keyed by graph6: the lettericity and the
@@ -10,6 +10,9 @@ letterings:
 - ``counters``: for the same graphs, ``[outcome, decoders_tried,
   nodes_expanded]`` of ``is_k_letterable(g, k)`` for k = 1..lettericity;
   and the same triple for the R2 four-class k = 4 exhaustion.
+- ``compositions``: the SHA-256 of ``compose(g).to_json()``, keyed by
+  graph6, for every graph with n <= 6 and for the nested and peeled
+  inflations of ``composition_inputs``.
 
 Regenerate the file only on purpose, from the repository root:
 
@@ -18,10 +21,11 @@ Regenerate the file only on purpose, from the repository root:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
-from letterkit import graphs, solver
+from letterkit import composer, graphs, solver
 from letterkit.letters import lettering_to_json
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -57,6 +61,28 @@ def build() -> dict:
     return {"letterings": letterings, "counters": counters}
 
 
+def composition_inputs() -> list[graphs.Graph]:
+    """Every graph with n <= 6, then inflations whose modules are prime
+    inflations, mix homogeneous and prime modules, or are peeled first."""
+    p1, p4, bull, c5 = (graphs.path(1), graphs.path(4), graphs.bull(),
+                        graphs.cycle(5))
+    p4_of_p4 = graphs.inflate(p4, [p4] * 4)[0]
+    nested = [
+        p4_of_p4,
+        graphs.inflate(bull, [c5, p1, p1, p1, p1])[0],
+        graphs.inflate(c5, [bull, p4, graphs.empty(3), graphs.complete(3),
+                            p1])[0],
+        graphs.join(p4_of_p4, p1),
+    ]
+    return [g for n in range(1, 7) for g in graphs.all_graphs(n)] + nested
+
+
+def compositions() -> dict[str, str]:
+    return {graphs.to_graph6(g): hashlib.sha256(
+        composer.compose(g).to_json().encode()).hexdigest()
+        for g in composition_inputs()}
+
+
 def load() -> dict:
     with open(PATH) as fh:
         return json.load(fh)
@@ -74,4 +100,4 @@ def dump(data: dict) -> str:
 
 if __name__ == "__main__":
     with open(PATH, "w") as fh:
-        fh.write(dump(build()))
+        fh.write(dump({**build(), "compositions": compositions()}))

@@ -332,3 +332,10 @@ def test_compose_soundness_guard_raises(monkeypatch):
     monkeypatch.setattr(composer, "verify", lambda graph, lett: False)
     with pytest.raises(AssertionError, match="failed verification"):
         compose(path(4))
+
+
+def test_golden_compositions():
+    # the compositions section of tests/data/golden_solver.json was
+    # generated by tests/golden_solver.py before the composer was rewritten
+    from tests.golden_solver import compositions, load
+    assert compositions() == load()["compositions"]
