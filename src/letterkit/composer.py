@@ -4,10 +4,14 @@ exact solver can handle.
 The recursion peels isolated/dominating vertices, splits along the prime
 quotient (union, join, or a genuine prime graph), letters the quotient
 exactly, and expands each quotient letter into a word for its module.
-Homogeneous modules reuse the quotient's letters or minted per-base-letter
-copies; non-homogeneous modules recurse on fresh alphabets. The result is
-an upper-bound constructor: no attempt is made to minimize the alphabet
-afterwards, and the certificate measures the gap against the bound tables.
+Homogeneous modules take the quotient letter or a copy of it with the
+self-pair flipped; non-homogeneous modules recurse on fresh letters. Every
+node allocates fresh letter ids and only ever adds decoder pairs, so one
+``compose`` call gathers them in a single pair set. At a prime node each
+letter is owned by a module or shared, and a pair follows the quotient's
+decoder unless one module owns both letters. The result is an upper-bound
+constructor: no attempt is made to minimize the alphabet afterwards, and
+the certificate measures the gap against the bound tables.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .graphs import DOMINATING, ISOLATED, Graph, to_graph6
-from .letters import Decoder, Lettering, symbol, verify
+from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
 from .obstructions import f_impl, f_paper, profile
 from .solver import Run, lettericity
@@ -51,30 +55,22 @@ def peel(g: Graph) -> PeelTrace:
     return PeelTrace(tuple(reversed(removal)), g.induced(live), tuple(live))
 
 
-# letters are integers during composition; pairs live in a set
+# letters are integers during composition; pairs live in one set per call
 
-def _attach_peeled_ids(word, pairs, letters, removed, alloc):
-    """Append the peeled ``(vertex, kind)`` pairs of ``removed`` (in
-    addition order) after the core word.
+def _attach_peeled(word, removed, alloc, pairs):
+    """Return ``word`` followed by the peeled ``(vertex, kind)`` pairs of
+    ``removed`` (in addition order), adding the new pairs to ``pairs``.
 
-    Every existing letter points at the fresh dominating letter d; nothing
-    points at the fresh isolated letter i.
+    Every letter of the result points at the fresh dominating letter d;
+    nothing points at the fresh isolated letter i.
     """
     kinds = {kind for _, kind in removed}
-    iso = alloc() if ISOLATED in kinds else None
-    dom = alloc() if DOMINATING in kinds else None
-    new_letters = set(letters)
-    if iso is not None:
-        new_letters.add(iso)
-    if dom is not None:
-        new_letters.add(dom)
-    new_pairs = set(pairs)
-    if dom is not None:
-        new_pairs |= {(x, dom) for x in new_letters}
-    new_word = list(word)
-    for v, kind in removed:
-        new_word.append((v, iso if kind == ISOLATED else dom))
-    return new_word, new_pairs, new_letters
+    fresh = {kind: alloc() for kind in (ISOLATED, DOMINATING)
+             if kind in kinds}
+    word = word + [(v, fresh[kind]) for v, kind in removed]
+    if DOMINATING in fresh:
+        pairs.update((a, fresh[DOMINATING]) for _, a in word)
+    return word
 
 
 def attach_peeled(core_lettering: Lettering, trace: PeelTrace,
@@ -92,9 +88,8 @@ def attach_peeled(core_lettering: Lettering, trace: PeelTrace,
     pairs = {(a, b) for a in range(dec.size) for b in range(dec.size)
              if dec.pairs[a][b]}
     alloc = itertools.count(dec.size).__next__
-    new_word, new_pairs, new_letters = _attach_peeled_ids(
-        word, pairs, set(range(dec.size)), trace.removed, alloc)
-    lett = _finalize(new_word, new_pairs)
+    word = _attach_peeled(word, trace.removed, alloc, pairs)
+    lett = _finalize(word, pairs)
     if not verify(g, lett):
         raise AssertionError("reattached lettering failed verification")
     return lett
@@ -124,7 +119,6 @@ class CompositionCertificate:
     bound_check: dict
 
     def to_json(self) -> str:
-        from .letters import lettering_to_json
         return json.dumps({
             "lettering": json.loads(lettering_to_json(self.lettering)),
             "alphabet_size": self.alphabet_size,
@@ -152,132 +146,115 @@ def compose(g: Graph, *,
         return _compose(g, run)
 
 
+def _homogeneous(graph: Graph, both: bool = False) -> bool | None:
+    """True if ``graph`` is complete, False if it is edgeless, None if it is
+    neither. A graph that is both, one vertex, gives ``both``."""
+    edges, full = graph.edge_count(), graph.n * (graph.n - 1) // 2
+    if edges not in (0, full):
+        return None
+    return both if full == 0 else edges == full
+
+
 def _compose(g: Graph, run: Run) -> CompositionCertificate:
     alloc = itertools.count().__next__  # fresh global letter ids
+    pairs: set[tuple[int, int]] = set()
     prime_ls: list[int] = []
 
     def build(graph: Graph, ids: list[int]):
-        """Return (word, pairs, letters, tree) for ``graph``; word entries
-        carry original vertex ids via ``ids``."""
+        """Return (word, tree) for ``graph`` and add its decoder pairs to
+        ``pairs``; word entries carry original vertex ids via ``ids``.
+
+        At a prime node every letter has an owner: its quotient letter and
+        the module it belongs to, or -1 for a base letter that homogeneous
+        modules share. (x, y) is a pair exactly when the quotient decoder
+        has (base x, base y), unless one module owns both x and y; pairs
+        inside a module are that module's own.
+        """
         run.check("compose")
         # homogeneous graphs take one letter; this also floors the bound
         # tables' p=1 / q=1 base cases
-        edge_count = graph.edge_count()
-        if edge_count == 0 or edge_count == graph.n * (graph.n - 1) // 2:
+        complete = _homogeneous(graph)
+        if complete is not None:
             a = alloc()
-            pairs = {(a, a)} if edge_count else set()
-            word = [(ids[v], a) for v in range(graph.n)]
-            return word, pairs, {a}, {"case": "homogeneous",
-                                      "n": graph.n, "letters": 1}
+            if complete:
+                pairs.add((a, a))
+            return [(ids[v], a) for v in range(graph.n)], {
+                "case": "homogeneous", "n": graph.n, "letters": 1}
 
         trace = peel(graph)
         core, core_ids = trace.core, [ids[v] for v in trace.core_ids]
         removed = [(ids[v], kind) for v, kind in trace.removed]
         if core.n == 0:
             # fully peelable: both kinds occurred, else step one fired
-            word, pairs, letters = _attach_peeled_ids(
-                [], set(), set(), removed, alloc)
-            return word, pairs, letters, {"case": "peel", "n": graph.n,
-                                          "letters": len(letters)}
+            word = _attach_peeled([], removed, alloc, pairs)
+            return word, {"case": "peel", "n": graph.n,
+                          "letters": len({a for _, a in word})}
 
         dec = quotient(core)
         h = dec.quotient
         if h.n == 2:
-            case = "union" if not h.adjacent(0, 1) else "join"
-            words, all_pairs, all_letters, subtrees = [], set(), set(), []
+            case = "join" if h.adjacent(0, 1) else "union"
+            words, subtrees = [], []
             for part, sub in zip(dec.modules, dec.module_graphs):
-                w, p, l, t = build(sub, [core_ids[v] for v in part])
+                w, t = build(sub, [core_ids[v] for v in part])
                 words.append(w)
-                all_pairs |= p
-                all_letters |= l
                 subtrees.append(t)
             if case == "join":
-                l1 = {a for _, a in words[0]}
-                l2 = {a for _, a in words[1]}
-                all_pairs |= {(x, y) for x in l1 for y in l2}
-                all_pairs |= {(y, x) for x in l1 for y in l2}
+                first, second = ({a for _, a in w} for w in words)
+                pairs.update(p for x in first for y in second
+                             for p in ((x, y), (y, x)))
             word = words[0] + words[1]
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": subtrees}
         else:
             ell, h_lett = lettericity(h)
             prime_ls.append(ell)
-            d_h = h_lett.decoder
-            pos_of_vertex = [0] * h.n
-            for pos, v in enumerate(h_lett.vertex_of_position):
-                pos_of_vertex[v] = pos
+            d_h = h_lett.decoder.pairs
+            letter_of = dict(zip(h_lett.vertex_of_position, h_lett.word))
             # fresh global ids for the quotient's letters
-            base_id = {a: alloc() for a in sorted(set(h_lett.word))}
-            base_of: dict[int, int] = {i: a for a, i in base_id.items()}
-            group_of: dict[int, int] = {i: -1 for i in base_id.values()}
-            a_set, b_set = [], []
-            module_words: dict[int, list] = {}
-            internal_pairs: set[tuple[int, int]] = set()
-            subtrees = []
-            for v in range(h.n):
-                part, sub = dec.modules[v], dec.module_graphs[v]
-                sub_ids = [core_ids[u] for u in part]
-                h_letter = h_lett.word[pos_of_vertex[v]]
-                self_pair = d_h.pairs[h_letter][h_letter]
-                ec = sub.edge_count()
-                is_complete = ec == sub.n * (sub.n - 1) // 2
-                is_edgeless = ec == 0
-                if is_complete or is_edgeless:
-                    b_set.append(v)
-                    if sub.n == 1 or (self_pair and is_complete) or \
-                            (not self_pair and is_edgeless):
-                        letter = base_id[h_letter]
-                    else:
-                        letter = alloc()  # copy of the base, self-pair flipped
-                        base_of[letter] = h_letter
-                        group_of[letter] = -1
-                        if is_complete:
-                            internal_pairs.add((letter, letter))
-                    module_words[v] = [(u, letter) for u in sub_ids]
-                    subtrees.append({"case": "homogeneous-module",
-                                     "vertex": v, "n": sub.n,
-                                     "letter": letter})
-                else:
+            base = {a: alloc() for a in sorted(set(h_lett.word))}
+            owner = {x: (a, -1) for a, x in base.items()}
+            a_set, b_set, module_words, subtrees = [], [], [], []
+            for v, sub in enumerate(dec.module_graphs):
+                a = letter_of[v]
+                sub_ids = [core_ids[u] for u in dec.modules[v]]
+                complete = _homogeneous(sub, d_h[a][a])
+                if complete is None:
                     a_set.append(v)
-                    w, p, l, t = build(sub, sub_ids)
-                    module_words[v] = w
-                    internal_pairs |= p
-                    for x in l:
-                        base_of[x] = h_letter
-                        group_of[x] = v
+                    w, t = build(sub, sub_ids)
+                    owner.update((x, (a, v)) for _, x in w)
                     subtrees.append({"case": "recursive-module",
                                      "vertex": v, "n": sub.n, "tree": t})
-            # cross pairs follow the quotient decoder on base letters,
-            # directionally; reused base self-pairs come along with D_H
-            all_base = sorted(base_of)
-            pairs = set(internal_pairs)
-            for x in all_base:
-                for y in all_base:
-                    if group_of[x] >= 0 and group_of[x] == group_of[y]:
-                        continue  # recursive-module internals stay internal
-                    if x == y:
-                        # a copy's self-pair is flipped, not inherited
-                        if x in base_id.values() and \
-                                d_h.pairs[base_of[x]][base_of[x]]:
+                else:
+                    b_set.append(v)
+                    x = base[a]
+                    if complete != d_h[a][a]:
+                        x = alloc()  # copy of the base, self-pair flipped
+                        owner[x] = (a, v)
+                        if complete:
                             pairs.add((x, x))
-                    elif d_h.pairs[base_of[x]][base_of[y]]:
-                        pairs.add((x, y))
-            word = []
-            for pos in range(h.n):
-                word += module_words[h_lett.vertex_of_position[pos]]
-            all_pairs, all_letters = pairs, set(base_of)
+                    w = [(u, x) for u in sub_ids]
+                    subtrees.append({"case": "homogeneous-module",
+                                     "vertex": v, "n": sub.n, "letter": x})
+                module_words.append(w)
+            # per letter, not per module pair: a base letter that only a
+            # one-vertex module uses keeps its (vacuous) self-pair from D_H
+            pairs.update((x, y) for x, (a, mx) in owner.items()
+                         for y, (b, my) in owner.items()
+                         if d_h[a][b] and (mx != my or mx < 0))
+            word = [e for v in h_lett.vertex_of_position
+                    for e in module_words[v]]
             node = {"case": "prime", "n": graph.n,
                     "quotient": to_graph6(h), "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
 
         if removed:
-            word, all_pairs, all_letters = _attach_peeled_ids(
-                word, all_pairs, all_letters, removed, alloc)
+            word = _attach_peeled(word, removed, alloc, pairs)
             node = {"case": "peel", "n": graph.n, "core": node,
                     "peeled": len(removed)}
-        return word, all_pairs, all_letters, node
+        return word, node
 
-    word, pairs, _, tree = build(g, list(range(g.n)))
+    word, tree = build(g, list(range(g.n)))
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")

@@ -448,14 +448,16 @@ def from_graph6(text: str) -> Graph:
             raise ValueError(f"bad graph6 size byte {ch!r}")
         n = n << 6 | (ord(ch) - 63)
     need = n * (n - 1) // 2
+    if len(data) != -(-need // 6):
+        raise ValueError("graph6 payload has wrong length")
     bits = []
     for ch in data:
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise ValueError(f"bad graph6 byte {ch!r}")
         bits += [val >> s_ & 1 for s_ in range(5, -1, -1)]
-    if len(bits) < need or any(bits[need:]):
-        raise ValueError("graph6 payload has wrong length")
+    if any(bits[need:]):
+        raise ValueError("graph6 payload has nonzero padding")
     edges = []
     idx = 0
     for v in range(1, n):

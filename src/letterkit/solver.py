@@ -12,11 +12,12 @@ from __future__ import annotations
 import contextvars
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 
 from .graphs import Graph, ScaleError
-from .letters import Decoder, Lettering, symbol, verify
+from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 
 
@@ -41,6 +42,8 @@ class Run:
     earlier of the enclosing run's, that is the innermost run entered with
     ``with``, and ``budget`` seconds from now. So a nested call cannot
     outlive its caller's budget, and ``Run()`` reads the enclosing deadline.
+    A NaN budget raises ValueError: it would compare false with every time
+    and so switch every deadline off.
     """
 
     __slots__ = ("deadline", "nodes", "_token")
@@ -49,6 +52,8 @@ class Run:
         enclosing = _ENCLOSING.get()
         self.deadline = None if enclosing is None else enclosing.deadline
         if budget is not None:
+            if math.isnan(budget):
+                raise ValueError("budget must be a number of seconds, not NaN")
             own = time.monotonic() + budget
             self.deadline = own if self.deadline is None else \
                 min(self.deadline, own)
@@ -102,7 +107,6 @@ class SolveReport:
     elapsed: float
 
     def to_json(self) -> str:
-        from .letters import lettering_to_json
         obj = {
             "outcome": self.outcome,
             "decoders_tried": self.decoders_tried,

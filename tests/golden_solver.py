@@ -1,4 +1,5 @@
-"""Golden outputs of the exact solver, pinned before any change to it.
+"""Golden outputs of the exact solver and the composer, pinned before any
+change to them.
 
 Three sections, so that a change meant to move the search counters (say,
 a symmetry that skips decoders) can re-pin them without touching the

@@ -253,6 +253,23 @@ def test_cli_budget_exhaustion(tmp_path, capsys, argv):
     assert json.loads(out)["status"] == "budget-exhausted"
 
 
+def test_verify_paper_rejects_a_nan_budget(capsys):
+    code, out, err = run(capsys, "verify-paper", "--suite", "prop41",
+                         "--budget", "nan")
+    assert code == 2 and out == "" and "NaN" in err
+    code, out, _ = run(capsys, "verify-paper", "--suite", "prop41",
+                       "--budget", "-1")
+    assert code == 1
+    assert json.loads(out)["status"] == "budget-exhausted"
+
+
+def test_lettericity_rejects_an_overlong_graph6_payload(tmp_path, capsys):
+    f = tmp_path / "k2.g6"
+    f.write_text("A_???\n")
+    code, out, err = run(capsys, "lettericity", str(f))
+    assert code == 2 and out == "" and "wrong length" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "lettericity", "/nonexistent/file.g6")[0] == 2
     assert main(["gen", "--family", "nope"]) == 2

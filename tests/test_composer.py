@@ -207,6 +207,46 @@ def test_compose_a_set_below_ramsey(rng):
             assert len(node["A"]) < ramsey(prof.p, prof.q)
 
 
+def _nested_inflation(rng):
+    """A prime graph inflated by modules that are prime inflations of
+    random cographs (the first always, the others half the time) or
+    random cographs themselves; at most 5 * 5 * 2 = 50 vertices."""
+    bases = [path(4), bull(), cycle(5), path(5)]
+
+    def inflation(module):
+        base = rng.choice(bases)
+        return inflate(base, [module(v) for v in range(base.n)])[0]
+
+    def cograph(v):
+        return random_cograph(rng, rng.randint(1, 2))
+
+    return inflation(lambda v: inflation(cograph)
+                     if v == 0 or rng.random() < 0.5 else cograph(v))
+
+
+def test_compose_nested_prime_quotients(rng):
+    from letterkit import ramsey
+
+    def prime_nodes(node):
+        if node.get("case") == "prime":
+            yield node
+        for sub in [node.get("core"), node.get("tree")] + \
+                node.get("modules", []):
+            if sub is not None:
+                yield from prime_nodes(sub)
+
+    for _ in range(100):
+        g = _nested_inflation(rng)
+        cert = compose(g)
+        assert verify(g, cert.lettering)
+        assert cert.bound_check["within_F_impl"]
+        prof = cert.bound_check["profile"]
+        nodes = list(prime_nodes(cert.recursion_tree))
+        assert len(nodes) >= 2  # the base and at least one prime module
+        for node in nodes:
+            assert len(node["A"]) < ramsey(prof["p"], prof["q"])
+
+
 def test_certificate_serialization():
     cert = compose(matching(2))
     obj = json.loads(cert.to_json())

@@ -222,6 +222,13 @@ def test_graph6_rejects_size_bytes_outside_63_to_126(size):
         from_graph6(size + payload)
 
 
+@pytest.mark.parametrize("text", ["A_???", "??", "C~??"])
+def test_graph6_rejects_overlong_payloads(text):
+    # K2, the empty graph and K4 followed by extra zero bytes
+    with pytest.raises(ValueError, match="wrong length"):
+        from_graph6(text)
+
+
 def test_dot_export():
     text = to_dot(matching(1))
     assert text.startswith("graph G {") and "0 -- 1;" in text

@@ -196,6 +196,17 @@ def test_lettericity_budget_bounds_the_climb():
         lettericity(g, budget=1e-9)
 
 
+def test_nan_budget_is_rejected():
+    # a NaN deadline compares false with every time, so no check would fire
+    # and a nested run's own budget would be lost in min(nan, own)
+    with pytest.raises(ValueError, match="NaN"):
+        Run(float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        lettericity(cycle(6), budget=float("nan"))
+    with pytest.raises(BudgetExceeded):  # a negative budget is spent at once
+        lettericity(cycle(6), budget=-1.0)
+
+
 def test_report_serialization():
     report = is_k_letterable(path(4), 2)
     obj = json.loads(report.to_json())
