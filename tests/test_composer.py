@@ -207,21 +207,15 @@ def test_compose_a_set_below_ramsey(rng):
             assert len(node["A"]) < ramsey(prof.p, prof.q)
 
 
-def _nested_inflation(rng):
-    """A prime graph inflated by modules that are prime inflations of
-    random cographs (the first always, the others half the time) or
-    random cographs themselves; at most 5 * 5 * 2 = 50 vertices."""
-    bases = [path(4), bull(), cycle(5), path(5)]
-
-    def inflation(module):
-        base = rng.choice(bases)
-        return inflate(base, [module(v) for v in range(base.n)])[0]
-
-    def cograph(v):
-        return random_cograph(rng, rng.randint(1, 2))
-
-    return inflation(lambda v: inflation(cograph)
-                     if v == 0 or rng.random() < 0.5 else cograph(v))
+def _nested_inflation(rng, depth=2):
+    """P4, the bull, C5 or P5 inflated ``depth`` levels deep: at each level
+    the first module, and each other one half the time, is inflated again;
+    the rest are cographs on 1-2 vertices. At depth 2, n <= 50."""
+    base = rng.choice([path(4), bull(), cycle(5), path(5)])
+    mods = [_nested_inflation(rng, depth - 1)
+            if depth > 1 and (v == 0 or rng.random() < 0.5)
+            else random_cograph(rng, rng.randint(1, 2)) for v in range(base.n)]
+    return inflate(base, mods)[0]
 
 
 def test_compose_nested_prime_quotients(rng):
