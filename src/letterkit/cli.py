@@ -139,7 +139,9 @@ _random_cograph = claims.random_cograph
 
 
 def _cmd_verify_paper(args) -> int:
-    names = sorted(set(args.suite.split(",")) if args.suite else _SUITES)
+    # only an absent --suite means every suite; an empty one is a bad name
+    names = sorted(_SUITES if args.suite is None
+                   else set(args.suite.split(",")))
     for name in names:
         if name not in _SUITES:
             print(f"unknown suite {name!r}", file=sys.stderr)

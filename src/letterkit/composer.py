@@ -9,13 +9,17 @@ self-pair flipped; non-homogeneous modules recurse on fresh letters. Every
 node allocates fresh letter ids and only ever adds decoder pairs, so one
 ``compose`` call gathers them in a single pair set. At a prime node each
 letter is owned by a module or shared, and a pair follows the quotient's
-decoder unless one module owns both letters. The result is an upper-bound
+decoder unless one module owns both letters. Each labelled prime quotient
+is solved once per process: completed solves are remembered by the
+quotient ``Graph`` (up to 256 of them), so a remembered solve is not run
+again, not even under a later call's budget. The result is an upper-bound
 constructor: no attempt is made to minimize the alphabet afterwards, and
 the certificate measures the gap against the bound tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -138,12 +142,27 @@ def compose(g: Graph, *,
     bound tables. ``budget`` is wall-clock seconds for the whole call,
     which runs in a :class:`Run`: every build step, prime-quotient solve
     and the final profile stop at its deadline (the enclosing run's, if
-    that is earlier) and raise :class:`BudgetExceeded`.
+    that is earlier) and raise :class:`BudgetExceeded`. Each labelled
+    prime quotient is solved once per process; a quotient solved by an
+    earlier call is reused without running its solve again under this
+    call's budget.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     with Run(budget) as run:
         return _compose(g, run)
+
+
+@functools.lru_cache(maxsize=256)
+def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
+    """``lettericity(h)`` for a labelled prime quotient, remembered for the
+    life of the process. A solve that raises is not stored. Callers share
+    the returned (immutable) lettering, so they must not alter it.
+
+    The memo lives here, not in ``solver.lettericity``, whose ``budget``
+    must raise whatever was solved before; and ``lettericity`` is looked
+    up at each miss, so a patched solver sees every solve."""
+    return lettericity(h)
 
 
 def _homogeneous(graph: Graph, both: bool = False) -> bool | None:
@@ -207,7 +226,7 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": subtrees}
         else:
-            ell, h_lett = lettericity(h)
+            ell, h_lett = _prime_lettering(h)
             prime_ls.append(ell)
             d_h = h_lett.decoder.pairs
             letter_of = dict(zip(h_lett.vertex_of_position, h_lett.word))

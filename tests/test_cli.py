@@ -192,6 +192,11 @@ def test_verify_paper_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+def test_verify_paper_rejects_an_empty_suite(capsys):
+    code, out, err = run(capsys, "verify-paper", "--suite", "")
+    assert code == 2 and out == "" and "unknown suite ''" in err
+
+
 def test_verify_paper_budget_exhaustion(capsys):
     code, out, _ = run(capsys, "verify-paper", "--suite", "prop43",
                        "--budget", "1e-9")

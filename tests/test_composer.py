@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 from types import SimpleNamespace
@@ -266,15 +267,27 @@ def test_compose_rejects_empty_graph():
 
 
 def _nested_primes():
-    # P4 of P4 modules: five prime quotients, so five solver calls
-    return inflate(path(4), [path(4)] * 4)[0]
+    # P4 of four different prime modules: five distinct labelled prime
+    # quotients, so five solver calls on an empty memo
+    return inflate(path(4), [bull(), cycle(5), path(5),
+                             path(4).complement()])[0]
+
+
+def _fresh_memo(monkeypatch):
+    """Give the composer an empty prime-quotient memo for this test."""
+    memo = functools.lru_cache(maxsize=256)(
+        composer._prime_lettering.__wrapped__)
+    monkeypatch.setattr(composer, "_prime_lettering", memo)
+    return memo
 
 
 def _record_time_left(monkeypatch, clock=None):
-    """Wrap the composer's solver call; returns the list of (seconds left
-    before the deadline the call runs under, or None for none; seconds
-    spent inside the call) it fills. With ``clock``, a one-item list that
-    stands for the solver's clock, each call takes two seconds of it."""
+    """Wrap the composer's solver call, on an empty memo; returns the list
+    of (seconds left before the deadline the call runs under, or None for
+    none; seconds spent inside the call) it fills. With ``clock``, a
+    one-item list that stands for the solver's clock, each call takes two
+    seconds of it."""
+    _fresh_memo(monkeypatch)
     calls = []
     real = composer.lettericity
     now = time.monotonic if clock is None else lambda: clock[0]
@@ -348,6 +361,74 @@ def test_compose_budget_bounds_the_final_profile(monkeypatch):
     with pytest.raises(BudgetExceeded):
         compose(complete(3), budget=1.5)
     assert profiled == []
+
+
+def test_memo_solves_each_labelled_quotient_once(monkeypatch):
+    _fresh_memo(monkeypatch)
+    solved = []
+    real = composer.lettericity
+    monkeypatch.setattr(composer, "lettericity",
+                        lambda h: solved.append(h) or real(h))
+    # two different inflations whose quotient is the same labelled C5
+    compose(inflate(cycle(5), [path(3)] + [path(1)] * 4)[0])
+    compose(inflate(cycle(5), [path(1)] * 3 + [complete(2), matching(2)])[0])
+    assert solved == [cycle(5)]
+    # C5 under other labels is another key, so another solve
+    compose(inflate(cycle(5).complement(), [path(3)] + [path(1)] * 4)[0])
+    assert solved == [cycle(5), cycle(5).complement()]
+
+
+def _memo_inputs():
+    # inputs that share labelled quotients (bull, C5, P4) in different
+    # positions, so either order meets some quotients warm
+    return [
+        _nested_primes(),
+        inflate(bull(), [cycle(5)] + [path(1)] * 4)[0],
+        bull(),
+        join(inflate(cycle(5), [path(3)] + [path(1)] * 4)[0], path(1)),
+        inflate(path(4), [path(4)] * 4)[0],
+        path(4),
+        cycle(5),
+    ]
+
+
+def test_memo_keeps_certificates_byte_identical(monkeypatch):
+    inputs = _memo_inputs()
+    cold = []
+    for g in inputs:  # each on an empty memo
+        _fresh_memo(monkeypatch)
+        cold.append(compose(g).to_json())
+    indices = range(len(inputs))
+    for order in (indices, indices[::-1]):
+        memo = _fresh_memo(monkeypatch)
+        for _ in range(2):  # once filling the memo, once reading it
+            assert [compose(inputs[i]).to_json() for i in order] == \
+                [cold[i] for i in order]
+        assert memo.cache_info().hits > memo.cache_info().misses
+
+
+def test_memo_keeps_only_completed_solves(monkeypatch):
+    g = _nested_primes()
+    _fresh_memo(monkeypatch)
+    cold = compose(g).to_json()
+    memo = _fresh_memo(monkeypatch)
+    real = composer.lettericity
+    solves = []
+
+    def third_runs_out(h):
+        solves.append(h)
+        if len(solves) == 3:
+            raise BudgetExceeded("lettericity ran past its budget")
+        return real(h)
+
+    monkeypatch.setattr(composer, "lettericity", third_runs_out)
+    with pytest.raises(BudgetExceeded):
+        compose(g)
+    assert memo.cache_info().currsize == 2
+    assert compose(g).to_json() == cold
+    # the two stored solves are reused; the failed one is run again
+    assert len(solves) == 6 and solves[3] == solves[2]
+    assert memo.cache_info().currsize == 5
 
 
 def test_attach_peeled_soundness_guard_raises(monkeypatch):
