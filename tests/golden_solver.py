@@ -64,9 +64,11 @@ def build() -> dict:
 
 def composition_inputs() -> list[graphs.Graph]:
     """Every graph with n <= 6, then inflations whose modules are prime
-    inflations, mix homogeneous and prime modules, or are peeled first."""
+    inflations, mix homogeneous and prime modules, are peeled first, or
+    hold a stacked path R_2 (certificate r = 4 and r = 3)."""
     p1, p4, bull, c5 = (graphs.path(1), graphs.path(4), graphs.bull(),
                         graphs.cycle(5))
+    r2 = graphs.stacked_path(2)[0]
     p4_of_p4 = graphs.inflate(p4, [p4] * 4)[0]
     nested = [
         p4_of_p4,
@@ -74,6 +76,10 @@ def composition_inputs() -> list[graphs.Graph]:
         graphs.inflate(c5, [bull, p4, graphs.empty(3), graphs.complete(3),
                             p1])[0],
         graphs.join(p4_of_p4, p1),
+        # R_3 in the bull's nose: r = 4 through a module deeper than R_1
+        graphs.inflate(bull, [p1] * 4 + [r2])[0],
+        # an R_2 module and a P3 module beside it in C5: r = 3
+        graphs.inflate(c5, [r2, graphs.path(3), p1, p1, p1])[0],
     ]
     return [g for n in range(1, 7) for g in graphs.all_graphs(n)] + nested
 
