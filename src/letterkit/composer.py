@@ -12,9 +12,13 @@ letter is owned by a module or shared, and a pair follows the quotient's
 decoder unless one module owns both letters. Each labelled prime quotient
 is solved once per process: completed solves are remembered by the
 quotient ``Graph`` (up to 256 of them), so a remembered solve is not run
-again, not even under a later call's budget. The result is an upper-bound
-constructor: no attempt is made to minimize the alphabet afterwards, and
-the certificate measures the gap against the bound tables.
+again, not even under a later call's budget. The certificate's
+stacked-path depth r is read off the same decomposition, one small search
+per prime quotient and tuple of module depths, not by a search on the whole
+input; p and q are induced matchings of the input and of its complement.
+The result is an upper-bound constructor: no attempt is made to minimize
+the alphabet afterwards, and the certificate measures the gap against the
+bound tables.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graphs import DOMINATING, ISOLATED, Graph, to_graph6
+from .graphs import (DOMINATING, ISOLATED, Graph, inflate, path,
+                     stacked_path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
-from .obstructions import f_impl, f_paper, profile
+from .obstructions import (f_impl, f_paper, max_induced_matching,
+                           max_stacked_path)
 from .solver import Run, lettericity
 
 
@@ -139,13 +145,15 @@ def compose(g: Graph, *,
     scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
     :class:`ScaleError` is raised. The certificate records the maximum
     quotient lettericity encountered and compares the alphabet against the
-    bound tables. ``budget`` is wall-clock seconds for the whole call,
-    which runs in a :class:`Run`: every build step, prime-quotient solve
-    and the final profile stop at its deadline (the enclosing run's, if
-    that is earlier) and raise :class:`BudgetExceeded`. Each labelled
-    prime quotient is solved once per process; a quotient solved by an
-    earlier call is reused without running its solve again under this
-    call's budget.
+    bound tables. Its ``r`` comes from the decomposition (see
+    ``_prime_stacked_depth``) and equals ``profile(g).r``; ``p`` and ``q``
+    are computed on ``g`` last. ``budget`` is wall-clock seconds for the
+    whole call, which runs in a :class:`Run`: every build step,
+    prime-quotient solve and the final p/q step stop at its deadline (the
+    enclosing run's, if that is earlier) and raise :class:`BudgetExceeded`.
+    Each labelled prime quotient is solved once per process; a quotient
+    solved by an earlier call is reused without running its solve again
+    under this call's budget.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -165,6 +173,30 @@ def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
     return lettericity(h)
 
 
+@functools.lru_cache(maxsize=256)
+def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
+    """The largest r with an induced stacked path R_r (0 for none) in
+    G = H[M_1..M_h], for a prime quotient ``h`` whose module ``M_v`` has
+    largest stacked path R_{depths[v]}: ``max_stacked_path`` of ``h`` with
+    each vertex v inflated by R_{depths[v]}, or kept where it is 0.
+
+    That inflation is an induced subgraph of G, so its value is at most
+    r(G) and at least every depths[v]. It is also at least r(G): the
+    intersection of a copy of R_r with a module is a module of R_r, and
+    the only proper modules of R_r with two or more vertices are its
+    nested nose sets (R_r is a bull whose nose is R_{r-1}, and R_1 = P4 is
+    prime). So at most one M_v meets the copy in two or more vertices,
+    there in an R_s with s <= depths[v]; mapping that R_s into R_{depths[v]}
+    and each other vertex of the copy into its own module's stand-in keeps
+    every adjacency, as adjacency between modules follows ``h``. At union
+    and join nodes no search is needed: R_r is connected and co-connected,
+    so a copy lies in one side. Nor does peeling lose a copy: R_r has no
+    isolated or dominating vertex. Remembered per (labelled quotient,
+    depths) for the life of the process."""
+    return max_stacked_path(inflate(
+        h, [stacked_path(d)[0] if d else path(1) for d in depths])[0])[0]
+
+
 def _homogeneous(graph: Graph, both: bool = False) -> bool | None:
     """True if ``graph`` is complete, False if it is edgeless, None if it is
     neither. A graph that is both, one vertex, gives ``both``."""
@@ -180,8 +212,9 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
     prime_ls: list[int] = []
 
     def build(graph: Graph, ids: list[int]):
-        """Return (word, tree) for ``graph`` and add its decoder pairs to
-        ``pairs``; word entries carry original vertex ids via ``ids``.
+        """Return (word, tree, r) for ``graph`` and add its decoder pairs to
+        ``pairs``; word entries carry original vertex ids via ``ids``, and
+        r is the largest stacked path R_r in ``graph`` (0 for none).
 
         At a prime node every letter has an owner: its quotient letter and
         the module it belongs to, or -1 for a base letter that homogeneous
@@ -198,7 +231,7 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             if complete:
                 pairs.add((a, a))
             return [(ids[v], a) for v in range(graph.n)], {
-                "case": "homogeneous", "n": graph.n, "letters": 1}
+                "case": "homogeneous", "n": graph.n, "letters": 1}, 0
 
         trace = peel(graph)
         core, core_ids = trace.core, [ids[v] for v in trace.core_ids]
@@ -207,17 +240,18 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             # fully peelable: both kinds occurred, else step one fired
             word = _attach_peeled([], removed, alloc, pairs)
             return word, {"case": "peel", "n": graph.n,
-                          "letters": len({a for _, a in word})}
+                          "letters": len({a for _, a in word})}, 0
 
         dec = quotient(core)
         h = dec.quotient
         if h.n == 2:
             case = "join" if h.adjacent(0, 1) else "union"
-            words, subtrees = [], []
+            words, subtrees, r = [], [], 0
             for part, sub in zip(dec.modules, dec.module_graphs):
-                w, t = build(sub, [core_ids[v] for v in part])
+                w, t, rv = build(sub, [core_ids[v] for v in part])
                 words.append(w)
                 subtrees.append(t)
+                r = max(r, rv)
             if case == "join":
                 first, second = ({a for _, a in w} for w in words)
                 pairs.update(p for x in first for y in second
@@ -234,13 +268,14 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             base = {a: alloc() for a in sorted(set(h_lett.word))}
             owner = {x: (a, -1) for a, x in base.items()}
             a_set, b_set, module_words, subtrees = [], [], [], []
+            depths = [0] * h.n
             for v, sub in enumerate(dec.module_graphs):
                 a = letter_of[v]
                 sub_ids = [core_ids[u] for u in dec.modules[v]]
                 complete = _homogeneous(sub, d_h[a][a])
                 if complete is None:
                     a_set.append(v)
-                    w, t = build(sub, sub_ids)
+                    w, t, depths[v] = build(sub, sub_ids)
                     owner.update((x, (a, v)) for _, x in w)
                     subtrees.append({"case": "recursive-module",
                                      "vertex": v, "n": sub.n, "tree": t})
@@ -263,6 +298,7 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
                          if d_h[a][b] and (mx != my or mx < 0))
             word = [e for v in h_lett.vertex_of_position
                     for e in module_words[v]]
+            r = _prime_stacked_depth(h, tuple(depths))
             node = {"case": "prime", "n": graph.n,
                     "quotient": to_graph6(h), "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
@@ -271,25 +307,27 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             word = _attach_peeled(word, removed, alloc, pairs)
             node = {"case": "peel", "n": graph.n, "core": node,
                     "peeled": len(removed)}
-        return word, node
+        return word, node, r
 
-    word, tree = build(g, list(range(g.n)))
+    word, tree, r = build(g, list(range(g.n)))
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
     run.check("compose")
-    prof = profile(g)
+    p = max_induced_matching(g)[0] + 1
+    q = max_induced_matching(g.complement())[0] + 1
+    r += 1
     m_obs = max(prime_ls) if prime_ls else 0
     m_eff = max(m_obs, 1)
     alphabet_size = lett.letters_used()
-    fp = f_paper(prof.p, prof.q, prof.r)
-    fi = f_impl(m_eff, prof.p, prof.q, prof.r)
+    fp = f_paper(p, q, r)
+    fi = f_impl(m_eff, p, q, r)
     return CompositionCertificate(
         lettering=lett,
         alphabet_size=alphabet_size,
         recursion_tree=tree,
         bound_check={
-            "profile": {"p": prof.p, "q": prof.q, "r": prof.r},
+            "profile": {"p": p, "q": q, "r": r},
             "max_prime_lettericity": m_obs,
             "f_paper": fp,
             "F_impl": fi,

@@ -36,9 +36,11 @@ class Graph:
                 raise ValueError("adjacency bits out of range")
             if row >> v & 1:
                 raise ValueError("self-loops are not allowed")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.rows[u] >> v & 1) != (self.rows[v] >> u & 1):
+        for u, row in enumerate(self.rows):
+            while row:  # each neighbour v of u must list u
+                low = row & -row
+                row ^= low
+                if not self.rows[low.bit_length() - 1] >> u & 1:
                     raise ValueError("adjacency must be symmetric")
 
     # -- basic queries ---------------------------------------------------

@@ -26,8 +26,10 @@ from letterkit import (
     threshold,
     verify,
 )
-from letterkit import composer, solver
-from letterkit.graphs import DOMINATING, ISOLATED, Graph, empty, join
+from letterkit import composer, obstructions, solver
+from letterkit.graphs import (DOMINATING, ISOLATED, Graph, empty, join,
+                              stacked_path)
+from letterkit.obstructions import max_stacked_path
 from letterkit.letters import Decoder
 from tests.conftest import random_cograph, random_graph
 
@@ -242,6 +244,59 @@ def test_compose_nested_prime_quotients(rng):
             assert len(node["A"]) < ramsey(prof["p"], prof["q"])
 
 
+def _stacked_draw(rnd, depth):
+    """P4, the bull, C5 or P5 inflated ``depth`` levels deep around one
+    deep module, R_2 at the bottom (at the bull's nose half the time, so
+    R_3 and R_4 arise); each other module is an R_1 copy a quarter of the
+    time, else a cograph on 1-2 vertices. Each level is then, half the
+    time, united or joined with R_1 or a cograph on 1-3 vertices, which
+    makes union, join and peel nodes. At depth 2, n <= 48."""
+    base = rnd.choice([path(4), bull(), cycle(5), path(5)])
+    deep = 4 if base == bull() and rnd.random() < 0.5 else \
+        rnd.randrange(base.n)
+    mods = [(_stacked_draw(rnd, depth - 1) if depth > 1
+             else stacked_path(2)[0]) if v == deep
+            else path(4) if rnd.random() < 0.25
+            else random_cograph(rnd, rnd.randint(1, 2))
+            for v in range(base.n)]
+    g = inflate(base, mods)[0]
+    if rnd.random() < 0.5:
+        side = rnd.choice([path(4), random_cograph(rnd, rnd.randint(1, 3))])
+        g = rnd.choice((disjoint_union, join))(g, side)
+    return g
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2), st.randoms(use_true_random=False))
+def test_certificate_r_matches_max_stacked_path(depth, rnd):
+    g = _stacked_draw(rnd, depth)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    r = max_stacked_path(g)[0]
+    assert r >= 2  # every draw holds R_2 or more
+    assert compose(g).bound_check["profile"]["r"] == r + 1
+
+
+def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
+                                                          rng):
+    _fresh_memo(monkeypatch)
+    monkeypatch.setattr(composer, "_prime_stacked_depth",
+                        functools.lru_cache(maxsize=256)(
+                            composer._prime_stacked_depth.__wrapped__))
+    searched = []
+    real = obstructions.contains_induced
+    monkeypatch.setattr(obstructions, "contains_induced",
+                        lambda g, pattern: searched.append(g) or
+                        real(g, pattern))
+    # cograph inflations of one labelled C5 share the key (C5, 0 * 5):
+    # one climb, which finds R_1 = P4 and stops, as R_2 needs 8 vertices
+    for _ in range(6):
+        mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]
+        compose(inflate(cycle(5), mods)[0])
+    assert searched == [cycle(5)]
+
+
 def test_certificate_serialization():
     cert = compose(matching(2))
     obj = json.loads(cert.to_json())
@@ -353,11 +408,11 @@ def test_compose_budget_bounds_the_final_profile(monkeypatch):
     monkeypatch.setattr(solver, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     profiled = []
-    real = composer.profile
-    monkeypatch.setattr(composer, "profile",
+    real = composer.max_induced_matching
+    monkeypatch.setattr(composer, "max_induced_matching",
                         lambda g: profiled.append(g) or real(g))
     # readings: the deadline (0), the top of build (1: 0.5 s left), before
-    # the profile (2: none left)
+    # the final p/q step (2: none left)
     with pytest.raises(BudgetExceeded):
         compose(complete(3), budget=1.5)
     assert profiled == []

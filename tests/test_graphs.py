@@ -39,6 +39,26 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_graph_rejects_every_one_sided_edge():
+    # one bit of one row flipped in a symmetric row set: an edge listed by
+    # one end only, below or above the diagonal
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(2, 12)
+        rows = list(random_cograph(rng, n).complement().rows
+                    if rng.random() < 0.5 else random_cograph(rng, n).rows)
+        u, v = rng.sample(range(n), 2)
+        if rows[u] >> v & 1:
+            rows[u] ^= 1 << v
+        else:
+            rows[u] |= 1 << v
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            Graph(n, tuple(rows))
+    # bits out of range are reported before any asymmetry
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, (0b010, 0, 0b1000))
+
+
 def test_basic_families():
     assert path(4).edges() == [(0, 1), (1, 2), (2, 3)]
     assert cycle(4).edge_count() == 4
