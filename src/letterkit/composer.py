@@ -32,8 +32,8 @@ from .graphs import (DOMINATING, ISOLATED, Graph, inflate, path,
                      stacked_path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
-from .obstructions import (f_impl, f_paper, max_induced_matching,
-                           max_stacked_path)
+from .obstructions import (ClassProfile, f_impl, f_paper,
+                           max_induced_matching, max_stacked_path)
 from .solver import Run, lettericity
 
 
@@ -314,20 +314,19 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
     run.check("compose")
-    p = max_induced_matching(g)[0] + 1
-    q = max_induced_matching(g.complement())[0] + 1
-    r += 1
+    prof = ClassProfile(max_induced_matching(g)[0] + 1,
+                        max_induced_matching(g.complement())[0] + 1, r + 1)
     m_obs = max(prime_ls) if prime_ls else 0
     m_eff = max(m_obs, 1)
     alphabet_size = lett.letters_used()
-    fp = f_paper(p, q, r)
-    fi = f_impl(m_eff, p, q, r)
+    fp = f_paper(prof.p, prof.q, prof.r)
+    fi = f_impl(m_eff, prof.p, prof.q, prof.r)
     return CompositionCertificate(
         lettering=lett,
         alphabet_size=alphabet_size,
         recursion_tree=tree,
         bound_check={
-            "profile": {"p": p, "q": q, "r": r},
+            "profile": {"p": prof.p, "q": prof.q, "r": prof.r},
             "max_prime_lettericity": m_obs,
             "f_paper": fp,
             "F_impl": fi,

@@ -76,7 +76,8 @@ def composition_inputs() -> list[graphs.Graph]:
         graphs.inflate(c5, [bull, p4, graphs.empty(3), graphs.complete(3),
                             p1])[0],
         graphs.join(p4_of_p4, p1),
-        # R_3 in the bull's nose: r = 4 through a module deeper than R_1
+        # R_2 in the bull's nose makes R_3: certificate r = 4, through a
+        # module deeper than R_1
         graphs.inflate(bull, [p1] * 4 + [r2])[0],
         # an R_2 module and a P3 module beside it in C5: r = 3
         graphs.inflate(c5, [r2, graphs.path(3), p1, p1, p1])[0],

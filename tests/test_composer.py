@@ -289,7 +289,7 @@ def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
     monkeypatch.setattr(obstructions, "contains_induced",
                         lambda g, pattern: searched.append(g) or
                         real(g, pattern))
-    # cograph inflations of one labelled C5 share the key (C5, 0 * 5):
+    # cograph inflations of one labelled C5 share the key (C5, (0,) * 5):
     # one climb, which finds R_1 = P4 and stops, as R_2 needs 8 vertices
     for _ in range(6):
         mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]

@@ -45,13 +45,9 @@ def test_graph_rejects_every_one_sided_edge():
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(2, 12)
-        rows = list(random_cograph(rng, n).complement().rows
-                    if rng.random() < 0.5 else random_cograph(rng, n).rows)
+        rows = list(random_cograph(rng, n).rows)
         u, v = rng.sample(range(n), 2)
-        if rows[u] >> v & 1:
-            rows[u] ^= 1 << v
-        else:
-            rows[u] |= 1 << v
+        rows[u] ^= 1 << v
         with pytest.raises(ValueError, match="adjacency must be symmetric"):
             Graph(n, tuple(rows))
     # bits out of range are reported before any asymmetry
