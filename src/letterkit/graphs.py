@@ -340,12 +340,10 @@ def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 16) -> bool:
 
 def _bits(mask: int) -> list[int]:
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -385,27 +383,41 @@ def canonical_code(g: Graph) -> int:
     return (g.n << g.n * g.n) | (best or 0)
 
 
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism (one representative each),
-    built by extending the (n-1)-vertex catalogue. Intended for n <= 8."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > 8:
-        raise ScaleError("exhaustive enumeration is capped at 8 vertices")
-    if n == 0:
-        return (empty(0),)
+def _extend(prev: tuple[Graph, ...], n: int) -> tuple[Graph, ...]:
+    """All graphs on n vertices up to isomorphism, from ``prev``, those on
+    n - 1 vertices: each graph of prev gains vertex n - 1 with every
+    neighbourhood in turn, the first candidate of each canonical code is
+    kept, and the representatives are sorted by code."""
     seen: dict[int, Graph] = {}
-    for g in all_graphs(n - 1):
+    for g in prev:
         for nbhd in range(1 << (n - 1)):
             rows = [g.rows[v] | ((nbhd >> v & 1) << (n - 1))
                     for v in range(n - 1)]
             rows.append(nbhd)
             cand = Graph(n, tuple(rows))
-            code = canonical_code(cand)
-            if code not in seen:
-                seen[code] = cand
+            seen.setdefault(canonical_code(cand), cand)
     return tuple(seen[c] for c in sorted(seen))
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> tuple[Graph, ...]:
+    """All graphs on n vertices up to isomorphism, one representative each,
+    sorted by canonical code.
+
+    For n <= 7 the representatives are read from the graph6 table in
+    ``letterkit._catalogue``, loaded on first use. :func:`_extend` alone
+    writes that table (``PYTHONPATH=src python3 -m tests.catalogue``) and
+    the tests check it against a fresh run. n = 8 is built by extending
+    the 7-vertex catalogue (about 40 s); n > 8 raises :class:`ScaleError`.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > 8:
+        raise ScaleError("exhaustive enumeration is capped at 8 vertices")
+    if n == 8:
+        return _extend(all_graphs(7), 8)
+    from ._catalogue import GRAPH6
+    return tuple(from_graph6(code) for code in GRAPH6.splitlines()[n].split())
 
 
 # -- file formats ----------------------------------------------------------

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +29,10 @@ from letterkit import (
     to_dot,
     to_graph6,
 )
-from letterkit.graphs import DOMINATING, ISOLATED, ScaleError, generate
+import letterkit
+from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, canonical_code,
+                              generate)
+from tests import catalogue
 from tests.conftest import random_cograph
 
 
@@ -195,6 +201,51 @@ def test_all_graphs_counts():
 def test_all_graphs_rejects_negative_n():
     with pytest.raises(ValueError, match="n must be >= 0"):
         all_graphs(-1)
+
+
+def test_catalogue_table_matches_extend():
+    # levels()[n] is _extend(levels()[n - 1], n), so equality at every n
+    # is _extend(all_graphs(n - 1), n) == all_graphs(n) for n = 1..7
+    levels = catalogue.levels()
+    assert len(levels) == 8
+    for n, level in enumerate(levels):
+        assert all_graphs(n) == level
+
+
+def test_catalogue_file_is_what_regeneration_writes():
+    with open(catalogue.PATH) as fh:
+        assert fh.read() == catalogue.render()
+
+
+def test_catalogue_matches_networkx_atlas():
+    # independent of _extend: the atlas of Read & Wilson holds every graph
+    # with n <= 7 once up to isomorphism
+    import networkx as nx
+    codes = [canonical_code(g) for n in range(8) for g in all_graphs(n)]
+    assert codes == sorted(set(codes))
+    atlas = [canonical_code(Graph.from_edges(h.number_of_nodes(), h.edges()))
+             for h in nx.graph_atlas_g()]
+    assert sorted(atlas) == codes
+
+
+_CATALOGUE_LOADS = """
+import sys
+import letterkit.cli
+before = "letterkit._catalogue" in sys.modules
+letterkit.all_graphs(7)
+print(before, "letterkit._catalogue" in sys.modules)
+"""
+
+
+def test_catalogue_loads_on_first_use_only():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        letterkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _CATALOGUE_LOADS],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_graph6_roundtrip_small():
