@@ -408,7 +408,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     ``letterkit._catalogue``, loaded on first use. :func:`_extend` alone
     writes that table (``PYTHONPATH=src python3 -m tests.catalogue``) and
     the tests check it against a fresh run. n = 8 is built by extending
-    the 7-vertex catalogue (about 40 s); n > 8 raises :class:`ScaleError`.
+    the 7-vertex catalogue (30-40 s); n > 8 raises :class:`ScaleError`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

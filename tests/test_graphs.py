@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import letterkit
 from letterkit import (
     Graph,
     all_graphs,
@@ -29,7 +30,6 @@ from letterkit import (
     to_dot,
     to_graph6,
 )
-import letterkit
 from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, canonical_code,
                               generate)
 from tests import catalogue
@@ -207,9 +207,8 @@ def test_catalogue_table_matches_extend():
     # levels()[n] is _extend(levels()[n - 1], n), so equality at every n
     # is _extend(all_graphs(n - 1), n) == all_graphs(n) for n = 1..7
     levels = catalogue.levels()
-    assert len(levels) == 8
-    for n, level in enumerate(levels):
-        assert all_graphs(n) == level
+    for n in range(8):
+        assert all_graphs(n) == levels[n]
 
 
 def test_catalogue_file_is_what_regeneration_writes():
