@@ -36,12 +36,19 @@ class Graph:
                 raise ValueError("adjacency bits out of range")
             if row >> v & 1:
                 raise ValueError("self-loops are not allowed")
+        # each neighbour v > u of u must list u; then the bit counts catch
+        # any bit below the diagonal that has no mirror above it
+        walked = 0
         for u, row in enumerate(self.rows):
-            while row:  # each neighbour v of u must list u
+            row = row >> u + 1 << u + 1
+            while row:
                 low = row & -row
                 row ^= low
+                walked += 1
                 if not self.rows[low.bit_length() - 1] >> u & 1:
                     raise ValueError("adjacency must be symmetric")
+        if 2 * walked != sum(row.bit_count() for row in self.rows):
+            raise ValueError("adjacency must be symmetric")
 
     # -- basic queries ---------------------------------------------------
 

@@ -61,6 +61,21 @@ def test_graph_rejects_every_one_sided_edge():
         Graph(3, (0b010, 0, 0b1000))
 
 
+@pytest.mark.parametrize("flips", [
+    [(2, 1)], [(4, 0)],  # an edge's mirror bit below the diagonal is missing
+    [(1, 2)], [(0, 4)],  # an edge's bit above the diagonal is missing
+    [(2, 0)], [(3, 1)],  # an extra bit below the diagonal, with no mirror
+    [(0, 2)], [(1, 3)],  # an extra bit above the diagonal, with no mirror
+    [(0, 2), (3, 1)],  # one extra bit on each side: the bit counts agree
+])
+def test_graph_rejects_a_missing_or_extra_mirror_bit(flips):
+    rows = list(cycle(5).rows)
+    for row, bit in flips:
+        rows[row] ^= 1 << bit
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
+        Graph(5, tuple(rows))
+
+
 def test_basic_families():
     assert path(4).edges() == [(0, 1), (1, 2), (2, 3)]
     assert cycle(4).edge_count() == 4

@@ -20,11 +20,13 @@ from letterkit import (
     quotient,
     reconstruct,
 )
+from letterkit import modular
 from letterkit.graphs import empty
 from letterkit.modular import (
     BULL_NOSE,
     P4_END,
     P4_MID,
+    _module_closure,
     decomposition_tree,
     verify_role,
 )
@@ -69,6 +71,60 @@ def test_is_module_matches_definition(n, rnd):
     assert is_module(g, members) == want
 
 
+def _modules(g):
+    """Oracle: every non-empty vertex set that is a module, as bitmasks,
+    found by scanning all subsets with is_module."""
+    return [mask for mask in range(1, 1 << g.n)
+            if is_module(g, [v for v in range(g.n) if mask >> v & 1])]
+
+
+def _small_graphs(rng):
+    """Random graphs and twin-rich inflations with 2 <= n <= 8."""
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        yield random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+    for _ in range(40):
+        base = random_graph(rng, rng.randint(2, 4), rng.random())
+        sizes = [1] * base.n
+        for _ in range(rng.randint(1, 8 - base.n)):
+            sizes[rng.randrange(base.n)] += 1
+        yield inflate(base, [random_graph(rng, s, rng.random())
+                             for s in sizes])[0]
+
+
+def test_module_closure_is_the_smallest_module(rng):
+    for g in _small_graphs(rng):
+        modules = _modules(g)
+        seeds = [1 << u | 1 << v for u in range(g.n)
+                 for v in range(u + 1, g.n)]
+        seeds += [rng.randrange(1, 1 << g.n) for _ in range(10)]
+        for seed in seeds:
+            closure = _module_closure(g, seed)
+            # a module that holds the seed and lies in every such module
+            assert closure in modules and closure & seed == seed
+            assert all(closure & m == closure
+                       for m in modules if m & seed == seed)
+
+
+def test_quotient_parts_are_the_maximal_proper_modules(rng):
+    graphs = [g for n in range(4, 8) for g in all_graphs(n)]
+    graphs += list(_small_graphs(rng))
+    checked = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        if modular._reach(g) != full or \
+                modular._reach(g.complement()) != full:
+            continue  # a (co-)component split, not maximal modules
+        proper = [m for m in _modules(g) if m != full]
+        maximal = sorted(m for m in proper
+                         if not any(m & o == m != o for o in proper))
+        want = [tuple(v for v in range(g.n) if m >> v & 1)
+                for m in maximal]
+        assert list(quotient(g).modules) == sorted(want)
+        checked += 1
+    assert checked > 500
+
+
 def test_module_of_inflated_block():
     g, blocks = inflate(path(4), [matching(1), path(1), path(1), path(1)])
     assert is_module(g, blocks[0])
@@ -110,6 +166,37 @@ def test_quotient_of_nose_inflation():
     dec = quotient(g)
     assert is_isomorphic(dec.quotient, bull())
     assert tuple(blocks[4]) in dec.modules
+
+
+def _one_round_closure(g, seed_mask):
+    """A wrong closure: one round of splitters, not a worklist."""
+    r = (seed_mask & -seed_mask).bit_length() - 1
+    mask = seed_mask
+    for y in range(g.n):
+        if seed_mask >> y & 1:
+            mask |= g.rows[r] ^ g.rows[y]
+    return mask
+
+
+def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
+    # connected and co-connected, with the proper module {0, 1}
+    g = inflate(path(4), [complete(2)] + [path(1)] * 3)[0]
+    real = modular._module_closure
+    # too small: every pair closure is proper, so all of V is one part
+    monkeypatch.setattr(modular, "_module_closure", lambda h, seed: seed)
+    with pytest.raises(AssertionError, match="one vertex or not prime"):
+        quotient(g)
+    # too small on some pairs: a part that is not a module
+    monkeypatch.setattr(modular, "_module_closure", _one_round_closure)
+    with pytest.raises(AssertionError, match="part is not a module"):
+        quotient(g)
+    # too large on g: singleton parts, and H = g is not prime. is_prime
+    # runs the same closure, so this guard checks the partition, not a
+    # closure that is too large on every graph.
+    monkeypatch.setattr(modular, "_module_closure", lambda h, seed:
+                        (1 << h.n) - 1 if h is g else real(h, seed))
+    with pytest.raises(AssertionError, match="one vertex or not prime"):
+        quotient(g)
 
 
 def test_quotient_rejects_single_vertex():

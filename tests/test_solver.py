@@ -393,12 +393,13 @@ def _uniform_classes(g: Graph, rnd, count: int):
 
 
 def _both_searches(g: Graph, k: int, matrix, classes):
+    """Both searches' words and node counts, under the enclosing deadline."""
     class_of, class_kind = _class_arrays(g, classes)
     new, ref = Run(), [0]
     return [(_search_word(g, k, matrix, class_of, class_kind, new),
              new.nodes),
             (_reference_search_word(g, k, matrix, class_of, class_kind,
-                                    ref, None), ref[0])]
+                                    ref, new.deadline), ref[0])]
 
 
 @settings(max_examples=400, deadline=None)
@@ -409,7 +410,12 @@ def test_search_word_matches_reference(n, k, n_classes, rnd):
     matrix = tuple(rnd.getrandbits(k) for _ in range(k))
     classes = _uniform_classes(g, rnd, n_classes)
     LetterClassConstraint(tuple(classes))  # the classes are valid
-    new, ref = _both_searches(g, k, matrix, classes)
+    try:
+        # a draw can take minutes at n = 9, k = 4 in either search
+        with Run(2):
+            new, ref = _both_searches(g, k, matrix, classes)
+    except BudgetExceeded:
+        reject()
     assert new == ref
 
 
