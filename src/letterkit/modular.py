@@ -2,11 +2,11 @@
 P4/bull classification of vertices in prime graphs.
 
 Module finding works by minimal-module closures. A closure costs one XOR
-of two rows per member it ends with, and ``quotient`` makes at most one
-closure per (part pivot, unplaced vertex) pair, so at most n^2/2 and
-usually far fewer. That is entirely adequate at this package's scale
-(n <= 64 or so); the famously intricate linear-time algorithms are
-deliberately out of scope.
+of two rows per member it ends with. ``quotient`` makes at most one
+closure per (part pivot, unplaced vertex) pair, at most n^2/2 and usually
+far fewer, plus the pair closures of its primality check on the quotient.
+That is entirely adequate at this package's scale (n <= 64 or so); the
+famously intricate linear-time algorithms are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _module_closure(g: Graph, seed_mask: int) -> int:
     worklist over new members, and the set it stops at is a module: no
     vertex outside it tells any member apart from r."""
     rows = g.rows
-    base = rows[(seed_mask & -seed_mask).bit_length() - 1]  # r: the least
+    base = rows[(seed_mask & -seed_mask).bit_length() - 1]  # rows[r]
     mask = todo = seed_mask  # r's own XOR is 0
     while todo:
         low = todo & -todo

@@ -411,7 +411,7 @@ def test_search_word_matches_reference(n, k, n_classes, rnd):
     classes = _uniform_classes(g, rnd, n_classes)
     LetterClassConstraint(tuple(classes))  # the classes are valid
     try:
-        # a draw can take minutes at n = 9, k = 4 in either search
+        # some draws up to n = 9, k = 4 search for minutes
         with Run(2):
             new, ref = _both_searches(g, k, matrix, classes)
     except BudgetExceeded:
