@@ -18,6 +18,14 @@ letterings, and a rewrite of the composer is held to its certificates:
 Regenerate the file only on purpose, from the repository root:
 
     PYTHONPATH=src python3 -m tests.golden_solver
+
+or rewrite one section only, say after a change meant to move the
+counters alone:
+
+    PYTHONPATH=src python3 -m tests.golden_solver counters
+
+which writes nothing, and exits non-zero, if any other section would
+change.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 
 from letterkit import composer, graphs, solver
 from letterkit.letters import lettering_to_json
@@ -106,6 +115,28 @@ def dump(data: dict) -> str:
     return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
+def merge(old: dict, fresh: dict, section: str | None = None) -> dict:
+    """What to write: ``fresh``, once every section but ``section`` (all,
+    if None) is equal in ``old`` and ``fresh``. Raises ValueError naming
+    the sections that would change otherwise."""
+    if section is None:
+        return fresh
+    if section not in fresh:
+        raise ValueError(f"no section {section!r}; the sections are "
+                         f"{', '.join(sorted(fresh))}")
+    moved = sorted(name for name in fresh.keys() | old.keys()
+                   if name != section and fresh.get(name) != old.get(name))
+    if moved:
+        raise ValueError(f"section {', '.join(moved)} would change too")
+    return fresh
+
+
 if __name__ == "__main__":
+    section = sys.argv[1] if len(sys.argv) > 1 else None
+    fresh = {**build(), "compositions": compositions()}
+    try:
+        data = merge(load() if section else {}, fresh, section)
+    except ValueError as err:
+        sys.exit(f"{err}; nothing written")
     with open(PATH, "w") as fh:
-        fh.write(dump({**build(), "compositions": compositions()}))
+        fh.write(dump(data))

@@ -268,6 +268,19 @@ def test_golden_solver_outputs():
     assert got["counters"] == want["counters"]
 
 
+def test_golden_section_rewrite_leaves_other_sections_alone():
+    from tests.golden_solver import merge
+    old = {"counters": {"g": [1]}, "letterings": {"g": "a"}}
+    fresh = {"counters": {"g": [2]}, "letterings": {"g": "a"}}
+    assert merge(old, fresh, "counters") == fresh
+    assert merge({}, fresh) == fresh
+    moved = {**fresh, "letterings": {"g": "b"}}
+    with pytest.raises(ValueError, match="section letterings would change"):
+        merge(old, moved, "counters")
+    with pytest.raises(ValueError, match="no section 'words'"):
+        merge(old, fresh, "words")
+
+
 # -- _search_word against the per-vertex search it replaced ----------------
 
 def _reference_search_word(g: Graph, k: int, matrix: tuple[int, ...],
