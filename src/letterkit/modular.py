@@ -11,7 +11,6 @@ famously intricate linear-time algorithms are deliberately out of scope.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -157,6 +156,7 @@ def reconstruct(decomposition: QuotientDecomposition) -> tuple[Graph, list[int]]
 P4_END = "P4End"
 P4_MID = "P4Mid"
 BULL_NOSE = "BullNose"
+_P4, _BULL = path(4), bull()  # the patterns verify_role checks against
 
 
 @dataclass(frozen=True)
@@ -179,26 +179,23 @@ def classify_vertex(h: Graph, v: int) -> VertexRole:
         raise ValueError("classification needs at least 4 vertices")
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} is not in 0..{h.n - 1}")
-    others = [u for u in range(h.n) if u != v]
-
-    def induced_path4(p):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if h.adjacent(p[i], p[j]) != (j == i + 1):
-                    return False
-        return True
-
-    for a, b, c in itertools.permutations(others, 3):
-        if induced_path4((v, a, b, c)):
-            return VertexRole(P4_END, (v, a, b, c))
-    for a, b, c in itertools.permutations(others, 3):
-        if induced_path4((a, v, b, c)):
-            return VertexRole(P4_MID, (a, v, b, c))
-    for a, b, c, d in itertools.permutations(others, 4):
-        if induced_path4((a, b, c, d)) and \
-                h.adjacent(v, b) and h.adjacent(v, c) and \
-                not h.adjacent(v, a) and not h.adjacent(v, d):
-            return VertexRole(BULL_NOSE, (a, b, c, d, v))
+    # each position walks its candidate mask lowest bit first, so the
+    # first witness is the one an ascending scan over id tuples finds
+    rows, bit = h.rows, 1 << v
+    near, far = rows[v], ((1 << h.n) - 1) & ~rows[v] & ~bit  # N(v), V \ N[v]
+    for a in _bits(near):  # P4 end: v a b c
+        for b in _bits(rows[a] & far):
+            for c in _bits(rows[b] & far & ~rows[a]):
+                return VertexRole(P4_END, (v, a, b, c))
+    for a in _bits(near):  # P4 midpoint: a v b c
+        for b in _bits(near & ~rows[a] & ~(1 << a)):
+            for c in _bits(rows[b] & far & ~rows[a]):
+                return VertexRole(P4_MID, (a, v, b, c))
+    for a in _bits(far):  # bull: path a b c d, nose v on b and c
+        for b in _bits(rows[a] & near):
+            for c in _bits(rows[b] & near & ~rows[a]):
+                for d in _bits(rows[c] & far & ~rows[a] & ~rows[b]):
+                    return VertexRole(BULL_NOSE, (a, b, c, d, v))
     if not is_prime(h):  # checked only here, so prime inputs pay nothing
         raise ValueError("classification needs a prime graph")
     raise AssertionError(
@@ -211,17 +208,15 @@ def verify_role(h: Graph, v: int, role: VertexRole) -> bool:
     if len(set(w)) != len(w) or v not in w:
         return False
     if role.role in (P4_END, P4_MID):
-        expect = path(4)
         pos = 0 if role.role == P4_END else 1
         if w[pos] != v:
             return False
-        return all(h.adjacent(w[i], w[j]) == expect.adjacent(i, j)
+        return all(h.adjacent(w[i], w[j]) == _P4.adjacent(i, j)
                    for i in range(4) for j in range(i + 1, 4))
     if role.role == BULL_NOSE:
         if w[4] != v:
             return False
-        expect = bull()
-        return all(h.adjacent(w[i], w[j]) == expect.adjacent(i, j)
+        return all(h.adjacent(w[i], w[j]) == _BULL.adjacent(i, j)
                    for i in range(5) for j in range(i + 1, 5))
     return False
 

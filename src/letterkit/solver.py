@@ -3,16 +3,23 @@
 A search over letter classes (at most k cliques or co-cliques, one decoder
 orientation per mixed class pair, no forced cycle; Petkovsek 2002) decides
 k-letterability and, given a prefix of decoder entries, grows the least
-fitting decoder in row-major code order entry by entry. A word search over
-one candidate vertex bitmask per letter then finds its least word.
+fitting decoder in row-major code order entry by entry. Fitting decoders
+are closed under renaming letters, so the descent starts from the least
+renaming of the decision's witness and moves to the least renaming of each
+hit. A question's fixed pair of equal entries between letters a and b
+restricts b's candidates as soon as a has a member, even while b is
+still empty. A word search over one candidate vertex bitmask per letter
+then finds the least decoder's least word.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -127,8 +134,10 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     of ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a before
     w in b if uw is an edge and after it if not, (0, 1) the reverse; equal
     ones fix the adjacency. Entries are set once both letters have members;
-    a vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch.
-    Each placement tried counts one ``run`` node."""
+    a fixed pair of equal entries x between a and b binds b's candidates to
+    the x side of each member of a even while b is empty. A vertex in no
+    ``cand`` mask or a cycle in ``succ`` cuts the branch. Each placement
+    tried counts one ``run`` node."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     deadline = run.deadline
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
@@ -137,6 +146,10 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
            range(max(class_of, default=-1) + 1)]
     members = [(0, full, full)] * k  # members, adjacent to none, to all
+    tied = [[(b, prefix >> a * k + b & 1) for b in range(k)
+             if b != a and known >> a * k + b & known >> b * k + a & 1
+             and prefix >> a * k + b & 1 == prefix >> b * k + a & 1]
+            for a in range(k)]  # fixed equal entries (a, b) = (b, a) = x
 
     def place(code: int, placed: int, near: int, cand: list[int],
               succ: list[int]):
@@ -182,6 +195,9 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                     else:
                         nxt[b] &= sides[x]
                         nxt[a] &= members[b][1 + x]
+                for b, x in tied[a]:  # fixed entries bind an empty b too
+                    if not members[b][0]:
+                        nxt[b] &= sides[x]
                 if own or a * k + a < fixed:
                     nxt[a] &= members[a][1 + (now >> a * k + a & 1)]
                 for b in range(k) if c >= 0 else ():  # one letter per class
@@ -200,6 +216,34 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
         return None
 
     return place(prefix & known, 0, 0, [full] * k, [0] * n)
+
+
+@functools.lru_cache(maxsize=None)
+def _renamings(k: int) -> tuple[operator.itemgetter, ...]:
+    """One getter per letter permutation s. From the bits of a code, bit 0
+    first, it reads those of the code renamed by s in the same order: the
+    renamed entry (a, b) is the old entry (s[a], s[b])."""
+    return tuple(operator.itemgetter(*(s[a] * k + s[b] for a in range(k)
+                                       for b in range(k)))
+                 for s in itertools.permutations(range(k)))
+
+
+def _least_renaming(code: int, k: int) -> int:
+    """The least code, in the descent's order (bit 0 decides first), among
+    the k! renamings of the letters of decoder ``code``.
+
+    Renaming the letters of a lettering keeps it a lettering and keeps each
+    constraint class on one letter of its own, so the fitting decoders are
+    closed under renaming. Let D* be the least of them, and let the
+    descent's current code agree with D* below bit e when the question at
+    e returns a hit h. Then D* <= least renaming(h) <= h, and D* and h
+    agree on bits 0..e, so the least renaming agrees with both there: the
+    descent may go on from it and still ends at D*."""
+    if k == 1:
+        return code
+    bits = tuple(code >> i & 1 for i in range(k * k))
+    least = min(get(bits) for get in _renamings(k))
+    return sum(bit << i for i, bit in enumerate(least))
 
 
 # -- word search -------------------------------------------------------------
@@ -338,11 +382,14 @@ def is_k_letterable(g: Graph, k: int,
     if code is None:
         return SolveReport("exhausted", None, tried, run.nodes,
                            time.monotonic() - start)
-    for e in range(k * k):  # least fitting decoder: ask only the witness's 1s
+    # least fitting decoder: from the witness's least renaming, ask only
+    # about its 1s, and move to the least renaming of each hit
+    code = _least_renaming(code, k)
+    for e in range(k * k):
         if code >> e & 1:
             tried, hit = tried + 1, _fits(g, k, code ^ 1 << e, e + 1,
                                           class_of, run)
-            code = code if hit is None else hit
+            code = code if hit is None else _least_renaming(hit, k)
     matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
     word, placed = _search_word(g, k, matrix, class_of, class_kind,
                                 run) or ((), ())  # none: fails verify

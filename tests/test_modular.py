@@ -26,6 +26,7 @@ from letterkit.modular import (
     BULL_NOSE,
     P4_END,
     P4_MID,
+    VertexRole,
     _module_closure,
     decomposition_tree,
     verify_role,
@@ -261,8 +262,44 @@ def test_classification_on_all_small_primes():
                 assert verify_role(g, v, role)
 
 
+def _reference_classify_vertex(h, v):
+    """The permutation scan classify_vertex ran before its mask walk: the
+    first id tuple, in ascending order, that witnesses each role in turn;
+    None where no role has one."""
+    others = [u for u in range(h.n) if u != v]
+
+    def induced_path4(p):
+        return all(h.adjacent(p[i], p[j]) == (j == i + 1)
+                   for i in range(4) for j in range(i + 1, 4))
+
+    for a, b, c in itertools.permutations(others, 3):
+        if induced_path4((v, a, b, c)):
+            return VertexRole(P4_END, (v, a, b, c))
+    for a, b, c in itertools.permutations(others, 3):
+        if induced_path4((a, v, b, c)):
+            return VertexRole(P4_MID, (a, v, b, c))
+    for a, b, c, d in itertools.permutations(others, 4):
+        if induced_path4((a, b, c, d)) and \
+                h.adjacent(v, b) and h.adjacent(v, c) and \
+                not h.adjacent(v, a) and not h.adjacent(v, d):
+            return VertexRole(BULL_NOSE, (a, b, c, d, v))
+    return None
+
+
+def test_classify_vertex_matches_permutation_scan():
+    # every graph with 4 <= n <= 7, prime or not, and every vertex
+    for n in range(4, 8):
+        for g in all_graphs(n):
+            for v in range(n):
+                want = _reference_classify_vertex(g, v)
+                if want is None:
+                    with pytest.raises(ValueError, match="prime graph"):
+                        classify_vertex(g, v)
+                else:
+                    assert classify_vertex(g, v) == want
+
+
 def test_verify_role_rejects_bogus_witness():
-    from letterkit.modular import VertexRole
     assert not verify_role(path(4), 0, VertexRole(P4_END, (1, 0, 2, 3)))
     assert not verify_role(bull(), 4, VertexRole(BULL_NOSE, (0, 1, 2, 3, 0)))
 

@@ -17,10 +17,12 @@ from letterkit import (
     Run,
     all_graphs,
     bull,
+    co_matching,
     complete,
     contains_induced,
     cycle,
     decode,
+    inflate,
     is_k_letterable,
     lettericity,
     matching,
@@ -32,7 +34,7 @@ from letterkit import solver
 from letterkit.graphs import Graph, ScaleError
 from letterkit.letters import Decoder, Lettering, symbol
 from letterkit.solver import _search_word
-from tests.conftest import random_graph
+from tests.conftest import random_cograph, random_graph
 
 
 def test_matching_lettericities():
@@ -523,12 +525,7 @@ def _decoder_walk(g: Graph, k: int, classes=(), matrices=None):
     return None, tried
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 4),
-       st.randoms(use_true_random=False))
-def test_letter_class_search_matches_decoder_walk(n, k, n_classes, rnd):
-    g = random_graph(rnd, n, rnd.random())
-    classes = _uniform_classes(g, rnd, n_classes)
+def _matches_decoder_walk(g: Graph, k: int, classes) -> None:
     report = is_k_letterable(g, k, LetterClassConstraint(tuple(classes)))
     try:
         # with classes the walk's word search can take a minute at n = 9
@@ -538,6 +535,41 @@ def test_letter_class_search_matches_decoder_walk(n, k, n_classes, rnd):
         reject()
     assert report.outcome == ("exhausted" if want is None else "found")
     assert report.lettering == want
+
+
+def _twin_rich_graph(rnd) -> Graph:
+    """A relabelled inflation of P4, the bull or C5 with small cograph
+    modules, or a relabelled matching or co-matching; n <= 8."""
+    kind = rnd.randrange(5)
+    if kind < 3:
+        h = (path(4), bull(), cycle(5))[kind]
+        sizes = [1] * h.n
+        for _ in range(rnd.randint(0, 8 - h.n)):
+            sizes[rnd.randrange(h.n)] += 1
+        g = inflate(h, [random_cograph(rnd, size) for size in sizes])[0]
+    else:
+        g = (matching, co_matching)[kind - 3](rnd.randint(1, 4))
+    label = list(range(g.n))
+    rnd.shuffle(label)
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 4),
+       st.randoms(use_true_random=False))
+def test_letter_class_search_matches_decoder_walk(n, k, n_classes, rnd):
+    g = random_graph(rnd, n, rnd.random())
+    _matches_decoder_walk(g, k, _uniform_classes(g, rnd, n_classes))
+
+
+@settings(max_examples=50, deadline=None)  # an exhausted walk takes ~1 s
+@given(st.integers(1, 4), st.integers(0, 4),
+       st.randoms(use_true_random=False))
+def test_letter_class_search_matches_decoder_walk_on_twin_rich_graphs(
+        k, n_classes, rnd):
+    # many equal rows, where fixed entries bind letters still empty
+    g = _twin_rich_graph(rnd)
+    _matches_decoder_walk(g, k, _uniform_classes(g, rnd, n_classes))
 
 
 # -- decoder generation against the brute-force table it replaced ----------
@@ -598,6 +630,24 @@ def _least_in_orbit(matrix: tuple[int, ...], k: int) -> bool:
                                       for j in range(k)) for i in range(k)),
                             k) >= code
                for s in itertools.permutations(range(k)))
+
+
+@pytest.mark.parametrize("k, codes", [
+    (1, range(1 << 1)), (2, range(1 << 4)), (3, range(1 << 9)),
+    (4, range(0, 1 << 16, 97)), (5, range(0, 1 << 25, 99991))],
+    ids=["k1", "k2", "k3", "k4-sample", "k5-sample"])
+def test_least_renaming_is_least_in_orbit(k, codes):
+    # the solver's bit a*k + b is entry (a, b) and bit 0 decides first,
+    # the order _least_in_orbit compares in
+    def matrix(code):
+        return tuple(code >> a * k & (1 << k) - 1 for a in range(k))
+
+    for code in codes:
+        least, start = matrix(solver._least_renaming(code, k)), matrix(code)
+        assert least in {tuple(sum((start[s[i]] >> s[j] & 1) << j
+                                   for j in range(k)) for i in range(k))
+                         for s in itertools.permutations(range(k))}
+        assert _least_in_orbit(least, k)
 
 
 def test_generator_matches_brute_force_table():
