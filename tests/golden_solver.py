@@ -116,9 +116,9 @@ def dump(data: dict) -> str:
 
 
 def merge(old: dict, fresh: dict, section: str | None = None) -> dict:
-    """What to write: ``fresh``, once every section but ``section`` (all,
-    if None) is equal in ``old`` and ``fresh``. Raises ValueError naming
-    the sections that would change otherwise."""
+    """The data to write, ``fresh``. With a ``section`` named, every other
+    section must be equal in ``old`` and ``fresh``: ValueError names those
+    that differ."""
     if section is None:
         return fresh
     if section not in fresh:
