@@ -135,9 +135,17 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     w in b if uw is an edge and after it if not, (0, 1) the reverse; equal
     ones fix the adjacency. Entries are set once both letters have members;
     a fixed pair of equal entries x between a and b binds b's candidates to
-    the x side of each member of a even while b is empty. A vertex in no
-    ``cand`` mask or a cycle in ``succ`` cuts the branch. Each placement
-    tried counts one ``run`` node."""
+    the x side of each member of a even while b is empty. Once a pair of
+    equal entries x between a and b is set, each member of b has cut
+    ``cand[a]`` to its x side, when it came or when a opened. So a vertex
+    that joins a letter with members has exactly one choice of entries and
+    no side to check; only opening an empty letter chooses entries. A
+    vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch.
+    ``succ[u]``, the placed vertices forced after u, stays transitively
+    closed: a placed v gets its closed ``after``, and each vertex that
+    precedes ``before`` gains ``after`` and v. So the closure of ``after``
+    is ``after`` and ``succ[u]`` for each u in it. Each placement tried
+    counts one ``run`` node."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     deadline = run.deadline
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
@@ -145,11 +153,34 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
               for a in range(k)]
     cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
            range(max(class_of, default=-1) + 1)]
+    apart = [(~(sum(cls) ^ m), ~m) for m in cls]  # on v's letter, on others
+    non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
+    single = [1 << v for v in range(n)]
+    letters = [(a, a * k, a * k + a) for a in range(k)]
     members = [(0, full, full)] * k  # members, adjacent to none, to all
     tied = [[(b, prefix >> a * k + b & 1) for b in range(k)
              if b != a and known >> a * k + b & known >> b * k + a & 1
              and prefix >> a * k + b & 1 == prefix >> b * k + a & 1]
             for a in range(k)]  # fixed equal entries (a, b) = (b, a) = x
+
+    def opening(a, here, base, sides):  # a vertex opens the empty letter a
+        for choice in itertools.product(*(  # entries (a, b) and (b, a)
+                [(b, x, y) for y in ((here >> b * k + a & 1,)
+                                     if known >> b * k + a & 1 else (0, 1))
+                 for x in ((here >> a * k + b & 1,)
+                           if known >> a * k + b & 1 else (0, 1))
+                 if x != y or members[b][0] & sides[x] == members[b][0]]
+                for b in range(k) if b != a and members[b][0])):
+            nxt, now, after, before = base[:], here, 0, 0
+            for b, x, y in choice:
+                now |= x << a * k + b | y << b * k + a
+                if x != y:
+                    after |= members[b][0] & sides[x]
+                    before |= members[b][0] & sides[y]
+                else:
+                    nxt[b] &= sides[x]
+                    nxt[a] &= members[b][1 + x]
+            yield now, nxt, after, before
 
     def place(code: int, placed: int, near: int, cand: list[int],
               succ: list[int]):
@@ -165,51 +196,56 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
             return None
         v = (one & ~two & left) or (two & ~three & left) or left
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
-        c, bit = class_of[v], 1 << v
-        sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
+        c, bit, row = class_of[v], 1 << v, rows[v]
+        sides, opened = (non[v], row), []
         first = members[0][0]  # (0, 0) leads the code: try clique a last
-        for a in (*range(1, k), 0) if not fixed and rows[v] & first and \
-                0 < first == first & -first else range(k):
+        for a, ak, aa in letters[1:] + letters[:1] if not fixed and \
+                row & first and 0 < first == first & -first else letters:
             own, none, every = members[a]
-            if not cand[a] >> v & 1 or not own and a * k >= fixed and (
-                    column[a] in opened or opened.add(column[a])):
+            if not cand[a] & bit or not own and ak >= fixed and (
+                    column[a] in opened or opened.append(column[a])):
                 continue  # v can't join a, or a is a twin of a letter tried
-            here = code | bool(0 < own == own & -own and a * k + a >= fixed
-                               and rows[v] & own) << a * k + a
-            choices = itertools.product(*(  # entries (a, b) and (b, a)
-                [(b, x, y) for y in ((here >> b * k + a & 1,) if own or
-                                     known >> b * k + a & 1 else (0, 1))
-                 for x in ((here >> a * k + b & 1,) if own or
-                           known >> a * k + b & 1 else (0, 1))
-                 if x != y or members[b][0] & sides[x] == members[b][0]]
-                for b in range(k) if b != a and members[b][0]))
+            here = code
+            if own and not own & own - 1 and row & own and aa >= fixed:
+                here |= 1 << aa  # the second member sets entry (a, a)
             members[a] = own | bit, none & sides[0], every & sides[1]
-            for choice in choices:
-                run.nodes += 1
-                nxt, now, after, before = cand[:], here, 0, 0
-                for b, x, y in choice:
-                    now |= x << a * k + b | y << b * k + a
-                    if x != y:
-                        after |= members[b][0] & sides[x]
-                        before |= members[b][0] & sides[y]
+            nxt = cand[:]
+            for b, x in tied[a]:  # fixed entries bind an empty b too
+                if not members[b][0]:
+                    nxt[b] &= sides[x]
+            if own or aa < fixed:
+                nxt[a] &= members[a][1 + (here >> aa & 1)]
+            if c >= 0:  # one letter per class
+                nxt = [m & apart[c][b != a] for b, m in enumerate(nxt)]
+            if own:  # a join: each entry to a letter with members is set
+                after, before, out, into = 0, 0, here >> ak, here >> a
+                for b, m in enumerate(members):
+                    if b == a or not m[0]:
+                        continue
+                    x = out >> b & 1
+                    if x != into >> b * k & 1:
+                        after |= m[0] & sides[x]
+                        before |= m[0] & sides[1 - x]
                     else:
                         nxt[b] &= sides[x]
-                        nxt[a] &= members[b][1 + x]
-                for b, x in tied[a]:  # fixed entries bind an empty b too
-                    if not members[b][0]:
-                        nxt[b] &= sides[x]
-                if own or a * k + a < fixed:
-                    nxt[a] &= members[a][1 + (now >> a * k + a & 1)]
-                for b in range(k) if c >= 0 else ():  # one letter per class
-                    nxt[b] &= ~(sum(cls) ^ cls[c]) if b == a else ~cls[c]
-                for u in range(n) if after else ():
-                    after |= succ[u] if after >> u & 1 else 0
+                choices = (here, nxt, after, before),
+            else:
+                choices = opening(a, here, nxt, sides)
+            for now, nxt, after, before in choices:
+                run.nodes += 1
+                rest = after  # close after: add succ[u] for each u in it
+                while rest:
+                    low = rest & -rest
+                    after |= succ[low.bit_length() - 1]
+                    rest ^= low
                 if after & before:
                     continue  # the forced order has a cycle
-                hit = place(now, placed | bit, near | rows[v], nxt, [
-                    after if u == v else s | after | bit if s & before or
-                    before >> u & 1 else s for u, s in enumerate(succ)]
-                    if after | before else succ)
+                nsucc = succ
+                if after | before:  # what precedes before precedes v
+                    nsucc = [s | after | bit if (s | u) & before else s
+                             for s, u in zip(succ, single)]
+                    nsucc[v] = after
+                hit = place(now, placed | bit, near | row, nxt, nsucc)
                 if hit is not None:
                     return hit
             members[a] = own, none, every

@@ -1,0 +1,97 @@
+"""Timings of the exact solver's long queries.
+
+Prints one JSON line per query: its outcome, the elapsed seconds, the
+decoders tried (letter-class searches), the nodes expanded and the
+microseconds per node. The queries are:
+
+- ``r3-k4`` and ``r3-k5``: the stacked path R3 (12 vertices) at k = 4
+  and k = 5, both exhausted;
+- ``r3-k6``: R3 at k = 6, one past the scale guard through ``max_k=6``;
+  the line also gives the word found;
+- ``6k2-k5``: the matching 6K2 at k = 5, exhausted;
+- ``lettericity-n7``: ``lettericity`` of every graph with n = 7, in
+  catalogue order. Its counters add up the ``is_k_letterable`` calls of
+  every climb, and ``sha256`` hashes ``to_graph6(g) + str(k) +
+  lettering_to_json(lettering)`` for each graph in turn, so two versions
+  of the solver can be shown to give the same answers.
+
+Run from the repository root, naming the queries to run (all by default):
+
+    PYTHONPATH=src python3 -m tests.solver_timing [name ...]
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import time
+from unittest import mock
+
+from letterkit import graphs, solver
+from letterkit.letters import lettering_to_json
+
+
+def _single(g: graphs.Graph, k: int, **kwargs):
+    def query():
+        report = solver.is_k_letterable(g, k, **kwargs)
+        extra = {} if report.lettering is None else \
+            {"word": report.lettering.word_string()}
+        return report.outcome, [report], extra
+    return query
+
+
+def _lettericity_sweep():
+    catalogue = graphs.all_graphs(7)  # read before the clock starts
+    real = solver.is_k_letterable
+
+    def query():
+        reports, digest = [], hashlib.sha256()
+
+        def record(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        with mock.patch.object(solver, "is_k_letterable", record):
+            for g in catalogue:
+                k, lett = solver.lettericity(g)
+                digest.update((graphs.to_graph6(g) + str(k)
+                               + lettering_to_json(lett)).encode())
+        return "found", reports, {"sha256": digest.hexdigest()}
+    return query
+
+
+QUERIES = {
+    "r3-k4": lambda: _single(graphs.stacked_path(3)[0], 4),
+    "r3-k5": lambda: _single(graphs.stacked_path(3)[0], 5),
+    "r3-k6": lambda: _single(graphs.stacked_path(3)[0], 6, max_k=6),
+    "6k2-k5": lambda: _single(graphs.matching(6), 5),
+    "lettericity-n7": _lettericity_sweep,
+}
+
+
+def measure(name: str) -> dict:
+    """Run query ``name`` once and return its line as a dict."""
+    query = QUERIES[name]()
+    start = time.perf_counter()
+    outcome, reports, extra = query()
+    elapsed = time.perf_counter() - start
+    nodes = sum(r.nodes_expanded for r in reports)
+    return {"name": name, "outcome": outcome, "elapsed": round(elapsed, 3),
+            "decoders": sum(r.decoders_tried for r in reports),
+            "nodes": nodes,
+            "us_per_node": round(elapsed / nodes * 1e6, 3) if nodes else None,
+            **extra}
+
+
+def main(names: list[str]) -> None:
+    unknown = [name for name in names if name not in QUERIES]
+    if unknown:
+        sys.exit(f"unknown query {', '.join(unknown)}; the queries are "
+                 f"{', '.join(QUERIES)}")
+    for name in names or QUERIES:
+        print(json.dumps(measure(name)), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -270,6 +270,21 @@ def test_golden_solver_outputs():
     assert got["counters"] == want["counters"]
 
 
+def test_solver_timing_script_reports_a_query(capsys):
+    from tests import solver_timing
+    solver_timing.main(["r3-k4"])
+    line = json.loads(capsys.readouterr().out)
+    assert set(line) == {"name", "outcome", "elapsed", "decoders", "nodes",
+                         "us_per_node"}
+    assert (line["name"], line["outcome"], line["decoders"]) == \
+        ("r3-k4", "exhausted", 1)
+    assert line["nodes"] > 0 and line["elapsed"] > 0
+    assert line["us_per_node"] == pytest.approx(
+        line["elapsed"] / line["nodes"] * 1e6, rel=0.05)
+    with pytest.raises(SystemExit, match="unknown query r3"):
+        solver_timing.main(["r3"])
+
+
 def test_golden_section_rewrite_leaves_other_sections_alone():
     from tests.golden_solver import merge
     old = {"counters": {"g": [1]}, "letterings": {"g": "a"}}
@@ -570,6 +585,119 @@ def test_letter_class_search_matches_decoder_walk_on_twin_rich_graphs(
     # many equal rows, where fixed entries bind letters still empty
     g = _twin_rich_graph(rnd)
     _matches_decoder_walk(g, k, _uniform_classes(g, rnd, n_classes))
+
+
+# -- _fits against the letter-class search it replaced ------------------------
+
+def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
+                    class_of: list[int], run: Run) -> int | None:
+    """A decoder code (bit a*k + b is entry (a, b), unset entries 0) that
+    agrees with ``prefix`` on its ``fixed`` low bits and fits a k-lettering
+    of ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a before
+    w in b if uw is an edge and after it if not, (0, 1) the reverse; equal
+    ones fix the adjacency. Entries are set once both letters have members;
+    a fixed pair of equal entries x between a and b binds b's candidates to
+    the x side of each member of a even while b is empty. A vertex in no
+    ``cand`` mask or a cycle in ``succ`` cuts the branch. Each placement
+    tried counts one ``run`` node."""
+    n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
+    deadline = run.deadline
+    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
+    column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
+              for a in range(k)]
+    cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
+           range(max(class_of, default=-1) + 1)]
+    members = [(0, full, full)] * k  # members, adjacent to none, to all
+    tied = [[(b, prefix >> a * k + b & 1) for b in range(k)
+             if b != a and known >> a * k + b & known >> b * k + a & 1
+             and prefix >> a * k + b & 1 == prefix >> b * k + a & 1]
+            for a in range(k)]  # fixed equal entries (a, b) = (b, a) = x
+
+    def place(code: int, placed: int, near: int, cand: list[int],
+              succ: list[int]):
+        left = full & ~placed
+        if not left:
+            return code
+        if deadline is not None:
+            run.check("lettering search")
+        one = two = three = 0  # in at least one, two, three masks
+        for m in cand:
+            one, two, three = one | m, two | one & m, three | two & m
+        if one & left != left:
+            return None
+        v = (one & ~two & left) or (two & ~three & left) or left
+        v = ((v & near or v) & -(v & near or v)).bit_length() - 1
+        c, bit = class_of[v], 1 << v
+        sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
+        first = members[0][0]  # (0, 0) leads the code: try clique a last
+        for a in (*range(1, k), 0) if not fixed and rows[v] & first and \
+                0 < first == first & -first else range(k):
+            own, none, every = members[a]
+            if not cand[a] >> v & 1 or not own and a * k >= fixed and (
+                    column[a] in opened or opened.add(column[a])):
+                continue  # v can't join a, or a is a twin of a letter tried
+            here = code | bool(0 < own == own & -own and a * k + a >= fixed
+                               and rows[v] & own) << a * k + a
+            choices = itertools.product(*(  # entries (a, b) and (b, a)
+                [(b, x, y) for y in ((here >> b * k + a & 1,) if own or
+                                     known >> b * k + a & 1 else (0, 1))
+                 for x in ((here >> a * k + b & 1,) if own or
+                           known >> a * k + b & 1 else (0, 1))
+                 if x != y or members[b][0] & sides[x] == members[b][0]]
+                for b in range(k) if b != a and members[b][0]))
+            members[a] = own | bit, none & sides[0], every & sides[1]
+            for choice in choices:
+                run.nodes += 1
+                nxt, now, after, before = cand[:], here, 0, 0
+                for b, x, y in choice:
+                    now |= x << a * k + b | y << b * k + a
+                    if x != y:
+                        after |= members[b][0] & sides[x]
+                        before |= members[b][0] & sides[y]
+                    else:
+                        nxt[b] &= sides[x]
+                        nxt[a] &= members[b][1 + x]
+                for b, x in tied[a]:  # fixed entries bind an empty b too
+                    if not members[b][0]:
+                        nxt[b] &= sides[x]
+                if own or a * k + a < fixed:
+                    nxt[a] &= members[a][1 + (now >> a * k + a & 1)]
+                for b in range(k) if c >= 0 else ():  # one letter per class
+                    nxt[b] &= ~(sum(cls) ^ cls[c]) if b == a else ~cls[c]
+                for u in range(n) if after else ():
+                    after |= succ[u] if after >> u & 1 else 0
+                if after & before:
+                    continue  # the forced order has a cycle
+                hit = place(now, placed | bit, near | rows[v], nxt, [
+                    after if u == v else s | after | bit if s & before or
+                    before >> u & 1 else s for u, s in enumerate(succ)]
+                    if after | before else succ)
+                if hit is not None:
+                    return hit
+            members[a] = own, none, every
+        return None
+
+    return place(prefix & known, 0, 0, [full] * k, [0] * n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_fits_matches_reference(n, k, n_classes, twin_rich, rnd):
+    # the golden file pins only the prefixes that the descent asks about;
+    # here any prefix, with any number of fixed entries, is asked
+    g = _twin_rich_graph(rnd) if twin_rich else \
+        random_graph(rnd, n, rnd.random())
+    fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
+    class_of, _ = _class_arrays(g, _uniform_classes(g, rnd, n_classes))
+    try:
+        with Run(2):
+            new, ref = Run(), Run()
+            got = solver._fits(g, k, prefix, fixed, class_of, new)
+            want = _reference_fits(g, k, prefix, fixed, class_of, ref)
+    except BudgetExceeded:
+        reject()
+    assert (got, new.nodes) == (want, ref.nodes)
 
 
 # -- decoder generation against the brute-force table it replaced ----------
