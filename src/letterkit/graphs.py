@@ -50,6 +50,15 @@ class Graph:
         if 2 * walked != sum(row.bit_count() for row in self.rows):
             raise ValueError("adjacency must be symmetric")
 
+    @classmethod
+    def _built(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph from rows that are symmetric, loop-free and in range by
+        construction, without the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     # -- basic queries ---------------------------------------------------
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -85,27 +94,28 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full & ~row) & ~(1 << v)
-                                   for v, row in enumerate(self.rows)))
+        return Graph._built(self.n, tuple((full & ~row) & ~(1 << v)
+                                          for v, row in enumerate(self.rows)))
 
     def induced(self, vertex_ids) -> "Graph":
         """Induced subgraph; retained ids keep their relative order."""
         ids = sorted(set(vertex_ids))
         if ids and not (0 <= ids[0] and ids[-1] < self.n):
             raise ValueError("vertex id out of range")
-        return Graph(len(ids), tuple(
+        return Graph._built(len(ids), tuple(
             sum((self.rows[u] >> v & 1) << i for i, v in enumerate(ids))
             for u in ids))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    return Graph(g1.n + g2.n, g1.rows + tuple(r << g1.n for r in g2.rows))
+    return Graph._built(g1.n + g2.n,
+                        g1.rows + tuple(r << g1.n for r in g2.rows))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     low, high = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
-    return Graph(g1.n + g2.n, tuple(r | high for r in g1.rows) +
-                 tuple(r << g1.n | low for r in g2.rows))
+    return Graph._built(g1.n + g2.n, tuple(r | high for r in g1.rows) +
+                        tuple(r << g1.n | low for r in g2.rows))
 
 
 def inflate(h: Graph, module_graphs) -> tuple[Graph, list[list[int]]]:
@@ -129,7 +139,7 @@ def inflate(h: Graph, module_graphs) -> tuple[Graph, list[list[int]]]:
     for v, g in enumerate(module_graphs):
         outside = sum(spans[u] for u in _bits(h.rows[v]))
         rows += [r << blocks[v][0] | outside for r in g.rows]
-    return Graph(offset, tuple(rows)), blocks
+    return Graph._built(offset, tuple(rows)), blocks
 
 
 # -- graph families -------------------------------------------------------

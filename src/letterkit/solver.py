@@ -139,12 +139,18 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     equal entries x between a and b is set, each member of b has cut
     ``cand[a]`` to its x side, when it came or when a opened. So a vertex
     that joins a letter with members has exactly one choice of entries and
-    no side to check; only opening an empty letter chooses entries. A
-    vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch.
-    ``succ[u]``, the placed vertices forced after u, stays transitively
-    closed: a placed v gets its closed ``after``, and each vertex that
-    precedes ``before`` gains ``after`` and v. So the closure of ``after``
-    is ``after`` and ``succ[u]`` for each u in it. Each placement tried
+    no side to check; only opening an empty letter chooses entries. Its
+    choices come from option tables built once per call from ``prefix``
+    and ``known``, expanded letter by letter in ``itertools.product``
+    order: the first letter with members varies slowest, and for each,
+    entry (b, a) outer and (a, b) inner. A vertex in no ``cand`` mask or
+    a cycle in ``succ`` cuts the branch. ``succ[u]`` and ``pred[u]``, the
+    placed vertices forced after and before u, stay transitively closed:
+    a placed v gets its closed ``after`` and ``before``, each vertex of
+    ``before`` gains ``after`` and v in ``succ``, and each of ``after``
+    gains ``before`` and v in ``pred``. So the closure of ``after`` is
+    ``after`` and ``succ[u]`` for each u in it, and that of ``before``
+    is ``before`` and ``pred[u]`` for each u in it. Each placement tried
     counts one ``run`` node."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     deadline = run.deadline
@@ -155,35 +161,22 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
            range(max(class_of, default=-1) + 1)]
     apart = [(~(sum(cls) ^ m), ~m) for m in cls]  # on v's letter, on others
     non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
-    single = [1 << v for v in range(n)]
     letters = [(a, a * k, a * k + a) for a in range(k)]
+    rotated = letters[1:] + letters[:1]  # clique-last order
     members = [(0, full, full)] * k  # members, adjacent to none, to all
     tied = [[(b, prefix >> a * k + b & 1) for b in range(k)
              if b != a and known >> a * k + b & known >> b * k + a & 1
              and prefix >> a * k + b & 1 == prefix >> b * k + a & 1]
             for a in range(k)]  # fixed equal entries (a, b) = (b, a) = x
-
-    def opening(a, here, base, sides):  # a vertex opens the empty letter a
-        for choice in itertools.product(*(  # entries (a, b) and (b, a)
-                [(b, x, y) for y in ((here >> b * k + a & 1,)
-                                     if known >> b * k + a & 1 else (0, 1))
-                 for x in ((here >> a * k + b & 1,)
-                           if known >> a * k + b & 1 else (0, 1))
-                 if x != y or members[b][0] & sides[x] == members[b][0]]
-                for b in range(k) if b != a and members[b][0])):
-            nxt, now, after, before = base[:], here, 0, 0
-            for b, x, y in choice:
-                now |= x << a * k + b | y << b * k + a
-                if x != y:
-                    after |= members[b][0] & sides[x]
-                    before |= members[b][0] & sides[y]
-                else:
-                    nxt[b] &= sides[x]
-                    nxt[a] &= members[b][1 + x]
-            yield now, nxt, after, before
+    given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
+             for e in range(k * k)]  # the values entry e may take
+    options = [[(b, [(x, y, x << a * k + b | y << b * k + a)
+                     for y in given[b * k + a] for x in given[a * k + b]])
+                for b in range(k) if b != a]
+               for a in range(k)]  # opening a: entries (a, b) = x, (b, a) = y
 
     def place(code: int, placed: int, near: int, cand: list[int],
-              succ: list[int]):
+              succ: list[int], pred: list[int]):
         left = full & ~placed
         if not left:
             return code
@@ -199,8 +192,8 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
         c, bit, row = class_of[v], 1 << v, rows[v]
         sides, opened = (non[v], row), []
         first = members[0][0]  # (0, 0) leads the code: try clique a last
-        for a, ak, aa in letters[1:] + letters[:1] if not fixed and \
-                row & first and 0 < first == first & -first else letters:
+        for a, ak, aa in rotated if not fixed and row & first and \
+                0 < first == first & -first else letters:
             own, none, every = members[a]
             if not cand[a] & bit or not own and ak >= fixed and (
                     column[a] in opened or opened.append(column[a])):
@@ -229,8 +222,24 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                     else:
                         nxt[b] &= sides[x]
                 choices = (here, nxt, after, before),
-            else:
-                choices = opening(a, here, nxt, sides)
+            else:  # an opening: a's options with each letter b with members
+                choices = [(here, nxt, 0, 0)]
+                for b, table in options[a]:
+                    m = members[b]
+                    if not m[0]:
+                        continue
+                    split, grown = (m[0] & sides[0], m[0] & sides[1]), []
+                    for now, cut, after, before in choices:
+                        for x, y, bits in table:
+                            if x != y:
+                                grown.append((now | bits, cut, after |
+                                              split[x], before | split[y]))
+                            elif m[1 + x] >> v & 1:  # b's members on side x
+                                eq = cut[:]
+                                eq[b] &= sides[x]
+                                eq[a] &= m[1 + x]
+                                grown.append((now | bits, eq, after, before))
+                    choices = grown
             for now, nxt, after, before in choices:
                 run.nodes += 1
                 rest = after  # close after: add succ[u] for each u in it
@@ -240,18 +249,31 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                     rest ^= low
                 if after & before:
                     continue  # the forced order has a cycle
-                nsucc = succ
-                if after | before:  # what precedes before precedes v
-                    nsucc = [s | after | bit if (s | u) & before else s
-                             for s, u in zip(succ, single)]
-                    nsucc[v] = after
-                hit = place(now, placed | bit, near | row, nxt, nsucc)
+                nsucc, npred = succ, pred
+                if after | before:
+                    nsucc, npred, rest = succ[:], pred[:], before
+                    while rest:  # close before: add pred[u] for each u
+                        low = rest & -rest
+                        before |= pred[low.bit_length() - 1]
+                        rest ^= low
+                    rest = before  # before precedes v and after
+                    while rest:
+                        low = rest & -rest
+                        nsucc[low.bit_length() - 1] |= after | bit
+                        rest ^= low
+                    rest = after  # after follows before and v
+                    while rest:
+                        low = rest & -rest
+                        npred[low.bit_length() - 1] |= before | bit
+                        rest ^= low
+                    nsucc[v], npred[v] = after, before
+                hit = place(now, placed | bit, near | row, nxt, nsucc, npred)
                 if hit is not None:
                     return hit
             members[a] = own, none, every
         return None
 
-    return place(prefix & known, 0, 0, [full] * k, [0] * n)
+    return place(prefix & known, 0, 0, [full] * k, [0] * n, [0] * n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,13 @@
 """Timings of the exact solver's long queries.
 
 Prints one JSON line per query: its outcome, the elapsed seconds, the
-decoders tried (letter-class searches), the nodes expanded and the
-microseconds per node. The queries are:
+decoders tried (letter-class searches), the nodes expanded, the
+microseconds per node and ``split``, the calls and seconds of each kind
+of search: ``decisions`` (letter-class searches with no fixed entries),
+``descent_hits`` and ``descent_exhausted`` (the descent's questions,
+by answer) and ``word_searches``. The split times each call with its own
+clock readings, so ``elapsed`` includes a little of that overhead. The
+queries are:
 
 - ``r3-k4`` and ``r3-k5``: the stacked path R3 (12 vertices) at k = 4
   and k = 5, both exhausted;
@@ -70,18 +75,41 @@ QUERIES = {
 }
 
 
+SPLIT = ("decisions", "descent_hits", "descent_exhausted", "word_searches")
+
+
+def _timed(real, split, kind_of):
+    """``real`` wrapped to add each call's seconds to its kind in ``split``."""
+    def call(*args):
+        start = time.perf_counter()
+        out = real(*args)
+        entry = split[kind_of(args, out)]
+        entry["calls"] += 1
+        entry["s"] += time.perf_counter() - start
+        return out
+    return call
+
+
 def measure(name: str) -> dict:
     """Run query ``name`` once and return its line as a dict."""
     query = QUERIES[name]()
+    split = {kind: {"calls": 0, "s": 0.0} for kind in SPLIT}
+    fits = _timed(solver._fits, split, lambda args, hit: SPLIT[
+        0 if not args[3] else 1 if hit is not None else 2])  # args[3]: fixed
+    word = _timed(solver._search_word, split, lambda args, hit: SPLIT[3])
     start = time.perf_counter()
-    outcome, reports, extra = query()
+    with mock.patch.object(solver, "_fits", fits), \
+            mock.patch.object(solver, "_search_word", word):
+        outcome, reports, extra = query()
     elapsed = time.perf_counter() - start
+    for entry in split.values():
+        entry["s"] = round(entry["s"], 4)
     nodes = sum(r.nodes_expanded for r in reports)
     return {"name": name, "outcome": outcome, "elapsed": round(elapsed, 3),
             "decoders": sum(r.decoders_tried for r in reports),
             "nodes": nodes,
             "us_per_node": round(elapsed / nodes * 1e6, 3) if nodes else None,
-            **extra}
+            "split": split, **extra}
 
 
 def main(names: list[str]) -> None:

@@ -427,6 +427,21 @@ def test_inflate_matches_definition(n, rnd):
             assert g.adjacent(u, v) == h.adjacent(x, y)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_built_graphs_pass_the_public_checks(n1, n2, rnd):
+    # the builders skip Graph's checks, as their rows are valid by
+    # construction; fed back through Graph(n, rows) they must pass them
+    g1, g2 = _random_graph(rnd, n1), _random_graph(rnd, n2)
+    modules = [_random_graph(rnd, rnd.randint(1, 3)) for _ in range(n1)]
+    kept = rnd.sample(range(n1), rnd.randint(0, n1))
+    for g in (g1.complement(), g1.induced(kept), disjoint_union(g1, g2),
+              join(g1, g2), inflate(g1, modules)[0]):
+        checked = Graph(g.n, g.rows)
+        assert type(g.rows) is tuple
+        assert (checked, hash(checked)) == (g, hash(g))
+
+
 def _check_against_oracles(g: Graph, pattern: Graph):
     nx = pytest.importorskip("networkx")
     phi = contains_induced(g, pattern)

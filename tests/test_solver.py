@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from letterkit import (
@@ -275,14 +275,30 @@ def test_solver_timing_script_reports_a_query(capsys):
     solver_timing.main(["r3-k4"])
     line = json.loads(capsys.readouterr().out)
     assert set(line) == {"name", "outcome", "elapsed", "decoders", "nodes",
-                         "us_per_node"}
+                         "us_per_node", "split"}
     assert (line["name"], line["outcome"], line["decoders"]) == \
         ("r3-k4", "exhausted", 1)
     assert line["nodes"] > 0 and line["elapsed"] > 0
+    split = line["split"]  # the one decision exhausts, so no descent
+    assert {kind: entry["calls"] for kind, entry in split.items()} == {
+        "decisions": 1, "descent_hits": 0, "descent_exhausted": 0,
+        "word_searches": 0}
+    assert 0 < split["decisions"]["s"] <= line["elapsed"] + 5e-4  # ms
     assert line["us_per_node"] == pytest.approx(
         line["elapsed"] / line["nodes"] * 1e6, rel=0.05)
     with pytest.raises(SystemExit, match="unknown query r3"):
         solver_timing.main(["r3"])
+
+
+def test_lettericity_sweep_n7_keeps_its_answers_and_search_tree():
+    # the digest pins the answers for all 1044 graphs with n = 7, and the
+    # totals pin every letter-class search and placement of their climbs
+    from tests.solver_timing import _lettericity_sweep
+    _, reports, extra = _lettericity_sweep()()
+    assert extra["sha256"] == \
+        "5a80bdf1317539a7a7980b8c2c9ea428e4eabd91797d8805f0dabf105290cb0b"
+    assert sum(r.decoders_tried for r in reports) == 7037
+    assert sum(r.nodes_expanded for r in reports) == 678_608
 
 
 def test_golden_section_rewrite_leaves_other_sections_alone():
@@ -681,13 +697,15 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 3),
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 3),
        st.booleans(), st.randoms(use_true_random=False))
 def test_fits_matches_reference(n, k, n_classes, twin_rich, rnd):
     # the golden file pins only the prefixes that the descent asks about;
-    # here any prefix, with any number of fixed entries, is asked
+    # here any prefix, with any number of fixed entries, is asked; five
+    # letters only up to n = 6, where the reference search stays short
     g = _twin_rich_graph(rnd) if twin_rich else \
         random_graph(rnd, n, rnd.random())
+    assume(k < 5 or g.n <= 6)
     fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
     class_of, _ = _class_arrays(g, _uniform_classes(g, rnd, n_classes))
     try:
