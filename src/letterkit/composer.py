@@ -15,7 +15,9 @@ quotient ``Graph`` (up to 256 of them), so a remembered solve is not run
 again, not even under a later call's budget. The certificate's
 stacked-path depth r is read off the same decomposition, one small search
 per prime quotient and tuple of module depths, not by a search on the whole
-input; p and q are induced matchings of the input and of its complement.
+input. So are p and q, from the largest induced matchings of the input and
+its complement: a small weighted search per prime node, sums and maxima at
+union and join nodes.
 The result is an upper-bound constructor: no attempt is made to minimize
 the alphabet afterwards, and the certificate measures the gap against the
 bound tables.
@@ -32,8 +34,8 @@ from .graphs import (DOMINATING, ISOLATED, Graph, inflate, path,
                      stacked_path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
-from .obstructions import (ClassProfile, f_impl, f_paper,
-                           max_induced_matching, max_stacked_path)
+from .obstructions import (ClassProfile, _weighted_induced_matching, f_impl,
+                           f_paper, max_stacked_path)
 from .solver import Run, lettericity
 
 
@@ -62,7 +64,8 @@ def peel(g: Graph) -> PeelTrace:
         removal.append(pick)
         live.remove(pick[0])
         alive ^= 1 << pick[0]
-    return PeelTrace(tuple(reversed(removal)), g.induced(live), tuple(live))
+    return PeelTrace(tuple(reversed(removal)),
+                     g.induced(live) if removal else g, tuple(live))
 
 
 # letters are integers during composition; pairs live in one set per call
@@ -145,12 +148,13 @@ def compose(g: Graph, *,
     scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
     :class:`ScaleError` is raised. The certificate records the maximum
     quotient lettericity encountered and compares the alphabet against the
-    bound tables. Its ``r`` comes from the decomposition (see
-    ``_prime_stacked_depth``) and equals ``profile(g).r``; ``p`` and ``q``
-    are computed on ``g`` last. ``budget`` is wall-clock seconds for the
-    whole call, which runs in a :class:`Run`: every build step,
-    prime-quotient solve and the final p/q step stop at its deadline (the
-    enclosing run's, if that is earlier) and raise :class:`BudgetExceeded`.
+    bound tables. Its profile comes from the decomposition and equals
+    ``profile(g)``: ``r`` by ``_prime_stacked_depth``, ``p`` and ``q`` by
+    ``_weighted_induced_matching`` at prime nodes; no search runs on ``g``
+    itself. ``budget`` is wall-clock seconds for the whole call, which runs
+    in a :class:`Run`: every build step, prime-quotient solve and the final
+    bound check stop at its deadline (the enclosing run's, if that is
+    earlier) and raise :class:`BudgetExceeded`.
     Each labelled prime quotient is solved once per process; a quotient
     solved by an earlier call is reused without running its solve again
     under this call's budget.
@@ -206,15 +210,26 @@ def _homogeneous(graph: Graph, both: bool = False) -> bool | None:
     return both if full == 0 else edges == full
 
 
+def _homogeneous_stats(n: int, complete: bool) -> tuple[int, int, int]:
+    """``build``'s (r, m, cm) for K_n, or for n vertices and no edge."""
+    return 0, int(n > 1 and complete), int(n > 1 and not complete)
+
+
 def _compose(g: Graph, run: Run) -> CompositionCertificate:
     alloc = itertools.count().__next__  # fresh global letter ids
     pairs: set[tuple[int, int]] = set()
     prime_ls: list[int] = []
 
     def build(graph: Graph, ids: list[int]):
-        """Return (word, tree, r) for ``graph`` and add its decoder pairs to
-        ``pairs``; word entries carry original vertex ids via ``ids``, and
-        r is the largest stacked path R_r in ``graph`` (0 for none).
+        """Return (word, tree, (r, m, cm)) for ``graph`` and add its decoder
+        pairs to ``pairs``; word entries carry original vertex ids via
+        ``ids``. r is the largest stacked path R_r in ``graph`` (0 for
+        none), m and cm the largest induced matchings of ``graph`` and of
+        its complement. A fully peeled graph is threshold (2K2- and
+        C4-free) with an edge and a non-edge: (1, 1). Peeled vertices lie
+        on no induced 2K2 or C4, so they keep the core's values, which are
+        positive. A union adds m and keeps the larger cm, at least 1 (a
+        co-matching with two edges lies in one side); a join the reverse.
 
         At a prime node every letter has an owner: its quotient letter and
         the module it belongs to, or -1 for a base letter that homogeneous
@@ -231,7 +246,8 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             if complete:
                 pairs.add((a, a))
             return [(ids[v], a) for v in range(graph.n)], {
-                "case": "homogeneous", "n": graph.n, "letters": 1}, 0
+                "case": "homogeneous", "n": graph.n, "letters": 1}, \
+                _homogeneous_stats(graph.n, complete)
 
         trace = peel(graph)
         core, core_ids = trace.core, [ids[v] for v in trace.core_ids]
@@ -240,25 +256,24 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             # fully peelable: both kinds occurred, else step one fired
             word = _attach_peeled([], removed, alloc, pairs)
             return word, {"case": "peel", "n": graph.n,
-                          "letters": len({a for _, a in word})}, 0
+                          "letters": len({a for _, a in word})}, (0, 1, 1)
 
         dec = quotient(core)
         h = dec.quotient
         if h.n == 2:
             case = "join" if h.adjacent(0, 1) else "union"
-            words, subtrees, r = [], [], 0
-            for part, sub in zip(dec.modules, dec.module_graphs):
-                w, t, rv = build(sub, [core_ids[v] for v in part])
-                words.append(w)
-                subtrees.append(t)
-                r = max(r, rv)
+            words, subtrees, ((r1, m1, c1), (r2, m2, c2)) = zip(*(
+                build(sub, [core_ids[v] for v in part])
+                for part, sub in zip(dec.modules, dec.module_graphs)))
+            r, m, cm = max(r1, r2), m1 + m2, max(c1, c2, 1)
             if case == "join":
+                m, cm = max(m1, m2, 1), c1 + c2
                 first, second = ({a for _, a in w} for w in words)
                 pairs.update(p for x in first for y in second
                              for p in ((x, y), (y, x)))
             word = words[0] + words[1]
             node = {"case": case, "n": graph.n,
-                    "quotient": to_graph6(h), "modules": subtrees}
+                    "quotient": to_graph6(h), "modules": list(subtrees)}
         else:
             ell, h_lett = _prime_lettering(h)
             prime_ls.append(ell)
@@ -268,19 +283,21 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             base = {a: alloc() for a in sorted(set(h_lett.word))}
             owner = {x: (a, -1) for a, x in base.items()}
             a_set, b_set, module_words, subtrees = [], [], [], []
-            depths = [0] * h.n
+            stats = []
             for v, sub in enumerate(dec.module_graphs):
                 a = letter_of[v]
                 sub_ids = [core_ids[u] for u in dec.modules[v]]
                 complete = _homogeneous(sub, d_h[a][a])
                 if complete is None:
                     a_set.append(v)
-                    w, t, depths[v] = build(sub, sub_ids)
+                    w, t, st = build(sub, sub_ids)
+                    stats.append(st)
                     owner.update((x, (a, v)) for _, x in w)
                     subtrees.append({"case": "recursive-module",
                                      "vertex": v, "n": sub.n, "tree": t})
                 else:
                     b_set.append(v)
+                    stats.append(_homogeneous_stats(sub.n, complete))
                     x = base[a]
                     if complete != d_h[a][a]:
                         x = alloc()  # copy of the base, self-pair flipped
@@ -298,7 +315,10 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
                          if d_h[a][b] and (mx != my or mx < 0))
             word = [e for v in h_lett.vertex_of_position
                     for e in module_words[v]]
-            r = _prime_stacked_depth(h, tuple(depths))
+            depths, ms, cms = zip(*stats)
+            r = _prime_stacked_depth(h, depths)
+            m = _weighted_induced_matching(h, ms)
+            cm = _weighted_induced_matching(h.complement(), cms)
             node = {"case": "prime", "n": graph.n,
                     "quotient": to_graph6(h), "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
@@ -307,15 +327,14 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             word = _attach_peeled(word, removed, alloc, pairs)
             node = {"case": "peel", "n": graph.n, "core": node,
                     "peeled": len(removed)}
-        return word, node, r
+        return word, node, (r, m, cm)
 
-    word, tree, r = build(g, list(range(g.n)))
+    word, tree, (r, m, cm) = build(g, list(range(g.n)))
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
     run.check("compose")
-    prof = ClassProfile(max_induced_matching(g)[0] + 1,
-                        max_induced_matching(g.complement())[0] + 1, r + 1)
+    prof = ClassProfile(m + 1, cm + 1, r + 1)
     m_obs = max(prime_ls) if prime_ls else 0
     m_eff = max(m_obs, 1)
     alphabet_size = lett.letters_used()

@@ -65,7 +65,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.rows[v])
@@ -75,7 +75,7 @@ class Graph:
                 for v in range(u + 1, self.n) if self.adjacent(u, v)]
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -102,9 +102,16 @@ class Graph:
         ids = sorted(set(vertex_ids))
         if ids and not (0 <= ids[0] and ids[-1] < self.n):
             raise ValueError("vertex id out of range")
-        return Graph._built(len(ids), tuple(
-            sum((self.rows[u] >> v & 1) << i for i, v in enumerate(ids))
-            for u in ids))
+        bit = {1 << v: 1 << i for i, v in enumerate(ids)}  # old bit -> new
+        kept, rows = sum(bit), []
+        for u in ids:
+            row, new = self.rows[u] & kept, 0
+            while row:
+                low = row & -row
+                row ^= low
+                new |= bit[low]
+            rows.append(new)
+        return Graph._built(len(ids), tuple(rows))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

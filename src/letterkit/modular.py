@@ -35,7 +35,7 @@ def is_module(g: Graph, vertex_set) -> bool:
     return True
 
 
-def _module_closure(g: Graph, seed_mask: int) -> int:
+def _module_closure(g: Graph, seed_mask: int, stop: int = 0) -> int:
     """Smallest module containing the (non-empty) seed set, as a bitmask.
 
     Fix one member r of the set. A vertex x outside a set M containing r
@@ -44,7 +44,10 @@ def _module_closure(g: Graph, seed_mask: int) -> int:
     seed contains r and y, so it contains all of ``rows[r] ^ rows[y]``
     too. The closure therefore adds that XOR for each member y once, as a
     worklist over new members, and the set it stops at is a module: no
-    vertex outside it tells any member apart from r."""
+    vertex outside it tells any member apart from r. ``stop`` holds
+    vertices w whose pair closure with a seed member is all of V; once the
+    closure reaches such a w it contains that pair closure, so V is
+    returned at once."""
     rows = g.rows
     base = rows[(seed_mask & -seed_mask).bit_length() - 1]  # rows[r]
     mask = todo = seed_mask  # r's own XOR is 0
@@ -52,6 +55,8 @@ def _module_closure(g: Graph, seed_mask: int) -> int:
         low = todo & -todo
         todo ^= low
         new = (base ^ rows[low.bit_length() - 1]) & ~mask
+        if new & stop:
+            return (1 << g.n) - 1
         mask |= new
         todo |= new
     return mask
@@ -61,11 +66,13 @@ def is_prime(g: Graph) -> bool:
     """No proper module. Every proper module of size >= 2 contains a pair
     whose closure stays proper, so checking pair closures suffices: at
     most n(n-1)/2 closures of one XOR per member each, all of them when
-    ``g`` is prime."""
+    ``g`` is prime. When {u, v} is tested, every other w < v has a pair
+    closure with u that is all of V, so those w are its ``stop`` set."""
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if _module_closure(g, 1 << u | 1 << v) != full:
+            if _module_closure(g, 1 << u | 1 << v,
+                               (1 << v) - 1 ^ 1 << u) != full:
                 return False
     return True
 
@@ -115,16 +122,19 @@ def quotient(g: Graph) -> QuotientDecomposition:
         # connected and co-connected: the maximal proper modules partition
         # V. The part M_u of the least unplaced vertex u is u plus every v
         # whose pair closure with u is proper; such a closure lies wholly
-        # in M_u, so none of its vertices needs a closure of its own.
+        # in M_u, so none of its vertices needs a closure of its own. It
+        # stops at earlier parts (H is prime) and at each v that gave V.
         parts, rest = [], full
         while rest:
             u = rest & -rest
-            part, todo = u, rest ^ u
+            part, todo, stop = u, rest ^ u, full ^ rest
             while todo:
                 v = todo & -todo
-                closure = _module_closure(g, u | v)
+                closure = _module_closure(g, u | v, stop)
                 if closure != full:
                     part |= closure
+                else:
+                    stop |= v
                 todo &= ~(part | v)
             rest &= ~part
             parts.append(_bits(part))

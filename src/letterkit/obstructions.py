@@ -16,6 +16,33 @@ def max_induced_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
     Memoized branch-and-bound over available-vertex masks.
     """
+    return _matching_search(g, None)
+
+
+def _weighted_induced_matching(h: Graph, weights) -> int:
+    """The largest |F| + sum of ``weights[v]`` over v in I, for F an induced
+    matching of ``h`` and I a vertex set with no neighbour in I or V(F).
+    With all weights 0 it is ``max_induced_matching(h)[0]``.
+
+    With ``weights[v]`` = mim(M_v), the size of the largest induced
+    matching of module M_v, it is mim(G) for G = H[M_1..M_h]. Take an
+    induced matching of G. If it has an edge inside M_v, it uses no vertex
+    of a module adjacent to v in H, as that vertex would be adjacent to
+    both ends; so its vertices in M_v lie on at most mim(M_v) edges inside
+    M_v, and v goes in I. Otherwise M_v holds at most one matched vertex,
+    since a second one would be adjacent to the first one's partner. These
+    vertices, one per module, induce in G what their modules induce in H,
+    so their edges form F, and no vertex of I is adjacent in H to one of
+    I or V(F). Conversely one vertex per end of F and mim(M_v) edges in
+    each M_v with v in I form an induced matching of G. As co-G is co-H
+    inflated by the co-M_v, the search on co-H with mim(co-M_v) gives
+    mim(co-G). The search is ``max_induced_matching``'s, with one more
+    choice for the least available vertex v of positive weight: put it in
+    I and drop its closed neighbourhood."""
+    return _matching_search(h, weights)[0]
+
+
+def _matching_search(g: Graph, weights):
     memo: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     closed = [g.rows[v] | 1 << v for v in range(g.n)]
 
@@ -28,6 +55,10 @@ def max_induced_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
         v = (mask & -mask).bit_length() - 1
         # skip v entirely
         res = best(mask & ~(1 << v))
+        if weights and weights[v]:  # or put v in I
+            count, edges = best(mask & ~closed[v])
+            if count + weights[v] > res[0]:
+                res = (count + weights[v], edges)
         # or match v to a neighbor and drop both closed neighborhoods
         nbrs = g.rows[v] & mask
         while nbrs:

@@ -1,0 +1,99 @@
+"""Bytecodes executed by one cold pass of a benchmark workload.
+
+The time of a pass that takes a tenth of a second moves with the host's
+speed state; the number of bytecodes it executes does not. This script
+builds pass 0's items of a workload through ``perfbench/workloads.py``
+(loaded from its file, unchanged) and warms the decoder tables as the
+benchmark's set-up does. It then runs each item once under
+``sys.settrace`` with opcode events on, checks each output with the
+workload's own check, and prints one JSON line: the workload, seed and
+item count, ``total``, the opcodes executed, and ``top``, the 12
+functions that executed the most, as ``[module.qualname, count]``.
+
+Each run is a fresh process, so the composer's solve memo starts empty
+and a second run of the same command prints the same counts.
+``verify-paper`` is refused: its items run in child processes, which the
+trace does not see.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 -m tests.bytecode_count \\
+        {exact,compose-small,compose-inflations} [--seed N] [--items N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import sys
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOP = 12
+
+
+def _workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def count(workload: str, seed: int, items: int | None) -> dict:
+    """Count the opcodes of pass 0's first ``items`` items (all for None)."""
+    workloads = _workloads()
+    build, kmax, _ = workloads.WORKLOADS[workload]
+    chosen = build(seed, 0)[:items]
+    workloads.warm_decoder_tables(kmax)
+    counts: Counter = Counter()
+    names: dict = {}
+
+    def on_opcode(frame, event, arg):
+        if event == "opcode":
+            counts[frame.f_code] += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code not in names:
+            names[code] = (f"{frame.f_globals.get('__name__')}."
+                           f"{code.co_qualname}")
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    for name, run, check in chosen:
+        sys.settrace(on_call)
+        try:
+            out = run(None)
+        finally:
+            sys.settrace(None)
+        if check(out) is None:
+            raise SystemExit(f"{workload} item {name!r} gave a wrong output")
+    per_function: Counter = Counter()
+    for code, n in counts.items():
+        per_function[names[code]] += n
+    return {"workload": workload, "seed": seed, "items": len(chosen),
+            "total": sum(counts.values()),
+            "top": [[name, n] for name, n in per_function.most_common(TOP)]}
+
+
+def main(argv: list[str]) -> None:
+    parser = argparse.ArgumentParser(prog="python3 -m tests.bytecode_count")
+    parser.add_argument("workload")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--items", type=int, default=None)
+    args = parser.parse_args(argv)
+    if args.workload == "verify-paper":
+        sys.exit("verify-paper runs its items in child processes, which "
+                 "the trace does not see")
+    if args.workload not in _workloads().WORKLOADS:
+        sys.exit(f"unknown workload {args.workload!r}")
+    print(json.dumps(count(args.workload, args.seed, args.items)))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -29,7 +32,7 @@ from letterkit import (
 from letterkit import composer, obstructions, solver
 from letterkit.graphs import (DOMINATING, ISOLATED, Graph, empty, join,
                               stacked_path)
-from letterkit.obstructions import max_stacked_path
+from letterkit.obstructions import max_induced_matching, max_stacked_path
 from letterkit.letters import Decoder
 from tests.conftest import random_cograph, random_graph
 
@@ -278,6 +281,54 @@ def test_certificate_r_matches_max_stacked_path(depth, rnd):
     assert compose(g).bound_check["profile"]["r"] == r + 1
 
 
+def _matching_draw(rnd, depth):
+    """P4, the bull, C5 or P5 inflated ``depth`` levels deep through its
+    first module; each other module is a cograph, a complete or an edgeless
+    graph on 1-4 vertices. Each level is then united or joined with up to
+    two of P1 (a peeled vertex), P4 or a cograph on 1-3 vertices, which
+    makes union, join and peel nodes. At depth 2, n <= 52."""
+    base = rnd.choice([path(4), bull(), cycle(5), path(5)])
+    mods = [_matching_draw(rnd, depth - 1) if depth > 1 and v == 0
+            else rnd.choice((random_cograph, lambda _, s: complete(s),
+                             lambda _, s: empty(s)))(rnd, rnd.randint(1, 4))
+            for v in range(base.n)]
+    g = inflate(base, mods)[0]
+    for _ in range(rnd.randint(0, 2)):
+        side = rnd.choice([path(1), path(4),
+                           random_cograph(rnd, rnd.randint(1, 3))])
+        g = rnd.choice((disjoint_union, join))(g, side)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.randoms(use_true_random=False))
+def test_certificate_p_and_q_match_max_induced_matching(depth, rnd):
+    g = _matching_draw(rnd, depth)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    prof = compose(g).bound_check["profile"]
+    assert prof["p"] == max_induced_matching(g)[0] + 1
+    assert prof["q"] == max_induced_matching(g.complement())[0] + 1
+
+
+def test_compose_searches_no_matching_on_the_input(monkeypatch, rng):
+    _fresh_memo(monkeypatch)
+    searched = []
+    real = obstructions._matching_search
+    monkeypatch.setattr(obstructions, "_matching_search",
+                        lambda g, weights: searched.append(g) or
+                        real(g, weights))
+    for _ in range(10):
+        g = _nested_inflation(rng)
+        searched.clear()
+        compose(g)
+        # the weighted searches on prime quotients, and any climb of the
+        # solver, search only smaller graphs
+        assert searched
+        assert all(h.n < g.n for h in searched)
+
+
 def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
                                                           rng):
     _fresh_memo(monkeypatch)
@@ -407,15 +458,10 @@ def test_compose_budget_bounds_the_final_profile(monkeypatch):
     ticks = iter(range(1000))
     monkeypatch.setattr(solver, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
-    profiled = []
-    real = composer.max_induced_matching
-    monkeypatch.setattr(composer, "max_induced_matching",
-                        lambda g: profiled.append(g) or real(g))
-    # readings: the deadline (0), the top of build (1: 0.5 s left), before
-    # the final p/q step (2: none left)
+    # readings: the deadline (0), the top of build (1: 0.5 s left), the
+    # check after the lettering is verified (2: none left)
     with pytest.raises(BudgetExceeded):
         compose(complete(3), budget=1.5)
-    assert profiled == []
 
 
 def test_memo_solves_each_labelled_quotient_once(monkeypatch):
@@ -509,3 +555,34 @@ def test_golden_compositions():
     # generated by tests/golden_solver.py before the composer was rewritten
     from tests.golden_solver import compositions, load
     assert compositions() == load()["compositions"]
+
+
+def test_bytecode_count_repeats_on_a_cold_pass():
+    # each run is a fresh process, so both start with an empty solve memo
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH"))
+        if p))
+    lines = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tests.bytecode_count",
+             "compose-inflations", "--items", "3"],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines.append(json.loads(proc.stdout))
+    first, second = lines
+    assert set(first) == {"workload", "seed", "items", "total", "top"}
+    assert (first["workload"], first["seed"], first["items"]) == \
+        ("compose-inflations", 1, 3)
+    counts = [n for _, n in first["top"]]
+    assert len(counts) == 12 and counts == sorted(counts, reverse=True)
+    assert all("." in name for name, _ in first["top"])  # module.qualname
+    assert 0 < sum(counts) <= first["total"]
+    assert second["total"] == first["total"]
+
+
+def test_bytecode_count_refuses_verify_paper():
+    from tests import bytecode_count
+    with pytest.raises(SystemExit, match="child processes"):
+        bytecode_count.main(["verify-paper"])

@@ -107,6 +107,33 @@ def test_module_closure_is_the_smallest_module(rng):
                        for m in modules if m & seed == seed)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.booleans(), st.randoms(use_true_random=False))
+def test_module_closure_stop_keeps_the_closure(n, twins, rnd):
+    # twin-rich: a random graph on 2-4 vertices with random modules, so
+    # many pairs have proper closures; n counts the vertices either way
+    if twins:
+        base = random_graph(rnd, rnd.randint(2, min(n, 4)), rnd.random())
+        sizes = [1] * base.n
+        for _ in range(n - base.n):
+            sizes[rnd.randrange(base.n)] += 1
+        g = inflate(base, [random_graph(rnd, s, rnd.random())
+                           for s in sizes])[0]
+    else:
+        g = random_graph(rnd, n, rnd.random())
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        # any set of w whose pair closure with u is all of V may stop
+        outsiders = [w for w in range(g.n) if w != u and
+                     _module_closure(g, 1 << u | 1 << w) == full]
+        stop = sum(1 << w for w in outsiders if rnd.random() < 0.5)
+        for v in range(g.n):
+            if v != u:
+                seed = 1 << u | 1 << v
+                assert _module_closure(g, seed, stop) == \
+                    _module_closure(g, seed)
+
+
 def test_quotient_parts_are_the_maximal_proper_modules(rng):
     graphs = [g for n in range(4, 8) for g in all_graphs(n)]
     graphs += list(_small_graphs(rng))
@@ -169,8 +196,9 @@ def test_quotient_of_nose_inflation():
     assert tuple(blocks[4]) in dec.modules
 
 
-def _one_round_closure(g, seed_mask):
-    """A wrong closure: one round of splitters, not a worklist."""
+def _one_round_closure(g, seed_mask, stop=0):
+    """A wrong closure: one round of splitters, not a worklist; it ignores
+    ``stop``."""
     r = (seed_mask & -seed_mask).bit_length() - 1
     mask = seed_mask
     for y in range(g.n):
@@ -184,7 +212,8 @@ def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
     g = inflate(path(4), [complete(2)] + [path(1)] * 3)[0]
     real = modular._module_closure
     # too small: every pair closure is proper, so all of V is one part
-    monkeypatch.setattr(modular, "_module_closure", lambda h, seed: seed)
+    monkeypatch.setattr(modular, "_module_closure",
+                        lambda h, seed, stop=0: seed)
     with pytest.raises(AssertionError, match="one vertex or not prime"):
         quotient(g)
     # too small on some pairs: a part that is not a module
@@ -194,7 +223,7 @@ def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
     # too large on g: singleton parts, and H = g is not prime. is_prime
     # runs the same closure, so this guard checks the partition, not a
     # closure that is too large on every graph.
-    monkeypatch.setattr(modular, "_module_closure", lambda h, seed:
+    monkeypatch.setattr(modular, "_module_closure", lambda h, seed, stop=0:
                         (1 << h.n) - 1 if h is g else real(h, seed))
     with pytest.raises(AssertionError, match="one vertex or not prime"):
         quotient(g)

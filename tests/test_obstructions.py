@@ -15,7 +15,7 @@ from letterkit import (
     ramsey,
     stacked_path,
 )
-from letterkit.obstructions import f_impl, f_paper
+from letterkit.obstructions import _weighted_induced_matching, f_impl, f_paper
 
 
 def brute_max_induced_matching(g):
@@ -58,6 +58,35 @@ def test_max_induced_matching_against_brute_force():
     for n in range(1, 7):
         for g in all_graphs(n):
             assert max_induced_matching(g)[0] == brute_max_induced_matching(g)
+
+
+def brute_weighted_induced_matching(g, weights):
+    """Oracle: put each vertex outside, in I or in V(F) in every way, and
+    keep the assignments where V(F) induces a perfect matching and no
+    vertex of I has a neighbour in I or V(F)."""
+    best = 0
+    for roles in itertools.product("oIF", repeat=g.n):
+        ends = sum(1 << v for v in range(g.n) if roles[v] == "F")
+        inside = [v for v in range(g.n) if roles[v] == "I"]
+        taken = ends | sum(1 << v for v in inside)
+        if all((g.rows[v] & ends).bit_count() == 1 for v in range(g.n)
+               if ends >> v & 1) and \
+                not any(g.rows[v] & taken for v in inside):
+            best = max(best, ends.bit_count() // 2 +
+                       sum(weights[v] for v in inside))
+    return best
+
+
+def test_weighted_induced_matching_against_brute_force(rng):
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            zero = [0] * n
+            assert _weighted_induced_matching(g, zero) == \
+                max_induced_matching(g)[0] == \
+                brute_weighted_induced_matching(g, zero)
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            assert _weighted_induced_matching(g, weights) == \
+                brute_weighted_induced_matching(g, weights)
 
 
 def test_max_stacked_path_examples():
