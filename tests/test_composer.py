@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -29,7 +31,7 @@ from letterkit import (
     threshold,
     verify,
 )
-from letterkit import composer, obstructions, solver
+from letterkit import claims, composer, obstructions, solver
 from letterkit.graphs import (DOMINATING, ISOLATED, Graph, empty, join,
                               stacked_path)
 from letterkit.obstructions import max_induced_matching, max_stacked_path
@@ -555,6 +557,16 @@ def test_golden_compositions():
     # generated by tests/golden_solver.py before the composer was rewritten
     from tests.golden_solver import compositions, load
     assert compositions() == load()["compositions"]
+
+
+def test_acceptance_inflation_certificates_keep_their_bytes():
+    # the golden compositions reach n <= 6; these 200 inflations of
+    # acceptance 6 (n up to 37) pin the letter ids and the alphabet order
+    # of large, deeply nested certificates
+    certs = "\n".join(compose(g).to_json() for g in claims._composer_inputs(
+        0, 200, 40, random.Random(0x5EED)))
+    assert hashlib.sha256(certs.encode()).hexdigest() == \
+        "4fd9396f7fbd3487bfebd95c22b50fb3e85d91e24270efd7f90343ff54470ef3"
 
 
 def test_bytecode_count_repeats_on_a_cold_pass():
