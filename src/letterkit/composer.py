@@ -7,9 +7,12 @@ exactly, and expands each quotient letter into a word for its module.
 Homogeneous modules take the quotient letter or a copy of it with the
 self-pair flipped; non-homogeneous modules recurse on fresh letters. Every
 node allocates fresh letter ids and only ever adds decoder pairs, so one
-``compose`` call gathers them in a single pair set. At a prime node each
-letter is owned by a module or shared, and a pair follows the quotient's
-decoder unless one module owns both letters. Each labelled prime quotient
+``compose`` call gathers them in a single pair set. Pairs come from module
+letter sets, as in the paper's construction: in G = H[M_1..M_h] two
+vertices of different modules are adjacent as their modules are in H, so
+at a join every letter of one side pairs with every letter of the other,
+and at a prime node the letters of modules v != w pair as the quotient
+letters of v and w do in D_H. Each labelled prime quotient
 is solved once per process: completed solves are remembered by the
 quotient ``Graph`` (up to 256 of them), so a remembered solve is not run
 again, not even under a later call's budget. The certificate's
@@ -231,11 +234,17 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
         positive. A union adds m and keeps the larger cm, at least 1 (a
         co-matching with two edges lies in one side); a join the reverse.
 
-        At a prime node every letter has an owner: its quotient letter and
-        the module it belongs to, or -1 for a base letter that homogeneous
-        modules share. (x, y) is a pair exactly when the quotient decoder
-        has (base x, base y), unless one module owns both x and y; pairs
-        inside a module are that module's own.
+        At a prime node the module words follow H's word, so letters of
+        modules v != w meet in the order v and w do there, and the pairs
+        letters(v) x letters(w) are added exactly when (letter(v),
+        letter(w)) is a pair of D_H: every edge between two modules decodes
+        as H's. A homogeneous module takes its quotient letter's base letter
+        when its kind matches that letter's self-pair (a one-vertex module
+        always does), else a fresh copy; its letter pairs with itself
+        exactly when it is complete. Modules share only base letters, with
+        the same quotient letter and kind, so no two rules disagree on a
+        pair. Base letters are allocated before the modules, in
+        quotient-letter order, which fixes every letter id.
         """
         run.check("compose")
         # homogeneous graphs take one letter; this also floors the bound
@@ -269,8 +278,8 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             if case == "join":
                 m, cm = max(m1, m2, 1), c1 + c2
                 first, second = ({a for _, a in w} for w in words)
-                pairs.update(p for x in first for y in second
-                             for p in ((x, y), (y, x)))
+                pairs.update(itertools.product(first, second))
+                pairs.update(itertools.product(second, first))
             word = words[0] + words[1]
             node = {"case": case, "n": graph.n,
                     "quotient": to_graph6(h), "modules": list(subtrees)}
@@ -281,7 +290,6 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             letter_of = dict(zip(h_lett.vertex_of_position, h_lett.word))
             # fresh global ids for the quotient's letters
             base = {a: alloc() for a in sorted(set(h_lett.word))}
-            owner = {x: (a, -1) for a, x in base.items()}
             a_set, b_set, module_words, subtrees = [], [], [], []
             stats = []
             for v, sub in enumerate(dec.module_graphs):
@@ -292,27 +300,24 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
                     a_set.append(v)
                     w, t, st = build(sub, sub_ids)
                     stats.append(st)
-                    owner.update((x, (a, v)) for _, x in w)
                     subtrees.append({"case": "recursive-module",
                                      "vertex": v, "n": sub.n, "tree": t})
                 else:
                     b_set.append(v)
                     stats.append(_homogeneous_stats(sub.n, complete))
-                    x = base[a]
-                    if complete != d_h[a][a]:
-                        x = alloc()  # copy of the base, self-pair flipped
-                        owner[x] = (a, v)
-                        if complete:
-                            pairs.add((x, x))
+                    # the base letter, or a copy with the self-pair flipped
+                    x = base[a] if complete == d_h[a][a] else alloc()
+                    if complete:
+                        pairs.add((x, x))
                     w = [(u, x) for u in sub_ids]
                     subtrees.append({"case": "homogeneous-module",
                                      "vertex": v, "n": sub.n, "letter": x})
                 module_words.append(w)
-            # per letter, not per module pair: a base letter that only a
-            # one-vertex module uses keeps its (vacuous) self-pair from D_H
-            pairs.update((x, y) for x, (a, mx) in owner.items()
-                         for y, (b, my) in owner.items()
-                         if d_h[a][b] and (mx != my or mx < 0))
+            module_letters = [{x for _, x in w} for w in module_words]
+            for v, u in itertools.permutations(range(h.n), 2):
+                if d_h[letter_of[v]][letter_of[u]]:
+                    pairs.update(itertools.product(module_letters[v],
+                                                   module_letters[u]))
             word = [e for v in h_lett.vertex_of_position
                     for e in module_words[v]]
             depths, ms, cms = zip(*stats)

@@ -84,13 +84,16 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """A graph from an edge list, each edge checked once, here."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
         rows = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return Graph._built(n, tuple(rows))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -152,8 +155,6 @@ def inflate(h: Graph, module_graphs) -> tuple[Graph, list[list[int]]]:
 # -- graph families -------------------------------------------------------
 
 def path(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
@@ -164,8 +165,6 @@ def cycle(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return Graph.from_edges(n, ((u, v) for u in range(n)
                                 for v in range(u + 1, n)))
 
@@ -173,7 +172,7 @@ def complete(n: int) -> Graph:
 def empty(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Graph(n, (0,) * n)
+    return Graph._built(n, (0,) * n)
 
 
 def matching(m: int) -> Graph:
@@ -418,7 +417,7 @@ def _extend(prev: tuple[Graph, ...], n: int) -> tuple[Graph, ...]:
             rows = [g.rows[v] | ((nbhd >> v & 1) << (n - 1))
                     for v in range(n - 1)]
             rows.append(nbhd)
-            cand = Graph(n, tuple(rows))
+            cand = Graph._built(n, tuple(rows))
             seen.setdefault(canonical_code(cand), cand)
     return tuple(seen[c] for c in sorted(seen))
 

@@ -40,9 +40,6 @@ class Decoder:
     def size(self) -> int:
         return len(self.alphabet)
 
-    def has(self, a: int, b: int) -> bool:
-        return self.pairs[a][b]
-
     def index(self, sym: str) -> int:
         return self.alphabet.index(sym)
 

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,9 +101,6 @@ class ClassProfile:
     q: int
     r: int
 
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p, "q": self.q, "r": self.r})
-
 
 def profile(g: Graph) -> ClassProfile:
     p = max_induced_matching(g)[0] + 1
@@ -197,11 +193,6 @@ class BoundParams:
     g: int
     f_paper: int
     f_impl: int
-
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "p": self.p, "q": self.q,
-                           "r": self.r, "g": self.g,
-                           "f_paper": self.f_paper, "F_impl": self.f_impl})
 
 
 def bounds(m: int, p: int, q: int, r: int) -> BoundParams:

@@ -575,23 +575,32 @@ def test_bytecode_count_repeats_on_a_cold_pass():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH"))
         if p))
-    lines = []
-    for _ in range(2):
+
+    def count(*args):
         proc = subprocess.run(
-            [sys.executable, "-m", "tests.bytecode_count",
-             "compose-inflations", "--items", "3"],
+            [sys.executable, "-m", "tests.bytecode_count", *args],
             cwd=root, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        lines.append(json.loads(proc.stdout))
-    first, second = lines
-    assert set(first) == {"workload", "seed", "items", "total", "top"}
+        return json.loads(proc.stdout)
+
+    first, second = (count("compose-inflations", "--items", "3")
+                     for _ in range(2))
+    assert set(first) == {"workload", "seed", "items", "total", "outputs",
+                          "top"}
     assert (first["workload"], first["seed"], first["items"]) == \
         ("compose-inflations", 1, 3)
     counts = [n for _, n in first["top"]]
     assert len(counts) == 12 and counts == sorted(counts, reverse=True)
     assert all("." in name for name, _ in first["top"])  # module.qualname
     assert 0 < sum(counts) <= first["total"]
-    assert second["total"] == first["total"]
+    assert (second["total"], second["outputs"]) == \
+        (first["total"], first["outputs"])
+    assert len(first["outputs"]) == 64
+    # a verify-paper suite runs in the script's own process
+    suite = count("verify-paper", "--suite", "prop41")
+    assert (suite["workload"], suite["suite"], suite["seed"],
+            suite["items"]) == ("verify-paper", "prop41", 0, 1)
+    assert suite["total"] > 0 and suite["outputs"] != first["outputs"]
 
 
 def test_bytecode_count_refuses_verify_paper():

@@ -30,8 +30,8 @@ from letterkit import (
     to_dot,
     to_graph6,
 )
-from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, canonical_code,
-                              generate)
+from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _extend,
+                              canonical_code, empty, generate)
 from tests import catalogue
 from tests.conftest import random_cograph
 
@@ -435,11 +435,37 @@ def test_built_graphs_pass_the_public_checks(n1, n2, rnd):
     g1, g2 = _random_graph(rnd, n1), _random_graph(rnd, n2)
     modules = [_random_graph(rnd, rnd.randint(1, 3)) for _ in range(n1)]
     kept = rnd.sample(range(n1), rnd.randint(0, n1))
+    # an edge list with repeated and reversed edges
+    edges = g1.edges()
+    messy = edges + [rnd.choice(edges) for _ in edges] + \
+        [rnd.choice(edges)[::-1] for _ in edges]
+    rnd.shuffle(messy)
+    assert Graph.from_edges(n1, messy) == g1
     for g in (g1.complement(), g1.induced(kept), disjoint_union(g1, g2),
-              join(g1, g2), inflate(g1, modules)[0]):
-        checked = Graph(g.n, g.rows)
-        assert type(g.rows) is tuple
-        assert (checked, hash(checked)) == (g, hash(g))
+              join(g1, g2), inflate(g1, modules)[0],
+              Graph.from_edges(n1, messy), empty(n2)):
+        _assert_passes_public_checks(g)
+
+
+def test_catalogue_and_extended_graphs_pass_the_public_checks():
+    for g in (g for n in range(8) for g in all_graphs(n)):
+        _assert_passes_public_checks(g)
+    for k in range(1, 6):
+        for g in _extend(all_graphs(k - 1), k):
+            _assert_passes_public_checks(g)
+
+
+def _assert_passes_public_checks(g: Graph):
+    checked = Graph(g.n, g.rows)
+    assert type(g.rows) is tuple
+    assert (checked, hash(checked)) == (g, hash(g))
+
+
+def test_from_edges_rejects_a_negative_size_and_loops():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="bad edge"):
+        Graph.from_edges(3, [(1, 1)])
 
 
 def _check_against_oracles(g: Graph, pattern: Graph):
