@@ -143,6 +143,14 @@ def test_compose_cli(tmp_path, capsys):
     assert code == 0 and obj["alphabet_size"] == 2
 
 
+def test_compose_past_52_letters_is_a_usage_error(tmp_path, capsys):
+    # compose raises ValueError, as letters.symbol has no syntax past Z;
+    # 60K2 needs 60 letters
+    f = tmp_path / "m60.g6"
+    f.write_text(to_graph6(matching(60)))
+    code, out, err = run(capsys, "compose", str(f))
+    assert code == 2 and out == "" and "no character syntax" in err
+
 def test_cli_keeps_the_solver_scale_guards(tmp_path, capsys):
     def graph_file(name, g):
         f = tmp_path / name
