@@ -31,9 +31,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 
-from .graphs import (DOMINATING, ISOLATED, Graph, inflate, path,
+from .graphs import (DOMINATING, ISOLATED, Graph, _record, inflate, path,
                      stacked_path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
@@ -42,7 +41,7 @@ from .obstructions import (ClassProfile, _weighted_induced_matching, f_impl,
 from .solver import Run, lettericity
 
 
-@dataclass(frozen=True)
+@_record
 class PeelTrace:
     """Vertices removed because they were isolated or dominating, stored in
     addition order (the outermost-removed vertex last), plus the remaining
@@ -127,7 +126,7 @@ def _finalize(word, pairs) -> Lettering:
                      tuple(v for v, _ in word))
 
 
-@dataclass(frozen=True)
+@_record
 class CompositionCertificate:
     lettering: Lettering
     alphabet_size: int

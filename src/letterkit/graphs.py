@@ -8,7 +8,7 @@ cheap at the scales this package targets (a few hundred vertices at most).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 
@@ -16,22 +16,78 @@ class ScaleError(ValueError):
     """Raised when an exhaustive routine is asked to exceed its size cap."""
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """Make ``cls`` a frozen value class over its annotated fields, in
+    order, as ``dataclasses.dataclass(frozen=True)`` does, but cheaper to
+    import: construction by position or keyword, then ``__post_init__`` if
+    the class has one; AttributeError on assignment or deletion; equality
+    by exact class and fields, a hash over the fields and the repr
+    ``Name(field=value, ...)``.
+
+    Only ``__init__`` is compiled, one per class and on the class's first
+    construction, so a process pays for the classes it uses alone, and a
+    construction costs what a dataclass's does."""
+    names = tuple(cls.__dict__["__annotations__"])
+    fields = operator.attrgetter(*names)
+    post = cls.__dict__.get("__post_init__")
+
+    def __init__(self, *args, **kwargs):  # replaces itself on first use
+        source = f"def __init__(self, {', '.join(names)}):\n" + "".join(
+            f"    _set(self, {name!r}, {name})\n" for name in names)
+        if post is not None:
+            source += "    _post(self)\n"
+        space = {"__name__": cls.__module__, "_post": post,
+                 "_set": object.__setattr__}
+        exec(source, space)
+        cls.__init__ = space["__init__"]
+        cls.__init__(self, *args, **kwargs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in names) + ")"
+
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = \
+        __init__, __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__ = names
+    return cls
+
+
+@_record
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     ``rows[v]`` is the neighborhood of ``v`` as a bitmask. The matrix is
-    symmetric and irreflexive.
+    symmetric and irreflexive. The rows are stored as a tuple, so a graph
+    is hashable and does not change with the sequence it was given.
     """
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0 or len(self.rows) != self.n:
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
+        if self.n < 0 or len(rows) != self.n:
             raise ValueError("row count must equal vertex count")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise ValueError("adjacency bits out of range")
             if row >> v & 1:
@@ -39,15 +95,15 @@ class Graph:
         # each neighbour v > u of u must list u; then the bit counts catch
         # any bit below the diagonal that has no mirror above it
         walked = 0
-        for u, row in enumerate(self.rows):
+        for u, row in enumerate(rows):
             row = row >> u + 1 << u + 1
             while row:
                 low = row & -row
                 row ^= low
                 walked += 1
-                if not self.rows[low.bit_length() - 1] >> u & 1:
+                if not rows[low.bit_length() - 1] >> u & 1:
                     raise ValueError("adjacency must be symmetric")
-        if 2 * walked != sum(row.bit_count() for row in self.rows):
+        if 2 * walked != sum(row.bit_count() for row in rows):
             raise ValueError("adjacency must be symmetric")
 
     @classmethod
@@ -213,7 +269,7 @@ def threshold(creation_sequence) -> Graph:
     return Graph.from_edges(len(seq), edges)
 
 
-@dataclass(frozen=True)
+@_record
 class StackedPathLabels:
     """Role tags for the stacked path R_n: (role, level, slot) per vertex.
 
@@ -445,6 +501,10 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
 
 # -- file formats ----------------------------------------------------------
 
+# graph6 byte -> its six payload bits, most significant first
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+
 def to_graph6(g: Graph) -> str:
     """graph6 encoding (no header), per the standard format definition."""
     n = g.n
@@ -455,15 +515,15 @@ def to_graph6(g: Graph) -> str:
                                     for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for graph6")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(g.rows[u] >> v & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + int("".join(map(str, bits[i:i + 6])), 2))
-             for i in range(0, len(bits), 6)] if bits else []
-    return prefix + "".join(chars)
+    # the pairs (0, 1), (0, 2), (1, 2), (0, 3), ... in turn: column v is
+    # v's neighbours u < v, lowest first, read off bin() of those u with
+    # bit v set as a marker ("0b1" then v digits, highest first)
+    rows = g.rows
+    bits = "".join(bin(rows[v] & (1 << v) - 1 | 1 << v)[:2:-1]
+                   for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return prefix + "".join(chr(63 + int(bits[i:i + 6], 2))
+                            for i in range(0, len(bits), 6))
 
 
 def from_graph6(text: str) -> Graph:
@@ -487,22 +547,22 @@ def from_graph6(text: str) -> Graph:
     need = n * (n - 1) // 2
     if len(data) != -(-need // 6):
         raise ValueError("graph6 payload has wrong length")
-    bits = []
-    for ch in data:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"bad graph6 byte {ch!r}")
-        bits += [val >> s_ & 1 for s_ in range(5, -1, -1)]
-    if any(bits[need:]):
+    bits = data.translate(_G6_BITS)
+    if len(bits) != 6 * len(data):  # a byte outside 63..126 stays one char
+        bad = next(ch for ch in data if not "?" <= ch <= "~")
+        raise ValueError(f"bad graph6 byte {bad!r}")
+    if "1" in bits[need:]:
         raise ValueError("graph6 payload has nonzero padding")
-    edges = []
-    idx = 0
+    rows, start = [0] * n, 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    return Graph.from_edges(n, edges)
+        low = int(bits[start:start + v][::-1], 2)  # v's neighbours u < v
+        start += v
+        rows[v], bit = low, 1 << v
+        while low:
+            b = low & -low
+            low ^= b
+            rows[b.bit_length() - 1] |= bit
+    return Graph._built(n, tuple(rows))
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import json
-import string
-from dataclasses import dataclass
 
-from .graphs import DOMINATING, Graph, threshold
+from .graphs import DOMINATING, Graph, _record, threshold
 
 #: External single-character letter syntax: a-z then A-Z.
-LETTER_SYMBOLS = string.ascii_lowercase + string.ascii_uppercase
+LETTER_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def symbol(index: int) -> str:
@@ -18,7 +16,7 @@ def symbol(index: int) -> str:
     return LETTER_SYMBOLS[index]
 
 
-@dataclass(frozen=True)
+@_record
 class Decoder:
     """An alphabet plus the set of ordered pairs governing adjacency.
 
@@ -97,7 +95,7 @@ def decode(decoder: Decoder, word) -> Graph:
                                 if decoder.pairs[word[i]][word[j]]))
 
 
-@dataclass(frozen=True)
+@_record
 class Lettering:
     """A decoder, a word of letter indices, and the bijection sending word
     positions to graph vertices."""

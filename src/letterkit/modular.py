@@ -12,9 +12,8 @@ famously intricate linear-time algorithms are deliberately out of scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .graphs import Graph, _bits, bull, inflate, path, to_graph6
+from .graphs import Graph, _bits, _record, bull, inflate, path, to_graph6
 
 
 def is_module(g: Graph, vertex_set) -> bool:
@@ -87,7 +86,7 @@ def _reach(g: Graph) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@_record
 class QuotientDecomposition:
     """Prime quotient H plus the module partition of the input graph."""
 
@@ -169,7 +168,7 @@ BULL_NOSE = "BullNose"
 _P4, _BULL = path(4), bull()  # the patterns verify_role checks against
 
 
-@dataclass(frozen=True)
+@_record
 class VertexRole:
     role: str
     witness: tuple[int, ...]

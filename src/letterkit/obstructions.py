@@ -3,10 +3,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, contains_induced, stacked_path
+from .graphs import Graph, _record, contains_induced, stacked_path
 
 
 def max_induced_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -93,7 +92,7 @@ def max_stacked_path(g: Graph) -> tuple[int, tuple[int, ...]]:
     return r, witness
 
 
-@dataclass(frozen=True)
+@_record
 class ClassProfile:
     """The least forbidden sizes: no induced pK2, co-(qK2), or R_r."""
 
@@ -184,7 +183,7 @@ def f_impl(m: int, p: int, q: int, r: int) -> int:
                (ramsey(p, q) - 1) * down + m * max(p, q) + 2)
 
 
-@dataclass(frozen=True)
+@_record
 class BoundParams:
     m: int
     p: int

@@ -21,9 +21,8 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass
 
-from .graphs import Graph, ScaleError
+from .graphs import Graph, ScaleError, _record
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 
@@ -80,7 +79,7 @@ class Run:
         _ENCLOSING.reset(self._token)
 
 
-@dataclass(frozen=True)
+@_record
 class LetterClassConstraint:
     """Disjoint vertex classes; each class must share one letter and
     distinct classes must use distinct letters."""
@@ -101,7 +100,7 @@ class LetterClassConstraint:
         return LetterClassConstraint(tuple(frozenset(s) for s in vertex_sets))
 
 
-@dataclass(frozen=True)
+@_record
 class SolveReport:
     """``decoders_tried`` counts letter-class searches (one to decide, one per
     decoder entry asked about); ``nodes_expanded`` their placements plus the

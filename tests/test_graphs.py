@@ -45,6 +45,15 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_graph_keeps_a_tuple_of_the_rows_it_is_given():
+    rows = [2, 5, 10, 4]
+    g = Graph(4, rows)
+    assert g == path(4) and hash(g) == hash(path(4))
+    assert {path(4): "P4"}[g] == "P4"  # usable as a memo key
+    rows[0] = 0
+    assert g.rows == (2, 5, 10, 4)
+
+
 def test_graph_rejects_every_one_sided_edge():
     # one bit of one row flipped in a symmetric row set: an edge listed by
     # one end only, below or above the diagonal
@@ -307,6 +316,18 @@ def test_graph6_rejects_size_bytes_outside_63_to_126(size):
 def test_graph6_rejects_overlong_payloads(text):
     # K2, the empty graph and K4 followed by extra zero bytes
     with pytest.raises(ValueError, match="wrong length"):
+        from_graph6(text)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("C!", "bad graph6 byte '!'"),
+    ("C1", "bad graph6 byte '1'"),  # a digit, not a payload bit
+    ("C" + chr(127), "bad graph6 byte"),
+    ("A`", "nonzero padding"),  # K2: one bit, then 00001 must be zero
+    ("B@", "nonzero padding"),  # P3 or K3 codes end in three zero bits
+])
+def test_graph6_rejects_bad_payload_bytes_and_padding(text, match):
+    with pytest.raises(ValueError, match=match):
         from_graph6(text)
 
 
