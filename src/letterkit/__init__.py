@@ -1,7 +1,7 @@
 """letterkit: letter graphs, exact lettericity, modular decomposition,
 obstruction profiles, and constructive lettering composition."""
 
-from .composer import CompositionCertificate, PeelTrace, attach_peeled, compose, peel
+from .composer import CompositionCertificate, PeelTrace, attach_peeled, compose, peel, profile
 from .graphs import (
     Graph,
     StackedPathLabels,
@@ -52,7 +52,6 @@ from .obstructions import (
     bounds,
     max_induced_matching,
     max_stacked_path,
-    profile,
     ramsey,
 )
 from .solver import (

@@ -97,7 +97,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_profile(args) -> int:
     g = _read_graph(args.graph)
-    prof = obstructions.profile(g)
+    prof = composer.profile(g)
     out = {"p": prof.p, "q": prof.q, "r": prof.r}
     if args.m is not None:
         b = obstructions.bounds(args.m, prof.p, prof.q, prof.r)

@@ -1,5 +1,5 @@
 """Constructive lettering of arbitrary graphs whose prime quotients the
-exact solver can handle.
+exact solver can handle, and the (p, q, r) profile of any graph.
 
 The recursion peels isolated/dominating vertices, splits along the prime
 quotient (union, join, or a genuine prime graph), letters the quotient
@@ -15,12 +15,9 @@ and at a prime node the letters of modules v != w pair as the quotient
 letters of v and w do in D_H. Each labelled prime quotient
 is solved once per process: completed solves are remembered by the
 quotient ``Graph`` (up to 256 of them), so a remembered solve is not run
-again, not even under a later call's budget. The certificate's
-stacked-path depth r is read off the same decomposition, one small search
-per prime quotient and tuple of module depths, not by a search on the whole
-input. So are p and q, from the largest induced matchings of the input and
-its complement: a small weighted search per prime node, sums and maxima at
-union and join nodes.
+again, not even under a later call's budget. ``compose`` and ``profile``
+read (p, q, r) off the decomposition by the same rules, with no search on
+the whole input.
 The result is an upper-bound constructor: no attempt is made to minimize
 the alphabet afterwards, and the certificate measures the gap against the
 bound tables.
@@ -150,10 +147,8 @@ def compose(g: Graph, *,
     scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
     :class:`ScaleError` is raised. The certificate records the maximum
     quotient lettericity encountered and compares the alphabet against the
-    bound tables. Its profile comes from the decomposition and equals
-    ``profile(g)``: ``r`` by ``_prime_stacked_depth``, ``p`` and ``q`` by
-    ``_weighted_induced_matching`` at prime nodes; no search runs on ``g``
-    itself. ``budget`` is wall-clock seconds for the whole call, which runs
+    bound tables. Its profile, read off in the same pass, equals
+    ``profile(g)``. ``budget`` is wall-clock seconds for the whole call, which runs
     in a :class:`Run`: every build step, prime-quotient solve and the final
     bound check stop at its deadline (the enclosing run's, if that is
     earlier) and raise :class:`BudgetExceeded`.
@@ -194,11 +189,8 @@ def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     prime). So at most one M_v meets the copy in two or more vertices,
     there in an R_s with s <= depths[v]; mapping that R_s into R_{depths[v]}
     and each other vertex of the copy into its own module's stand-in keeps
-    every adjacency, as adjacency between modules follows ``h``. At union
-    and join nodes no search is needed: R_r is connected and co-connected,
-    so a copy lies in one side. Nor does peeling lose a copy: R_r has no
-    isolated or dominating vertex. Remembered per (labelled quotient,
-    depths) for the life of the process."""
+    every adjacency, as adjacency between modules follows ``h``. Remembered
+    per (labelled quotient, depths) for the life of the process."""
     return max_stacked_path(inflate(
         h, [stacked_path(d)[0] if d else path(1) for d in depths])[0])[0]
 
@@ -213,8 +205,52 @@ def _homogeneous(graph: Graph, both: bool = False) -> bool | None:
 
 
 def _homogeneous_stats(n: int, complete: bool) -> tuple[int, int, int]:
-    """``build``'s (r, m, cm) for K_n, or for n vertices and no edge."""
+    """(r, m, cm) of K_n, or of n vertices and no edge: the largest stacked
+    path R_r (0 for none) and induced matchings of the graph and of its
+    complement. Two edges of K_n always touch or are joined; R_r has an
+    edge and a non-edge."""
     return 0, int(n > 1 and complete), int(n > 1 and not complete)
+
+
+def _node_stats(h: Graph, stats) -> tuple[int, int, int]:
+    """(r, m, cm) of a graph that is not homogeneous, from the quotient ``h``
+    of its peeled core (the empty core if no vertex is left) and ``stats``, the
+    (r, m, cm) of the core's modules in ``h``'s order. Peeled vertices lie on
+    no induced 2K2, C4 or R_r, which have no isolated or dominating vertex, so
+    they keep the core's values, which are positive; a fully peeled graph is
+    threshold (2K2-, C4-, P4-free) with an edge and a non-edge. R_r is
+    connected and co-connected, so a union or join keeps the larger r. A union
+    adds m and keeps the larger cm, at least 1 (a co-matching with two edges
+    lies in one side); a join the reverse."""
+    if h.n == 0:
+        return 0, 1, 1
+    if h.n == 2:
+        (r1, m1, c1), (r2, m2, c2) = stats
+        if h.adjacent(0, 1):
+            return max(r1, r2), max(m1, m2, 1), c1 + c2
+        return max(r1, r2), m1 + m2, max(c1, c2, 1)
+    depths, ms, cms = zip(*stats)
+    return (_prime_stacked_depth(h, depths),
+            _weighted_induced_matching(h, ms),
+            _weighted_induced_matching(h.complement(), cms))
+
+
+def profile(g: Graph) -> ClassProfile:
+    """The (p, q, r) profile of ``g``: p - 1, q - 1 and r - 1 are its largest
+    induced matching, co-matching and stacked path. Read off the modular
+    decomposition by ``compose``'s rules, with no solve and no scale guard."""
+    def walk(graph: Graph) -> tuple[int, int, int]:
+        complete = _homogeneous(graph)
+        if complete is not None:
+            return _homogeneous_stats(graph.n, complete)
+        core = peel(graph).core
+        if core.n == 0:
+            return _node_stats(core, ())
+        dec = quotient(core)
+        return _node_stats(dec.quotient, [walk(s) for s in dec.module_graphs])
+
+    r, m, cm = walk(g)
+    return ClassProfile(m + 1, cm + 1, r + 1)
 
 
 def _compose(g: Graph, run: Run) -> CompositionCertificate:
@@ -225,13 +261,7 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
     def build(graph: Graph, ids: list[int]):
         """Return (word, tree, (r, m, cm)) for ``graph`` and add its decoder
         pairs to ``pairs``; word entries carry original vertex ids via
-        ``ids``. r is the largest stacked path R_r in ``graph`` (0 for
-        none), m and cm the largest induced matchings of ``graph`` and of
-        its complement. A fully peeled graph is threshold (2K2- and
-        C4-free) with an edge and a non-edge: (1, 1). Peeled vertices lie
-        on no induced 2K2 or C4, so they keep the core's values, which are
-        positive. A union adds m and keeps the larger cm, at least 1 (a
-        co-matching with two edges lies in one side); a join the reverse.
+        ``ids``. (r, m, cm) is as in ``_homogeneous_stats``.
 
         At a prime node the module words follow H's word, so letters of
         modules v != w meet in the order v and w do there, and the pairs
@@ -264,18 +294,17 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             # fully peelable: both kinds occurred, else step one fired
             word = _attach_peeled([], removed, alloc, pairs)
             return word, {"case": "peel", "n": graph.n,
-                          "letters": len({a for _, a in word})}, (0, 1, 1)
+                          "letters": len({a for _, a in word})}, \
+                _node_stats(core, ())
 
         dec = quotient(core)
         h = dec.quotient
         if h.n == 2:
             case = "join" if h.adjacent(0, 1) else "union"
-            words, subtrees, ((r1, m1, c1), (r2, m2, c2)) = zip(*(
+            words, subtrees, stats = zip(*(
                 build(sub, [core_ids[v] for v in part])
                 for part, sub in zip(dec.modules, dec.module_graphs)))
-            r, m, cm = max(r1, r2), m1 + m2, max(c1, c2, 1)
             if case == "join":
-                m, cm = max(m1, m2, 1), c1 + c2
                 first, second = ({a for _, a in w} for w in words)
                 pairs.update(itertools.product(first, second))
                 pairs.update(itertools.product(second, first))
@@ -289,8 +318,7 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             letter_of = dict(zip(h_lett.vertex_of_position, h_lett.word))
             # fresh global ids for the quotient's letters
             base = {a: alloc() for a in sorted(set(h_lett.word))}
-            a_set, b_set, module_words, subtrees = [], [], [], []
-            stats = []
+            a_set, b_set, module_words, subtrees, stats = [], [], [], [], []
             for v, sub in enumerate(dec.module_graphs):
                 a = letter_of[v]
                 sub_ids = [core_ids[u] for u in dec.modules[v]]
@@ -319,10 +347,6 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
                                                    module_letters[u]))
             word = [e for v in h_lett.vertex_of_position
                     for e in module_words[v]]
-            depths, ms, cms = zip(*stats)
-            r = _prime_stacked_depth(h, depths)
-            m = _weighted_induced_matching(h, ms)
-            cm = _weighted_induced_matching(h.complement(), cms)
             node = {"case": "prime", "n": graph.n,
                     "quotient": to_graph6(h), "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
@@ -331,27 +355,25 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             word = _attach_peeled(word, removed, alloc, pairs)
             node = {"case": "peel", "n": graph.n, "core": node,
                     "peeled": len(removed)}
-        return word, node, (r, m, cm)
+        return word, node, _node_stats(h, stats)
 
     word, tree, (r, m, cm) = build(g, list(range(g.n)))
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")
     run.check("compose")
-    prof = ClassProfile(m + 1, cm + 1, r + 1)
-    m_obs = max(prime_ls) if prime_ls else 0
-    m_eff = max(m_obs, 1)
+    p, q, r = m + 1, cm + 1, r + 1
+    m_obs = max(prime_ls, default=0)
     alphabet_size = lett.letters_used()
-    fp = f_paper(prof.p, prof.q, prof.r)
-    fi = f_impl(m_eff, prof.p, prof.q, prof.r)
+    fi = f_impl(max(m_obs, 1), p, q, r)
     return CompositionCertificate(
         lettering=lett,
         alphabet_size=alphabet_size,
         recursion_tree=tree,
         bound_check={
-            "profile": {"p": prof.p, "q": prof.q, "r": prof.r},
+            "profile": {"p": p, "q": q, "r": r},
             "max_prime_lettericity": m_obs,
-            "f_paper": fp,
+            "f_paper": f_paper(p, q, r),
             "F_impl": fi,
             "within_F_impl": alphabet_size <= fi,
         })

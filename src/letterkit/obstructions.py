@@ -1,5 +1,6 @@
 """Obstruction families (matchings, co-matchings, stacked paths), the
-(p, q, r) profile, and the alphabet-size bound functions built on it."""
+(p, q, r) profile record, and the alphabet-size bound functions built on
+it. ``composer.profile`` computes the profile."""
 
 from __future__ import annotations
 
@@ -99,13 +100,6 @@ class ClassProfile:
     p: int
     q: int
     r: int
-
-
-def profile(g: Graph) -> ClassProfile:
-    p = max_induced_matching(g)[0] + 1
-    q = max_induced_matching(g.complement())[0] + 1
-    r = max_stacked_path(g)[0] + 1
-    return ClassProfile(p, q, r)
 
 
 # -- Ramsey numbers and the bound tables -------------------------------------

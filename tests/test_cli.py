@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from letterkit import from_graph6, is_isomorphic, matching, path, stacked_path, to_graph6
+from letterkit import (cycle, from_graph6, is_isomorphic, matching,
+                       max_induced_matching, max_stacked_path, path,
+                       stacked_path, to_graph6)
 from letterkit.cli import main
 
 
@@ -133,6 +135,14 @@ def test_profile(tmp_path, capsys):
     assert code == 0
     assert (obj["p"], obj["q"], obj["r"]) == (3, 2, 1)
     assert "f_paper" in obj and "F_impl" in obj
+    for g in (path(13), cycle(13)):  # prime, past the solver's guard
+        f.write_text(to_graph6(g))
+        code, out, _ = run(capsys, "profile", str(f))
+        assert code == 0
+        assert json.loads(out) == {
+            "p": max_induced_matching(g)[0] + 1,
+            "q": max_induced_matching(g.complement())[0] + 1,
+            "r": max_stacked_path(g)[0] + 1}
 
 
 def test_compose_cli(tmp_path, capsys):

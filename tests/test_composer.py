@@ -28,13 +28,15 @@ from letterkit import (
     matching,
     path,
     peel,
+    profile,
     threshold,
     verify,
 )
 from letterkit import claims, composer, obstructions, solver
 from letterkit.graphs import (DOMINATING, ISOLATED, Graph, empty, join,
                               stacked_path)
-from letterkit.obstructions import max_induced_matching, max_stacked_path
+from letterkit.obstructions import (ClassProfile, max_induced_matching,
+                                    max_stacked_path)
 from letterkit.letters import Decoder
 from tests.conftest import random_cograph, random_graph
 
@@ -193,17 +195,17 @@ def test_compose_cograph_inflations(rng):
         assert cert.bound_check["within_F_impl"]
 
 
-def test_compose_a_set_below_ramsey(rng):
-    from letterkit import profile, ramsey
+def _prime_nodes(node):
+    """The prime nodes of a certificate's recursion tree."""
+    if node.get("case") == "prime":
+        yield node
+    for sub in [node.get("core"), node.get("tree")] + node.get("modules", []):
+        if sub is not None:
+            yield from _prime_nodes(sub)
 
-    def prime_nodes(node):
-        if node.get("case") == "prime":
-            yield node
-        for key in ("core", "tree"):
-            if key in node:
-                yield from prime_nodes(node[key])
-        for sub in node.get("modules", []):
-            yield from prime_nodes(sub)
+
+def test_compose_a_set_below_ramsey(rng):
+    from letterkit import ramsey
 
     for _ in range(20):
         base = rng.choice([path(4), bull(), cycle(5)])
@@ -211,7 +213,7 @@ def test_compose_a_set_below_ramsey(rng):
         g, _ = inflate(base, mods)
         cert = compose(g)
         prof = profile(g)
-        for node in prime_nodes(cert.recursion_tree):
+        for node in _prime_nodes(cert.recursion_tree):
             assert len(node["A"]) < ramsey(prof.p, prof.q)
 
 
@@ -229,21 +231,13 @@ def _nested_inflation(rng, depth=2):
 def test_compose_nested_prime_quotients(rng):
     from letterkit import ramsey
 
-    def prime_nodes(node):
-        if node.get("case") == "prime":
-            yield node
-        for sub in [node.get("core"), node.get("tree")] + \
-                node.get("modules", []):
-            if sub is not None:
-                yield from prime_nodes(sub)
-
     for _ in range(100):
         g = _nested_inflation(rng)
         cert = compose(g)
         assert verify(g, cert.lettering)
         assert cert.bound_check["within_F_impl"]
         prof = cert.bound_check["profile"]
-        nodes = list(prime_nodes(cert.recursion_tree))
+        nodes = list(_prime_nodes(cert.recursion_tree))
         assert len(nodes) >= 2  # the base and at least one prime module
         for node in nodes:
             assert len(node["A"]) < ramsey(prof["p"], prof["q"])
@@ -281,6 +275,7 @@ def test_certificate_r_matches_max_stacked_path(depth, rnd):
     r = max_stacked_path(g)[0]
     assert r >= 2  # every draw holds R_2 or more
     assert compose(g).bound_check["profile"]["r"] == r + 1
+    assert profile(g).r == r + 1
 
 
 def _matching_draw(rnd, depth):
@@ -309,12 +304,23 @@ def test_certificate_p_and_q_match_max_induced_matching(depth, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    prof = compose(g).bound_check["profile"]
-    assert prof["p"] == max_induced_matching(g)[0] + 1
-    assert prof["q"] == max_induced_matching(g.complement())[0] + 1
+    prof, walked = compose(g).bound_check["profile"], profile(g)
+    assert prof["p"] == walked.p == max_induced_matching(g)[0] + 1
+    assert prof["q"] == walked.q == max_induced_matching(g.complement())[0] + 1
 
 
-def test_compose_searches_no_matching_on_the_input(monkeypatch, rng):
+def test_profile_matches_the_whole_input_searches():
+    for n in range(8):
+        for g in all_graphs(n):
+            assert profile(g) == ClassProfile(
+                max_induced_matching(g)[0] + 1,
+                max_induced_matching(g.complement())[0] + 1,
+                max_stacked_path(g)[0] + 1)
+
+
+@pytest.mark.parametrize("walk", [compose, profile],
+                         ids=["compose", "profile"])
+def test_compose_searches_no_matching_on_the_input(walk, monkeypatch, rng):
     _fresh_memo(monkeypatch)
     searched = []
     real = obstructions._matching_search
@@ -324,7 +330,7 @@ def test_compose_searches_no_matching_on_the_input(monkeypatch, rng):
     for _ in range(10):
         g = _nested_inflation(rng)
         searched.clear()
-        compose(g)
+        walk(g)
         # the weighted searches on prime quotients, and any climb of the
         # solver, search only smaller graphs
         assert searched

@@ -164,6 +164,14 @@ def test_is_prime_matches_exhaustive_oracle():
             assert is_prime(g) == exhaustive_is_prime(g)
 
 
+def test_quotient_is_prime_by_the_exhaustive_oracle():
+    # the oracle does not run _module_closure, which quotient's partition
+    # and its is_prime guard both run
+    for n in range(2, 8):
+        for g in all_graphs(n):
+            assert exhaustive_is_prime(quotient(g).quotient)
+
+
 def test_prime_examples():
     assert is_prime(path(4))
     assert is_prime(bull())
