@@ -37,16 +37,20 @@ def matching_lettericity() -> dict:
     return {"pass": ok}
 
 
+def r2_four_classes() -> solver.LetterClassConstraint:
+    """The four vertex classes of Prop. 4.3 on ``stacked_path(2)``:
+    {s_{1,j}, s_{2,j}} and {c_{1,j}, c_{2,j}} for j = 1, 2."""
+    labels = graphs.stacked_path(2)[1]
+    return solver.LetterClassConstraint.of(
+        *({labels.id_of(role, level, slot) for level in (1, 2)}
+          for role, slot in (("s", 1), ("c", 1), ("c", 2), ("s", 2))))
+
+
 def constrained_stacked() -> dict:
     """Prop. 4.3: the stacked path R2 has no 4-lettering that gives each of
     its four vertex classes one letter."""
-    g, labels = graphs.stacked_path(2)
-    constraint = solver.LetterClassConstraint.of(
-        {labels.id_of("s", 1, 1), labels.id_of("s", 2, 1)},
-        {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
-        {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
-        {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
-    report = solver.is_k_letterable(g, 4, constraint)
+    report = solver.is_k_letterable(graphs.stacked_path(2)[0], 4,
+                                    r2_four_classes())
     return {"pass": report.outcome == "exhausted",
             "decoders_tried": report.decoders_tried,
             "nodes_expanded": report.nodes_expanded}

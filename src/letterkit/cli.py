@@ -110,9 +110,6 @@ def _cmd_profile(args) -> int:
 def _cmd_compose(args) -> int:
     g = _read_graph(args.graph)
     cert = composer.compose(g)
-    if args.verify and not letters.verify(g, cert.lettering):
-        print("verification failed", file=sys.stderr)
-        return 1
     if args.json:
         print(cert.to_json())
     else:
@@ -173,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=graphs._FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--seq", help="threshold creation sequence over i/d")
-    p.add_argument("--g6", action="store_true", help="graph6 output (default)")
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen)
@@ -207,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="constructive lettering with certificate")
     p.add_argument("graph")
-    p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=_cmd_compose)

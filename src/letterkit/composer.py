@@ -30,11 +30,11 @@ import itertools
 import json
 
 from .graphs import (DOMINATING, ISOLATED, Graph, _record, inflate, path,
-                     stacked_path, to_graph6)
+                     to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
-from .obstructions import (ClassProfile, _weighted_induced_matching, f_impl,
-                           f_paper, max_stacked_path)
+from .obstructions import (ClassProfile, _stacked, _weighted_induced_matching,
+                           f_impl, f_paper, max_stacked_path)
 from .solver import Run, lettericity
 
 
@@ -192,7 +192,7 @@ def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     every adjacency, as adjacency between modules follows ``h``. Remembered
     per (labelled quotient, depths) for the life of the process."""
     return max_stacked_path(inflate(
-        h, [stacked_path(d)[0] if d else path(1) for d in depths])[0])[0]
+        h, [_stacked(d) if d else path(1) for d in depths])[0])[0]
 
 
 def _homogeneous(graph: Graph, both: bool = False) -> bool | None:

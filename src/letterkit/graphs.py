@@ -318,7 +318,7 @@ def stacked_path(n: int) -> tuple[Graph, StackedPathLabels]:
 def stacked_path_inductive(n: int) -> Graph:
     """R_n built by repeatedly inflating the bull's nose, starting from P4.
 
-    Independent oracle for :func:`stacked_path`.
+    Independent oracle for :func:`stacked_path`, with the same numbering.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -402,10 +402,10 @@ def contains_induced(g: Graph, pattern: Graph):
     return tuple(phi) if extend(0, domains) else None
 
 
-def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 16) -> bool:
-    """Exhaustive isomorphism test with invariant pruning; capped at max_n."""
-    if max(g1.n, g2.n) > max_n:
-        raise ScaleError(f"is_isomorphic is capped at {max_n} vertices")
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exhaustive isomorphism test, invariant-pruned; at most 16 vertices."""
+    if max(g1.n, g2.n) > 16:
+        raise ScaleError("is_isomorphic is capped at 16 vertices")
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return False
     if sorted(g1.degree(v) for v in g1.vertices()) != \
@@ -565,8 +565,8 @@ def from_graph6(text: str) -> Graph:
     return Graph._built(n, tuple(rows))
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {v};" for v in range(g.n)]
     lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}")

@@ -27,8 +27,7 @@ from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 
 
-# The solver's scale guards, n <= MAX_N and k <= MAX_K. Only the max_n and
-# max_k arguments of is_k_letterable lift them.
+# The solver's scale guards, n <= MAX_N and k <= MAX_K, read at each call.
 MAX_N = 12
 MAX_K = 5
 
@@ -396,23 +395,22 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
 
 def is_k_letterable(g: Graph, k: int,
                     constraint: LetterClassConstraint | None = None,
-                    *, max_n: int = MAX_N, max_k: int = MAX_K,
-                    budget: float | None = None) -> SolveReport:
+                    *, budget: float | None = None) -> SolveReport:
     """Complete search for a k-lettering of ``g`` (optionally constrained).
 
     Returns the canonically least lettering on success, or "exhausted" once
     the letter-class search has covered every partition. ``budget`` is
     wall-clock seconds; the search raises :class:`BudgetExceeded` at the
     earlier of that and the enclosing :class:`Run`'s deadline. A graph with
-    more than ``max_n`` vertices or a ``k`` above ``max_k`` raises
-    :class:`ScaleError`; the defaults are the scale guards.
+    more than ``MAX_N`` vertices or a ``k`` above ``MAX_K`` raises
+    :class:`ScaleError`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n > max_n:
-        raise ScaleError(f"graph exceeds the solver scale guard n <= {max_n}")
-    if k > max_k:
-        raise ScaleError(f"k exceeds the solver scale guard k <= {max_k}")
+    if g.n > MAX_N:
+        raise ScaleError(f"graph exceeds the solver scale guard n <= {MAX_N}")
+    if k > MAX_K:
+        raise ScaleError(f"k exceeds the solver scale guard k <= {MAX_K}")
     if g.n == 0:
         raise ValueError("graph must be nonempty")
 

@@ -79,9 +79,9 @@ def count(workload: str, seed: int, items: int | None,
 
     def on_call(frame, event, arg):
         code = frame.f_code
-        if code not in names:
+        if code not in names:  # co_qualname is new in Python 3.11
             names[code] = (f"{frame.f_globals.get('__name__')}."
-                           f"{code.co_qualname}")
+                           f"{getattr(code, 'co_qualname', code.co_name)}")
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return on_opcode

@@ -35,19 +35,11 @@ import json
 import os
 import sys
 
-from letterkit import composer, graphs, solver
+from letterkit import claims, composer, graphs, solver
 from letterkit.letters import lettering_to_json
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "golden_solver.json")
-
-
-def r2_four_classes() -> solver.LetterClassConstraint:
-    """Same-letter classes {s_{1,j}, s_{2,j}} and {c_{1,j}, c_{2,j}} of R2."""
-    labels = graphs.stacked_path(2)[1]
-    return solver.LetterClassConstraint.of(
-        *({labels.id_of(role, level, slot) for level in (1, 2)}
-          for role, slot in (("s", 1), ("c", 1), ("c", 2), ("s", 2))))
 
 
 def _counts(report: solver.SolveReport) -> list:
@@ -67,7 +59,7 @@ def build() -> dict:
             _counts(solver.is_k_letterable(g, j))
             for j in range(1, k + 1)]
     counters["R2 four classes k=4"] = _counts(
-        solver.is_k_letterable(r2, 4, r2_four_classes()))
+        solver.is_k_letterable(r2, 4, claims.r2_four_classes()))
     return {"letterings": letterings, "counters": counters}
 
 

@@ -11,8 +11,9 @@ queries are:
 
 - ``r3-k4`` and ``r3-k5``: the stacked path R3 (12 vertices) at k = 4
   and k = 5, both exhausted;
-- ``r3-k6``: R3 at k = 6, one past the scale guard through ``max_k=6``;
-  the line also gives the word found;
+- ``r3-k6``: R3 at k = 6, one past the scale guard, which the query
+  lifts by patching ``solver.MAX_K`` to 6; the line also gives the word
+  found;
 - ``6k2-k5``: the matching 6K2 at k = 5, exhausted;
 - ``lettericity-n7``: ``lettericity`` of every graph with n = 7, in
   catalogue order. Its counters add up the ``is_k_letterable`` calls of
@@ -37,9 +38,10 @@ from letterkit import graphs, solver
 from letterkit.letters import lettering_to_json
 
 
-def _single(g: graphs.Graph, k: int, **kwargs):
+def _single(g: graphs.Graph, k: int, max_k: int = solver.MAX_K):
     def query():
-        report = solver.is_k_letterable(g, k, **kwargs)
+        with mock.patch.object(solver, "MAX_K", max_k):
+            report = solver.is_k_letterable(g, k)
         extra = {} if report.lettering is None else \
             {"word": report.lettering.word_string()}
         return report.outcome, [report], extra

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from letterkit import (cycle, from_graph6, is_isomorphic, matching,
+from letterkit import (composer, cycle, from_graph6, is_isomorphic, matching,
                        max_induced_matching, max_stacked_path, path,
                        stacked_path, to_graph6)
 from letterkit.cli import main
@@ -16,7 +16,7 @@ def run(capsys, *argv):
 
 
 def test_gen_stacked_graph6(capsys):
-    code, out, _ = run(capsys, "gen", "--family", "stacked", "--n", "2", "--g6")
+    code, out, _ = run(capsys, "gen", "--family", "stacked", "--n", "2")
     assert code == 0
     g = from_graph6(out.strip())
     assert g.n == 8 and g.edge_count() == 14
@@ -148,9 +148,19 @@ def test_profile(tmp_path, capsys):
 def test_compose_cli(tmp_path, capsys):
     f = tmp_path / "m2.g6"
     f.write_text(to_graph6(matching(2)))
-    code, out, _ = run(capsys, "compose", str(f), "--verify", "--json")
+    code, out, _ = run(capsys, "compose", str(f), "--json")
     obj = json.loads(out)
     assert code == 0 and obj["alphabet_size"] == 2
+
+
+def test_compose_cli_raises_its_soundness_guard(tmp_path, capsys,
+                                                monkeypatch):
+    # compose verifies its own lettering before it returns
+    f = tmp_path / "p4.g6"
+    f.write_text(to_graph6(path(4)))
+    monkeypatch.setattr(composer, "verify", lambda graph, lett: False)
+    with pytest.raises(AssertionError, match="failed verification"):
+        main(["compose", str(f)])
 
 
 def test_compose_past_52_letters_is_a_usage_error(tmp_path, capsys):
@@ -174,8 +184,7 @@ def test_cli_keeps_the_solver_scale_guards(tmp_path, capsys):
         code, out, err = run(capsys, command, p13)
         assert code == 2 and out == "" and "n <= 12" in err
     # n = 14, but no prime quotient: the guard applies to prime quotients
-    code, out, _ = run(capsys, "compose", graph_file("m7.g6", matching(7)),
-                       "--verify")
+    code, out, _ = run(capsys, "compose", graph_file("m7.g6", matching(7)))
     assert code == 0 and out.startswith("alphabet_size=")
 
 
@@ -296,6 +305,9 @@ def test_lettericity_rejects_an_overlong_graph6_payload(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "lettericity", "/nonexistent/file.g6")[0] == 2
     assert main(["gen", "--family", "nope"]) == 2
+    # flags that changed nothing are gone
+    assert main(["gen", "--family", "path", "--n", "3", "--g6"]) == 2
+    assert main(["compose", "-", "--verify"]) == 2
 
 
 def test_malformed_graph6(tmp_path, capsys):

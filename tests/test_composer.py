@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
@@ -39,6 +38,7 @@ from letterkit.obstructions import (ClassProfile, max_induced_matching,
                                     max_stacked_path)
 from letterkit.letters import Decoder
 from tests.conftest import random_cograph, random_graph
+from tests.startup_timing import ROOT, child_env
 
 
 def test_peel_threshold_graph_fully():
@@ -577,15 +577,10 @@ def test_acceptance_inflation_certificates_keep_their_bytes():
 
 def test_bytecode_count_repeats_on_a_cold_pass():
     # each run is a fresh process, so both start with an empty solve memo
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH"))
-        if p))
-
     def count(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "tests.bytecode_count", *args],
-            cwd=root, env=env, capture_output=True, text=True)
+            cwd=ROOT, env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 

@@ -2,7 +2,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -30,11 +29,12 @@ from letterkit import (
     stacked_path,
     verify,
 )
-from letterkit import solver
+from letterkit import claims, solver
 from letterkit.graphs import Graph, ScaleError
 from letterkit.letters import Decoder, Lettering, symbol
 from letterkit.solver import _search_word
 from tests.conftest import random_cograph, random_graph
+from tests.startup_timing import child_env
 
 
 def test_matching_lettericities():
@@ -134,24 +134,21 @@ def test_constrained_search_respects_classes():
 
 
 def test_stacked_two_constrained_exhausts():
-    g, labels = stacked_path(2)
-    constraint = LetterClassConstraint.of(
-        {labels.id_of("s", 1, 1), labels.id_of("s", 2, 1)},
-        {labels.id_of("c", 1, 1), labels.id_of("c", 2, 1)},
-        {labels.id_of("c", 1, 2), labels.id_of("c", 2, 2)},
-        {labels.id_of("s", 1, 2), labels.id_of("s", 2, 2)})
-    report = is_k_letterable(g, 4, constraint)
+    g = stacked_path(2)[0]
+    report = is_k_letterable(g, 4, claims.r2_four_classes())
     assert report.outcome == "exhausted"
     # but R2 is 4-letterable without the same-letter requirement
     assert is_k_letterable(g, 4).outcome == "found"
 
 
-def test_scale_guards():
+def test_scale_guards(monkeypatch):
     with pytest.raises(ScaleError):
         is_k_letterable(complete(13), 2)
     with pytest.raises(ScaleError):
         is_k_letterable(path(4), 6)
-    assert is_k_letterable(complete(13), 2, max_n=13).outcome == "found"
+    # the guards are read at each call: lifted, the same query runs
+    monkeypatch.setattr(solver, "MAX_N", 13)
+    assert is_k_letterable(complete(13), 2).outcome == "found"
 
 
 def test_climb_starts_at_matching_bound(monkeypatch):
@@ -250,12 +247,8 @@ except AssertionError as exc:
 
 
 def test_solver_soundness_guard_runs_under_python_O():
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-O", "-c", _GUARD_UNDER_O],
-                          env=env, capture_output=True, text=True)
+                          env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 ") and \
         "failed verification" in proc.stdout
