@@ -59,10 +59,10 @@ def constrained_stacked() -> dict:
 def prime_classification() -> dict:
     """Thm. 3.2: every vertex of a prime graph (4 <= n <= 7) has a role
     (P4 end or middle, bull nose) that its witness confirms."""
-    checked = 0
+    checked, run = 0, solver.Run()
     for n in range(4, 8):
         for g in graphs.all_graphs(n):
-            solver.Run().check("claim check")
+            run.check("claim check")
             if not modular.is_prime(g):
                 continue
             for v in range(g.n):

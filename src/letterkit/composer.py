@@ -12,10 +12,12 @@ letter sets, as in the paper's construction: in G = H[M_1..M_h] two
 vertices of different modules are adjacent as their modules are in H, so
 at a join every letter of one side pairs with every letter of the other,
 and at a prime node the letters of modules v != w pair as the quotient
-letters of v and w do in D_H. Each labelled prime quotient
-is solved once per process: completed solves are remembered by the
-quotient ``Graph`` (up to 256 of them), so a remembered solve is not run
-again, not even under a later call's budget. ``compose`` and ``profile``
+letters of v and w do in D_H. Each isomorphism class of prime quotients
+is solved once per process: a labelled quotient met before reuses its
+lettering, and one isomorphic to a solved quotient reuses its decoder
+and runs only the least-word search on its own labels (see
+``_prime_lettering``). A remembered solve is not run again, not even
+under a later call's budget. ``compose`` and ``profile``
 read (p, q, r) off the decomposition by the same rules, with no search on
 the whole input.
 The result is an upper-bound constructor: no attempt is made to minimize
@@ -29,13 +31,13 @@ import functools
 import itertools
 import json
 
-from .graphs import (DOMINATING, ISOLATED, Graph, _record, inflate, path,
-                     to_graph6)
+from .graphs import (DOMINATING, ISOLATED, Graph, _record, inflate,
+                     is_isomorphic, path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
 from .obstructions import (ClassProfile, _stacked, _weighted_induced_matching,
                            f_impl, f_paper, max_stacked_path)
-from .solver import Run, lettericity
+from .solver import Run, _least_lettering, lettericity
 
 
 @_record
@@ -152,9 +154,10 @@ def compose(g: Graph, *,
     in a :class:`Run`: every build step, prime-quotient solve and the final
     bound check stop at its deadline (the enclosing run's, if that is
     earlier) and raise :class:`BudgetExceeded`.
-    Each labelled prime quotient is solved once per process; a quotient
-    solved by an earlier call is reused without running its solve again
-    under this call's budget.
+    Each isomorphism class of prime quotients is solved once per
+    process; a class solved by an earlier call is reused without running
+    its solve again under this call's budget, and only a new labelling's
+    least-word search runs under it.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -162,16 +165,46 @@ def compose(g: Graph, *,
         return _compose(g, run)
 
 
+# One solved prime quotient per isomorphism class, oldest first: the
+# representative H maps to ((n, sorted degrees), k, D* as row masks).
+_classes: dict[Graph, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
+
+
 @functools.lru_cache(maxsize=256)
 def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
     """``lettericity(h)`` for a labelled prime quotient, remembered for the
-    life of the process. A solve that raises is not stored. Callers share
-    the returned (immutable) lettering, so they must not alter it.
+    life of the process (the last 256 labelled quotients), with one solve
+    per isomorphism class (the last 256 classes in ``_classes``). A miss
+    of the labelled memo looks for a solved H' with the same vertex count
+    and sorted degrees that ``is_isomorphic`` confirms; on a hit it takes
+    H''s k and least fitting decoder D* and runs only the least-word
+    search on ``h``, under the enclosing run's deadline. Otherwise it
+    calls ``lettericity``, looked up at each miss so that a patched solver
+    sees every solve, and stores the class. A solve or search that raises
+    stores nothing. Callers share the returned (immutable) lettering, so
+    they must not alter it.
+
+    The result is byte for byte ``lettericity(h)``. Renaming the vertices
+    of a k-lettering gives a k-lettering of the relabelled graph with the
+    same decoder and word, so h and H' have the same lettericity k and the
+    same set of fitting k-letter decoders, hence the same least one, D*,
+    which is the decoder ``lettericity(h)`` returns. Its lettering is D*
+    with the least word of ``h`` under D*, found by
+    ``solver._least_lettering``, the very tail that ``is_k_letterable``
+    runs on ``h``.
 
     The memo lives here, not in ``solver.lettericity``, whose ``budget``
-    must raise whatever was solved before; and ``lettericity`` is looked
-    up at each miss, so a patched solver sees every solve."""
-    return lettericity(h)
+    must raise whatever was solved before."""
+    key = (h.n, *sorted(row.bit_count() for row in h.rows))
+    for other, (other_key, k, matrix) in _classes.items():
+        if other_key == key and is_isomorphic(h, other):
+            return k, _least_lettering(h, matrix, Run())
+    k, lett = lettericity(h)
+    if len(_classes) >= 256:
+        del _classes[next(iter(_classes))]
+    _classes[h] = key, k, tuple(sum(x << b for b, x in enumerate(row))
+                                for row in lett.decoder.pairs)
+    return k, lett
 
 
 @functools.lru_cache(maxsize=256)

@@ -127,11 +127,21 @@ def verify(g: Graph, lettering: Lettering) -> bool:
     position-to-vertex bijection, not merely up to isomorphism)."""
     if lettering.n != g.n:
         raise ValueError("word length must equal vertex count")
-    w, vo, dec = lettering.word, lettering.vertex_of_position, lettering.decoder
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.adjacent(vo[i], vo[j]) != dec.pairs[w[i]][w[j]]:
-                return False
+    # from the last position back: the vertex at position i must be
+    # adjacent to exactly the later vertices whose letter b has
+    # pairs[w[i]][b]; ``later[b]`` holds the later vertices with letter b
+    rows, pairs = g.rows, lettering.decoder.pairs
+    later, seen = [0] * lettering.decoder.size, 0
+    for a, v in zip(reversed(lettering.word),
+                    reversed(lettering.vertex_of_position)):
+        want = 0
+        for edge, mask in zip(pairs[a], later):
+            if edge:
+                want |= mask
+        if rows[v] & seen != want:
+            return False
+        later[a] |= 1 << v
+        seen |= 1 << v
     return True
 
 

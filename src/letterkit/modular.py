@@ -165,7 +165,13 @@ def reconstruct(decomposition: QuotientDecomposition) -> tuple[Graph, list[int]]
 P4_END = "P4End"
 P4_MID = "P4Mid"
 BULL_NOSE = "BullNose"
-_P4, _BULL = path(4), bull()  # the patterns verify_role checks against
+
+
+# the neighbour lists of the pattern each role's witness induces, in
+# witness order, and the place of v in it
+_P4, _BULL = (tuple(tuple(_bits(row)) for row in g.rows)
+              for g in (path(4), bull()))
+_PATTERNS = {P4_END: (_P4, 0), P4_MID: (_P4, 1), BULL_NOSE: (_BULL, 4)}
 
 
 @_record
@@ -212,22 +218,24 @@ def classify_vertex(h: Graph, v: int) -> VertexRole:
 
 
 def verify_role(h: Graph, v: int, role: VertexRole) -> bool:
-    """Independent check that a classification witness is genuine."""
+    """Independent check that a classification witness is genuine: its
+    vertices are distinct, ``v`` sits at the role's place, and each one's
+    row in ``h``, cut to the witness, is its pattern row in ``h``'s ids."""
+    pattern, place = _PATTERNS.get(role.role, ((), 0))
     w = role.witness
-    if len(set(w)) != len(w) or v not in w:
+    if not pattern or len(w) != len(pattern) or len(set(w)) != len(w) \
+            or w[place] != v:
         return False
-    if role.role in (P4_END, P4_MID):
-        pos = 0 if role.role == P4_END else 1
-        if w[pos] != v:
+    rows, inside = h.rows, 0
+    for u in w:
+        inside |= 1 << u
+    for u, near in zip(w, pattern):
+        want = 0
+        for i in near:
+            want |= 1 << w[i]
+        if rows[u] & inside != want:
             return False
-        return all(h.adjacent(w[i], w[j]) == _P4.adjacent(i, j)
-                   for i in range(4) for j in range(i + 1, 4))
-    if role.role == BULL_NOSE:
-        if w[4] != v:
-            return False
-        return all(h.adjacent(w[i], w[j]) == _BULL.adjacent(i, j)
-                   for i in range(5) for j in range(i + 1, 5))
-    return False
+    return True
 
 
 def decomposition_tree(g: Graph) -> dict:

@@ -446,6 +446,21 @@ def is_k_letterable(g: Graph, k: int,
                                           class_of, run)
             code = code if hit is None else _least_renaming(hit, k)
     matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
+    lett = _least_lettering(g, matrix, run, class_of, class_kind)
+    return SolveReport("found", lett, tried, run.nodes,
+                       time.monotonic() - start)
+
+
+def _least_lettering(g: Graph, matrix: tuple[int, ...], run: Run,
+                     class_of: list[int] | None = None,
+                     class_kind: list[int] | tuple[()] = ()) -> Lettering:
+    """The lettering of ``g`` by the least word under the decoder
+    ``matrix`` (bit b of row a is entry (a, b)), checked by ``verify``:
+    the tail of ``is_k_letterable`` once the decoder is known. The word
+    search runs under ``run``; no class constraint by default."""
+    k = len(matrix)
+    if class_of is None:
+        class_of = [-1] * g.n
     word, placed = _search_word(g, k, matrix, class_of, class_kind,
                                 run) or ((), ())  # none: fails verify
     dec = Decoder(tuple(symbol(i) for i in range(k)),
@@ -454,8 +469,7 @@ def is_k_letterable(g: Graph, k: int,
     lett = Lettering(dec, tuple(word), tuple(placed))
     if not verify(g, lett):
         raise AssertionError("solver lettering failed verification")
-    return SolveReport("found", lett, tried, run.nodes,
-                       time.monotonic() - start)
+    return lett
 
 
 def lettericity(g: Graph, *,

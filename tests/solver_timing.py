@@ -19,7 +19,14 @@ queries are:
   catalogue order. Its counters add up the ``is_k_letterable`` calls of
   every climb, and ``sha256`` hashes ``to_graph6(g) + str(k) +
   lettering_to_json(lettering)`` for each graph in turn, so two versions
-  of the solver can be shown to give the same answers.
+  of the solver can be shown to give the same answers;
+- ``compose-n7``: ``compose`` of every graph with n <= 7, in catalogue
+  order, on an empty solve memo. Its counters add up the
+  ``is_k_letterable`` calls of every solve; ``solves`` counts the
+  composer's ``lettericity`` calls, ``quotients`` the distinct labelled
+  prime quotients met and ``classes`` their isomorphism classes, and
+  ``sha256`` hashes every certificate's ``to_json()`` and a newline, in
+  turn.
 
 Run from the repository root, naming the queries to run (all by default):
 
@@ -28,13 +35,14 @@ Run from the repository root, naming the queries to run (all by default):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 import time
 from unittest import mock
 
-from letterkit import graphs, solver
+from letterkit import composer, graphs, solver
 from letterkit.letters import lettering_to_json
 
 
@@ -68,12 +76,43 @@ def _lettericity_sweep():
     return query
 
 
+def _compose_sweep():
+    catalogue = [g for n in range(1, 8) for g in graphs.all_graphs(n)]
+    real = solver.is_k_letterable
+
+    def query():
+        reports, met, solved, digest = [], [], [], hashlib.sha256()
+        memo = functools.lru_cache(maxsize=256)(
+            composer._prime_lettering.__wrapped__)
+
+        def record(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        with mock.patch.object(solver, "is_k_letterable", record), \
+                mock.patch.object(composer, "_classes", {}), \
+                mock.patch.object(composer, "_prime_lettering",
+                                  lambda h: met.append(h) or memo(h)), \
+                mock.patch.object(composer, "lettericity",
+                                  lambda h: solved.append(h) or
+                                  solver.lettericity(h)):
+            for g in catalogue:
+                digest.update((composer.compose(g).to_json() + "\n")
+                              .encode())
+        return "found", reports, {
+            "solves": len(solved), "quotients": len(set(met)),
+            "classes": len({graphs.canonical_code(h) for h in met}),
+            "sha256": digest.hexdigest()}
+    return query
+
+
 QUERIES = {
     "r3-k4": lambda: _single(graphs.stacked_path(3)[0], 4),
     "r3-k5": lambda: _single(graphs.stacked_path(3)[0], 5),
     "r3-k6": lambda: _single(graphs.stacked_path(3)[0], 6, max_k=6),
     "6k2-k5": lambda: _single(graphs.matching(6), 5),
     "lettericity-n7": _lettericity_sweep,
+    "compose-n7": _compose_sweep,
 }
 
 

@@ -8,7 +8,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from letterkit import (
@@ -24,6 +24,7 @@ from letterkit import (
     decode,
     disjoint_union,
     inflate,
+    is_prime,
     matching,
     path,
     peel,
@@ -381,17 +382,20 @@ def test_compose_rejects_empty_graph():
 
 
 def _nested_primes():
-    # P4 of four different prime modules: five distinct labelled prime
-    # quotients, so five solver calls on an empty memo
+    # P4 of four prime modules, the bull, C5, P5 and the house (co-P5):
+    # five prime quotients in five isomorphism classes, so five solver
+    # calls on an empty memo
     return inflate(path(4), [bull(), cycle(5), path(5),
-                             path(4).complement()])[0]
+                             path(5).complement()])[0]
 
 
 def _fresh_memo(monkeypatch):
-    """Give the composer an empty prime-quotient memo for this test."""
+    """Give the composer an empty prime-quotient memo and an empty class
+    table for this test."""
     memo = functools.lru_cache(maxsize=256)(
         composer._prime_lettering.__wrapped__)
     monkeypatch.setattr(composer, "_prime_lettering", memo)
+    monkeypatch.setattr(composer, "_classes", {})
     return memo
 
 
@@ -472,8 +476,8 @@ def test_compose_budget_bounds_the_final_profile(monkeypatch):
         compose(complete(3), budget=1.5)
 
 
-def test_memo_solves_each_labelled_quotient_once(monkeypatch):
-    _fresh_memo(monkeypatch)
+def test_memo_solves_each_quotient_class_once(monkeypatch):
+    memo = _fresh_memo(monkeypatch)
     solved = []
     real = composer.lettericity
     monkeypatch.setattr(composer, "lettericity",
@@ -482,9 +486,51 @@ def test_memo_solves_each_labelled_quotient_once(monkeypatch):
     compose(inflate(cycle(5), [path(3)] + [path(1)] * 4)[0])
     compose(inflate(cycle(5), [path(1)] * 3 + [complete(2), matching(2)])[0])
     assert solved == [cycle(5)]
-    # C5 under other labels is another key, so another solve
-    compose(inflate(cycle(5).complement(), [path(3)] + [path(1)] * 4)[0])
-    assert solved == [cycle(5), cycle(5).complement()]
+    # C5 under other labels (its complement is one) is another labelled
+    # key but the same class: no solve, and lettericity's own answer
+    relabelled = cycle(5).complement()
+    assert relabelled != cycle(5)
+    compose(inflate(relabelled, [path(3)] + [path(1)] * 4)[0])
+    assert solved == [cycle(5)]
+    assert memo(relabelled) == real(relabelled)
+    # a new class is solved; P5 has C5's vertex count but other degrees
+    compose(inflate(path(5), [path(3)] + [path(1)] * 4)[0])
+    assert solved == [cycle(5), path(5)]
+    assert list(composer._classes) == solved
+
+
+def test_memo_hit_searches_under_the_callers_deadline(monkeypatch):
+    _fresh_memo(monkeypatch)
+    compose(cycle(5))
+    deadlines = []
+    real = composer._least_lettering
+    monkeypatch.setattr(composer, "_least_lettering",
+                        lambda h, matrix, run: deadlines.append(run.deadline)
+                        or real(h, matrix, run))
+    with Run(50) as outer:
+        compose(cycle(5).complement(), budget=100)
+    assert deadlines == [outer.deadline]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 8), st.randoms(use_true_random=False))
+def test_memo_letters_a_relabelled_class_as_lettericity_does(n, rnd):
+    g = random_graph(rnd, n, 0.5)
+    assume(is_prime(g))
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    relabelled = Graph.from_edges(n, [(perm[u], perm[v])
+                                      for u, v in g.edges()])
+    with pytest.MonkeyPatch.context() as mp:
+        memo = _fresh_memo(mp)
+        solved = []
+        real = composer.lettericity
+        mp.setattr(composer, "lettericity",
+                   lambda h: solved.append(h) or real(h))
+        assert memo(g) == real(g)
+        # the class is stored: the relabelling runs a word search only
+        assert memo(relabelled) == real(relabelled)
+        assert solved == [g]
 
 
 def _memo_inputs():
@@ -499,6 +545,18 @@ def _memo_inputs():
         path(4),
         cycle(5),
     ]
+
+
+def test_compose_n7_sweep_keeps_its_certificates():
+    # the digest pins the certificates of all 1252 graphs with n <= 7, as
+    # one solve per labelled quotient gave them; the class table holds
+    # 256 of the 291 classes, so six classes are solved twice
+    from tests.solver_timing import _compose_sweep
+    _, _, extra = _compose_sweep()()
+    assert extra == {
+        "solves": 297, "quotients": 389, "classes": 291,
+        "sha256": "c80ae978c16db85cba9cfddeb00156ff"
+                  "425293aee9073d0a720eb8ead0f632df"}
 
 
 def test_memo_keeps_certificates_byte_identical(monkeypatch):

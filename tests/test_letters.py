@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from letterkit import (
     Decoder,
+    Graph,
     Lettering,
     complement_decoder,
     complete,
@@ -74,6 +75,34 @@ def test_verify():
     assert verify(path(4), p4_lett)
     with pytest.raises(ValueError):
         verify(path(3), p4_lett)
+
+
+def _pairwise_verify(g, lett):
+    """Oracle: the definition, one vertex pair at a time."""
+    w, vo, pairs = lett.word, lett.vertex_of_position, lett.decoder.pairs
+    return all(g.adjacent(vo[i], vo[j]) == pairs[w[i]][w[j]]
+               for i in range(g.n) for j in range(i + 1, g.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2),
+       st.randoms(use_true_random=False))
+def test_verify_matches_the_pairwise_definition(k, n, flips, rnd):
+    dec = Decoder(tuple("abcd"[:k]), tuple(
+        tuple(rnd.random() < 0.5 for _ in range(k)) for _ in range(k)))
+    word = tuple(rnd.randrange(k) for _ in range(n))
+    order = list(range(n))
+    rnd.shuffle(order)
+    # the letter graph under the lettering's own labels, then up to two
+    # pairs flipped, so that both answers occur
+    edges = {tuple(sorted((order[i], order[j])))
+             for i in range(n) for j in range(i + 1, n)
+             if dec.pairs[word[i]][word[j]]}
+    for _ in range(flips if n > 1 else 0):
+        edges ^= {tuple(sorted(rnd.sample(range(n), 2)))}
+    g = Graph.from_edges(n, edges)
+    lett = Lettering(dec, word, tuple(order))
+    assert verify(g, lett) == _pairwise_verify(g, lett)
 
 
 def test_complement_decoder():

@@ -339,6 +339,39 @@ def test_classify_vertex_matches_permutation_scan():
 def test_verify_role_rejects_bogus_witness():
     assert not verify_role(path(4), 0, VertexRole(P4_END, (1, 0, 2, 3)))
     assert not verify_role(bull(), 4, VertexRole(BULL_NOSE, (0, 1, 2, 3, 0)))
+    # a witness must have exactly its pattern's length
+    assert not verify_role(bull(), 0, VertexRole(P4_END, (0, 1, 2, 3, 4)))
+    assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2)))
+    assert not verify_role(path(4), 0, VertexRole("P4", (0, 1, 2, 3)))
+
+
+def _pairwise_verify_role(h, v, role):
+    """Oracle: the witness's vertex pairs against the pattern's."""
+    pattern, place = {P4_END: (path(4), 0), P4_MID: (path(4), 1),
+                      BULL_NOSE: (bull(), 4)}[role.role]
+    w = role.witness
+    if len(w) != pattern.n or len(set(w)) != len(w) or w[place] != v:
+        return False
+    return all(h.adjacent(w[i], w[j]) == pattern.adjacent(i, j)
+               for i in range(len(w)) for j in range(i + 1, len(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 7), st.sampled_from([P4_END, P4_MID, BULL_NOSE]),
+       st.randoms(use_true_random=False))
+def test_verify_role_matches_the_pairwise_definition(n, kind, rnd):
+    g = random_graph(rnd, n, 0.5)
+    v = rnd.randrange(n)
+    size = rnd.choice([3, 4, 5, 6, 4 if kind != BULL_NOSE else 5])
+    # the classification's genuine witness, the same witness under the
+    # drawn role, or a random tuple of vertices, possibly repeating
+    found = classify_vertex(g, v) if is_prime(g) else None
+    roles = [VertexRole(kind, tuple(rnd.choice([rnd.randrange(n), v])
+                                    for _ in range(size)))]
+    if found is not None:
+        roles += [found, VertexRole(kind, found.witness)]
+    for role in roles:
+        assert verify_role(g, v, role) == _pairwise_verify_role(g, v, role)
 
 
 def test_decomposition_serialization():
