@@ -372,12 +372,19 @@ def contains_induced(g: Graph, pattern: Graph):
     k, n = pattern.n, g.n
     if k > n:
         return None
-    full = (1 << n) - 1
+    gdeg = [g.degree(v) for v in range(n)]
+    return _embed(g, pattern, [sum(1 << v for v in range(n)
+                                   if gdeg[v] >= pattern.degree(i))
+                               for i in range(k)])
+
+
+def _embed(g: Graph, pattern: Graph, domains: list[int]):
+    """The search behind ``contains_induced``: the lexicographically least
+    induced embedding phi of ``pattern`` into ``g`` with each phi[i] in the
+    bitmask ``domains[i]``, or None."""
+    k, full = pattern.n, (1 << g.n) - 1
     # masks[v][a]: v's non-neighbours (a = 0) or neighbours (a = 1)
     masks = [(full & ~row & ~(1 << v), row) for v, row in enumerate(g.rows)]
-    gdeg = [g.degree(v) for v in range(n)]
-    domains = [sum(1 << v for v in range(n) if gdeg[v] >= pattern.degree(i))
-               for i in range(k)]
     later_adj = [[pattern.rows[i] >> j & 1 for j in range(i + 1, k)]
                  for i in range(k)]
     phi: list[int] = []

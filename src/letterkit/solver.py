@@ -8,8 +8,11 @@ are closed under renaming letters, so the descent starts from the least
 renaming of the decision's witness and moves to the least renaming of each
 hit. A question's fixed pair of equal entries between letters a and b
 restricts b's candidates as soon as a has a member, even while b is
-still empty. A word search over one candidate vertex bitmask per letter
-then finds the least decoder's least word.
+still empty. Without class constraints, a letter that fails for a vertex
+is closed to its images under the automorphisms that fix the placed
+vertices: its twins, and at the root its orbit. A word search over one
+candidate vertex bitmask per letter then finds the least decoder's least
+word.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import operator
 import time
 
-from .graphs import Graph, ScaleError, _record
+from .graphs import Graph, ScaleError, _embed, _record
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 
@@ -149,7 +152,25 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     gains ``before`` and v in ``pred``. So the closure of ``after`` is
     ``after`` and ``succ[u]`` for each u in it, and that of ``before``
     is ``before`` and ``pred[u]`` for each u in it. Each placement tried
-    counts one ``run`` node."""
+    counts one ``run`` node.
+
+    With no class constraint, a failed letter is a nogood for v's images.
+    Once every choice of v in letter a has failed, the search has proved
+    that no fitting lettering below this node puts v in a. An automorphism
+    s of ``g`` that fixes every placed vertex maps the fitting letterings
+    below the node onto themselves, with the same decoder and the same
+    letters on placed vertices; so does swapping two letters that are
+    still empty and have unfixed rows and equal ``column``s (``alike``).
+    So none puts s(v) in a, or in an empty letter a may swap with, and
+    the node's later letters and their subtrees clear s(v) from those
+    letters' ``cand``. A nogood is a proved fact, so it never removes a
+    fitting lettering: the answer, found or None, is the one the search
+    gives without nogoods, and the descent through ``_least_renaming``
+    still ends at D*. The images s(v) used are v's unplaced twins (the
+    swap of two twins fixes every other vertex) and, at the root, where
+    nothing is placed and v is 0, the orbit of 0 under Aut(g)
+    (``_orbit``); a question with no fixed entry tries one letter at the
+    root, so it skips the orbit."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     deadline = run.deadline
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
@@ -172,6 +193,10 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                      for y in given[b * k + a] for x in given[a * k + b]])
                 for b in range(k) if b != a]
                for a in range(k)]  # opening a: entries (a, b) = x, (b, a) = y
+    alike = [[b for b in range(k) if b * k >= fixed and column[b] == column[a]]
+             if a * k >= fixed else [a]
+             for a in range(k)]  # a and the letters it may swap with if empty
+    twins = None if cls else _twins(g)  # None: no nogoods
 
     def place(code: int, placed: int, near: int, cand: list[int],
               succ: list[int], pred: list[int]):
@@ -269,9 +294,57 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                 if hit is not None:
                     return hit
             members[a] = own, none, every
+            # v's images; with no fixed entry the root tries one letter
+            same = twins and (twins[v] & left if placed else
+                              fixed and _orbit(g))
+            if same:  # none of them takes a, or a letter a may swap with
+                cand = cand[:]  # an opening's choices share one cand list
+                for b in alike[a] if not own else (a,):
+                    if b == a or not members[b][0]:
+                        cand[b] &= ~same
         return None
 
     return place(prefix & known, 0, 0, [full] * k, [0] * n, [0] * n)
+
+
+@functools.lru_cache(maxsize=64)
+def _twins(g: Graph) -> tuple[int, ...]:
+    """For each vertex v of ``g``, its twins as a bitmask: the u != v with
+    the same neighbours apart from u and v, so that swapping u and v is an
+    automorphism. Twins that are apart share their rows, adjacent ones
+    their rows with themselves added. Remembered for the last 64 graphs,
+    as ``_orbit`` is."""
+    group: dict[int, int] = {}
+    for v, row in enumerate(g.rows):
+        for key in row, ~(row | 1 << v):  # ~ keeps the two kinds apart
+            group[key] = group.get(key, 0) | 1 << v
+    return tuple((group[row] | group[~(row | 1 << v)]) & ~(1 << v)
+                 for v, row in enumerate(g.rows))
+
+
+@functools.lru_cache(maxsize=64)
+def _orbit(g: Graph) -> int:
+    """The orbit of vertex 0 under the automorphisms of ``g``, as a bitmask,
+    for the last 64 graphs (a lettericity climb asks about one graph many
+    times). An induced embedding of ``g`` into itself is an automorphism,
+    so w is in the orbit if one maps 0 to w; vertices of 0's degree are
+    tried in id order. Each automorphism found adds the whole cycle of 0
+    under it, and each vertex in the orbit adds its twins (a swap of
+    twins is an automorphism); those need no search of their own."""
+    twins, degree = _twins(g), [row.bit_count() for row in g.rows]
+    peers: dict[int, int] = {}  # the vertices of each degree
+    for w, d in enumerate(degree):
+        peers[d] = peers.get(d, 0) | 1 << w
+    domains = [peers[d] for d in degree]
+    orbit = 1 | twins[0]
+    todo = domains[0] & ~orbit
+    while todo:
+        w = (todo & -todo).bit_length() - 1
+        phi = _embed(g, g, [1 << w, *domains[1:]])
+        while phi is not None and w:  # 0's cycle under phi
+            orbit, w = orbit | 1 << w | twins[w], phi[w]
+        todo &= ~orbit & todo - 1
+    return orbit
 
 
 @functools.lru_cache(maxsize=None)

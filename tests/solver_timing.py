@@ -15,6 +15,8 @@ queries are:
   lifts by patching ``solver.MAX_K`` to 6; the line also gives the word
   found;
 - ``6k2-k5``: the matching 6K2 at k = 5, exhausted;
+- ``5k2-k5``: the matching 5K2 at k = 5, found after the decision and
+  five exhausted descent questions; the line gives the word;
 - ``lettericity-n7``: ``lettericity`` of every graph with n = 7, in
   catalogue order. Its counters add up the ``is_k_letterable`` calls of
   every climb, and ``sha256`` hashes ``to_graph6(g) + str(k) +
@@ -111,6 +113,7 @@ QUERIES = {
     "r3-k5": lambda: _single(graphs.stacked_path(3)[0], 5),
     "r3-k6": lambda: _single(graphs.stacked_path(3)[0], 6, max_k=6),
     "6k2-k5": lambda: _single(graphs.matching(6), 5),
+    "5k2-k5": lambda: _single(graphs.matching(5), 5),
     "lettericity-n7": _lettericity_sweep,
     "compose-n7": _compose_sweep,
 }

@@ -561,6 +561,12 @@ def _matches_decoder_walk(g: Graph, k: int, classes) -> None:
     assert report.lettering == want
 
 
+def _relabelled(g: Graph, rnd) -> Graph:
+    label = list(range(g.n))
+    rnd.shuffle(label)
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
 def _twin_rich_graph(rnd) -> Graph:
     """A relabelled inflation of P4, the bull or C5 with small cograph
     modules, or a relabelled matching or co-matching; n <= 8."""
@@ -573,9 +579,19 @@ def _twin_rich_graph(rnd) -> Graph:
         g = inflate(h, [random_cograph(rnd, size) for size in sizes])[0]
     else:
         g = (matching, co_matching)[kind - 3](rnd.randint(1, 4))
-    label = list(range(g.n))
-    rnd.shuffle(label)
-    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+    return _relabelled(g, rnd)
+
+
+def _symmetric_graph(rnd) -> Graph:
+    """A relabelled cycle, matching, co-matching, R1 or R2; n <= 8: graphs
+    with many automorphisms, where the root's orbit nogoods act."""
+    kind = rnd.randrange(5)
+    if kind < 3:
+        g = (cycle(rnd.randint(3, 8)), matching(rnd.randint(1, 4)),
+             co_matching(rnd.randint(1, 4)))[kind]
+    else:
+        g = stacked_path(kind - 2)[0]
+    return _relabelled(g, rnd)
 
 
 @settings(max_examples=100, deadline=None)
@@ -689,15 +705,16 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
     return place(prefix & known, 0, 0, [full] * k, [0] * n)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 3),
-       st.booleans(), st.randoms(use_true_random=False))
-def test_fits_matches_reference(n, k, n_classes, twin_rich, rnd):
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.just(0) | st.integers(1, 3),
+       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
+       st.randoms(use_true_random=False))
+def test_fits_matches_reference(n, k, n_classes, draw, rnd):
     # the golden file pins only the prefixes that the descent asks about;
     # here any prefix, with any number of fixed entries, is asked; five
     # letters only up to n = 6, where the reference search stays short
-    g = _twin_rich_graph(rnd) if twin_rich else \
-        random_graph(rnd, n, rnd.random())
+    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
+        draw(rnd)
     assume(k < 5 or g.n <= 6)
     fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
     class_of, _ = _class_arrays(g, _uniform_classes(g, rnd, n_classes))
@@ -708,7 +725,36 @@ def test_fits_matches_reference(n, k, n_classes, twin_rich, rnd):
             want = _reference_fits(g, k, prefix, fixed, class_of, ref)
     except BudgetExceeded:
         reject()
-    assert (got, new.nodes) == (want, ref.nodes)
+    if max(class_of, default=-1) >= 0:  # classes switch nogoods off
+        assert (got, new.nodes) == (want, ref.nodes)
+        return
+    # nogoods prune the tree, so another fitting code may be found first
+    assert (got is None) == (want is None)
+    if got is not None:
+        known = (1 << fixed) - 1
+        assert got & known == prefix & known
+        solver._least_lettering(g, tuple(got >> a * k & (1 << k) - 1
+                                         for a in range(k)), Run())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_of_vertex_0_matches_brute_force(n):
+    for g in all_graphs(n):
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            if all(sum(1 << perm[w] for w in g.neighbors(u)) == g.rows[perm[u]]
+                   for u in range(n)):
+                want |= 1 << perm[0]
+        assert solver._orbit(g) == want, g
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_twins_match_their_definition(n):
+    for g in all_graphs(n):
+        assert solver._twins(g) == tuple(
+            sum(1 << u for u in range(n) if u != v and
+                g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u))
+            for v in range(n)), g
 
 
 # -- decoder generation against the brute-force table it replaced ----------
