@@ -165,24 +165,28 @@ def compose(g: Graph, *,
         return _compose(g, run)
 
 
+# How many entries each memo below keeps: enough for every labelled prime
+# quotient of the graphs with n <= 7 (389 of them, in 291 classes).
+_MEMO_SIZE = 512
+
 # One solved prime quotient per isomorphism class, oldest first: the
 # representative H maps to ((n, sorted degrees), k, D* as row masks).
 _classes: dict[Graph, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
     """``lettericity(h)`` for a labelled prime quotient, remembered for the
-    life of the process (the last 256 labelled quotients), with one solve
-    per isomorphism class (the last 256 classes in ``_classes``). A miss
-    of the labelled memo looks for a solved H' with the same vertex count
-    and sorted degrees that ``is_isomorphic`` confirms; on a hit it takes
-    H''s k and least fitting decoder D* and runs only the least-word
-    search on ``h``, under the enclosing run's deadline. Otherwise it
-    calls ``lettericity``, looked up at each miss so that a patched solver
-    sees every solve, and stores the class. A solve or search that raises
-    stores nothing. Callers share the returned (immutable) lettering, so
-    they must not alter it.
+    life of the process (the last ``_MEMO_SIZE`` labelled quotients), with
+    one solve per isomorphism class (the last ``_MEMO_SIZE`` classes in
+    ``_classes``). A miss of the labelled memo looks for a solved H' with
+    the same vertex count and sorted degrees that ``is_isomorphic``
+    confirms; on a hit it takes H''s k and least fitting decoder D* and
+    runs only the least-word search on ``h``, under the enclosing run's
+    deadline. Otherwise it calls ``lettericity``, looked up at each miss
+    so that a patched solver sees every solve, and stores the class. A
+    solve or search that raises stores nothing. Callers share the returned
+    (immutable) lettering, so they must not alter it.
 
     The result is byte for byte ``lettericity(h)``. Renaming the vertices
     of a k-lettering gives a k-lettering of the relabelled graph with the
@@ -200,14 +204,14 @@ def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
         if other_key == key and is_isomorphic(h, other):
             return k, _least_lettering(h, matrix, Run())
     k, lett = lettericity(h)
-    if len(_classes) >= 256:
+    if len(_classes) >= _MEMO_SIZE:
         del _classes[next(iter(_classes))]
     _classes[h] = key, k, tuple(sum(x << b for b, x in enumerate(row))
                                 for row in lett.decoder.pairs)
     return k, lett
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     """The largest r with an induced stacked path R_r (0 for none) in
     G = H[M_1..M_h], for a prime quotient ``h`` whose module ``M_v`` has

@@ -84,7 +84,7 @@ def _compose_sweep():
 
     def query():
         reports, met, solved, digest = [], [], [], hashlib.sha256()
-        memo = functools.lru_cache(maxsize=256)(
+        memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
             composer._prime_lettering.__wrapped__)
 
         def record(*args, **kwargs):

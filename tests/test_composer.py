@@ -342,7 +342,7 @@ def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
                                                           rng):
     _fresh_memo(monkeypatch)
     monkeypatch.setattr(composer, "_prime_stacked_depth",
-                        functools.lru_cache(maxsize=256)(
+                        functools.lru_cache(maxsize=composer._MEMO_SIZE)(
                             composer._prime_stacked_depth.__wrapped__))
     searched = []
     real = obstructions.contains_induced
@@ -392,7 +392,7 @@ def _nested_primes():
 def _fresh_memo(monkeypatch):
     """Give the composer an empty prime-quotient memo and an empty class
     table for this test."""
-    memo = functools.lru_cache(maxsize=256)(
+    memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
         composer._prime_lettering.__wrapped__)
     monkeypatch.setattr(composer, "_prime_lettering", memo)
     monkeypatch.setattr(composer, "_classes", {})
@@ -549,12 +549,12 @@ def _memo_inputs():
 
 def test_compose_n7_sweep_keeps_its_certificates():
     # the digest pins the certificates of all 1252 graphs with n <= 7, as
-    # one solve per labelled quotient gave them; the class table holds
-    # 256 of the 291 classes, so six classes are solved twice
+    # one solve per labelled quotient gave them; both memos hold all 389
+    # labelled quotients and all 291 classes, so each class is solved once
     from tests.solver_timing import _compose_sweep
     _, _, extra = _compose_sweep()()
     assert extra == {
-        "solves": 297, "quotients": 389, "classes": 291,
+        "solves": 291, "quotients": 389, "classes": 291,
         "sha256": "c80ae978c16db85cba9cfddeb00156ff"
                   "425293aee9073d0a720eb8ead0f632df"}
 
