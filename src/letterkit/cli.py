@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     except solver.BudgetExceeded as exc:
         print(json.dumps({"status": "budget-exhausted", "detail": str(exc)}))
         return 1
-    except (ValueError, OSError, graphs.ScaleError) as exc:
+    except (ValueError, OSError) as exc:  # ScaleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -128,8 +128,8 @@ class SolveReport:
 
 # -- letter-class search ------------------------------------------------------
 
-def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
-          run: Run) -> int | None:
+def _fits(g: Graph, k: int, prefix: int, fixed: int,
+          cuts: list[tuple[int, int] | None], run: Run) -> int | None:
     """A decoder code (bit a*k + b is entry (a, b), unset entries 0) that
     agrees with ``prefix`` on its ``fixed`` low bits and fits a k-lettering
     of ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a before
@@ -145,16 +145,18 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     and ``known``, expanded letter by letter in ``itertools.product``
     order: the first letter with members varies slowest, and for each,
     entry (b, a) outer and (a, b) inner. A vertex in no ``cand`` mask or
-    a cycle in ``succ`` cuts the branch. ``succ[u]`` and ``pred[u]``, the
-    placed vertices forced after and before u, stay transitively closed:
-    a placed v gets its closed ``after`` and ``before``, each vertex of
-    ``before`` gains ``after`` and v in ``succ``, and each of ``after``
-    gains ``before`` and v in ``pred``. So the closure of ``after`` is
-    ``after`` and ``succ[u]`` for each u in it, and that of ``before``
-    is ``before`` and ``pred[u]`` for each u in it. Each placement tried
-    counts one ``run`` node.
+    a cycle in ``succ`` cuts the branch. Placing a member v of a constraint
+    class in letter a keeps in ``cand[b]`` only ``cuts[v][b != a]`` (see
+    ``_class_cuts``). ``succ[u]`` and ``pred[u]``, the placed vertices
+    forced after and before u, stay transitively closed: a placed v gets
+    its closed ``after`` and ``before``, each vertex of ``before`` gains
+    ``after`` and v in ``succ``, and each of ``after`` gains ``before``
+    and v in ``pred``. So the closure of ``after`` is ``after`` and
+    ``succ[u]`` for each u in it, and that of ``before`` is ``before`` and
+    ``pred[u]`` for each u in it. Each placement tried counts one ``run``
+    node.
 
-    With no class constraint, a failed letter is a nogood for v's images.
+    With no cut in ``cuts``, a failed letter is a nogood for v's images.
     Once every choice of v in letter a has failed, the search has proved
     that no fitting lettering below this node puts v in a. An automorphism
     s of ``g`` that fixes every placed vertex maps the fitting letterings
@@ -176,9 +178,6 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
     column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
               for a in range(k)]
-    cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
-           range(max(class_of, default=-1) + 1)]
-    apart = [(~(sum(cls) ^ m), ~m) for m in cls]  # on v's letter, on others
     non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
     letters = [(a, a * k, a * k + a) for a in range(k)]
     rotated = letters[1:] + letters[:1]  # clique-last order
@@ -196,7 +195,7 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
     alike = [[b for b in range(k) if b * k >= fixed and column[b] == column[a]]
              if a * k >= fixed else [a]
              for a in range(k)]  # a and the letters it may swap with if empty
-    twins = None if cls else _twins(g)  # None: no nogoods
+    twins = None if any(cuts) else _twins(g)  # None: no nogoods
 
     def place(code: int, placed: int, near: int, cand: list[int],
               succ: list[int], pred: list[int]):
@@ -212,7 +211,7 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
             return None
         v = (one & ~two & left) or (two & ~three & left) or left
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
-        c, bit, row = class_of[v], 1 << v, rows[v]
+        cut, bit, row = cuts[v], 1 << v, rows[v]
         sides, opened = (non[v], row), []
         first = members[0][0]  # (0, 0) leads the code: try clique a last
         for a, ak, aa in rotated if not fixed and row & first and \
@@ -231,8 +230,8 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                     nxt[b] &= sides[x]
             if own or aa < fixed:
                 nxt[a] &= members[a][1 + (here >> aa & 1)]
-            if c >= 0:  # one letter per class
-                nxt = [m & apart[c][b != a] for b, m in enumerate(nxt)]
+            if cut:  # one letter per class
+                nxt = [m & cut[b != a] for b, m in enumerate(nxt)]
             if own:  # a join: each entry to a letter with members is set
                 after, before, out, into = 0, 0, here >> ak, here >> a
                 for b, m in enumerate(members):
@@ -252,13 +251,13 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
                     if not m[0]:
                         continue
                     split, grown = (m[0] & sides[0], m[0] & sides[1]), []
-                    for now, cut, after, before in choices:
+                    for now, base, after, before in choices:
                         for x, y, bits in table:
                             if x != y:
-                                grown.append((now | bits, cut, after |
+                                grown.append((now | bits, base, after |
                                               split[x], before | split[y]))
                             elif m[1 + x] >> v & 1:  # b's members on side x
-                                eq = cut[:]
+                                eq = base[:]
                                 eq[b] &= sides[x]
                                 eq[a] &= m[1 + x]
                                 grown.append((now | bits, eq, after, before))
@@ -310,13 +309,13 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int, class_of: list[int],
 @functools.lru_cache(maxsize=64)
 def _twins(g: Graph) -> tuple[int, ...]:
     """For each vertex v of ``g``, its twins as a bitmask: the u != v with
-    the same neighbours apart from u and v, so that swapping u and v is an
-    automorphism. Twins that are apart share their rows, adjacent ones
+    the same neighbours besides u and v, so that swapping u and v is an
+    automorphism. Twins that are not adjacent share their rows, adjacent ones
     their rows with themselves added. Remembered for the last 64 graphs,
     as ``_orbit`` is."""
     group: dict[int, int] = {}
     for v, row in enumerate(g.rows):
-        for key in row, ~(row | 1 << v):  # ~ keeps the two kinds apart
+        for key in row, ~(row | 1 << v):  # ~ keeps the two kinds distinct
             group[key] = group.get(key, 0) | 1 << v
     return tuple((group[row] | group[~(row | 1 << v)]) & ~(1 << v)
                  for v, row in enumerate(g.rows))
@@ -378,7 +377,7 @@ def _least_renaming(code: int, k: int) -> int:
 # -- word search -------------------------------------------------------------
 
 def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
-                 class_of: list[int], class_kind: list[int], run: Run):
+                 cuts: list[tuple[int, int] | None], run: Run):
     """Find the lexicographically least word (letters ascending, then vertex
     ids ascending) decoding to ``g`` under ``matrix``; None if exhausted.
 
@@ -387,37 +386,36 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     keeps in ``cand[b]`` only v's neighbours when ``matrix[a]`` has bit b
     (a later b must then be adjacent to v) and only its non-neighbours
     otherwise. A branch is dead once some unplaced vertex is left in no
-    mask; the candidates for letter a are the bits of ``cand[a]``, lowest
-    first. Each candidate tried counts one ``run`` node.
+    mask. The class constraint is a second mask per letter, ``allowed``:
+    a class of two or more starts out of the letters whose entry (a, a) is
+    not its kind, and placing v in a keeps in ``allowed[b]`` only
+    ``cuts[v][b != a]`` (see ``_class_cuts``). The candidates for letter a
+    are the bits of ``cand[a] & allowed[a]``, lowest first. Each candidate
+    tried counts one ``run`` node.
     """
-    # letters compatible with each class's clique/co-clique kind
-    kind_mask = [sum(1 << a for a in range(k)
-                     if kind in (-1, matrix[a] >> a & 1))
-                 for kind in class_kind]
-    if 0 in kind_mask:
-        return None
     rows = g.rows
     full = (1 << g.n) - 1
     non = [full & ~rows[v] & ~(1 << v) for v in range(g.n)]
+    allowed = [full & ~sum(1 << v for v, cut in enumerate(cuts) if cut and
+                           ~cut[1] & (rows, non)[matrix[a] >> a & 1][v])
+               for a in range(k)] if any(cuts) else [full] * k
+    if functools.reduce(operator.or_, allowed) != full:
+        return None  # a class has no letter of its kind
     keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
     deadline = run.deadline
 
     word: list[int] = []
     placed: list[int] = []
-    class_letter = [-1] * len(class_kind)
-    letters_bound = 0  # letters claimed by some class
 
-    def dfs(cand: list[int], rest: int) -> bool:
-        nonlocal letters_bound
+    def dfs(cand: list[int], allowed: list[int], rest: int) -> bool:
         if not rest:
             return True
         if deadline is not None:
             run.check("lettering search")
         for a in range(k):
-            todo = cand[a]
+            todo = cand[a] & allowed[a]
             if not todo:
                 continue
-            bit = 1 << a
             keeps = keeps_row[a]
             # the vertices left in some mask after placing any v with a are
             # (rows[v] & on) | (non[v] & off)
@@ -431,13 +429,6 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                 low = todo & -todo
                 todo ^= low
                 v = low.bit_length() - 1
-                c = class_of[v]
-                if c >= 0:
-                    if class_letter[c] >= 0:
-                        if class_letter[c] != a:
-                            continue
-                    elif (letters_bound & bit) or not kind_mask[c] & bit:
-                        continue
                 run.nodes += 1
                 # place v with letter a
                 row, row_non = rows[v], non[v]
@@ -448,22 +439,41 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                        for m, keep in zip(cand, keeps)]
                 placed.append(v)
                 word.append(a)
-                bound_here = c >= 0 and class_letter[c] < 0
-                if bound_here:
-                    class_letter[c] = a
-                    letters_bound |= bit
-                if dfs(nxt, left):
+                cut = cuts[v]
+                if dfs(nxt, [m & cut[b != a] for b, m in enumerate(allowed)]
+                       if cut else allowed, left):
                     return True
-                if bound_here:
-                    class_letter[c] = -1
-                    letters_bound &= ~bit
                 word.pop()
                 placed.pop()
         return False
 
-    if dfs([full] * k, full):
+    if dfs([full] * k, allowed, full):
         return word, placed
     return None
+
+
+def _class_cuts(g: Graph, constraint: LetterClassConstraint | None
+                ) -> list[tuple[int, int] | None] | None:
+    """The class constraint as one entry per vertex of ``g``: None for a
+    vertex in no class, and for a member v of class C the pair of masks
+    (kept on v's letter, kept on every other letter). Placing v clears the
+    other classes' members from its letter and C's members from every other
+    letter, so each class shares one letter and distinct classes use
+    distinct letters. Every id is checked first (ValueError); the result is
+    None if a class mixes edges and non-edges, as a letter's members are a
+    clique or a co-clique."""
+    classes = () if constraint is None else constraint.classes
+    if any(not 0 <= v < g.n for cls in classes for v in cls):
+        raise ValueError("constraint class contains bad vertex ids")
+    every = sum(1 << v for cls in classes for v in cls)
+    cuts: list[tuple[int, int] | None] = [None] * g.n
+    for cls in classes:
+        m = sum(1 << v for v in cls)
+        for v in cls:
+            if m & g.rows[v] and m & ~g.rows[v] & ~(1 << v):
+                return None
+            cuts[v] = (~(every ^ m), ~m)
+    return cuts
 
 
 def is_k_letterable(g: Graph, k: int,
@@ -472,11 +482,13 @@ def is_k_letterable(g: Graph, k: int,
     """Complete search for a k-lettering of ``g`` (optionally constrained).
 
     Returns the canonically least lettering on success, or "exhausted" once
-    the letter-class search has covered every partition. ``budget`` is
-    wall-clock seconds; the search raises :class:`BudgetExceeded` at the
-    earlier of that and the enclosing :class:`Run`'s deadline. A graph with
-    more than ``MAX_N`` vertices or a ``k`` above ``MAX_K`` raises
-    :class:`ScaleError`.
+    the letter-class search has covered every partition. The constraint is
+    turned into per-vertex cuts once (``_class_cuts``), which ``_fits`` and
+    ``_search_word`` apply alike; a vertex id outside ``g`` raises
+    ValueError. ``budget`` is wall-clock seconds; the search raises
+    :class:`BudgetExceeded` at the earlier of that and the enclosing
+    :class:`Run`'s deadline. A graph with more than ``MAX_N`` vertices or a
+    ``k`` above ``MAX_K`` raises :class:`ScaleError`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -488,25 +500,11 @@ def is_k_letterable(g: Graph, k: int,
         raise ValueError("graph must be nonempty")
 
     start, run = time.monotonic(), Run(budget)
+    cuts = _class_cuts(g, constraint)
+    if cuts is None:  # a class no letter can hold
+        return SolveReport("exhausted", None, 0, 0, time.monotonic() - start)
 
-    class_of = [-1] * g.n
-    class_kind: list[int] = []  # 1 clique, 0 co-clique, -1 free (singleton)
-    if constraint is not None:
-        for ci, cls in enumerate(constraint.classes):
-            members = sorted(cls)
-            if members and not 0 <= members[0] <= members[-1] < g.n:
-                raise ValueError("constraint class contains bad vertex ids")
-            for v in members:
-                class_of[v] = ci
-            kinds = {g.adjacent(u, v)
-                     for u, v in itertools.combinations(members, 2)}
-            if len(kinds) > 1:
-                # a same-letter set is a clique or a co-clique, never mixed
-                return SolveReport("exhausted", None, 0, 0,
-                                   time.monotonic() - start)
-            class_kind.append(int(kinds.pop()) if kinds else -1)
-
-    tried, code = 1, _fits(g, k, 0, 0, class_of, run)
+    tried, code = 1, _fits(g, k, 0, 0, cuts, run)
     if code is None:
         return SolveReport("exhausted", None, tried, run.nodes,
                            time.monotonic() - start)
@@ -515,32 +513,30 @@ def is_k_letterable(g: Graph, k: int,
     code = _least_renaming(code, k)
     for e in range(k * k):
         if code >> e & 1:
-            tried, hit = tried + 1, _fits(g, k, code ^ 1 << e, e + 1,
-                                          class_of, run)
+            tried, hit = tried + 1, _fits(g, k, code ^ 1 << e, e + 1, cuts,
+                                          run)
             code = code if hit is None else _least_renaming(hit, k)
     matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
-    lett = _least_lettering(g, matrix, run, class_of, class_kind)
+    lett = _least_lettering(g, matrix, run, cuts)
     return SolveReport("found", lett, tried, run.nodes,
                        time.monotonic() - start)
 
 
 def _least_lettering(g: Graph, matrix: tuple[int, ...], run: Run,
-                     class_of: list[int] | None = None,
-                     class_kind: list[int] | tuple[()] = ()) -> Lettering:
+                     cuts: list[tuple[int, int] | None] | None = None
+                     ) -> Lettering:
     """The lettering of ``g`` by the least word under the decoder
     ``matrix`` (bit b of row a is entry (a, b)), checked by ``verify``:
     the tail of ``is_k_letterable`` once the decoder is known. The word
-    search runs under ``run``; no class constraint by default."""
+    search runs under ``run`` with the class ``cuts``; none by default. A
+    search that finds no word fails the check too."""
     k = len(matrix)
-    if class_of is None:
-        class_of = [-1] * g.n
-    word, placed = _search_word(g, k, matrix, class_of, class_kind,
-                                run) or ((), ())  # none: fails verify
+    hit = _search_word(g, k, matrix, cuts or [None] * g.n, run)
     dec = Decoder(tuple(symbol(i) for i in range(k)),
                   tuple(tuple(bool(matrix[a] >> b & 1) for b in range(k))
                         for a in range(k)))
-    lett = Lettering(dec, tuple(word), tuple(placed))
-    if not verify(g, lett):
+    lett = None if hit is None else Lettering(dec, *map(tuple, hit))
+    if lett is None or not verify(g, lett):
         raise AssertionError("solver lettering failed verification")
     return lett
 

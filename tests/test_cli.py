@@ -5,7 +5,7 @@ import pytest
 
 from letterkit import (composer, cycle, from_graph6, is_isomorphic, matching,
                        max_induced_matching, max_stacked_path, path,
-                       stacked_path, to_graph6)
+                       solver, stacked_path, to_graph6)
 from letterkit.cli import main
 
 
@@ -110,6 +110,17 @@ def test_malformed_classes_are_a_usage_error(tmp_path, capsys, data):
     assert "list of lists of vertex ids" in err
 
 
+def test_a_class_id_outside_the_graph_is_a_usage_error(tmp_path, capsys):
+    # the mixed class [0, 1, 2] comes first, and alone would exhaust
+    f = tmp_path / "p4.g6"
+    f.write_text(to_graph6(path(4)))
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps([[0, 1, 2], [4]]))
+    code, out, err = run(capsys, "lettericity", str(f), "--max-k", "2",
+                         "--classes", str(classes))
+    assert code == 2 and out == "" and "bad vertex ids" in err
+
+
 def test_lettericity_of_the_empty_graph_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "empty.g6"
     f.write_text("?")
@@ -161,6 +172,15 @@ def test_compose_cli_raises_its_soundness_guard(tmp_path, capsys,
     monkeypatch.setattr(composer, "verify", lambda graph, lett: False)
     with pytest.raises(AssertionError, match="failed verification"):
         main(["compose", str(f)])
+
+
+def test_lettericity_cli_raises_its_soundness_guard(tmp_path, monkeypatch):
+    # a word search that finds no word is a solver defect, not a usage error
+    f = tmp_path / "p4.g6"
+    f.write_text(to_graph6(path(4)))
+    monkeypatch.setattr(solver, "_search_word", lambda *args: None)
+    with pytest.raises(AssertionError, match="failed verification"):
+        main(["lettericity", str(f)])
 
 
 def test_compose_past_52_letters_is_a_usage_error(tmp_path, capsys):

@@ -102,11 +102,27 @@ def test_constraint_validation():
 
 
 def test_empty_constraint_agrees_with_unconstrained():
+    # the same counters too: an empty constraint keeps the nogoods on
     none_c = LetterClassConstraint.of()
     for g in all_graphs(4):
         for k in (1, 2, 3):
-            assert is_k_letterable(g, k, none_c).outcome == \
-                is_k_letterable(g, k).outcome
+            a, b = is_k_letterable(g, k, none_c), is_k_letterable(g, k)
+            assert (a.outcome, a.lettering, a.decoders_tried,
+                    a.nodes_expanded) == (b.outcome, b.lettering,
+                                          b.decoders_tried, b.nodes_expanded)
+
+
+def test_every_class_id_is_checked_before_the_search():
+    # {0, 1, 2} is mixed in P3, which alone would exhaust at once
+    for classes in (({0, 1, 2}, {9}), ({9}, {0, 1, 2}), ({0, 1, 2}, {-1})):
+        with pytest.raises(ValueError, match="bad vertex ids"):
+            is_k_letterable(path(3), 2, LetterClassConstraint.of(*classes))
+
+
+def test_a_failed_word_search_fails_the_soundness_guard(monkeypatch):
+    monkeypatch.setattr(solver, "_search_word", lambda *args: None)
+    with pytest.raises(AssertionError, match="failed verification"):
+        is_k_letterable(path(4), 2)
 
 
 def test_mixed_class_is_unsatisfiable():
@@ -412,6 +428,11 @@ def _class_arrays(g: Graph, classes):
     return class_of, class_kind
 
 
+def _cuts(g: Graph, classes):
+    """The per-vertex cuts is_k_letterable builds for ``classes``."""
+    return solver._class_cuts(g, LetterClassConstraint(tuple(classes)))
+
+
 def _uniform_classes(g: Graph, rnd, count: int):
     """Up to ``count`` disjoint random classes, each a clique, a co-clique
     or a singleton of ``g``."""
@@ -435,8 +456,7 @@ def _both_searches(g: Graph, k: int, matrix, classes):
     """Both searches' words and node counts, under the enclosing deadline."""
     class_of, class_kind = _class_arrays(g, classes)
     new, ref = Run(), [0]
-    return [(_search_word(g, k, matrix, class_of, class_kind, new),
-             new.nodes),
+    return [(_search_word(g, k, matrix, _cuts(g, classes), new), new.nodes),
             (_reference_search_word(g, k, matrix, class_of, class_kind,
                                     ref, new.deadline), ref[0])]
 
@@ -536,11 +556,10 @@ def _decoder_walk(g: Graph, k: int, classes=(), matrices=None):
     """The lettering is_k_letterable returned before the letter-class
     search, and the number of decoders tried: the word search on each
     decoder up to letter renaming, in code order, first success wins."""
-    class_of, class_kind = _class_arrays(g, classes)
-    tried, run = 0, Run()
+    cuts, tried, run = _cuts(g, classes), 0, Run()
     for matrix in _kept_matrices(k) if matrices is None else matrices:
         tried += 1
-        hit = _search_word(g, k, matrix, class_of, class_kind, run)
+        hit = _search_word(g, k, matrix, cuts, run)
         if hit is not None:
             dec = Decoder(tuple(symbol(i) for i in range(k)),
                           tuple(tuple(bool(matrix[a] >> b & 1)
@@ -717,11 +736,12 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
         draw(rnd)
     assume(k < 5 or g.n <= 6)
     fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
-    class_of, _ = _class_arrays(g, _uniform_classes(g, rnd, n_classes))
+    classes = _uniform_classes(g, rnd, n_classes)
+    class_of, _ = _class_arrays(g, classes)
     try:
         with Run(2):
             new, ref = Run(), Run()
-            got = solver._fits(g, k, prefix, fixed, class_of, new)
+            got = solver._fits(g, k, prefix, fixed, _cuts(g, classes), new)
             want = _reference_fits(g, k, prefix, fixed, class_of, ref)
     except BudgetExceeded:
         reject()
