@@ -14,8 +14,8 @@ at a join every letter of one side pairs with every letter of the other,
 and at a prime node the letters of modules v != w pair as the quotient
 letters of v and w do in D_H. Each isomorphism class of prime quotients
 is solved once per process: a labelled quotient met before reuses its
-lettering, and one isomorphic to a solved quotient reuses its decoder
-and runs only the least-word search on its own labels (see
+lettering, and one with the canonical code of a solved quotient reuses
+its decoder and runs only the least-word search on its own labels (see
 ``_prime_lettering``). A remembered solve is not run again, not even
 under a later call's budget. ``compose`` and ``profile``
 read (p, q, r) off the decomposition by the same rules, with no search on
@@ -31,8 +31,8 @@ import functools
 import itertools
 import json
 
-from .graphs import (DOMINATING, ISOLATED, Graph, _record, inflate,
-                     is_isomorphic, path, to_graph6)
+from .graphs import (DOMINATING, ISOLATED, Graph, _canonical, _record,
+                     inflate, path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import quotient
 from .obstructions import (ClassProfile, _stacked, _weighted_induced_matching,
@@ -170,19 +170,21 @@ def compose(g: Graph, *,
 _MEMO_SIZE = 512
 
 # One solved prime quotient per isomorphism class, oldest first: the
-# representative H maps to ((n, sorted degrees), k, D* as row masks).
-_classes: dict[Graph, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
+# canonical code maps to (k, D* as row masks).
+_classes: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+# One climb per class: (canonical code, depths in its order) -> r, oldest first
+_depths: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
     """``lettericity(h)`` for a labelled prime quotient, remembered for the
     life of the process (the last ``_MEMO_SIZE`` labelled quotients), with
-    one solve per isomorphism class (the last ``_MEMO_SIZE`` classes in
-    ``_classes``). A miss of the labelled memo looks for a solved H' with
-    the same vertex count and sorted degrees that ``is_isomorphic``
-    confirms; on a hit it takes H''s k and least fitting decoder D* and
-    runs only the least-word search on ``h``, under the enclosing run's
+    one solve per isomorphism class (the last ``_MEMO_SIZE`` canonical
+    codes in ``_classes``). A miss of the labelled memo that finds h's
+    code there takes the class's k and least fitting decoder D* and runs
+    only the least-word search on ``h``, under the enclosing run's
     deadline. Otherwise it calls ``lettericity``, looked up at each miss
     so that a patched solver sees every solve, and stores the class. A
     solve or search that raises stores nothing. Callers share the returned
@@ -190,24 +192,24 @@ def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
 
     The result is byte for byte ``lettericity(h)``. Renaming the vertices
     of a k-lettering gives a k-lettering of the relabelled graph with the
-    same decoder and word, so h and H' have the same lettericity k and the
-    same set of fitting k-letter decoders, hence the same least one, D*,
-    which is the decoder ``lettericity(h)`` returns. Its lettering is D*
-    with the least word of ``h`` under D*, found by
-    ``solver._least_lettering``, the very tail that ``is_k_letterable``
-    runs on ``h``.
+    same decoder and word, so h and the class's solved H' have the same
+    lettericity k and the same set of fitting k-letter decoders, hence
+    the same least one, D*, which is the decoder ``lettericity(h)``
+    returns. Its lettering is D* with the least word of ``h`` under D*,
+    found by ``solver._least_lettering``, the very tail that
+    ``is_k_letterable`` runs on ``h``.
 
     The memo lives here, not in ``solver.lettericity``, whose ``budget``
     must raise whatever was solved before."""
-    key = (h.n, *sorted(row.bit_count() for row in h.rows))
-    for other, (other_key, k, matrix) in _classes.items():
-        if other_key == key and is_isomorphic(h, other):
-            return k, _least_lettering(h, matrix, Run())
+    code = _canonical(h)[0]
+    if code in _classes:
+        k, matrix = _classes[code]
+        return k, _least_lettering(h, matrix, Run())
     k, lett = lettericity(h)
     if len(_classes) >= _MEMO_SIZE:
         del _classes[next(iter(_classes))]
-    _classes[h] = key, k, tuple(sum(x << b for b, x in enumerate(row))
-                                for row in lett.decoder.pairs)
+    _classes[code] = k, tuple(sum(x << b for b, x in enumerate(row))
+                              for row in lett.decoder.pairs)
     return k, lett
 
 
@@ -226,10 +228,17 @@ def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     prime). So at most one M_v meets the copy in two or more vertices,
     there in an R_s with s <= depths[v]; mapping that R_s into R_{depths[v]}
     and each other vertex of the copy into its own module's stand-in keeps
-    every adjacency, as adjacency between modules follows ``h``. Remembered
-    per (labelled quotient, depths) for the life of the process."""
-    return max_stacked_path(inflate(
-        h, [_stacked(d) if d else path(1) for d in depths])[0])[0]
+    every adjacency, as adjacency between modules follows ``h``. Kept per
+    labelled (h, depths), and in ``_depths`` by h's canonical code and the
+    depths in its canonical order, which a relabelling carries along."""
+    code, order = _canonical(h)
+    key = code, tuple(depths[v] for v in order)
+    if key not in _depths:
+        if len(_depths) >= _MEMO_SIZE:
+            del _depths[next(iter(_depths))]
+        _depths[key] = max_stacked_path(inflate(
+            h, [_stacked(d) if d else path(1) for d in depths])[0])[0]
+    return _depths[key]
 
 
 def _homogeneous(graph: Graph, both: bool = False) -> bool | None:

@@ -7,7 +7,6 @@ cheap at the scales this package targets (a few hundred vertices at most).
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import lru_cache
 
@@ -409,19 +408,6 @@ def _embed(g: Graph, pattern: Graph, domains: list[int]):
     return tuple(phi) if extend(0, domains) else None
 
 
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exhaustive isomorphism test, invariant-pruned; at most 16 vertices."""
-    if max(g1.n, g2.n) > 16:
-        raise ScaleError("is_isomorphic is capped at 16 vertices")
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(g1.degree(v) for v in g1.vertices()) != \
-       sorted(g2.degree(v) for v in g2.vertices()):
-        return False
-    # equal sizes make an induced embedding a full isomorphism
-    return contains_induced(g2, g1) is not None
-
-
 # -- canonical forms and exhaustive enumeration ---------------------------
 
 def _bits(mask: int) -> list[int]:
@@ -436,10 +422,11 @@ def _bits(mask: int) -> list[int]:
 def _refine_colors(g: Graph) -> list[int]:
     """Iterated neighborhood-color refinement (1-WL); returns stable colors
     encoded so equal ints mean indistinguishable vertices."""
-    colors = [g.degree(v) for v in range(g.n)]
+    nbrs = [_bits(row) for row in g.rows]
+    colors = [len(us) for us in nbrs]
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-                for v in range(g.n)]
+        sigs = [(c, tuple(sorted([colors[u] for u in us])))
+                for c, us in zip(colors, nbrs)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colors:
@@ -447,26 +434,65 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def canonical_code(g: Graph) -> int:
-    """Canonical integer form: minimum upper-triangle adjacency code over
-    all vertex orderings compatible with the refined coloring."""
+@lru_cache(maxsize=64)
+def _twins(g: Graph) -> tuple[int, ...]:
+    """For each vertex v of ``g``, its twins as a bitmask: the u != v whose
+    row equals v's (not adjacent) or does with u and v added (adjacent),
+    so swapping u and v is an automorphism. Kept for the last 64 graphs."""
+    group: dict[int, int] = {}
+    for v, row in enumerate(g.rows):
+        for key in row, ~(row | 1 << v):  # ~ keeps the two kinds distinct
+            group[key] = group.get(key, 0) | 1 << v
+    return tuple((group[row] | group[~(row | 1 << v)]) & ~(1 << v)
+                 for v, row in enumerate(g.rows))
+
+
+@lru_cache(maxsize=64)
+def _canonical(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """``canonical_code(g)`` and a vertex ordering that reaches it, by
+    branch and bound over ordered partitions of the unplaced vertices,
+    from the colour classes in order. Placing v of the first part at
+    position i splits every part into v's non-neighbours, then its
+    neighbours: row i at its least under the prefix. Only branches with
+    the least row go on; v is one per twin class (a twin swap fixes the
+    prefix and the parts), and one branch per partition, which alone
+    fixes the rows to come. Kept for the last 64 graphs."""
+    n, rows, twins, code = g.n, g.rows, _twins(g), 0
     colors = _refine_colors(g)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
-    best = None
-    for perm_parts in itertools.product(
-            *(itertools.permutations(grp) for grp in groups)):
-        order = [v for part in perm_parts for v in part]
-        code = 0
-        for i in range(g.n):
-            ri = g.rows[order[i]]
-            for j in range(i + 1, g.n):
-                code = code << 1 | (ri >> order[j] & 1)
-        if best is None or code < best:
-            best = code
-    return (g.n << g.n * g.n) | (best or 0)
+    level = {tuple(sum(1 << v for v, c in enumerate(colors) if c == k)
+                   for k in sorted(set(colors))): ()}  # parts -> prefix
+    for i in range(n):
+        least, kept = -1, {}
+        for parts, order in level.items():
+            first = left = parts[0]
+            while left:
+                v = (left & -left).bit_length() - 1
+                left &= ~twins[v] & left - 1
+                row, rest, bits = rows[v], (first & ~(1 << v), *parts[1:]), 0
+                for part in rest:  # zeros, then a one per neighbour
+                    bits = (bits << part.bit_count()
+                            | (1 << (part & row).bit_count()) - 1)
+                if bits > least >= 0:
+                    continue
+                if bits != least:
+                    least, kept = bits, {}
+                split = [s for p in rest for s in (p & ~row, p & row) if s]
+                kept.setdefault(tuple(split), (*order, v))
+        code, level = code << n - 1 - i | least, kept
+    return (n << n * n) | code, next(iter(level.values()))
+
+
+def canonical_code(g: Graph) -> int:
+    """Canonical integer form: n, then the least upper-triangle adjacency
+    code over the orderings that keep the colour classes in order."""
+    return _canonical(g)[0]
+
+
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Equal canonical codes; at most 16 vertices."""
+    if max(g1.n, g2.n) > 16:
+        raise ScaleError("is_isomorphic is capped at 16 vertices")
+    return canonical_code(g1) == canonical_code(g2)
 
 
 def _extend(prev: tuple[Graph, ...], n: int) -> tuple[Graph, ...]:
@@ -494,7 +520,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     ``letterkit._catalogue``, loaded on first use. :func:`_extend` alone
     writes that table (``PYTHONPATH=src python3 -m tests.catalogue``) and
     the tests check it against a fresh run. n = 8 is built by extending
-    the 7-vertex catalogue (30-40 s); n > 8 raises :class:`ScaleError`.
+    the 7-vertex catalogue (15-20 s); n > 8 raises :class:`ScaleError`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

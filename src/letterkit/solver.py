@@ -25,7 +25,7 @@ import math
 import operator
 import time
 
-from .graphs import Graph, ScaleError, _embed, _record
+from .graphs import Graph, ScaleError, _embed, _record, _twins
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 
@@ -304,21 +304,6 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
         return None
 
     return place(prefix & known, 0, 0, [full] * k, [0] * n, [0] * n)
-
-
-@functools.lru_cache(maxsize=64)
-def _twins(g: Graph) -> tuple[int, ...]:
-    """For each vertex v of ``g``, its twins as a bitmask: the u != v with
-    the same neighbours besides u and v, so that swapping u and v is an
-    automorphism. Twins that are not adjacent share their rows, adjacent ones
-    their rows with themselves added. Remembered for the last 64 graphs,
-    as ``_orbit`` is."""
-    group: dict[int, int] = {}
-    for v, row in enumerate(g.rows):
-        for key in row, ~(row | 1 << v):  # ~ keeps the two kinds distinct
-            group[key] = group.get(key, 0) | 1 << v
-    return tuple((group[row] | group[~(row | 1 << v)]) & ~(1 << v)
-                 for v, row in enumerate(g.rows))
 
 
 @functools.lru_cache(maxsize=64)

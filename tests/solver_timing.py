@@ -26,11 +26,18 @@ queries are:
   order, on an empty solve memo. Its counters add up the
   ``is_k_letterable`` calls of every solve; ``solves`` counts the
   composer's ``lettericity`` calls, ``quotients`` the distinct labelled
-  prime quotients met and ``classes`` their isomorphism classes, and
-  ``sha256`` hashes every certificate's ``to_json()`` and a newline, in
-  turn.
+  prime quotients met and ``classes`` their isomorphism classes,
+  ``climbs`` the composer's ``max_stacked_path`` calls, on an empty
+  climb memo, and ``sha256`` hashes every certificate's ``to_json()`` and
+  a newline, in turn;
+- ``catalogue-n8``: ``all_graphs(8)`` built afresh, opt-in (not run by
+  default, as it takes 15-20 s); ``count`` is the number of graphs and
+  ``sha256`` hashes their graph6 codes joined by newlines, so two
+  versions of ``canonical_code`` can be shown to keep the catalogue and
+  its order.
 
-Run from the repository root, naming the queries to run (all by default):
+Run from the repository root, naming the queries to run (all but the
+opt-in ones by default):
 
     PYTHONPATH=src python3 -m tests.solver_timing [name ...]
 """
@@ -44,7 +51,7 @@ import sys
 import time
 from unittest import mock
 
-from letterkit import composer, graphs, solver
+from letterkit import composer, graphs, obstructions, solver
 from letterkit.letters import lettering_to_json
 
 
@@ -83,9 +90,11 @@ def _compose_sweep():
     real = solver.is_k_letterable
 
     def query():
-        reports, met, solved, digest = [], [], [], hashlib.sha256()
-        memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
-            composer._prime_lettering.__wrapped__)
+        reports, met, solved, climbs = [], [], [], []
+        digest = hashlib.sha256()
+        memo, depth = (functools.lru_cache(maxsize=composer._MEMO_SIZE)(
+            fn.__wrapped__) for fn in (composer._prime_lettering,
+                                       composer._prime_stacked_depth))
 
         def record(*args, **kwargs):
             reports.append(real(*args, **kwargs))
@@ -93,6 +102,11 @@ def _compose_sweep():
 
         with mock.patch.object(solver, "is_k_letterable", record), \
                 mock.patch.object(composer, "_classes", {}), \
+                mock.patch.object(composer, "_depths", {}), \
+                mock.patch.object(composer, "_prime_stacked_depth", depth), \
+                mock.patch.object(composer, "max_stacked_path",
+                                  lambda g: climbs.append(g) or
+                                  obstructions.max_stacked_path(g)), \
                 mock.patch.object(composer, "_prime_lettering",
                                   lambda h: met.append(h) or memo(h)), \
                 mock.patch.object(composer, "lettericity",
@@ -104,7 +118,17 @@ def _compose_sweep():
         return "found", reports, {
             "solves": len(solved), "quotients": len(set(met)),
             "classes": len({graphs.canonical_code(h) for h in met}),
-            "sha256": digest.hexdigest()}
+            "climbs": len(climbs), "sha256": digest.hexdigest()}
+    return query
+
+
+def _catalogue_n8():
+    def query():
+        graphs.all_graphs.cache_clear()
+        codes = [graphs.to_graph6(g) for g in graphs.all_graphs(8)]
+        return "found", [], {
+            "count": len(codes),
+            "sha256": hashlib.sha256("\n".join(codes).encode()).hexdigest()}
     return query
 
 
@@ -116,7 +140,9 @@ QUERIES = {
     "5k2-k5": lambda: _single(graphs.matching(5), 5),
     "lettericity-n7": _lettericity_sweep,
     "compose-n7": _compose_sweep,
+    "catalogue-n8": _catalogue_n8,
 }
+OPT_IN = ("catalogue-n8",)
 
 
 SPLIT = ("decisions", "descent_hits", "descent_exhausted", "word_searches")
@@ -161,7 +187,7 @@ def main(names: list[str]) -> None:
     if unknown:
         sys.exit(f"unknown query {', '.join(unknown)}; the queries are "
                  f"{', '.join(QUERIES)}")
-    for name in names or QUERIES:
+    for name in names or [q for q in QUERIES if q not in OPT_IN]:
         print(json.dumps(measure(name)), flush=True)
 
 

@@ -33,8 +33,8 @@ from letterkit import (
     verify,
 )
 from letterkit import claims, composer, obstructions, solver
-from letterkit.graphs import (DOMINATING, ISOLATED, Graph, empty, join,
-                              stacked_path)
+from letterkit.graphs import (DOMINATING, ISOLATED, Graph, canonical_code,
+                              empty, join, stacked_path)
 from letterkit.obstructions import (ClassProfile, max_induced_matching,
                                     max_stacked_path)
 from letterkit.letters import Decoder
@@ -341,9 +341,6 @@ def test_compose_searches_no_matching_on_the_input(walk, monkeypatch, rng):
 def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
                                                           rng):
     _fresh_memo(monkeypatch)
-    monkeypatch.setattr(composer, "_prime_stacked_depth",
-                        functools.lru_cache(maxsize=composer._MEMO_SIZE)(
-                            composer._prime_stacked_depth.__wrapped__))
     searched = []
     real = obstructions.contains_induced
     monkeypatch.setattr(obstructions, "contains_induced",
@@ -355,6 +352,41 @@ def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
         mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]
         compose(inflate(cycle(5), mods)[0])
     assert searched == [cycle(5)]
+    # C5's complement is C5 relabelled: with equal depths it shares the
+    # class's key, so it makes no second climb
+    relabelled = cycle(5).complement()
+    assert relabelled != cycle(5)
+    for _ in range(3):
+        mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]
+        compose(inflate(relabelled, mods)[0])
+    assert searched == [cycle(5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_primes() -> tuple[Graph, ...]:
+    return tuple(g for n in range(4, 7) for g in all_graphs(n) if is_prime(g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_stacked_depth_is_the_inflations_under_relabelling(rnd):
+    h = rnd.choice(_small_primes())
+    n = h.n
+    depths = tuple(rnd.choice((0, 0, 1, 2)) for _ in range(n))
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_memo(mp)
+        for _ in range(3):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in h.edges()])
+            carried = tuple(depths[perm.index(v)] for v in range(n))
+            # the depths carried along, and the same tuple left in place
+            for ds in carried, depths:
+                inflated = inflate(h, [stacked_path(d)[0] if d else path(1)
+                                       for d in ds])[0]
+                assert composer._prime_stacked_depth(h, ds) == \
+                    max_stacked_path(inflated)[0]
+            depths = carried
 
 
 def test_certificate_serialization():
@@ -390,12 +422,16 @@ def _nested_primes():
 
 
 def _fresh_memo(monkeypatch):
-    """Give the composer an empty prime-quotient memo and an empty class
-    table for this test."""
+    """Give the composer empty prime-quotient and stacked-depth memos, each
+    with an empty class table, for this test."""
     memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
         composer._prime_lettering.__wrapped__)
     monkeypatch.setattr(composer, "_prime_lettering", memo)
     monkeypatch.setattr(composer, "_classes", {})
+    monkeypatch.setattr(composer, "_prime_stacked_depth",
+                        functools.lru_cache(maxsize=composer._MEMO_SIZE)(
+                            composer._prime_stacked_depth.__wrapped__))
+    monkeypatch.setattr(composer, "_depths", {})
     return memo
 
 
@@ -496,7 +532,7 @@ def test_memo_solves_each_quotient_class_once(monkeypatch):
     # a new class is solved; P5 has C5's vertex count but other degrees
     compose(inflate(path(5), [path(3)] + [path(1)] * 4)[0])
     assert solved == [cycle(5), path(5)]
-    assert list(composer._classes) == solved
+    assert list(composer._classes) == [canonical_code(h) for h in solved]
 
 
 def test_memo_hit_searches_under_the_callers_deadline(monkeypatch):
@@ -554,7 +590,7 @@ def test_compose_n7_sweep_keeps_its_certificates():
     from tests.solver_timing import _compose_sweep
     _, _, extra = _compose_sweep()()
     assert extra == {
-        "solves": 291, "quotients": 389, "classes": 291,
+        "solves": 291, "quotients": 389, "classes": 291, "climbs": 293,
         "sha256": "c80ae978c16db85cba9cfddeb00156ff"
                   "425293aee9073d0a720eb8ead0f632df"}
 

@@ -28,8 +28,9 @@ from letterkit import (
     to_dot,
     to_graph6,
 )
-from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _extend,
-                              canonical_code, empty, generate)
+from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _canonical,
+                              _extend, _refine_colors, canonical_code, empty,
+                              generate)
 from tests import catalogue
 from tests.conftest import random_cograph
 from tests.startup_timing import child_env
@@ -188,6 +189,96 @@ def test_is_isomorphic():
     assert not is_isomorphic(path(3), path(4))
     with pytest.raises(ScaleError):
         is_isomorphic(complete(17), complete(17))
+
+
+def _reference_canonical_code(g: Graph) -> int:
+    """The least upper-triangle code by trying every ordering that keeps
+    the refined colour classes in colour order: n! orderings at worst."""
+    colors = _refine_colors(g)
+    groups = [[v for v in range(g.n) if colors[v] == c]
+              for c in sorted(set(colors))]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, groups)):
+        order = [v for part in parts for v in part]
+        code = 0
+        for i, j in itertools.combinations(range(g.n), 2):
+            code = code << 1 | g.adjacent(order[i], order[j])
+        if best is None or code < best:
+            best = code
+    return (g.n << g.n * g.n) | (best or 0)
+
+
+def _relabelled(g: Graph, rnd) -> Graph:
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _check_canonical(g: Graph):
+    code, order = _canonical(g)
+    assert code == canonical_code(g) == _reference_canonical_code(g)
+    # the ordering reaches the code
+    assert sorted(order) == list(range(g.n))
+    reached = 0
+    for i, j in itertools.combinations(range(g.n), 2):
+        reached = reached << 1 | g.adjacent(order[i], order[j])
+    assert code == (g.n << g.n * g.n) | reached
+
+
+def test_canonical_code_matches_the_ordering_walk_up_to_6_vertices():
+    rnd = random.Random(6)
+    for n in range(7):
+        for g in all_graphs(n):
+            for _ in range(3):
+                _check_canonical(_relabelled(g, rnd))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 8), st.randoms(use_true_random=False))
+def test_canonical_code_matches_the_ordering_walk_random(n, rnd):
+    _check_canonical(_random_graph(rnd, n))
+
+
+def _shrikhande() -> Graph:
+    # Z4 x Z4, each vertex joined to its steps by +-(1, 0), (0, 1), (1, 1)
+    return Graph.from_edges(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+                                 for a in range(4) for b in range(4)
+                                 for x, y in ((1, 0), (0, 1), (1, 1))])
+
+
+def _rook() -> Graph:
+    # the 4 x 4 rook's graph: same row or same column
+    return Graph.from_edges(16, [(u, v) for u in range(16)
+                                 for v in range(u + 1, 16)
+                                 if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def _clebsch() -> Graph:
+    # the folded 5-cube: 4-bit words one bit or all four bits apart
+    return Graph.from_edges(16, [(u, v) for u in range(16)
+                                 for v in range(u + 1, 16)
+                                 if (u ^ v).bit_count() == 1 or u ^ v == 15])
+
+
+def test_is_isomorphic_tells_apart_1wl_equivalent_graphs():
+    # each pair is regular of one degree, so colour refinement alone
+    # cannot tell them apart
+    nx = pytest.importorskip("networkx")
+    for g1, g2 in ((_rook(), _shrikhande()),
+                   (cycle(6), disjoint_union(complete(3), complete(3)))):
+        assert len(set(_refine_colors(g1) + _refine_colors(g2))) == 1
+        assert not nx.is_isomorphic(_to_nx(nx, g1), _to_nx(nx, g2))
+        assert not is_isomorphic(g1, g2)
+
+
+def test_is_isomorphic_matches_relabelled_symmetric_graphs():
+    nx = pytest.importorskip("networkx")
+    petersen = Graph.from_edges(10, nx.petersen_graph().edges())
+    rnd = random.Random(10)
+    for g in (cycle(10), petersen, _clebsch()):
+        h = _relabelled(g, rnd)
+        assert nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, h))
+        assert is_isomorphic(g, h)
 
 
 def test_inflate():
