@@ -231,7 +231,7 @@ def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     every adjacency, as adjacency between modules follows ``h``. Kept per
     labelled (h, depths), and in ``_depths`` by h's canonical code and the
     depths in its canonical order, which a relabelling carries along."""
-    code, order = _canonical(h)
+    code, order, _ = _canonical(h)
     key = code, tuple(depths[v] for v in order)
     if key not in _depths:
         if len(_depths) >= _MEMO_SIZE:

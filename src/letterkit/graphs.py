@@ -368,20 +368,12 @@ def contains_induced(g: Graph, pattern: Graph):
     order and domains walked lowest vertex first, so the first complete
     map found is the lexicographically least witness.
     """
-    k, n = pattern.n, g.n
+    k, n, full = pattern.n, g.n, (1 << g.n) - 1
     if k > n:
         return None
     gdeg = [g.degree(v) for v in range(n)]
-    return _embed(g, pattern, [sum(1 << v for v in range(n)
-                                   if gdeg[v] >= pattern.degree(i))
-                               for i in range(k)])
-
-
-def _embed(g: Graph, pattern: Graph, domains: list[int]):
-    """The search behind ``contains_induced``: the lexicographically least
-    induced embedding phi of ``pattern`` into ``g`` with each phi[i] in the
-    bitmask ``domains[i]``, or None."""
-    k, full = pattern.n, (1 << g.n) - 1
+    domains = [sum(1 << v for v in range(n) if gdeg[v] >= pattern.degree(i))
+               for i in range(k)]
     # masks[v][a]: v's non-neighbours (a = 0) or neighbours (a = 1)
     masks = [(full & ~row & ~(1 << v), row) for v, row in enumerate(g.rows)]
     later_adj = [[pattern.rows[i] >> j & 1 for j in range(i + 1, k)]
@@ -448,16 +440,31 @@ def _twins(g: Graph) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _canonical(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """``canonical_code(g)`` and a vertex ordering that reaches it, by
-    branch and bound over ordered partitions of the unplaced vertices,
-    from the colour classes in order. Placing v of the first part at
-    position i splits every part into v's non-neighbours, then its
-    neighbours: row i at its least under the prefix. Only branches with
-    the least row go on; v is one per twin class (a twin swap fixes the
-    prefix and the parts), and one branch per partition, which alone
-    fixes the rows to come. Kept for the last 64 graphs."""
+def _canonical(g: Graph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``canonical_code(g)``, a vertex ordering that reaches it, and each
+    vertex's orbit under Aut(g) as a bitmask, by branch and bound over
+    ordered partitions of the unplaced vertices, from the colour classes
+    in order. Placing v of the first part at position i splits every part
+    into v's non-neighbours, then its neighbours: row i at its least under
+    the prefix. Only branches with the least row go on; v is one per twin
+    class (a twin swap fixes the prefix and the parts), and one branch per
+    partition, which alone fixes the rows to come. Kept for the last 64
+    graphs.
+
+    The orbits come from the branches dropped (McKay, "Practical graph
+    isomorphism", 1981). Each starts as v and its twins. A prefix ``new``
+    dropped for an ``old`` one with the same rows and the same partition
+    of the same unplaced vertices gives every completion of both the same
+    code, so the map old[j] -> new[j], fixing the rest, is an automorphism,
+    and the orbits of old[j] and new[j] merge. These maps and the twin
+    swaps generate Aut(g). Any ordering with the least code keeps every
+    partition in order (sorting within a part lowers its rows), so at each
+    depth one of them carries it to a kept prefix: a twin swap where its
+    vertex was skipped, a merge map where its partition was dropped. They
+    carry every least ordering to the one found, and Aut(g) acts on the
+    least orderings without fixed points, so they give all of it."""
     n, rows, twins, code = g.n, g.rows, _twins(g), 0
+    orbits = [1 << v | twins[v] for v in range(n)]
     colors = _refine_colors(g)
     level = {tuple(sum(1 << v for v, c in enumerate(colors) if c == k)
                    for k in sorted(set(colors))): ()}  # parts -> prefix
@@ -477,9 +484,16 @@ def _canonical(g: Graph) -> tuple[int, tuple[int, ...]]:
                 if bits != least:
                     least, kept = bits, {}
                 split = [s for p in rest for s in (p & ~row, p & row) if s]
-                kept.setdefault(tuple(split), (*order, v))
+                new = (*order, v)
+                old = kept.setdefault(tuple(split), new)
+                if old is not new:  # new is dropped: merge the orbits
+                    for a, b in zip(old, new):
+                        if not orbits[a] >> b & 1:
+                            merged = orbits[a] | orbits[b]
+                            for u in _bits(merged):
+                                orbits[u] = merged
         code, level = code << n - 1 - i | least, kept
-    return (n << n * n) | code, next(iter(level.values()))
+    return (n << n * n) | code, next(iter(level.values())), tuple(orbits)
 
 
 def canonical_code(g: Graph) -> int:

@@ -10,9 +10,10 @@ hit. A question's fixed pair of equal entries between letters a and b
 restricts b's candidates as soon as a has a member, even while b is
 still empty. Without class constraints, a letter that fails for a vertex
 is closed to its images under the automorphisms that fix the placed
-vertices: its twins, and at the root its orbit. A word search over one
-candidate vertex bitmask per letter then finds the least decoder's least
-word.
+vertices: its twins, and at the root its orbit under Aut(g), which the
+canonical labelling's search finds (``graphs._canonical``). A word search
+over one candidate vertex bitmask per letter then finds the least
+decoder's least word.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import operator
 import time
 
-from .graphs import Graph, ScaleError, _embed, _record, _twins
+from .graphs import Graph, ScaleError, _canonical, _record, _twins
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 
@@ -170,9 +171,9 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     gives without nogoods, and the descent through ``_least_renaming``
     still ends at D*. The images s(v) used are v's unplaced twins (the
     swap of two twins fixes every other vertex) and, at the root, where
-    nothing is placed and v is 0, the orbit of 0 under Aut(g)
-    (``_orbit``); a question with no fixed entry tries one letter at the
-    root, so it skips the orbit."""
+    nothing is placed and v is 0, the orbit of 0 under Aut(g), read off
+    ``graphs._canonical``; a question with no fixed entry tries one letter
+    at the root, so it skips the orbit."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     deadline = run.deadline
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
@@ -295,7 +296,7 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
             members[a] = own, none, every
             # v's images; with no fixed entry the root tries one letter
             same = twins and (twins[v] & left if placed else
-                              fixed and _orbit(g))
+                              fixed and _canonical(g)[2][0])
             if same:  # none of them takes a, or a letter a may swap with
                 cand = cand[:]  # an opening's choices share one cand list
                 for b in alike[a] if not own else (a,):
@@ -304,31 +305,6 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
         return None
 
     return place(prefix & known, 0, 0, [full] * k, [0] * n, [0] * n)
-
-
-@functools.lru_cache(maxsize=64)
-def _orbit(g: Graph) -> int:
-    """The orbit of vertex 0 under the automorphisms of ``g``, as a bitmask,
-    for the last 64 graphs (a lettericity climb asks about one graph many
-    times). An induced embedding of ``g`` into itself is an automorphism,
-    so w is in the orbit if one maps 0 to w; vertices of 0's degree are
-    tried in id order. Each automorphism found adds the whole cycle of 0
-    under it, and each vertex in the orbit adds its twins (a swap of
-    twins is an automorphism); those need no search of their own."""
-    twins, degree = _twins(g), [row.bit_count() for row in g.rows]
-    peers: dict[int, int] = {}  # the vertices of each degree
-    for w, d in enumerate(degree):
-        peers[d] = peers.get(d, 0) | 1 << w
-    domains = [peers[d] for d in degree]
-    orbit = 1 | twins[0]
-    todo = domains[0] & ~orbit
-    while todo:
-        w = (todo & -todo).bit_length() - 1
-        phi = _embed(g, g, [1 << w, *domains[1:]])
-        while phi is not None and w:  # 0's cycle under phi
-            orbit, w = orbit | 1 << w | twins[w], phi[w]
-        todo &= ~orbit & todo - 1
-    return orbit
 
 
 @functools.lru_cache(maxsize=None)

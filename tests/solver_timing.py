@@ -30,6 +30,10 @@ queries are:
   ``climbs`` the composer's ``max_stacked_path`` calls, on an empty
   climb memo, and ``sha256`` hashes every certificate's ``to_json()`` and
   a newline, in turn;
+- ``symmetry``: ``graphs._canonical`` on 6K2, K6,6 less a perfect
+  matching, C12, the icosahedron, the 3 x 4 rook's graph and R3, each on
+  empty caches; per graph, the best of three times in milliseconds and
+  the number of orbits of its automorphism group;
 - ``catalogue-n8``: ``all_graphs(8)`` built afresh, opt-in (not run by
   default, as it takes 15-20 s); ``count`` is the number of graphs and
   ``sha256`` hashes their graph6 codes joined by newlines, so two
@@ -122,6 +126,46 @@ def _compose_sweep():
     return query
 
 
+def _icosahedron() -> graphs.Graph:
+    # apex 0, upper ring 1-5, lower ring 6-10, apex 11
+    edges = []
+    for i in range(5):
+        up, low, nup, nlow = 1 + i, 6 + i, 1 + (i + 1) % 5, 6 + (i + 1) % 5
+        edges += [(0, up), (up, nup), (up, low), (up, nlow), (low, nlow),
+                  (low, 11)]
+    return graphs.Graph.from_edges(12, edges)
+
+
+SYMMETRIC = {
+    "6K2": lambda: graphs.matching(6),
+    "crown6": lambda: graphs.Graph.from_edges(
+        12, [(i, 6 + j) for i in range(6) for j in range(6) if i != j]),
+    "C12": lambda: graphs.cycle(12),
+    "icosahedron": _icosahedron,
+    "rook3x4": lambda: graphs.Graph.from_edges(
+        12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+             if u // 4 == v // 4 or u % 4 == v % 4]),
+    "R3": lambda: graphs.stacked_path(3)[0],
+}
+
+
+def _symmetry():
+    def query():
+        report = {}
+        for name, build in SYMMETRIC.items():
+            g, best = build(), float("inf")
+            for _ in range(3):
+                graphs._canonical.cache_clear()
+                graphs._twins.cache_clear()
+                start = time.perf_counter()
+                orbits = graphs._canonical(g)[2]
+                best = min(best, time.perf_counter() - start)
+            report[name] = {"ms": round(best * 1e3, 3),
+                            "orbits": len(set(orbits))}
+        return "found", [], {"graphs": report}
+    return query
+
+
 def _catalogue_n8():
     def query():
         graphs.all_graphs.cache_clear()
@@ -140,6 +184,7 @@ QUERIES = {
     "5k2-k5": lambda: _single(graphs.matching(5), 5),
     "lettericity-n7": _lettericity_sweep,
     "compose-n7": _compose_sweep,
+    "symmetry": _symmetry,
     "catalogue-n8": _catalogue_n8,
 }
 OPT_IN = ("catalogue-n8",)

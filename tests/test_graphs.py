@@ -215,7 +215,7 @@ def _relabelled(g: Graph, rnd) -> Graph:
 
 
 def _check_canonical(g: Graph):
-    code, order = _canonical(g)
+    code, order, _ = _canonical(g)
     assert code == canonical_code(g) == _reference_canonical_code(g)
     # the ordering reaches the code
     assert sorted(order) == list(range(g.n))

@@ -2,6 +2,8 @@ import functools
 import itertools
 import json
 import math
+import operator
+import random
 import subprocess
 import sys
 import time
@@ -30,7 +32,7 @@ from letterkit import (
     verify,
 )
 from letterkit import claims, solver
-from letterkit.graphs import Graph, ScaleError
+from letterkit.graphs import Graph, ScaleError, _canonical
 from letterkit.letters import Decoder, Lettering, symbol
 from letterkit.solver import _search_word
 from tests.conftest import random_cograph, random_graph
@@ -759,13 +761,73 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orbit_of_vertex_0_matches_brute_force(n):
+    # every vertex's orbit, as _canonical gives them, on each graph and two
+    # relabellings; the solver's root nogoods read vertex 0's
+    rnd = random.Random(n)
     for g in all_graphs(n):
-        want = 0
-        for perm in itertools.permutations(range(n)):
-            if all(sum(1 << perm[w] for w in g.neighbors(u)) == g.rows[perm[u]]
-                   for u in range(n)):
-                want |= 1 << perm[0]
-        assert solver._orbit(g) == want, g
+        for h in g, _relabelled(g, rnd), _relabelled(g, rnd):
+            want = [0] * n
+            for perm in itertools.permutations(range(n)):
+                if all(sum(1 << perm[w] for w in h.neighbors(u))
+                       == h.rows[perm[u]] for u in range(n)):
+                    for v in range(n):
+                        want[v] |= 1 << perm[v]
+            assert _canonical(h)[2] == tuple(want), h
+
+
+def _nx_orbits(g: Graph) -> tuple[int, ...]:
+    """Each vertex's orbit under Aut(g) by networkx: w joins v's orbit if
+    some automorphism maps v to w, that is g with v marked is isomorphic
+    to g with w marked. A graph and its complement have the same
+    automorphisms, and the sparser one is searched (VF2 is slow on dense
+    graphs)."""
+    nx = pytest.importorskip("networkx")
+    matcher = nx.algorithms.isomorphism.GraphMatcher
+    if 2 * g.edge_count() > g.n * (g.n - 1) // 2:
+        g = g.complement()
+    orbits = [1 << v for v in range(g.n)]
+    for v, w in itertools.combinations(range(g.n), 2):
+        if orbits[v] >> w & 1:
+            continue
+        one, two = nx.Graph(g.edges()), nx.Graph(g.edges())
+        one.add_nodes_from(range(g.n), pin=False)
+        two.add_nodes_from(range(g.n), pin=False)
+        one.nodes[v]["pin"] = two.nodes[w]["pin"] = True
+        if matcher(one, two, node_match=operator.eq).is_isomorphic():
+            merged = orbits[v] | orbits[w]
+            for u in range(g.n):
+                if merged >> u & 1:
+                    orbits[u] = merged
+    return tuple(orbits)
+
+
+def test_orbits_match_networkx_on_symmetric_graphs():
+    nx = pytest.importorskip("networkx")
+    from tests.solver_timing import SYMMETRIC
+    rnd = random.Random(12)
+    cube = nx.convert_node_labels_to_integers(nx.hypercube_graph(3))
+    graphs = [SYMMETRIC[name]() for name in ("C12", "icosahedron",
+                                             "rook3x4", "R3")]
+    graphs += [matching(4), Graph.from_edges(8, cube.edges()),
+               Graph.from_edges(10, nx.petersen_graph().edges())]
+    for g in graphs:
+        h = _relabelled(g, rnd)
+        assert _canonical(h)[2] == _nx_orbits(h), h
+
+
+def test_orbits_of_vertex_transitive_twelve_vertex_graphs():
+    # vertex-transitive, so each has one orbit of all 12 vertices
+    from tests.solver_timing import SYMMETRIC
+    for g in matching(6), co_matching(6), SYMMETRIC["crown6"]():
+        assert _canonical(g)[2] == ((1 << 12) - 1,) * 12, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.booleans(), st.randoms(use_true_random=False))
+def test_orbits_match_networkx(n, symmetric, rnd):
+    g = _symmetric_graph(rnd) if symmetric else random_graph(rnd, n,
+                                                             rnd.random())
+    assert _canonical(g)[2] == _nx_orbits(g), g
 
 
 @pytest.mark.parametrize("n", range(1, 7))
