@@ -1,9 +1,11 @@
 """Constructive lettering of arbitrary graphs whose prime quotients the
 exact solver can handle, and the (p, q, r) profile of any graph.
 
-The recursion peels isolated/dominating vertices, splits along the prime
-quotient (union, join, or a genuine prime graph), letters the quotient
-exactly, and expands each quotient letter into a word for its module.
+The recursion walks vertex masks of the input graph, so word entries are
+its own ids and the only graph built at a node is the prime quotient. It
+peels isolated/dominating vertices, splits along the prime quotient
+(union, join, or a genuine prime graph), letters the quotient exactly,
+and expands each quotient letter into a word for its module.
 Homogeneous modules take the quotient letter or a copy of it with the
 self-pair flipped; non-homogeneous modules recurse on fresh letters. Every
 node allocates fresh letter ids and only ever adds decoder pairs, so one
@@ -31,10 +33,10 @@ import functools
 import itertools
 import json
 
-from .graphs import (DOMINATING, ISOLATED, Graph, _canonical, _record,
-                     inflate, path, to_graph6)
+from .graphs import (DOMINATING, ISOLATED, Graph, _bits, _canonical,
+                     _record, inflate, path, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
-from .modular import quotient
+from .modular import _split
 from .obstructions import (ClassProfile, _stacked, _weighted_induced_matching,
                            f_impl, f_paper, max_stacked_path)
 from .solver import Run, _least_lettering, lettericity
@@ -53,8 +55,17 @@ class PeelTrace:
 
 def peel(g: Graph) -> PeelTrace:
     """Successively remove the least-id isolated vertex, or failing that the
-    least-id dominating vertex, until neither kind remains."""
-    rows, live, alive = g.rows, list(range(g.n)), (1 << g.n) - 1
+    least-id dominating vertex, until neither kind remains: ``_peel`` on
+    all of ``g``, with the core built as a graph."""
+    removed, core = _peel(g, (1 << g.n) - 1)
+    core_ids = tuple(_bits(core))
+    return PeelTrace(removed, g.induced(core_ids) if removed else g, core_ids)
+
+
+def _peel(g: Graph, mask: int) -> tuple[tuple[tuple[int, str], ...], int]:
+    """``peel`` of g[mask] in ``g``'s ids: the removed vertices in addition
+    order and the core as a bitmask."""
+    rows, live, alive = g.rows, _bits(mask), mask
     removal: list[tuple[int, str]] = []
     while live:
         pick = next(((v, ISOLATED) for v in live if not rows[v] & alive),
@@ -65,8 +76,7 @@ def peel(g: Graph) -> PeelTrace:
         removal.append(pick)
         live.remove(pick[0])
         alive ^= 1 << pick[0]
-    return PeelTrace(tuple(reversed(removal)),
-                     g.induced(live) if removal else g, tuple(live))
+    return tuple(reversed(removal)), alive
 
 
 # letters are integers during composition; pairs live in one set per call
@@ -241,13 +251,31 @@ def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     return _depths[key]
 
 
-def _homogeneous(graph: Graph, both: bool = False) -> bool | None:
-    """True if ``graph`` is complete, False if it is edgeless, None if it is
+def _homogeneous(g: Graph, mask: int, both: bool = False) -> bool | None:
+    """True if g[mask] is complete, False if it is edgeless, None if it is
     neither. A graph that is both, one vertex, gives ``both``."""
-    edges, full = graph.edge_count(), graph.n * (graph.n - 1) // 2
-    if edges not in (0, full):
-        return None
-    return both if full == 0 else edges == full
+    if not mask & mask - 1:
+        return both
+    rows, left = g.rows, mask  # the least vertex tells which it can be
+    complete = rows[(mask & -mask).bit_length() - 1] & mask != 0
+    while left:  # each row in the mask is the other vertices, or none
+        low = left & -left
+        left ^= low
+        if rows[low.bit_length() - 1] & mask != (mask ^ low) * complete:
+            return None
+    return complete
+
+
+def _layer(g: Graph, mask: int):
+    """The top of g[mask]'s decomposition, in ``g``'s ids, which ``build``
+    and ``profile`` walk: ``(complete, (), None, [])`` if ``_homogeneous``
+    finds it complete or edgeless, else ``(None, removed, h, parts)``, the
+    peeled vertices then ``_split`` of the core (None and [] if empty)."""
+    complete = _homogeneous(g, mask)
+    if complete is not None:
+        return complete, (), None, []
+    removed, core = _peel(g, mask)
+    return (None, removed, *(_split(g, core) if core else (None, [])))
 
 
 def _homogeneous_stats(n: int, complete: bool) -> tuple[int, int, int]:
@@ -258,9 +286,9 @@ def _homogeneous_stats(n: int, complete: bool) -> tuple[int, int, int]:
     return 0, int(n > 1 and complete), int(n > 1 and not complete)
 
 
-def _node_stats(h: Graph, stats) -> tuple[int, int, int]:
+def _node_stats(h: Graph | None, stats) -> tuple[int, int, int]:
     """(r, m, cm) of a graph that is not homogeneous, from the quotient ``h``
-    of its peeled core (the empty core if no vertex is left) and ``stats``, the
+    of its peeled core (None if no vertex is left) and ``stats``, the
     (r, m, cm) of the core's modules in ``h``'s order. Peeled vertices lie on
     no induced 2K2, C4 or R_r, which have no isolated or dominating vertex, so
     they keep the core's values, which are positive; a fully peeled graph is
@@ -268,7 +296,7 @@ def _node_stats(h: Graph, stats) -> tuple[int, int, int]:
     connected and co-connected, so a union or join keeps the larger r. A union
     adds m and keeps the larger cm, at least 1 (a co-matching with two edges
     lies in one side); a join the reverse."""
-    if h.n == 0:
+    if h is None:
         return 0, 1, 1
     if h.n == 2:
         (r1, m1, c1), (r2, m2, c2) = stats
@@ -285,17 +313,13 @@ def profile(g: Graph) -> ClassProfile:
     """The (p, q, r) profile of ``g``: p - 1, q - 1 and r - 1 are its largest
     induced matching, co-matching and stacked path. Read off the modular
     decomposition by ``compose``'s rules, with no solve and no scale guard."""
-    def walk(graph: Graph) -> tuple[int, int, int]:
-        complete = _homogeneous(graph)
+    def walk(mask: int) -> tuple[int, int, int]:
+        complete, _, h, parts = _layer(g, mask)
         if complete is not None:
-            return _homogeneous_stats(graph.n, complete)
-        core = peel(graph).core
-        if core.n == 0:
-            return _node_stats(core, ())
-        dec = quotient(core)
-        return _node_stats(dec.quotient, [walk(s) for s in dec.module_graphs])
+            return _homogeneous_stats(mask.bit_count(), complete)
+        return _node_stats(h, [walk(p) for p in parts])
 
-    r, m, cm = walk(g)
+    r, m, cm = walk((1 << g.n) - 1)
     return ClassProfile(m + 1, cm + 1, r + 1)
 
 
@@ -304,10 +328,10 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
     pairs: set[tuple[int, int]] = set()
     prime_ls: list[int] = []
 
-    def build(graph: Graph, ids: list[int]):
-        """Return (word, tree, (r, m, cm)) for ``graph`` and add its decoder
-        pairs to ``pairs``; word entries carry original vertex ids via
-        ``ids``. (r, m, cm) is as in ``_homogeneous_stats``.
+    def build(mask: int):
+        """Return (word, tree, (r, m, cm)) for g[mask] and add its decoder
+        pairs to ``pairs``; word entries carry ``g``'s own vertex ids.
+        (r, m, cm) is as in ``_homogeneous_stats``.
 
         At a prime node the module words follow H's word, so letters of
         modules v != w meet in the order v and w do there, and the pairs
@@ -322,40 +346,34 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
         quotient-letter order, which fixes every letter id.
         """
         run.check("compose")
+        n = mask.bit_count()
+        complete, removed, h, parts = _layer(g, mask)
         # homogeneous graphs take one letter; this also floors the bound
         # tables' p=1 / q=1 base cases
-        complete = _homogeneous(graph)
         if complete is not None:
             a = alloc()
             if complete:
                 pairs.add((a, a))
-            return [(ids[v], a) for v in range(graph.n)], {
-                "case": "homogeneous", "n": graph.n, "letters": 1}, \
-                _homogeneous_stats(graph.n, complete)
+            return [(v, a) for v in _bits(mask)], {
+                "case": "homogeneous", "n": n, "letters": 1}, \
+                _homogeneous_stats(n, complete)
 
-        trace = peel(graph)
-        core, core_ids = trace.core, [ids[v] for v in trace.core_ids]
-        removed = [(ids[v], kind) for v, kind in trace.removed]
-        if core.n == 0:
+        if h is None:
             # fully peelable: both kinds occurred, else step one fired
             word = _attach_peeled([], removed, alloc, pairs)
-            return word, {"case": "peel", "n": graph.n,
+            return word, {"case": "peel", "n": n,
                           "letters": len({a for _, a in word})}, \
-                _node_stats(core, ())
+                _node_stats(h, ())
 
-        dec = quotient(core)
-        h = dec.quotient
         if h.n == 2:
             case = "join" if h.adjacent(0, 1) else "union"
-            words, subtrees, stats = zip(*(
-                build(sub, [core_ids[v] for v in part])
-                for part, sub in zip(dec.modules, dec.module_graphs)))
+            words, subtrees, stats = zip(*map(build, parts))
             if case == "join":
                 first, second = ({a for _, a in w} for w in words)
                 pairs.update(itertools.product(first, second))
                 pairs.update(itertools.product(second, first))
             word = words[0] + words[1]
-            node = {"case": case, "n": graph.n,
+            node = {"case": case, "n": n,
                     "quotient": to_graph6(h), "modules": list(subtrees)}
         else:
             ell, h_lett = _prime_lettering(h)
@@ -365,26 +383,25 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             # fresh global ids for the quotient's letters
             base = {a: alloc() for a in sorted(set(h_lett.word))}
             a_set, b_set, module_words, subtrees, stats = [], [], [], [], []
-            for v, sub in enumerate(dec.module_graphs):
-                a = letter_of[v]
-                sub_ids = [core_ids[u] for u in dec.modules[v]]
-                complete = _homogeneous(sub, d_h[a][a])
+            for v, part in enumerate(parts):
+                a, size = letter_of[v], part.bit_count()
+                complete = _homogeneous(g, part, d_h[a][a])
                 if complete is None:
                     a_set.append(v)
-                    w, t, st = build(sub, sub_ids)
+                    w, t, st = build(part)
                     stats.append(st)
                     subtrees.append({"case": "recursive-module",
-                                     "vertex": v, "n": sub.n, "tree": t})
+                                     "vertex": v, "n": size, "tree": t})
                 else:
                     b_set.append(v)
-                    stats.append(_homogeneous_stats(sub.n, complete))
+                    stats.append(_homogeneous_stats(size, complete))
                     # the base letter, or a copy with the self-pair flipped
                     x = base[a] if complete == d_h[a][a] else alloc()
                     if complete:
                         pairs.add((x, x))
-                    w = [(u, x) for u in sub_ids]
+                    w = [(u, x) for u in _bits(part)]
                     subtrees.append({"case": "homogeneous-module",
-                                     "vertex": v, "n": sub.n, "letter": x})
+                                     "vertex": v, "n": size, "letter": x})
                 module_words.append(w)
             module_letters = [{x for _, x in w} for w in module_words]
             for v, u in itertools.permutations(range(h.n), 2):
@@ -393,17 +410,17 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
                                                    module_letters[u]))
             word = [e for v in h_lett.vertex_of_position
                     for e in module_words[v]]
-            node = {"case": "prime", "n": graph.n,
+            node = {"case": "prime", "n": n,
                     "quotient": to_graph6(h), "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
 
         if removed:
             word = _attach_peeled(word, removed, alloc, pairs)
-            node = {"case": "peel", "n": graph.n, "core": node,
+            node = {"case": "peel", "n": n, "core": node,
                     "peeled": len(removed)}
         return word, node, _node_stats(h, stats)
 
-    word, tree, (r, m, cm) = build(g, list(range(g.n)))
+    word, tree, (r, m, cm) = build((1 << g.n) - 1)
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")

@@ -1,7 +1,8 @@
 """Modular decomposition: modules, primality, the prime quotient, and the
 P4/bull classification of vertices in prime graphs.
 
-Module finding works by minimal-module closures. A closure costs one XOR
+Module finding works by minimal-module closures within a vertex mask, so
+an induced subgraph is split with no copy of it. A closure costs one XOR
 of two rows per member it ends with. ``quotient`` makes at most one
 closure per (part pivot, unplaced vertex) pair, at most n^2/2 and usually
 far fewer, plus the pair closures of its primality check on the quotient.
@@ -19,43 +20,39 @@ from .graphs import Graph, _bits, _record, bull, inflate, path, to_graph6
 def is_module(g: Graph, vertex_set) -> bool:
     """True iff all members share the same neighborhood outside the set."""
     members = set(vertex_set)
-    mask = 0
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ValueError("vertex id out of range")
-        mask |= 1 << v
-    outside = None
-    for v in members:
-        nbhd = g.rows[v] & ~mask
-        if outside is None:
-            outside = nbhd
-        elif nbhd != outside:
-            return False
-    return True
+    if not all(0 <= v < g.n for v in members):
+        raise ValueError("vertex id out of range")
+    return _is_module(g, (1 << g.n) - 1, sum(1 << v for v in members))
 
 
-def _module_closure(g: Graph, seed_mask: int, stop: int = 0) -> int:
-    """Smallest module containing the (non-empty) seed set, as a bitmask.
+def _is_module(g: Graph, within: int, part: int) -> bool:
+    """True iff ``part`` is a module of g[within]."""
+    outside = within & ~part
+    return len({g.rows[v] & outside for v in _bits(part)}) <= 1
 
-    Fix one member r of the set. A vertex x outside a set M containing r
-    keeps M from being a module iff it tells some member y apart from r,
-    that is iff x is in ``rows[r] ^ rows[y]``. Every module containing the
-    seed contains r and y, so it contains all of ``rows[r] ^ rows[y]``
-    too. The closure therefore adds that XOR for each member y once, as a
-    worklist over new members, and the set it stops at is a module: no
-    vertex outside it tells any member apart from r. ``stop`` holds
-    vertices w whose pair closure with a seed member is all of V; once the
-    closure reaches such a w it contains that pair closure, so V is
-    returned at once."""
+
+def _module_closure(g: Graph, within: int, seed: int, stop: int = 0) -> int:
+    """Smallest module of g[within] containing the (non-empty) seed set, as
+    a bitmask.
+
+    Fix one member r of the set. A vertex x of ``within`` outside a set M
+    containing r keeps M from being a module iff it tells some member y
+    apart from r, that is iff x is in ``rows[r] ^ rows[y]``. Every module
+    containing the seed contains r and y, so it contains all of that XOR
+    within the mask. The closure therefore adds it for each member y once,
+    as a worklist over new members, and the set it stops at is a module.
+    ``stop`` holds vertices w whose pair closure with a seed member is all
+    of ``within``; once the closure reaches such a w it contains that pair
+    closure, so ``within`` is returned at once."""
     rows = g.rows
-    base = rows[(seed_mask & -seed_mask).bit_length() - 1]  # rows[r]
-    mask = todo = seed_mask  # r's own XOR is 0
+    base = rows[(seed & -seed).bit_length() - 1]  # rows[r]
+    mask = todo = seed  # r's own XOR is 0
     while todo:
         low = todo & -todo
         todo ^= low
-        new = (base ^ rows[low.bit_length() - 1]) & ~mask
+        new = (base ^ rows[low.bit_length() - 1]) & within & ~mask
         if new & stop:
-            return (1 << g.n) - 1
+            return within
         mask |= new
         todo |= new
     return mask
@@ -70,18 +67,19 @@ def is_prime(g: Graph) -> bool:
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if _module_closure(g, 1 << u | 1 << v,
+            if _module_closure(g, full, 1 << u | 1 << v,
                                (1 << v) - 1 ^ 1 << u) != full:
                 return False
     return True
 
 
-def _reach(g: Graph) -> int:
-    """The component of vertex 0, as a bitmask."""
-    mask = todo = 1
+def _reach(g: Graph, within: int, flip: int = 0) -> int:
+    """The component of the least vertex of ``within`` in g[within], as a
+    bitmask; with ``flip`` = -1, its component in the complement."""
+    mask = todo = within & -within
     while todo:
         v = (todo & -todo).bit_length() - 1
-        new = g.rows[v] & ~mask
+        new = (g.rows[v] ^ flip) & within & ~mask
         mask, todo = mask | new, todo & ~(1 << v) | new
     return mask
 
@@ -111,42 +109,47 @@ def quotient(g: Graph) -> QuotientDecomposition:
     """
     if g.n < 2:
         raise ValueError("quotient needs at least 2 vertices")
-    full = (1 << g.n) - 1
-    reach = _reach(g)
-    if reach == full:
-        reach = _reach(g.complement())
-    if reach != full:
-        parts = [_bits(reach), _bits(full & ~reach)]
+    h, parts = _split(g, (1 << g.n) - 1)
+    modules = tuple(tuple(_bits(p)) for p in parts)
+    return QuotientDecomposition(h, modules, tuple(map(g.induced, modules)))
+
+
+def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
+    """``quotient`` of g[within] (two or more vertices) in ``g``'s ids: the
+    prime quotient H and its parts as bitmasks, ordered by least member,
+    so that H is induced on those members. Only H is built as a graph."""
+    reach = _reach(g, within)
+    if reach == within:
+        reach = _reach(g, within, -1)
+    if reach != within:
+        parts = [reach, within & ~reach]
     else:
         # connected and co-connected: the maximal proper modules partition
-        # V. The part M_u of the least unplaced vertex u is u plus every v
+        # it. The part M_u of the least unplaced vertex u is u plus every v
         # whose pair closure with u is proper; such a closure lies wholly
         # in M_u, so none of its vertices needs a closure of its own. It
-        # stops at earlier parts (H is prime) and at each v that gave V.
-        parts, rest = [], full
+        # stops at earlier parts (H is prime) and at each v that gave all.
+        parts, rest = [], within
         while rest:
             u = rest & -rest
-            part, todo, stop = u, rest ^ u, full ^ rest
+            part, todo, stop = u, rest ^ u, within ^ rest
             while todo:
                 v = todo & -todo
-                closure = _module_closure(g, u | v, stop)
-                if closure != full:
+                closure = _module_closure(g, within, u | v, stop)
+                if closure != within:
                     part |= closure
                 else:
                     stop |= v
                 todo &= ~(part | v)
             rest &= ~part
-            parts.append(_bits(part))
-    # parts are ordered by least member, so H is induced on those members
-    h = g.induced(p[0] for p in parts)
+            parts.append(part)
+    h = g.induced((p & -p).bit_length() - 1 for p in parts)
     if h.n < 2 or not is_prime(h):  # guards the closure argument
         raise AssertionError("quotient H is one vertex or not prime")
     for part in parts:
-        if not is_module(g, part):
+        if not _is_module(g, within, part):
             raise AssertionError("quotient part is not a module")
-    return QuotientDecomposition(
-        h, tuple(tuple(p) for p in parts),
-        tuple(g.induced(p) for p in parts))
+    return h, parts
 
 
 def reconstruct(decomposition: QuotientDecomposition) -> tuple[Graph, list[int]]:

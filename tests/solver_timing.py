@@ -30,6 +30,13 @@ queries are:
   ``climbs`` the composer's ``max_stacked_path`` calls, on an empty
   climb memo, and ``sha256`` hashes every certificate's ``to_json()`` and
   a newline, in turn;
+- ``compose-acc6``: ``compose`` of the 200 inflations of acceptance
+  check 6, thm51 at full scale (``claims._composer_inputs(0, 200, 40,
+  random.Random(0x5EED))``, n <= 37), once on empty solve and climb
+  memos, ``cold_s``, then once more with the memos that pass filled,
+  ``warm_s``; ``sha256`` hashes the certificates' ``to_json()`` joined
+  by newlines, the digest that
+  ``test_acceptance_inflation_certificates_keep_their_bytes`` pins;
 - ``symmetry``: ``graphs._canonical`` on 6K2, K6,6 less a perfect
   matching, C12, the icosahedron, the 3 x 4 rook's graph and R3, each on
   empty caches; per graph, the best of three times in milliseconds and
@@ -48,14 +55,16 @@ opt-in ones by default):
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import random
 import sys
 import time
 from unittest import mock
 
-from letterkit import composer, graphs, obstructions, solver
+from letterkit import claims, composer, graphs, obstructions, solver
 from letterkit.letters import lettering_to_json
 
 
@@ -89,6 +98,21 @@ def _lettericity_sweep():
     return query
 
 
+@contextlib.contextmanager
+def _empty_memos(met: list):
+    """Give the composer empty solve and climb memos for the block, and
+    append each labelled prime quotient it meets to ``met``."""
+    memo, depth = (functools.lru_cache(maxsize=composer._MEMO_SIZE)(
+        fn.__wrapped__) for fn in (composer._prime_lettering,
+                                   composer._prime_stacked_depth))
+    with mock.patch.object(composer, "_classes", {}), \
+            mock.patch.object(composer, "_depths", {}), \
+            mock.patch.object(composer, "_prime_stacked_depth", depth), \
+            mock.patch.object(composer, "_prime_lettering",
+                              lambda h: met.append(h) or memo(h)):
+        yield
+
+
 def _compose_sweep():
     catalogue = [g for n in range(1, 8) for g in graphs.all_graphs(n)]
     real = solver.is_k_letterable
@@ -96,23 +120,16 @@ def _compose_sweep():
     def query():
         reports, met, solved, climbs = [], [], [], []
         digest = hashlib.sha256()
-        memo, depth = (functools.lru_cache(maxsize=composer._MEMO_SIZE)(
-            fn.__wrapped__) for fn in (composer._prime_lettering,
-                                       composer._prime_stacked_depth))
 
         def record(*args, **kwargs):
             reports.append(real(*args, **kwargs))
             return reports[-1]
 
         with mock.patch.object(solver, "is_k_letterable", record), \
-                mock.patch.object(composer, "_classes", {}), \
-                mock.patch.object(composer, "_depths", {}), \
-                mock.patch.object(composer, "_prime_stacked_depth", depth), \
+                _empty_memos(met), \
                 mock.patch.object(composer, "max_stacked_path",
                                   lambda g: climbs.append(g) or
                                   obstructions.max_stacked_path(g)), \
-                mock.patch.object(composer, "_prime_lettering",
-                                  lambda h: met.append(h) or memo(h)), \
                 mock.patch.object(composer, "lettericity",
                                   lambda h: solved.append(h) or
                                   solver.lettericity(h)):
@@ -123,6 +140,23 @@ def _compose_sweep():
             "solves": len(solved), "quotients": len(set(met)),
             "classes": len({graphs.canonical_code(h) for h in met}),
             "climbs": len(climbs), "sha256": digest.hexdigest()}
+    return query
+
+
+def _compose_acc6():
+    inputs = list(claims._composer_inputs(0, 200, 40, random.Random(0x5EED)))
+
+    def query():
+        times = []
+        with _empty_memos([]):
+            for _ in range(2):  # cold, then warm
+                start = time.perf_counter()
+                certs = "\n".join(composer.compose(g).to_json()
+                                  for g in inputs)
+                times.append(round(time.perf_counter() - start, 4))
+        return "found", [], {
+            "cold_s": times[0], "warm_s": times[1],
+            "sha256": hashlib.sha256(certs.encode()).hexdigest()}
     return query
 
 
@@ -184,6 +218,7 @@ QUERIES = {
     "5k2-k5": lambda: _single(graphs.matching(5), 5),
     "lettericity-n7": _lettericity_sweep,
     "compose-n7": _compose_sweep,
+    "compose-acc6": _compose_acc6,
     "symmetry": _symmetry,
     "catalogue-n8": _catalogue_n8,
 }

@@ -38,7 +38,7 @@ from letterkit.graphs import (DOMINATING, ISOLATED, Graph, canonical_code,
 from letterkit.obstructions import (ClassProfile, max_induced_matching,
                                     max_stacked_path)
 from letterkit.letters import Decoder
-from tests.conftest import random_cograph, random_graph
+from tests.conftest import masked_graph, random_cograph, random_graph
 from tests.startup_timing import ROOT, child_env
 
 
@@ -102,6 +102,27 @@ def test_peel_matches_definition(n, extra, rnd):
                for i in range(core.n) for j in range(i + 1, core.n))
     # the core has no isolated and no dominating vertex
     assert all(0 < core.degree(v) < core.n - 1 for v in range(core.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_mask_peel_is_peel_of_the_induced_subgraph(n, extra, twins, rnd):
+    # a masked graph, with isolated and dominating vertices added around
+    # it and in the mask, relabelled at random; one-vertex masks too (the
+    # twin-rich draw needs two vertices)
+    g, mask = masked_graph(rnd, n, twins and n > 1, 1)
+    for _ in range(extra):
+        g = rnd.choice((disjoint_union, join))(g, path(1))
+        mask |= 1 << g.n - 1
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    ids = sorted(perm[v] for v in range(g.n) if mask >> v & 1)
+    trace = peel(g.induced(ids))
+    assert composer._peel(g, sum(1 << v for v in ids)) == (
+        tuple((ids[v], kind) for v, kind in trace.removed),
+        sum(1 << ids[v] for v in trace.core_ids))
 
 
 def test_attach_peeled_on_empty_core():

@@ -21,17 +21,18 @@ from letterkit import (
     reconstruct,
 )
 from letterkit import modular
-from letterkit.graphs import empty
+from letterkit.graphs import _bits, empty
 from letterkit.modular import (
     BULL_NOSE,
     P4_END,
     P4_MID,
     VertexRole,
     _module_closure,
+    _split,
     decomposition_tree,
     verify_role,
 )
-from tests.conftest import random_graph
+from tests.conftest import masked_graph, random_graph, twin_rich_graph
 
 
 def exhaustive_is_prime(g):
@@ -100,7 +101,7 @@ def test_module_closure_is_the_smallest_module(rng):
                  for v in range(u + 1, g.n)]
         seeds += [rng.randrange(1, 1 << g.n) for _ in range(10)]
         for seed in seeds:
-            closure = _module_closure(g, seed)
+            closure = _module_closure(g, (1 << g.n) - 1, seed)
             # a module that holds the seed and lies in every such module
             assert closure in modules and closure & seed == seed
             assert all(closure & m == closure
@@ -110,28 +111,20 @@ def test_module_closure_is_the_smallest_module(rng):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 10), st.booleans(), st.randoms(use_true_random=False))
 def test_module_closure_stop_keeps_the_closure(n, twins, rnd):
-    # twin-rich: a random graph on 2-4 vertices with random modules, so
-    # many pairs have proper closures; n counts the vertices either way
-    if twins:
-        base = random_graph(rnd, rnd.randint(2, min(n, 4)), rnd.random())
-        sizes = [1] * base.n
-        for _ in range(n - base.n):
-            sizes[rnd.randrange(base.n)] += 1
-        g = inflate(base, [random_graph(rnd, s, rnd.random())
-                           for s in sizes])[0]
-    else:
-        g = random_graph(rnd, n, rnd.random())
+    # twin-rich graphs have many pairs with proper closures
+    g = twin_rich_graph(rnd, n) if twins else \
+        random_graph(rnd, n, rnd.random())
     full = (1 << g.n) - 1
     for u in range(g.n):
         # any set of w whose pair closure with u is all of V may stop
         outsiders = [w for w in range(g.n) if w != u and
-                     _module_closure(g, 1 << u | 1 << w) == full]
+                     _module_closure(g, full, 1 << u | 1 << w) == full]
         stop = sum(1 << w for w in outsiders if rnd.random() < 0.5)
         for v in range(g.n):
             if v != u:
                 seed = 1 << u | 1 << v
-                assert _module_closure(g, seed, stop) == \
-                    _module_closure(g, seed)
+                assert _module_closure(g, full, seed, stop) == \
+                    _module_closure(g, full, seed)
 
 
 def test_quotient_parts_are_the_maximal_proper_modules(rng):
@@ -140,8 +133,8 @@ def test_quotient_parts_are_the_maximal_proper_modules(rng):
     checked = 0
     for g in graphs:
         full = (1 << g.n) - 1
-        if modular._reach(g) != full or \
-                modular._reach(g.complement()) != full:
+        if modular._reach(g, full) != full or \
+                modular._reach(g, full, -1) != full:
             continue  # a (co-)component split, not maximal modules
         proper = [m for m in _modules(g) if m != full]
         maximal = sorted(m for m in proper
@@ -204,14 +197,14 @@ def test_quotient_of_nose_inflation():
     assert tuple(blocks[4]) in dec.modules
 
 
-def _one_round_closure(g, seed_mask, stop=0):
+def _one_round_closure(g, within, seed_mask, stop=0):
     """A wrong closure: one round of splitters, not a worklist; it ignores
     ``stop``."""
     r = (seed_mask & -seed_mask).bit_length() - 1
     mask = seed_mask
     for y in range(g.n):
         if seed_mask >> y & 1:
-            mask |= g.rows[r] ^ g.rows[y]
+            mask |= (g.rows[r] ^ g.rows[y]) & within
     return mask
 
 
@@ -221,7 +214,7 @@ def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
     real = modular._module_closure
     # too small: every pair closure is proper, so all of V is one part
     monkeypatch.setattr(modular, "_module_closure",
-                        lambda h, seed, stop=0: seed)
+                        lambda h, within, seed, stop=0: seed)
     with pytest.raises(AssertionError, match="one vertex or not prime"):
         quotient(g)
     # too small on some pairs: a part that is not a module
@@ -231,10 +224,21 @@ def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
     # too large on g: singleton parts, and H = g is not prime. is_prime
     # runs the same closure, so this guard checks the partition, not a
     # closure that is too large on every graph.
-    monkeypatch.setattr(modular, "_module_closure", lambda h, seed, stop=0:
-                        (1 << h.n) - 1 if h is g else real(h, seed))
+    monkeypatch.setattr(modular, "_module_closure",
+                        lambda h, within, seed, stop=0:
+                        within if h is g else real(h, within, seed))
     with pytest.raises(AssertionError, match="one vertex or not prime"):
         quotient(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 14), st.booleans(), st.randoms(use_true_random=False))
+def test_split_is_quotient_of_the_induced_subgraph(n, twins, rnd):
+    g, mask = masked_graph(rnd, n, twins, 2)
+    ids = _bits(mask)
+    dec = quotient(g.induced(ids))
+    assert _split(g, mask) == (dec.quotient, [
+        sum(1 << ids[v] for v in part) for part in dec.modules])
 
 
 def test_quotient_rejects_single_vertex():
