@@ -21,7 +21,9 @@ its decoder and runs only the least-word search on its own labels (see
 ``_prime_lettering``). A remembered solve is not run again, not even
 under a later call's budget. ``compose`` and ``profile``
 read (p, q, r) off the decomposition by the same rules, with no search on
-the whole input.
+the whole input; the searches on a prime quotient are remembered, the
+stacked-path climb per class and the weighted matchings per labelled
+quotient and module values.
 The result is an upper-bound constructor: no attempt is made to minimize
 the alphabet afterwards, and the certificate measures the gap against the
 bound tables.
@@ -251,6 +253,15 @@ def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
     return _depths[key]
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _prime_matching(h: Graph, weights: tuple[int, ...], co: bool) -> int:
+    """``_weighted_induced_matching`` of a prime quotient ``h``, or with
+    ``co`` of its complement, kept per labelled (h, weights, co), the last
+    ``_MEMO_SIZE`` of them, as the same labelled quotients recur with the
+    same module values."""
+    return _weighted_induced_matching(h.complement() if co else h, weights)
+
+
 def _homogeneous(g: Graph, mask: int, both: bool = False) -> bool | None:
     """True if g[mask] is complete, False if it is edgeless, None if it is
     neither. A graph that is both, one vertex, gives ``both``."""
@@ -304,9 +315,8 @@ def _node_stats(h: Graph | None, stats) -> tuple[int, int, int]:
             return max(r1, r2), max(m1, m2, 1), c1 + c2
         return max(r1, r2), m1 + m2, max(c1, c2, 1)
     depths, ms, cms = zip(*stats)
-    return (_prime_stacked_depth(h, depths),
-            _weighted_induced_matching(h, ms),
-            _weighted_induced_matching(h.complement(), cms))
+    return (_prime_stacked_depth(h, depths), _prime_matching(h, ms, False),
+            _prime_matching(h, cms, True))
 
 
 def profile(g: Graph) -> ClassProfile:

@@ -1,13 +1,16 @@
 """Modular decomposition: modules, primality, the prime quotient, and the
 P4/bull classification of vertices in prime graphs.
 
-Module finding works by minimal-module closures within a vertex mask, so
-an induced subgraph is split with no copy of it. A closure costs one XOR
-of two rows per member it ends with. ``quotient`` makes at most one
-closure per (part pivot, unplaced vertex) pair, at most n^2/2 and usually
-far fewer, plus the pair closures of its primality check on the quotient.
-That is entirely adequate at this package's scale (n <= 64 or so); the
-famously intricate linear-time algorithms are deliberately out of scope.
+Module finding works within a vertex mask, so an induced subgraph is
+split with no copy of it. On a connected and co-connected graph,
+``quotient`` refines the vertices other than the least one, u, into the
+maximal modules that avoid u, each check of a part costing one XOR of two
+rows per member; it then runs at most one minimal-module closure per
+refined part, which costs one XOR per member it ends with and tells
+whether the part lies in u's module. The primality check on the quotient
+adds its pair closures. That is entirely adequate at this package's
+scale (n <= 64 or so); the famously intricate linear-time algorithms are
+deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -117,32 +120,35 @@ def quotient(g: Graph) -> QuotientDecomposition:
 def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
     """``quotient`` of g[within] (two or more vertices) in ``g``'s ids: the
     prime quotient H and its parts as bitmasks, ordered by least member,
-    so that H is induced on those members. Only H is built as a graph."""
+    so that H is induced on those members. Only H is built as a graph.
+
+    When g[within] is connected and co-connected, the maximal proper
+    modules partition it and H is prime with four or more vertices. Let u
+    be the least vertex and M_u its part. Every other part is a maximal
+    module that avoids u, and every maximal module that avoids u lies in
+    one part, so ``_avoiding`` gives the other parts plus a partition of
+    M_u minus u. A part P with least member r lies in M_u iff the closure
+    of {u, r} is proper, and that closure then lies in M_u, so each part
+    it meets does too and needs no closure of its own. Each part therefore
+    takes at most one closure, which stops at the parts found outside
+    M_u; M_u is what those parts leave."""
     reach = _reach(g, within)
     if reach == within:
         reach = _reach(g, within, -1)
     if reach != within:
         parts = [reach, within & ~reach]
     else:
-        # connected and co-connected: the maximal proper modules partition
-        # it. The part M_u of the least unplaced vertex u is u plus every v
-        # whose pair closure with u is proper; such a closure lies wholly
-        # in M_u, so none of its vertices needs a closure of its own. It
-        # stops at earlier parts (H is prime) and at each v that gave all.
-        parts, rest = [], within
-        while rest:
-            u = rest & -rest
-            part, todo, stop = u, rest ^ u, within ^ rest
-            while todo:
-                v = todo & -todo
-                closure = _module_closure(g, within, u | v, stop)
-                if closure != within:
-                    part |= closure
-                else:
-                    stop |= v
-                todo &= ~(part | v)
-            rest &= ~part
-            parts.append(part)
+        u, stop, inside, parts = within & -within, 0, 0, []
+        for part in _avoiding(g, within):
+            if part & inside:
+                continue
+            closure = _module_closure(g, within, u | part & -part, stop)
+            if closure == within:
+                stop |= part
+                parts.append(part)
+            else:
+                inside |= closure
+        parts.insert(0, within & ~stop)
     h = g.induced((p & -p).bit_length() - 1 for p in parts)
     if h.n < 2 or not is_prime(h):  # guards the closure argument
         raise AssertionError("quotient H is one vertex or not prime")
@@ -150,6 +156,41 @@ def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
         if not _is_module(g, within, part):
             raise AssertionError("quotient part is not a module")
     return h, parts
+
+
+def _avoiding(g: Graph, within: int) -> list[int]:
+    """The maximal modules of g[within] that avoid its least vertex u, as
+    bitmasks ordered by least member; they partition ``within`` minus u.
+
+    Partition refinement (Ehrenfeucht, Gabow, McConnell and Sullivan,
+    1994): start from u's neighbours and non-neighbours in the mask and
+    split a part by any vertex outside it that tells two members apart,
+    until no part splits. Such vertices are read off the members' row
+    XORs with one member's row, as in ``_module_closure``; a part splits
+    by the least of them, and both halves are checked again, as each now
+    lies outside the other. A module that avoids u lies in one starting
+    part, and no splitter of a part that holds it splits it, so each
+    final part, a module that avoids u, holds every such module it meets.
+    A part costs one XOR per member each time it is checked."""
+    rows = g.rows
+    u = within & -within
+    near = rows[u.bit_length() - 1] & within
+    todo, done = [p for p in (near, within & ~near ^ u) if p], []
+    while todo:
+        part = todo.pop()
+        left = part & part - 1  # the least member's own XOR is 0
+        base, split = rows[(part ^ left).bit_length() - 1], 0
+        while left:
+            low = left & -left
+            left ^= low
+            split |= base ^ rows[low.bit_length() - 1]
+        split &= within & ~part
+        if split:
+            row = rows[(split & -split).bit_length() - 1]
+            todo += part & row, part & ~row
+        else:
+            done.append(part)
+    return sorted(done, key=lambda p: p & -p)
 
 
 def reconstruct(decomposition: QuotientDecomposition) -> tuple[Graph, list[int]]:

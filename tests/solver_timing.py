@@ -41,6 +41,11 @@ queries are:
   matching, C12, the icosahedron, the 3 x 4 rook's graph and R3, each on
   empty caches; per graph, the best of three times in milliseconds and
   the number of orbits of its automorphism group;
+- ``quotient-prime``: ``modular.quotient`` of nine seeded random prime
+  graphs, three each with n = 16, 32 and 48 (drawn with edge probability
+  1/2 from ``random.Random(0x9E1)``, keeping the prime ones), all nine
+  three times; ``sha256`` hashes each quotient's ``to_json()`` and a
+  newline, in turn, over one round;
 - ``catalogue-n8``: ``all_graphs(8)`` built afresh, opt-in (not run by
   default, as it takes 15-20 s); ``count`` is the number of graphs and
   ``sha256`` hashes their graph6 codes joined by newlines, so two
@@ -64,7 +69,7 @@ import sys
 import time
 from unittest import mock
 
-from letterkit import claims, composer, graphs, obstructions, solver
+from letterkit import claims, composer, graphs, modular, obstructions, solver
 from letterkit.letters import lettering_to_json
 
 
@@ -100,14 +105,16 @@ def _lettericity_sweep():
 
 @contextlib.contextmanager
 def _empty_memos(met: list):
-    """Give the composer empty solve and climb memos for the block, and
-    append each labelled prime quotient it meets to ``met``."""
-    memo, depth = (functools.lru_cache(maxsize=composer._MEMO_SIZE)(
-        fn.__wrapped__) for fn in (composer._prime_lettering,
-                                   composer._prime_stacked_depth))
+    """Give the composer empty solve, climb and matching memos for the
+    block, and append each labelled prime quotient it meets to ``met``."""
+    memo, depth, matching = (functools.lru_cache(
+        maxsize=composer._MEMO_SIZE)(fn.__wrapped__) for fn in (
+            composer._prime_lettering, composer._prime_stacked_depth,
+            composer._prime_matching))
     with mock.patch.object(composer, "_classes", {}), \
             mock.patch.object(composer, "_depths", {}), \
             mock.patch.object(composer, "_prime_stacked_depth", depth), \
+            mock.patch.object(composer, "_prime_matching", matching), \
             mock.patch.object(composer, "_prime_lettering",
                               lambda h: met.append(h) or memo(h)):
         yield
@@ -157,6 +164,29 @@ def _compose_acc6():
         return "found", [], {
             "cold_s": times[0], "warm_s": times[1],
             "sha256": hashlib.sha256(certs.encode()).hexdigest()}
+    return query
+
+
+def _quotient_prime():
+    rng = random.Random(0x9E1)
+
+    def draw(n: int) -> graphs.Graph:
+        while True:
+            g = graphs.Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < 0.5])
+            if modular.is_prime(g):
+                return g
+    inputs = [draw(n) for n in (16, 32, 48) for _ in range(3)]
+
+    def query():
+        for _ in range(3):
+            digest = hashlib.sha256()
+            for g in inputs:
+                digest.update((modular.quotient(g).to_json() + "\n")
+                              .encode())
+        return "found", [], {"graphs": len(inputs),
+                             "sha256": digest.hexdigest()}
     return query
 
 
@@ -220,6 +250,7 @@ QUERIES = {
     "compose-n7": _compose_sweep,
     "compose-acc6": _compose_acc6,
     "symmetry": _symmetry,
+    "quotient-prime": _quotient_prime,
     "catalogue-n8": _catalogue_n8,
 }
 OPT_IN = ("catalogue-n8",)

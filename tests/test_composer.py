@@ -359,6 +359,24 @@ def test_compose_searches_no_matching_on_the_input(walk, monkeypatch, rng):
         assert all(h.n < g.n for h in searched)
 
 
+def test_matchings_are_searched_once_per_labelled_quotient(monkeypatch):
+    _fresh_memo(monkeypatch)
+    searched = []
+    real = obstructions._matching_search
+    monkeypatch.setattr(obstructions, "_matching_search",
+                        lambda g, weights: searched.append(weights) or
+                        real(g, weights))
+    g = inflate(bull(), [path(4), path(3), path(1), complete(2),
+                         cycle(5)])[0]
+    first = compose(g)
+    # weighted: the bull, P4 and C5, each with its complement; the rest
+    # are the solver's lower bounds
+    assert sum(w is not None for w in searched) == 6
+    searched.clear()
+    assert compose(g) == first
+    assert searched == []
+
+
 def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
                                                           rng):
     _fresh_memo(monkeypatch)
@@ -444,7 +462,7 @@ def _nested_primes():
 
 def _fresh_memo(monkeypatch):
     """Give the composer empty prime-quotient and stacked-depth memos, each
-    with an empty class table, for this test."""
+    with an empty class table, and an empty matching memo, for this test."""
     memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
         composer._prime_lettering.__wrapped__)
     monkeypatch.setattr(composer, "_prime_lettering", memo)
@@ -453,6 +471,9 @@ def _fresh_memo(monkeypatch):
                         functools.lru_cache(maxsize=composer._MEMO_SIZE)(
                             composer._prime_stacked_depth.__wrapped__))
     monkeypatch.setattr(composer, "_depths", {})
+    monkeypatch.setattr(composer, "_prime_matching",
+                        functools.lru_cache(maxsize=composer._MEMO_SIZE)(
+                            composer._prime_matching.__wrapped__))
     return memo
 
 

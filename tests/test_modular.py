@@ -21,12 +21,14 @@ from letterkit import (
     reconstruct,
 )
 from letterkit import modular
-from letterkit.graphs import _bits, empty
+from letterkit.graphs import _bits, empty, stacked_path
 from letterkit.modular import (
     BULL_NOSE,
     P4_END,
     P4_MID,
     VertexRole,
+    _avoiding,
+    _is_module,
     _module_closure,
     _split,
     decomposition_tree,
@@ -239,6 +241,86 @@ def test_split_is_quotient_of_the_induced_subgraph(n, twins, rnd):
     dec = quotient(g.induced(ids))
     assert _split(g, mask) == (dec.quotient, [
         sum(1 << ids[v] for v in part) for part in dec.modules])
+
+
+def _brute_avoiding(g, within):
+    """Oracle: the maximal modules of g[within] that avoid its least
+    vertex, found by scanning every subset of the other vertices."""
+    rest = within & within - 1
+    subs = [s for s in range(1, rest + 1)
+            if s & rest == s and _is_module(g, within, s)]
+    return sorted((s for s in subs if not any(s & o == s != o for o in subs)),
+                  key=lambda s: s & -s)
+
+
+def test_avoiding_is_the_maximal_modules_up_to_6_vertices():
+    # _split refines only connected and co-connected masks (689 of them
+    # here), but the refinement's argument holds on every mask
+    checked = 0
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            for mask in range(3, 1 << n):
+                if mask & mask - 1:
+                    assert _avoiding(g, mask) == _brute_avoiding(g, mask)
+                    checked += modular._reach(g, mask) == mask == \
+                        modular._reach(g, mask, -1)
+    assert checked == 689
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 14), st.booleans(), st.randoms(use_true_random=False))
+def test_avoiding_matches_the_pair_closures(n, twins, rnd):
+    # v's part is v plus every pair closure of v that avoids the least
+    # vertex u: their union is a module that avoids u, and it holds every
+    # such module that holds v
+    g, mask = masked_graph(rnd, n, twins, 2)
+    u = mask & -mask
+    want = set()
+    for v in _bits(mask ^ u):
+        part = 1 << v
+        for w in _bits(mask ^ u):
+            closure = _module_closure(g, mask, 1 << v | 1 << w)
+            if not closure & u:
+                part |= closure
+        want.add(part)
+    assert _avoiding(g, mask) == sorted(want, key=lambda p: p & -p)
+
+
+def _part_step_closures(g, within):
+    """The ``_module_closure`` calls of ``_split(g, within)`` less those of
+    its ``is_prime`` guard, which runs on the quotient, a new graph."""
+    calls = []
+    real = modular._module_closure
+
+    def counted(h, *args):
+        calls.append(h is g)
+        return real(h, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modular, "_module_closure", counted)
+        _split(g, within)
+    return sum(calls)
+
+
+@pytest.mark.parametrize("quotient_graph, modules, closures", [
+    (cycle(5), [path(4)] * 5, 5),
+    (bull(), [stacked_path(2)[0], path(3), path(1), path(1), cycle(5)], 5),
+    (path(4), [complete(3), empty(3), path(4), cycle(4)], 4),
+], ids=["C5[P4]", "bull[R2,P3,P1,P1,C5]", "P4[K3,3K1,P4,C4]"])
+def test_split_runs_one_closure_per_refinement_part(quotient_graph, modules,
+                                                    closures):
+    # one per part outside u's, and one for u's part minus u, whose
+    # closure covers the rest of it
+    g = inflate(quotient_graph, modules)[0]
+    assert _part_step_closures(g, (1 << g.n) - 1) == closures
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 14), st.booleans(), st.randoms(use_true_random=False))
+def test_split_runs_at_most_one_closure_per_refinement_part(n, twins, rnd):
+    g, mask = masked_graph(rnd, n, twins, 4)
+    parts = _avoiding(g, mask) if modular._reach(g, mask) == mask and \
+        modular._reach(g, mask, -1) == mask else []
+    assert _part_step_closures(g, mask) <= len(parts)
 
 
 def test_quotient_rejects_single_vertex():
