@@ -9,8 +9,8 @@ benchmark's set-up does. It then runs each item once under
 workload's own check, and prints one JSON line: the workload, seed and
 item count, ``total``, the opcodes executed, ``outputs``, a SHA-256 over
 the items' check signatures in item order (equal outputs give equal
-digests), and ``top``, the functions that executed the most (12, or
-``--top N``), as ``[module.qualname, count]``.
+digests), and ``top``, the 12 functions that executed the most, as
+``[module.qualname, count]``.
 
 Each run is a fresh process, so the composer's solve memo starts empty
 and a second run of the same command prints the same counts.
@@ -23,10 +23,9 @@ signature is the suite's result, which must pass.
 Run from the repository root:
 
     PYTHONPATH=src python3 -m tests.bytecode_count \\
-        {exact,compose-small,compose-inflations} [--seed N] [--items N] \\
-        [--top N]
+        {exact,compose-small,compose-inflations} [--seed N] [--items N]
     PYTHONPATH=src python3 -m tests.bytecode_count verify-paper \\
-        --suite {dualities,prop41,prop43,thm32,thm51} [--top N]
+        --suite {dualities,prop41,prop43,thm32,thm51}
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ import sys
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOP = 12
 
 
 def _workloads():
@@ -59,9 +59,9 @@ def _suite_item(suite: str):
 
 
 def count(workload: str, seed: int, items: int | None,
-          suite: str | None = None, top: int = 12) -> dict:
+          suite: str | None = None) -> dict:
     """Count the opcodes of pass 0's first ``items`` items (all for None),
-    or of the verify-paper ``suite``; ``top`` functions are listed."""
+    or of the verify-paper ``suite``."""
     if suite is None:
         workloads = _workloads()
         build, kmax, _ = workloads.WORKLOADS[workload]
@@ -103,7 +103,7 @@ def count(workload: str, seed: int, items: int | None,
     return {"workload": workload, **({"suite": suite} if suite else {}),
             "seed": seed, "items": len(chosen),
             "total": sum(counts.values()), "outputs": outputs,
-            "top": [[name, n] for name, n in per_function.most_common(top)]}
+            "top": [[name, n] for name, n in per_function.most_common(TOP)]}
 
 
 def main(argv: list[str]) -> None:
@@ -112,7 +112,6 @@ def main(argv: list[str]) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--items", type=int, default=None)
     parser.add_argument("--suite", default=None)
-    parser.add_argument("--top", type=int, default=12)
     args = parser.parse_args(argv)
     if args.workload == "verify-paper":
         if args.suite is None:
@@ -122,15 +121,13 @@ def main(argv: list[str]) -> None:
         from letterkit import cli
         if args.suite not in cli._SUITES:
             sys.exit(f"unknown suite {args.suite!r}")
-        print(json.dumps(count(args.workload, 0, None, args.suite,
-                               top=args.top)))
+        print(json.dumps(count(args.workload, 0, None, args.suite)))
         return
     if args.suite is not None:
         sys.exit("--suite counts a verify-paper suite only")
     if args.workload not in _workloads().WORKLOADS:
         sys.exit(f"unknown workload {args.workload!r}")
-    print(json.dumps(count(args.workload, args.seed, args.items,
-                               top=args.top)))
+    print(json.dumps(count(args.workload, args.seed, args.items)))
 
 
 if __name__ == "__main__":
