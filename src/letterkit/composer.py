@@ -19,11 +19,9 @@ is solved once per process: a labelled quotient met before reuses its
 lettering, and one with the canonical code of a solved quotient reuses
 its decoder and runs only the least-word search on its own labels (see
 ``_prime_lettering``). A remembered solve is not run again, not even
-under a later call's budget. ``compose`` and ``profile``
-read (p, q, r) off the decomposition by the same rules, with no search on
-the whole input; the searches on a prime quotient are remembered, the
-stacked-path climb per class and the weighted matchings per labelled
-quotient and module values.
+under a later call's budget. ``compose`` and ``profile`` read (p, q, r)
+off the decomposition, searching only prime quotients for stacked paths
+and matchings, weighted by module values and kept per labelled quotient.
 The result is an upper-bound constructor: no attempt is made to minimize
 the alphabet afterwards, and the certificate measures the gap against the
 bound tables.
@@ -36,11 +34,11 @@ import itertools
 import json
 
 from .graphs import (DOMINATING, ISOLATED, Graph, _bits, _canonical,
-                     _record, inflate, path, to_graph6)
+                     _record, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import _split
-from .obstructions import (ClassProfile, _stacked, _weighted_induced_matching,
-                           f_impl, f_paper, max_stacked_path)
+from .obstructions import (ClassProfile, _stacked_depth,
+                           _weighted_induced_matching, f_impl, f_paper)
 from .solver import Run, _least_lettering, lettericity
 
 
@@ -185,9 +183,6 @@ _MEMO_SIZE = 512
 # canonical code maps to (k, D* as row masks).
 _classes: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-# One climb per class: (canonical code, depths in its order) -> r, oldest first
-_depths: dict[tuple[int, tuple[int, ...]], int] = {}
-
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
@@ -227,30 +222,9 @@ def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
-    """The largest r with an induced stacked path R_r (0 for none) in
-    G = H[M_1..M_h], for a prime quotient ``h`` whose module ``M_v`` has
-    largest stacked path R_{depths[v]}: ``max_stacked_path`` of ``h`` with
-    each vertex v inflated by R_{depths[v]}, or kept where it is 0.
-
-    That inflation is an induced subgraph of G, so its value is at most
-    r(G) and at least every depths[v]. It is also at least r(G): the
-    intersection of a copy of R_r with a module is a module of R_r, and
-    the only proper modules of R_r with two or more vertices are its
-    nested nose sets (R_r is a bull whose nose is R_{r-1}, and R_1 = P4 is
-    prime). So at most one M_v meets the copy in two or more vertices,
-    there in an R_s with s <= depths[v]; mapping that R_s into R_{depths[v]}
-    and each other vertex of the copy into its own module's stand-in keeps
-    every adjacency, as adjacency between modules follows ``h``. Kept per
-    labelled (h, depths), and in ``_depths`` by h's canonical code and the
-    depths in its canonical order, which a relabelling carries along."""
-    code, order, _ = _canonical(h)
-    key = code, tuple(depths[v] for v in order)
-    if key not in _depths:
-        if len(_depths) >= _MEMO_SIZE:
-            del _depths[next(iter(_depths))]
-        _depths[key] = max_stacked_path(inflate(
-            h, [_stacked(d) if d else path(1) for d in depths])[0])[0]
-    return _depths[key]
+    """``_stacked_depth`` of a prime quotient ``h`` weighted by its module
+    depths, kept per labelled (h, depths), the last ``_MEMO_SIZE``."""
+    return _stacked_depth(h, depths)[0]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

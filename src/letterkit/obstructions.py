@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _record, contains_induced, stacked_path
+from .graphs import Graph, _bits, _record
 
 
 def max_induced_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -72,25 +72,51 @@ def _matching_search(g: Graph, weights):
     return best((1 << g.n) - 1)
 
 
-@lru_cache(maxsize=None)
-def _stacked(r: int) -> Graph:
-    return stacked_path(r)[0]
-
-
 def max_stacked_path(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Largest r with an induced stacked path R_r, plus a witness map.
+    """Largest r with an induced stacked path R_r, and a witness map."""
+    return _stacked_depth(g)
 
-    Climbing r is valid because R_{r-1} embeds in R_r (its levels 2..r).
-    """
-    r = 0
-    witness: tuple[int, ...] = ()
-    while 4 * (r + 1) <= g.n:
-        hit = contains_induced(g, _stacked(r + 1))
-        if hit is None:
-            break
-        r += 1
-        witness = hit
-    return r, witness
+
+def _stacked_depth(g: Graph, weights=None) -> tuple[int, tuple[int, ...]]:
+    """``max_stacked_path`` of ``g``; with ``weights``, the largest R_r in
+    G = H[M_1..M_h] for H = ``g`` and R_{weights[v]} the largest in M_v.
+
+    On vertex masks X, r(X) is the larger of X's largest weight (0 with
+    none) and 1 + the largest r(X & T) over induced P4s a-x-y-b of g[X],
+    T = N(x) & N(y) - N(a) - N(b); the P4s chosen, outermost first, number
+    R_r as ``stacked_path`` does. By induction r(X) is r of G_X, the union
+    of X's modules. R_r is a bull whose nose, levels 2..r, is R_{r-1}: a
+    P4 of H[X], one vertex per module, and an R_s of G_{X & T} make an
+    R_{s+1}. A copy of R_r meets a module in all of it, a vertex or none,
+    or a nose set (P4 is prime): one M_v holds it, or its level-1 P4 lies
+    in a P4 of H[X] and its nose in modules of X & T. A P4 is skipped if
+    1 + |T| // 4 + T's largest weight cannot win, as r(Y) is at most
+    |Y| // 4 + Y's largest weight."""
+    rows = g.rows
+    heavy = sum(1 << v for v, w in enumerate(weights or ()) if w)
+
+    def top(mask: int) -> int:  # the largest weight in mask
+        return mask & heavy and max(weights[v] for v in _bits(mask & heavy))
+
+    @lru_cache(maxsize=None)
+    def best(mask: int):
+        res = top(mask), ()
+        for x in _bits(mask):  # x-y is the P4's middle edge, x < y
+            for y in _bits(rows[x] & mask & -(2 << x)):
+                common = rows[x] & rows[y] & mask
+                if 1 + common.bit_count() // 4 + top(common) <= res[0]:
+                    continue
+                ends = rows[y] & mask & ~rows[x] & ~(1 << x)
+                for a in _bits(rows[x] & mask & ~rows[y] & ~(1 << y)):
+                    for b in _bits(ends & ~rows[a]):
+                        nose = common & ~rows[a] & ~rows[b]
+                        if 1 + nose.bit_count() // 4 + top(nose) > res[0]:
+                            r, levels = best(nose)
+                            if r + 1 > res[0]:
+                                res = r + 1, (a, x, y, b) + levels
+        return res
+
+    return best((1 << g.n) - 1)
 
 
 @_record

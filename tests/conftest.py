@@ -35,6 +35,21 @@ def masked_graph(rng: random.Random, n: int, twins: bool, least: int):
     return g, sum(1 << v for v in rng.sample(range(n), rng.randint(least, n)))
 
 
+def climb_stacked_path(g):
+    """The largest r with an induced stacked path R_r in ``g`` and the
+    least witness map, by climbing r with ``contains_induced``: R_{r-1}
+    embeds in R_r (its levels 2..r), so the first miss ends the climb. The
+    reference for ``obstructions._stacked_depth``."""
+    from letterkit import contains_induced, stacked_path
+    r, witness = 0, ()
+    while 4 * (r + 1) <= g.n:
+        hit = contains_induced(g, stacked_path(r + 1)[0])
+        if hit is None:
+            break
+        r, witness = r + 1, hit
+    return r, witness
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

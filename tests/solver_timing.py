@@ -27,13 +27,14 @@ queries are:
   ``is_k_letterable`` calls of every solve; ``solves`` counts the
   composer's ``lettericity`` calls, ``quotients`` the distinct labelled
   prime quotients met and ``classes`` their isomorphism classes,
-  ``climbs`` the composer's ``max_stacked_path`` calls, on an empty
-  climb memo, and ``sha256`` hashes every certificate's ``to_json()`` and
-  a newline, in turn;
+  ``climbs`` the composer's weighted stacked-path searches
+  (``obstructions._stacked_depth`` calls), on an empty stacked-depth memo,
+  and ``sha256`` hashes every certificate's ``to_json()`` and a newline,
+  in turn;
 - ``compose-acc6``: ``compose`` of the 200 inflations of acceptance
   check 6, thm51 at full scale (``claims._composer_inputs(0, 200, 40,
-  random.Random(0x5EED))``, n <= 37), once on empty solve and climb
-  memos, ``cold_s``, then once more with the memos that pass filled,
+  random.Random(0x5EED))``, n <= 37), once on empty solve, stacked-depth
+  and matching memos, ``cold_s``, then once more with the memos that pass filled,
   ``warm_s``; ``sha256`` hashes the certificates' ``to_json()`` joined
   by newlines, the digest that
   ``test_acceptance_inflation_certificates_keep_their_bytes`` pins;
@@ -46,6 +47,10 @@ queries are:
   1/2 from ``random.Random(0x9E1)``, keeping the prime ones), all nine
   three times; ``sha256`` hashes each quotient's ``to_json()`` and a
   newline, in turn, over one round;
+- ``profile-prime``: ``composer.profile`` of four random prime graphs,
+  with n = 32, 40, 48 and 64 (drawn with edge probability 1/2 from
+  ``random.Random(7)``, keeping the prime ones), each once on empty
+  memos; per graph, the seconds and the (p, q, r) profile. Opt-in;
 - ``catalogue-n8``: ``all_graphs(8)`` built afresh, opt-in (not run by
   default, as it takes 15-20 s); ``count`` is the number of graphs and
   ``sha256`` hashes their graph6 codes joined by newlines, so two
@@ -105,14 +110,14 @@ def _lettericity_sweep():
 
 @contextlib.contextmanager
 def _empty_memos(met: list):
-    """Give the composer empty solve, climb and matching memos for the
-    block, and append each labelled prime quotient it meets to ``met``."""
+    """Give the composer empty solve, stacked-depth and matching memos for
+    the block, and append each labelled prime quotient it meets to
+    ``met``."""
     memo, depth, matching = (functools.lru_cache(
         maxsize=composer._MEMO_SIZE)(fn.__wrapped__) for fn in (
             composer._prime_lettering, composer._prime_stacked_depth,
             composer._prime_matching))
     with mock.patch.object(composer, "_classes", {}), \
-            mock.patch.object(composer, "_depths", {}), \
             mock.patch.object(composer, "_prime_stacked_depth", depth), \
             mock.patch.object(composer, "_prime_matching", matching), \
             mock.patch.object(composer, "_prime_lettering",
@@ -134,9 +139,9 @@ def _compose_sweep():
 
         with mock.patch.object(solver, "is_k_letterable", record), \
                 _empty_memos(met), \
-                mock.patch.object(composer, "max_stacked_path",
-                                  lambda g: climbs.append(g) or
-                                  obstructions.max_stacked_path(g)), \
+                mock.patch.object(composer, "_stacked_depth",
+                                  lambda h, weights: climbs.append(h) or
+                                  obstructions._stacked_depth(h, weights)), \
                 mock.patch.object(composer, "lettericity",
                                   lambda h: solved.append(h) or
                                   solver.lettericity(h)):
@@ -167,17 +172,20 @@ def _compose_acc6():
     return query
 
 
+def _random_prime(rng: random.Random, n: int) -> graphs.Graph:
+    """A graph on n vertices with edge probability 1/2, drawn from ``rng``
+    until one is prime."""
+    while True:
+        g = graphs.Graph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.5])
+        if modular.is_prime(g):
+            return g
+
+
 def _quotient_prime():
     rng = random.Random(0x9E1)
-
-    def draw(n: int) -> graphs.Graph:
-        while True:
-            g = graphs.Graph.from_edges(n, [
-                (u, v) for u in range(n) for v in range(u + 1, n)
-                if rng.random() < 0.5])
-            if modular.is_prime(g):
-                return g
-    inputs = [draw(n) for n in (16, 32, 48) for _ in range(3)]
+    inputs = [_random_prime(rng, n) for n in (16, 32, 48) for _ in range(3)]
 
     def query():
         for _ in range(3):
@@ -187,6 +195,23 @@ def _quotient_prime():
                               .encode())
         return "found", [], {"graphs": len(inputs),
                              "sha256": digest.hexdigest()}
+    return query
+
+
+def _profile_prime():
+    rng = random.Random(7)
+    inputs = [_random_prime(rng, n) for n in (32, 40, 48, 64)]
+
+    def query():
+        report = {}
+        with _empty_memos([]):
+            for g in inputs:
+                start = time.perf_counter()
+                prof = composer.profile(g)
+                report[g.n] = {
+                    "s": round(time.perf_counter() - start, 4),
+                    "pqr": [prof.p, prof.q, prof.r]}
+        return "found", [], {"graphs": report}
     return query
 
 
@@ -251,9 +276,10 @@ QUERIES = {
     "compose-acc6": _compose_acc6,
     "symmetry": _symmetry,
     "quotient-prime": _quotient_prime,
+    "profile-prime": _profile_prime,
     "catalogue-n8": _catalogue_n8,
 }
-OPT_IN = ("catalogue-n8",)
+OPT_IN = ("profile-prime", "catalogue-n8")
 
 
 SPLIT = ("decisions", "descent_hits", "descent_exhausted", "word_searches")

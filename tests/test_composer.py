@@ -38,7 +38,8 @@ from letterkit.graphs import (DOMINATING, ISOLATED, Graph, canonical_code,
 from letterkit.obstructions import (ClassProfile, max_induced_matching,
                                     max_stacked_path)
 from letterkit.letters import Decoder
-from tests.conftest import masked_graph, random_cograph, random_graph
+from tests.conftest import (climb_stacked_path, masked_graph, random_cograph,
+                            random_graph)
 from tests.startup_timing import ROOT, child_env
 
 
@@ -381,23 +382,15 @@ def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
                                                           rng):
     _fresh_memo(monkeypatch)
     searched = []
-    real = obstructions.contains_induced
-    monkeypatch.setattr(obstructions, "contains_induced",
-                        lambda g, pattern: searched.append(g) or
-                        real(g, pattern))
+    real = obstructions._stacked_depth
+    monkeypatch.setattr(composer, "_stacked_depth",
+                        lambda h, weights: searched.append(h) or
+                        real(h, weights))
     # cograph inflations of one labelled C5 share the key (C5, (0,) * 5):
-    # one climb, which finds R_1 = P4 and stops, as R_2 needs 8 vertices
+    # one weighted search
     for _ in range(6):
         mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]
         compose(inflate(cycle(5), mods)[0])
-    assert searched == [cycle(5)]
-    # C5's complement is C5 relabelled: with equal depths it shares the
-    # class's key, so it makes no second climb
-    relabelled = cycle(5).complement()
-    assert relabelled != cycle(5)
-    for _ in range(3):
-        mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]
-        compose(inflate(relabelled, mods)[0])
     assert searched == [cycle(5)]
 
 
@@ -424,7 +417,7 @@ def test_stacked_depth_is_the_inflations_under_relabelling(rnd):
                 inflated = inflate(h, [stacked_path(d)[0] if d else path(1)
                                        for d in ds])[0]
                 assert composer._prime_stacked_depth(h, ds) == \
-                    max_stacked_path(inflated)[0]
+                    climb_stacked_path(inflated)[0]
             depths = carried
 
 
@@ -461,8 +454,8 @@ def _nested_primes():
 
 
 def _fresh_memo(monkeypatch):
-    """Give the composer empty prime-quotient and stacked-depth memos, each
-    with an empty class table, and an empty matching memo, for this test."""
+    """Give the composer an empty prime-quotient memo with an empty class
+    table, and empty stacked-depth and matching memos, for this test."""
     memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
         composer._prime_lettering.__wrapped__)
     monkeypatch.setattr(composer, "_prime_lettering", memo)
@@ -470,7 +463,6 @@ def _fresh_memo(monkeypatch):
     monkeypatch.setattr(composer, "_prime_stacked_depth",
                         functools.lru_cache(maxsize=composer._MEMO_SIZE)(
                             composer._prime_stacked_depth.__wrapped__))
-    monkeypatch.setattr(composer, "_depths", {})
     monkeypatch.setattr(composer, "_prime_matching",
                         functools.lru_cache(maxsize=composer._MEMO_SIZE)(
                             composer._prime_matching.__wrapped__))

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterkit import (
     all_graphs,
@@ -15,7 +17,10 @@ from letterkit import (
     ramsey,
     stacked_path,
 )
-from letterkit.obstructions import _weighted_induced_matching, f_impl, f_paper
+from letterkit.graphs import Graph, inflate
+from letterkit.obstructions import (_stacked_depth, _weighted_induced_matching,
+                                    f_impl, f_paper)
+from tests.conftest import climb_stacked_path, random_graph, twin_rich_graph
 
 
 def brute_max_induced_matching(g):
@@ -95,6 +100,60 @@ def test_max_stacked_path_examples():
     assert max_stacked_path(bull())[0] == 1
 
 
+def _assert_stacked_witness(g, r, witness):
+    """``witness`` maps R_r's vertex i to a distinct vertex of ``g`` and
+    preserves and reflects every adjacency."""
+    pattern = stacked_path(r)[0]
+    assert len(witness) == pattern.n == len(set(witness))
+    assert all(0 <= v < g.n for v in witness)
+    for i, j in itertools.combinations(range(pattern.n), 2):
+        assert pattern.adjacent(i, j) == g.adjacent(witness[i], witness[j])
+
+
+def _relabel(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_max_stacked_path_witness_is_an_induced_copy(rng):
+    for n in range(4, 8):
+        for g in all_graphs(n):
+            r, witness = max_stacked_path(g)
+            if r:
+                _assert_stacked_witness(g, r, witness)
+    for r in (1, 2, 3):
+        for _ in range(5):
+            g = _relabel(rng, stacked_path(r)[0])
+            assert max_stacked_path(g)[0] == r
+            _assert_stacked_witness(g, r, max_stacked_path(g)[1])
+
+
+def _stacked_inflation(rnd):
+    """R_1, R_2 or R_3 with its vertices inflated by random graphs, n <= 16,
+    so the graph holds R_r and may hold more."""
+    base = stacked_path(rnd.randint(1, 3))[0]
+    sizes = [1] * base.n
+    for _ in range(rnd.randint(0, 16 - base.n)):
+        sizes[rnd.randrange(base.n)] += 1
+    return inflate(base, [random_graph(rnd, s, rnd.random())
+                          for s in sizes])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "twin-rich", "stacked"]),
+       st.integers(4, 16), st.randoms(use_true_random=False))
+def test_stacked_depth_matches_the_climb(kind, n, rnd):
+    g = random_graph(rnd, n, rnd.random()) if kind == "random" else \
+        twin_rich_graph(rnd, n) if kind == "twin-rich" else \
+        _stacked_inflation(rnd)
+    g = _relabel(rnd, g)
+    r, witness = _stacked_depth(g)
+    assert r == climb_stacked_path(g)[0]
+    if r:
+        _assert_stacked_witness(g, r, witness)
+
+
 def test_profile_examples():
     assert profile(path(1)) == profile(path(1)).__class__(1, 1, 1)
     prof = profile(matching(2))
@@ -104,7 +163,6 @@ def test_profile_examples():
 
 
 def test_profile_antitone_under_induced_subgraphs(rng):
-    from tests.conftest import random_graph
     for _ in range(30):
         n = rng.randint(2, 10)
         g = random_graph(rng, n, 0.5)
