@@ -34,8 +34,8 @@ queries are:
 - ``compose-acc6``: ``compose`` of the 200 inflations of acceptance
   check 6, thm51 at full scale (``claims._composer_inputs(0, 200, 40,
   random.Random(0x5EED))``, n <= 37), once on empty solve, stacked-depth
-  and matching memos, ``cold_s``, then once more with the memos that pass filled,
-  ``warm_s``; ``sha256`` hashes the certificates' ``to_json()`` joined
+  and matching memos, ``cold_s``, then once more with the memos that
+  pass filled, ``warm_s``; ``sha256`` hashes the certificates' ``to_json()`` joined
   by newlines, the digest that
   ``test_acceptance_inflation_certificates_keep_their_bytes`` pins;
 - ``symmetry``: ``graphs._canonical`` on 6K2, K6,6 less a perfect

@@ -125,16 +125,17 @@ def test_max_stacked_path_witness_is_an_induced_copy(rng):
     for r in (1, 2, 3):
         for _ in range(5):
             g = _relabel(rng, stacked_path(r)[0])
-            assert max_stacked_path(g)[0] == r
-            _assert_stacked_witness(g, r, max_stacked_path(g)[1])
+            found, witness = max_stacked_path(g)
+            assert found == r
+            _assert_stacked_witness(g, r, witness)
 
 
-def _stacked_inflation(rnd):
-    """R_1, R_2 or R_3 with its vertices inflated by random graphs, n <= 16,
-    so the graph holds R_r and may hold more."""
-    base = stacked_path(rnd.randint(1, 3))[0]
+def _stacked_inflation(rnd, n):
+    """R_r for some 4r <= n with its vertices inflated by random graphs, n
+    vertices in all, so the graph holds R_r and may hold more."""
+    base = stacked_path(rnd.randint(1, n // 4))[0]
     sizes = [1] * base.n
-    for _ in range(rnd.randint(0, 16 - base.n)):
+    for _ in range(n - base.n):
         sizes[rnd.randrange(base.n)] += 1
     return inflate(base, [random_graph(rnd, s, rnd.random())
                           for s in sizes])[0]
@@ -142,11 +143,11 @@ def _stacked_inflation(rnd):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["random", "twin-rich", "stacked"]),
-       st.integers(4, 16), st.randoms(use_true_random=False))
+       st.integers(4, 16), st.randoms(use_true_random=True))
 def test_stacked_depth_matches_the_climb(kind, n, rnd):
     g = random_graph(rnd, n, rnd.random()) if kind == "random" else \
         twin_rich_graph(rnd, n) if kind == "twin-rich" else \
-        _stacked_inflation(rnd)
+        _stacked_inflation(rnd, n)
     g = _relabel(rnd, g)
     r, witness = _stacked_depth(g)
     assert r == climb_stacked_path(g)[0]
