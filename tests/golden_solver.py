@@ -1,9 +1,10 @@
 """Golden outputs of the exact solver and the composer, pinned before any
 change to them.
 
-Three sections, so that a change meant to move the search counters (say,
+Four sections, so that a change meant to move the search counters (say,
 a symmetry that skips decoders) can re-pin them without touching the
-letterings, and a rewrite of the composer is held to its certificates:
+letterings, and a rewrite of the composer or of the modular decomposition
+is held to its outputs:
 
 - ``letterings``: for every graph from ``all_graphs(n)`` with n <= 6, and
   for the stacked path R2, keyed by graph6: the lettericity and the
@@ -14,6 +15,9 @@ letterings, and a rewrite of the composer is held to its certificates:
 - ``compositions``: the SHA-256 of ``compose(g).to_json()``, keyed by
   graph6, for every graph with n <= 6 and for the nested and peeled
   inflations of ``composition_inputs``.
+- ``decompositions``: for the same graphs, keyed by graph6, the SHA-256
+  of the JSON of ``decomposition_tree(g)`` followed by
+  ``quotient(g).to_json()`` (the latter for n >= 2 only).
 
 Regenerate the file only on purpose, from the repository root:
 
@@ -35,7 +39,7 @@ import json
 import os
 import sys
 
-from letterkit import claims, composer, graphs, solver
+from letterkit import claims, composer, graphs, modular, solver
 from letterkit.letters import lettering_to_json
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -92,6 +96,16 @@ def compositions() -> dict[str, str]:
         for g in composition_inputs()}
 
 
+def decompositions() -> dict[str, str]:
+    out = {}
+    for g in composition_inputs():
+        text = json.dumps(modular.decomposition_tree(g))
+        if g.n >= 2:
+            text += modular.quotient(g).to_json()
+        out[graphs.to_graph6(g)] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def load() -> dict:
     with open(PATH) as fh:
         return json.load(fh)
@@ -125,7 +139,8 @@ def merge(old: dict, fresh: dict, section: str | None = None) -> dict:
 
 if __name__ == "__main__":
     section = sys.argv[1] if len(sys.argv) > 1 else None
-    fresh = {**build(), "compositions": compositions()}
+    fresh = {**build(), "compositions": compositions(),
+             "decompositions": decompositions()}
     try:
         data = merge(load() if section else {}, fresh, section)
     except ValueError as err:

@@ -467,3 +467,11 @@ def test_decomposition_serialization():
     assert tree["n"] == 4
     assert len(tree["modules"]) == 2
     assert tree["modules"][0]["tree"]["n"] == 2
+
+
+def test_golden_decompositions():
+    # the decompositions section of tests/data/golden_solver.json was
+    # generated by tests/golden_solver.py before the mask split took its
+    # (co-)component split from the refinement
+    from tests.golden_solver import decompositions, load
+    assert decompositions() == load()["decompositions"]
