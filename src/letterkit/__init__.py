@@ -1,7 +1,7 @@
 """letterkit: letter graphs, exact lettericity, modular decomposition,
 obstruction profiles, and constructive lettering composition."""
 
-from .composer import CompositionCertificate, PeelTrace, attach_peeled, compose, peel, profile
+from .composer import CompositionCertificate, compose, profile
 from .graphs import (
     Graph,
     StackedPathLabels,
@@ -20,7 +20,6 @@ from .graphs import (
     matching,
     path,
     stacked_path,
-    stacked_path_inductive,
     threshold,
     to_dot,
     to_graph6,
@@ -28,12 +27,9 @@ from .graphs import (
 from .letters import (
     Decoder,
     Lettering,
-    complement_decoder,
     decode,
-    distinguisher_positions,
     lettering_from_json,
     lettering_to_json,
-    reverse_lettering,
     threshold_lettering,
     verify,
 )
@@ -44,7 +40,6 @@ from .modular import (
     is_module,
     is_prime,
     quotient,
-    reconstruct,
 )
 from .obstructions import (
     BoundParams,

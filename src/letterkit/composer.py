@@ -42,29 +42,12 @@ from .obstructions import (ClassProfile, _stacked_depth,
 from .solver import Run, _least_lettering, lettericity
 
 
-@_record
-class PeelTrace:
-    """Vertices removed because they were isolated or dominating, stored in
-    addition order (the outermost-removed vertex last), plus the remaining
-    core, which has neither kind of vertex (or is empty)."""
-
-    removed: tuple[tuple[int, str], ...]
-    core: Graph
-    core_ids: tuple[int, ...]
-
-
-def peel(g: Graph) -> PeelTrace:
-    """Successively remove the least-id isolated vertex, or failing that the
-    least-id dominating vertex, until neither kind remains: ``_peel`` on
-    all of ``g``, with the core built as a graph."""
-    removed, core = _peel(g, (1 << g.n) - 1)
-    core_ids = tuple(_bits(core))
-    return PeelTrace(removed, g.induced(core_ids) if removed else g, core_ids)
-
-
 def _peel(g: Graph, mask: int) -> tuple[tuple[tuple[int, str], ...], int]:
-    """``peel`` of g[mask] in ``g``'s ids: the removed vertices in addition
-    order and the core as a bitmask."""
+    """Successively remove the least-id isolated vertex of g[mask], or
+    failing that the least-id dominating vertex, until neither kind
+    remains. Returns the removed ``(vertex, kind)`` pairs in addition order
+    (the outermost-removed vertex last), in ``g``'s ids, and the core, which
+    has neither kind of vertex (or is empty), as a bitmask."""
     rows, live, alive = g.rows, _bits(mask), mask
     removal: list[tuple[int, str]] = []
     while live:
@@ -95,28 +78,6 @@ def _attach_peeled(word, removed, alloc, pairs):
     if DOMINATING in fresh:
         pairs.update((a, fresh[DOMINATING]) for _, a in word)
     return word
-
-
-def attach_peeled(core_lettering: Lettering, trace: PeelTrace,
-                  g: Graph) -> Lettering:
-    """Public single-step form of the peel reattachment, on Letterings.
-
-    ``core_lettering`` must verify against ``trace.core``; positions in it
-    refer to core-local ids, which are mapped back through the trace.
-    """
-    if not verify(trace.core, core_lettering):
-        raise ValueError("core lettering does not verify against the core")
-    dec = core_lettering.decoder
-    word = [(trace.core_ids[core_lettering.vertex_of_position[i]],
-             core_lettering.word[i]) for i in range(core_lettering.n)]
-    pairs = {(a, b) for a in range(dec.size) for b in range(dec.size)
-             if dec.pairs[a][b]}
-    alloc = itertools.count(dec.size).__next__
-    word = _attach_peeled(word, trace.removed, alloc, pairs)
-    lett = _finalize(word, pairs)
-    if not verify(g, lett):
-        raise AssertionError("reattached lettering failed verification")
-    return lett
 
 
 def _finalize(word, pairs) -> Lettering:

@@ -314,19 +314,6 @@ def stacked_path(n: int) -> tuple[Graph, StackedPathLabels]:
     return Graph.from_edges(4 * n, edges), labels
 
 
-def stacked_path_inductive(n: int) -> Graph:
-    """R_n built by repeatedly inflating the bull's nose, starting from P4.
-
-    Independent oracle for :func:`stacked_path`, with the same numbering.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = path(4)
-    for _ in range(n - 1):
-        g, _ = inflate(bull(), [path(1)] * 4 + [g])
-    return g
-
-
 _FAMILIES = ("path", "cycle", "complete", "matching", "co-matching",
              "bull", "stacked", "threshold")
 

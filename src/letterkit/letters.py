@@ -47,6 +47,10 @@ class Decoder:
         idx = {s: i for i, s in enumerate(alphabet)}
         matrix = [[False] * len(alphabet) for _ in alphabet]
         for a, b in pair_list:
+            for sym in (a, b):
+                if sym not in idx:
+                    raise ValueError(
+                        f"decoder pair names {sym!r}, not in the alphabet")
             matrix[idx[a]][idx[b]] = True
         return Decoder(alphabet, tuple(tuple(row) for row in matrix))
 
@@ -67,18 +71,6 @@ class Decoder:
             pairs.append((chunk[0], chunk[1]))
         letters = sorted({c for p in pairs for c in p} | set(word))
         return Decoder.from_pairs(letters, pairs)
-
-
-def complement_decoder(decoder: Decoder) -> Decoder:
-    return Decoder(decoder.alphabet,
-                   tuple(tuple(not x for x in row) for row in decoder.pairs))
-
-
-def transpose_decoder(decoder: Decoder) -> Decoder:
-    k = decoder.size
-    return Decoder(decoder.alphabet,
-                   tuple(tuple(decoder.pairs[b][a] for b in range(k))
-                         for a in range(k)))
 
 
 def decode(decoder: Decoder, word) -> Graph:
@@ -143,36 +135,6 @@ def verify(g: Graph, lettering: Lettering) -> bool:
         later[a] |= 1 << v
         seen |= 1 << v
     return True
-
-
-def reverse_lettering(lettering: Lettering) -> Lettering:
-    """Reverse the word and transpose the decoder; decodes to the same graph
-    under the same vertex identification."""
-    return Lettering(transpose_decoder(lettering.decoder),
-                     lettering.word[::-1],
-                     lettering.vertex_of_position[::-1])
-
-
-def distinguisher_positions(lettering: Lettering) -> list[tuple[int, int, int]]:
-    """All triples (i, j, k), i < k with equal letters, where position j
-    distinguishes i from k yet does not lie strictly between them.
-
-    Empty for every lettering of its own letter graph: a distinguisher of a
-    same-letter pair can only sit between the two positions.
-    """
-    g = decode(lettering.decoder, lettering.word)
-    w = lettering.word
-    bad = []
-    for i in range(g.n):
-        for k in range(i + 1, g.n):
-            if w[i] != w[k]:
-                continue
-            for j in range(g.n):
-                if j in (i, k):
-                    continue
-                if g.adjacent(j, i) != g.adjacent(j, k) and not i < j < k:
-                    bad.append((i, j, k))
-    return bad
 
 
 def threshold_lettering(creation_sequence) -> Lettering:

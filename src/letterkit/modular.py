@@ -2,22 +2,23 @@
 P4/bull classification of vertices in prime graphs.
 
 Module finding works within a vertex mask, so an induced subgraph is
-split with no copy of it. On a connected and co-connected graph,
-``quotient`` refines the vertices other than the least one, u, into the
-maximal modules that avoid u, each check of a part costing one XOR of two
-rows per member; it then runs at most one minimal-module closure per
-refined part, which costs one XOR per member it ends with and tells
-whether the part lies in u's module. The primality check on the quotient
-adds its pair closures. That is entirely adequate at this package's
-scale (n <= 64 or so); the famously intricate linear-time algorithms are
-deliberately out of scope.
+split with no copy of it. ``quotient`` refines the vertices other than
+the least one, u, into the maximal modules that avoid u, each check of a
+part costing one XOR of two rows per member. A refined part with no edge,
+or every edge, to the rest of the mask is all that lies outside u's
+(co-)component. On a connected and co-connected graph it then runs at
+most one minimal-module closure per refined part, which costs one XOR
+per member it ends with and tells whether the part lies in u's module.
+The primality check on the quotient adds its pair closures. That is
+entirely adequate at this package's scale (n <= 64 or so); the famously
+intricate linear-time algorithms are deliberately out of scope.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graphs import Graph, _bits, _record, bull, inflate, path, to_graph6
+from .graphs import Graph, _bits, _record, bull, path, to_graph6
 
 
 def is_module(g: Graph, vertex_set) -> bool:
@@ -76,24 +77,12 @@ def is_prime(g: Graph) -> bool:
     return True
 
 
-def _reach(g: Graph, within: int, flip: int = 0) -> int:
-    """The component of the least vertex of ``within`` in g[within], as a
-    bitmask; with ``flip`` = -1, its component in the complement."""
-    mask = todo = within & -within
-    while todo:
-        v = (todo & -todo).bit_length() - 1
-        new = (g.rows[v] ^ flip) & within & ~mask
-        mask, todo = mask | new, todo & ~(1 << v) | new
-    return mask
-
-
 @_record
 class QuotientDecomposition:
     """Prime quotient H plus the module partition of the input graph."""
 
     quotient: Graph
     modules: tuple[tuple[int, ...], ...]
-    module_graphs: tuple[Graph, ...]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -113,8 +102,7 @@ def quotient(g: Graph) -> QuotientDecomposition:
     if g.n < 2:
         raise ValueError("quotient needs at least 2 vertices")
     h, parts = _split(g, (1 << g.n) - 1)
-    modules = tuple(tuple(_bits(p)) for p in parts)
-    return QuotientDecomposition(h, modules, tuple(map(g.induced, modules)))
+    return QuotientDecomposition(h, tuple(tuple(_bits(p)) for p in parts))
 
 
 def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
@@ -122,24 +110,41 @@ def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
     prime quotient H and its parts as bitmasks, ordered by least member,
     so that H is induced on those members. Only H is built as a graph.
 
-    When g[within] is connected and co-connected, the maximal proper
-    modules partition it and H is prime with four or more vertices. Let u
-    be the least vertex and M_u its part. Every other part is a maximal
-    module that avoids u, and every maximal module that avoids u lies in
-    one part, so ``_avoiding`` gives the other parts plus a partition of
-    M_u minus u. A part P with least member r lies in M_u iff the closure
-    of {u, r} is proper, and that closure then lies in M_u, so each part
-    it meets does too and needs no closure of its own. Each part therefore
-    takes at most one closure, which stops at the parts found outside
-    M_u; M_u is what those parts leave."""
-    reach = _reach(g, within)
-    if reach == within:
-        reach = _reach(g, within, -1)
-    if reach != within:
-        parts = [reach, within & ~reach]
+    Let u be the least vertex. ``_avoiding`` gives the maximal modules
+    that avoid u, and they settle the (co-)component split too. If
+    g[within] is disconnected and C is u's component, the rest R = within
+    minus C is a module that avoids u (C sees none of it), and a maximal
+    one: a module that avoids u and holds R and more meets C, so, as C is
+    connected, some a of C in it has a neighbour b in C outside it, and b,
+    which sees a, sees all of the module, R included, which C does not.
+    So R is one refined part P, and P has no edge to within minus P.
+    Conversely a part P with no edge to the rest is a union of components
+    that avoid u, so P lies in the module R and, being maximal, is R; no
+    other part passes. As P is a module, one member's row decides it. In
+    the complement the same holds of co-components, and P has every edge
+    to the rest. The parts are then u's (co-)component and P, in that
+    order.
+
+    Otherwise g[within] is connected and co-connected, the maximal proper
+    modules partition it and H is prime with four or more vertices. Let
+    M_u be u's part. Every other part is a maximal module that avoids u,
+    and every maximal module that avoids u lies in one part, so the
+    refined parts are the other parts plus a partition of M_u minus u. A
+    part P with least member r lies in M_u iff the closure of {u, r} is
+    proper, and that closure then lies in M_u, so each part it meets does
+    too and needs no closure of its own. Each part therefore takes at most
+    one closure, which stops at the parts found outside M_u; M_u is what
+    those parts leave."""
+    rows, avoiding = g.rows, _avoiding(g, within)
+    for part in avoiding:
+        rest = within & ~part
+        seen = rows[(part & -part).bit_length() - 1] & rest
+        if not seen or seen == rest:
+            parts = [rest, part]
+            break
     else:
         u, stop, inside, parts = within & -within, 0, 0, []
-        for part in _avoiding(g, within):
+        for part in avoiding:
             if part & inside:
                 continue
             closure = _module_closure(g, within, u | part & -part, stop)
@@ -191,19 +196,6 @@ def _avoiding(g: Graph, within: int) -> list[int]:
         else:
             done.append(part)
     return sorted(done, key=lambda p: p & -p)
-
-
-def reconstruct(decomposition: QuotientDecomposition) -> tuple[Graph, list[int]]:
-    """Inflate the quotient back; returns the graph plus the vertex map
-    sending each rebuilt vertex to the original id (a concrete isomorphism
-    witness for the roundtrip)."""
-    g, blocks = inflate(decomposition.quotient,
-                        list(decomposition.module_graphs))
-    mapping = [0] * g.n
-    for part, block in zip(decomposition.modules, blocks):
-        for orig, new in zip(part, block):
-            mapping[new] = orig
-    return g, mapping
 
 
 P4_END = "P4End"
@@ -288,9 +280,7 @@ def decomposition_tree(g: Graph) -> dict:
     if g.n >= 2:
         dec = quotient(g)
         node["quotient"] = to_graph6(dec.quotient)
-        node["modules"] = [
-            {"vertices": list(part),
-             "tree": decomposition_tree(sub)}
-            for part, sub in zip(dec.modules, dec.module_graphs)
-        ]
+        node["modules"] = [{"vertices": list(part),
+                            "tree": decomposition_tree(g.induced(part))}
+                           for part in dec.modules]
     return node

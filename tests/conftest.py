@@ -50,6 +50,50 @@ def climb_stacked_path(g):
     return r, witness
 
 
+def component(g, within: int, co: bool = False) -> int:
+    """The component of the least vertex of ``within`` in g[within], as a
+    bitmask; with ``co``, its component in the complement. A plain BFS over
+    ``Graph.adjacent``, the reference for ``modular._split``'s
+    (co-)component split."""
+    u = (within & -within).bit_length() - 1
+    seen, todo = {u}, [u]
+    while todo:
+        v = todo.pop(0)
+        for w in range(g.n):
+            if within >> w & 1 and w not in seen and g.adjacent(v, w) != co:
+                seen.add(w)
+                todo.append(w)
+    return sum(1 << v for v in seen)
+
+
+def reconstruct(g, decomposition):
+    """Inflate ``quotient(g)``'s quotient by g's induced modules; returns
+    the graph plus the vertex map sending each rebuilt vertex to the
+    original id (a concrete isomorphism witness for the roundtrip)."""
+    from letterkit import inflate
+    rebuilt, blocks = inflate(decomposition.quotient,
+                              [g.induced(m) for m in decomposition.modules])
+    mapping = [0] * rebuilt.n
+    for part, block in zip(decomposition.modules, blocks):
+        for orig, new in zip(part, block):
+            mapping[new] = orig
+    return rebuilt, mapping
+
+
+def stacked_path_inductive(n: int):
+    """R_n built by repeatedly inflating the bull's nose, starting from P4.
+
+    Independent oracle for ``stacked_path``, with the same numbering.
+    """
+    from letterkit import bull, inflate, path
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    g = path(4)
+    for _ in range(n - 1):
+        g, _ = inflate(bull(), [path(1)] * 4 + [g])
+    return g
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

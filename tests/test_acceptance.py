@@ -16,14 +16,12 @@ from letterkit import (
     is_prime,
     max_induced_matching,
     quotient,
-    reconstruct,
     stacked_path,
-    stacked_path_inductive,
     threshold_lettering,
     verify,
 )
 from letterkit.graphs import DOMINATING, ISOLATED, threshold
-from tests.conftest import random_graph
+from tests.conftest import random_graph, reconstruct, stacked_path_inductive
 
 
 def report(num, name, ok, elapsed, limit):
@@ -67,7 +65,7 @@ def test_05_decomposition_roundtrip():
         dec = quotient(g)
         if not is_prime(dec.quotient):
             ok = False
-        rebuilt, mapping = reconstruct(dec)
+        rebuilt, mapping = reconstruct(g, dec)
         for a in range(n):
             for b in range(a + 1, n):
                 if rebuilt.adjacent(a, b) != g.adjacent(mapping[a], mapping[b]):

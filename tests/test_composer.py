@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from letterkit import (
     BudgetExceeded,
-    Lettering,
     Run,
     all_graphs,
-    attach_peeled,
     bull,
     complete,
     compose,
@@ -27,20 +25,27 @@ from letterkit import (
     is_prime,
     matching,
     path,
-    peel,
     profile,
     threshold,
     verify,
 )
 from letterkit import claims, composer, obstructions, solver
-from letterkit.graphs import (DOMINATING, ISOLATED, Graph, canonical_code,
-                              empty, join, stacked_path)
+from letterkit.graphs import (DOMINATING, ISOLATED, Graph, _bits,
+                              canonical_code, empty, join, stacked_path)
 from letterkit.obstructions import (ClassProfile, max_induced_matching,
                                     max_stacked_path)
-from letterkit.letters import Decoder
 from tests.conftest import (climb_stacked_path, masked_graph, random_cograph,
                             random_graph)
 from tests.startup_timing import ROOT, child_env
+
+
+def peel(g):
+    """``composer._peel`` of all of ``g``, with the core as a graph: the
+    removed vertices in addition order, the core and its ids."""
+    removed, core = composer._peel(g, (1 << g.n) - 1)
+    core_ids = tuple(_bits(core))
+    return SimpleNamespace(removed=removed, core=g.induced(core_ids),
+                           core_ids=core_ids)
 
 
 def test_peel_threshold_graph_fully():
@@ -137,21 +142,12 @@ def test_attach_peeled_on_empty_core():
 
 
 def test_attach_peeled_core_p4():
+    # the isolated vertex is peeled and takes one fresh letter beside P4's
+    # two
     g = disjoint_union(path(4), path(1))
-    trace = peel(g)
-    core_lett = Lettering(
-        Decoder.from_pairs("ab", [("b", "a")]), (1, 0, 1, 0), (1, 0, 3, 2))
-    lett = attach_peeled(core_lett, trace, g)
+    lett = compose(g).lettering
     assert verify(g, lett)
     assert lett.letters_used() == 3
-
-
-def test_attach_peeled_rejects_bad_core_lettering():
-    g = disjoint_union(path(4), path(1))
-    trace = peel(g)
-    bad = Lettering(Decoder.from_pairs("ab", []), (1, 0, 1, 0), (1, 0, 3, 2))
-    with pytest.raises(ValueError):
-        attach_peeled(bad, trace, g)
 
 
 def test_compose_threshold_two_letters():
@@ -668,18 +664,6 @@ def test_memo_keeps_only_completed_solves(monkeypatch):
     # the two stored solves are reused; the failed one is run again
     assert len(solves) == 6 and solves[3] == solves[2]
     assert memo.cache_info().currsize == 5
-
-
-def test_attach_peeled_soundness_guard_raises(monkeypatch):
-    g = disjoint_union(path(4), path(1))
-    trace = peel(g)
-    core_lett = Lettering(
-        Decoder.from_pairs("ab", [("b", "a")]), (1, 0, 1, 0), (1, 0, 3, 2))
-    # the core check passes; only the reattached lettering fails
-    monkeypatch.setattr(composer, "verify",
-                        lambda graph, lett: graph is trace.core)
-    with pytest.raises(AssertionError, match="failed verification"):
-        attach_peeled(core_lett, trace, g)
 
 
 def test_compose_soundness_guard_raises(monkeypatch):

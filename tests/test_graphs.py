@@ -23,7 +23,6 @@ from letterkit import (
     matching,
     path,
     stacked_path,
-    stacked_path_inductive,
     threshold,
     to_dot,
     to_graph6,
@@ -32,7 +31,7 @@ from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _canonical,
                               _extend, _refine_colors, canonical_code, empty,
                               generate)
 from tests import catalogue
-from tests.conftest import random_cograph
+from tests.conftest import random_cograph, stacked_path_inductive
 from tests.startup_timing import child_env
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -9,22 +10,63 @@ from letterkit import (
     Decoder,
     Graph,
     Lettering,
-    complement_decoder,
     complete,
     decode,
-    distinguisher_positions,
     is_isomorphic,
     lettering_from_json,
     lettering_to_json,
     matching,
     path,
-    reverse_lettering,
     threshold,
     threshold_lettering,
     verify,
 )
 from letterkit.graphs import DOMINATING, ISOLATED
-from letterkit.letters import transpose_decoder
+
+
+# -- letter dualities and the distinguisher rule, as test oracles ----------
+
+def complement_decoder(decoder: Decoder) -> Decoder:
+    return Decoder(decoder.alphabet,
+                   tuple(tuple(not x for x in row) for row in decoder.pairs))
+
+
+def transpose_decoder(decoder: Decoder) -> Decoder:
+    k = decoder.size
+    return Decoder(decoder.alphabet,
+                   tuple(tuple(decoder.pairs[b][a] for b in range(k))
+                         for a in range(k)))
+
+
+def reverse_lettering(lettering: Lettering) -> Lettering:
+    """Reverse the word and transpose the decoder; decodes to the same graph
+    under the same vertex identification."""
+    return Lettering(transpose_decoder(lettering.decoder),
+                     lettering.word[::-1],
+                     lettering.vertex_of_position[::-1])
+
+
+def distinguisher_positions(lettering: Lettering) -> list[tuple[int, int, int]]:
+    """All triples (i, j, k), i < k with equal letters, where position j
+    distinguishes i from k yet does not lie strictly between them.
+
+    Empty for every lettering of its own letter graph: a distinguisher of a
+    same-letter pair can only sit between the two positions.
+    """
+    g = decode(lettering.decoder, lettering.word)
+    w = lettering.word
+    bad = []
+    for i in range(g.n):
+        for k in range(i + 1, g.n):
+            if w[i] != w[k]:
+                continue
+            for j in range(g.n):
+                if j in (i, k):
+                    continue
+                if g.adjacent(j, i) != g.adjacent(j, k) and not i < j < k:
+                    bad.append((i, j, k))
+    return bad
+
 
 ID_DECODER = Decoder.from_pairs("id", [("i", "d"), ("d", "d")])
 # single directed pair: a before b is an edge, b before a is not
@@ -216,6 +258,15 @@ def test_lettering_json_roundtrip():
     text = lettering_to_json(lett)
     assert lettering_from_json(text) == lett
     assert '"alphabet": ["a", "b"]' in text
+
+
+def test_lettering_json_rejects_a_pair_letter_outside_the_alphabet():
+    text = json.dumps({"alphabet": ["a"], "decoder": [["a", "b"]],
+                       "word": ["a"], "vertex_of_position": [0]})
+    with pytest.raises(ValueError, match="'b'"):
+        lettering_from_json(text)
+    with pytest.raises(ValueError, match="'c'"):
+        Decoder.from_pairs("ab", [("c", "a")])
 
 
 def test_threshold_lettering_soundness_guard_raises(monkeypatch):

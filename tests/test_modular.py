@@ -18,7 +18,6 @@ from letterkit import (
     matching,
     path,
     quotient,
-    reconstruct,
 )
 from letterkit import modular
 from letterkit.graphs import _bits, empty, stacked_path
@@ -34,7 +33,8 @@ from letterkit.modular import (
     decomposition_tree,
     verify_role,
 )
-from tests.conftest import masked_graph, random_graph, twin_rich_graph
+from tests.conftest import (component, masked_graph, random_graph,
+                            reconstruct, twin_rich_graph)
 
 
 def exhaustive_is_prime(g):
@@ -135,8 +135,7 @@ def test_quotient_parts_are_the_maximal_proper_modules(rng):
     checked = 0
     for g in graphs:
         full = (1 << g.n) - 1
-        if modular._reach(g, full) != full or \
-                modular._reach(g, full, -1) != full:
+        if component(g, full) != full or component(g, full, True) != full:
             continue  # a (co-)component split, not maximal modules
         proper = [m for m in _modules(g) if m != full]
         maximal = sorted(m for m in proper
@@ -254,16 +253,22 @@ def _brute_avoiding(g, within):
 
 
 def test_avoiding_is_the_maximal_modules_up_to_6_vertices():
-    # _split refines only connected and co-connected masks (689 of them
-    # here), but the refinement's argument holds on every mask
+    # _split closes parts only on connected and co-connected masks (689 of
+    # them here), but the refinement's argument holds on every mask, and
+    # on the others _split returns u's (co-)component, then the rest
     checked = 0
     for n in range(2, 7):
         for g in all_graphs(n):
             for mask in range(3, 1 << n):
                 if mask & mask - 1:
                     assert _avoiding(g, mask) == _brute_avoiding(g, mask)
-                    checked += modular._reach(g, mask) == mask == \
-                        modular._reach(g, mask, -1)
+                    reach = component(g, mask)
+                    if reach == mask:
+                        reach = component(g, mask, True)
+                    if reach == mask:
+                        checked += 1
+                    else:
+                        assert _split(g, mask)[1] == [reach, mask & ~reach]
     assert checked == 689
 
 
@@ -318,8 +323,8 @@ def test_split_runs_one_closure_per_refinement_part(quotient_graph, modules,
 @given(st.integers(4, 14), st.booleans(), st.randoms(use_true_random=False))
 def test_split_runs_at_most_one_closure_per_refinement_part(n, twins, rnd):
     g, mask = masked_graph(rnd, n, twins, 4)
-    parts = _avoiding(g, mask) if modular._reach(g, mask) == mask and \
-        modular._reach(g, mask, -1) == mask else []
+    parts = _avoiding(g, mask) if component(g, mask) == mask and \
+        component(g, mask, True) == mask else []
     assert _part_step_closures(g, mask) <= len(parts)
 
 
@@ -334,7 +339,7 @@ def test_quotient_roundtrip_random(rng):
         g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
         dec = quotient(g)
         assert is_prime(dec.quotient)
-        rebuilt, mapping = reconstruct(dec)
+        rebuilt, mapping = reconstruct(g, dec)
         for a in range(n):
             for b in range(a + 1, n):
                 assert rebuilt.adjacent(a, b) == \

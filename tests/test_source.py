@@ -7,8 +7,7 @@ import pytest
 import letterkit
 from letterkit import (ClassProfile, CompositionCertificate, Decoder, Graph,
                        LetterClassConstraint, Lettering, SolveReport, bounds,
-                       classify_vertex, compose, path, peel, quotient,
-                       stacked_path)
+                       classify_vertex, compose, path, quotient, stacked_path)
 from letterkit.graphs import _record
 from tests import startup_timing
 
@@ -46,8 +45,8 @@ def _record_samples():
     lett = Lettering(dec, (0, 1), (1, 0))
     return [Graph(3, (2, 5, 2)), stacked_path(1)[1], dec, lett,
             LetterClassConstraint.of({0, 1}, {2}),
-            SolveReport("found", lett, 1, 2, 0.5), peel(path(3)),
-            compose(path(4)), quotient(path(4)), classify_vertex(path(4), 0),
+            SolveReport("found", lett, 1, 2, 0.5), compose(path(4)),
+            quotient(path(4)), classify_vertex(path(4), 0),
             ClassProfile(2, 3, 1), bounds(1, 2, 2, 2)]
 
 
