@@ -3,7 +3,10 @@
 A search over letter classes (at most k cliques or co-cliques, one decoder
 orientation per mixed class pair, no forced cycle; Petkovsek 2002) decides
 k-letterability and, given a prefix of decoder entries, grows the least
-fitting decoder in row-major code order entry by entry. Fitting decoders
+fitting decoder in row-major code order entry by entry. Its column, tie,
+option and swap tables depend only on k and the fixed entries, so they are
+built once per (k, prefix, fixed) and shared by every search, of any
+graph, that asks with the same key (``_tables``). Fitting decoders
 are closed under renaming letters, so the descent starts from the least
 renaming of the decision's witness and moves to the least renaming of each
 hit. A question's fixed pair of equal entries between letters a and b
@@ -142,8 +145,9 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     ``cand[a]`` to its x side, when it came or when a opened. So a vertex
     that joins a letter with members has exactly one choice of entries and
     no side to check; only opening an empty letter chooses entries. Its
-    choices come from option tables built once per call from ``prefix``
-    and ``known``, expanded letter by letter in ``itertools.product``
+    choices come from the option tables of ``_tables``, which depend on
+    ``g`` not at all and are built once per (k, prefix, fixed), not once
+    per call; they are expanded letter by letter in ``itertools.product``
     order: the first letter with members varies slowest, and for each,
     entry (b, a) outer and (a, b) inner. A vertex in no ``cand`` mask or
     a cycle in ``succ`` cuts the branch. Placing a member v of a constraint
@@ -174,28 +178,13 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     nothing is placed and v is 0, the orbit of 0 under Aut(g), read off
     ``graphs._canonical``; a question with no fixed entry tries one letter
     at the root, so it skips the orbit."""
-    n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
+    n, rows, full = g.n, g.rows, (1 << g.n) - 1
     deadline = run.deadline
-    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
-    column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
-              for a in range(k)]
+    prefix &= (1 << fixed) - 1
+    column, letters, rotated, tied, options, alike = \
+        _tables(k, prefix, fixed)
     non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
-    letters = [(a, a * k, a * k + a) for a in range(k)]
-    rotated = letters[1:] + letters[:1]  # clique-last order
     members = [(0, full, full)] * k  # members, adjacent to none, to all
-    tied = [[(b, prefix >> a * k + b & 1) for b in range(k)
-             if b != a and known >> a * k + b & known >> b * k + a & 1
-             and prefix >> a * k + b & 1 == prefix >> b * k + a & 1]
-            for a in range(k)]  # fixed equal entries (a, b) = (b, a) = x
-    given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
-             for e in range(k * k)]  # the values entry e may take
-    options = [[(b, [(x, y, x << a * k + b | y << b * k + a)
-                     for y in given[b * k + a] for x in given[a * k + b]])
-                for b in range(k) if b != a]
-               for a in range(k)]  # opening a: entries (a, b) = x, (b, a) = y
-    alike = [[b for b in range(k) if b * k >= fixed and column[b] == column[a]]
-             if a * k >= fixed else [a]
-             for a in range(k)]  # a and the letters it may swap with if empty
     twins = None if any(cuts) else _twins(g)  # None: no nogoods
 
     def place(code: int, placed: int, near: int, cand: list[int],
@@ -304,7 +293,50 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
                         cand[b] &= ~same
         return None
 
-    return place(prefix & known, 0, 0, [full] * k, [0] * n, [0] * n)
+    return place(prefix, 0, 0, [full] * k, [0] * n, [0] * n)
+
+
+@functools.lru_cache(maxsize=256)
+def _tables(k: int, prefix: int, fixed: int) -> tuple:
+    """The graph-free tables of ``_fits`` for k letters and the decoder
+    entries ``prefix`` fixes on its ``fixed`` low bits (``prefix`` has no
+    other bit set), as tuples, so the decision, each descent question and
+    each later search with the same key share one copy:
+
+    - ``column[a]``: a's column of fixed entries, their values below bit
+      k*k and the mask of those fixed above it;
+    - ``letters``, and ``rotated`` in clique-last order: (a, a*k, a*k + a)
+      per letter a;
+    - ``tied[a]``: (b, x) for each fixed pair of equal entries
+      (a, b) = (b, a) = x;
+    - ``options[a]``: per letter b != a, (b, choices) with one
+      (x, y, bits) per value the entries (a, b) = x and (b, a) = y may
+      take when a opens, y outer and x inner;
+    - ``alike[a]``: a and the letters it may swap with while both are
+      empty (unfixed rows, equal ``column``s), or only a if a's row is
+      fixed."""
+    known = (1 << fixed) - 1
+    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
+    column = tuple(prefix >> a & stride | (known >> a & stride) << k * k
+                   for a in range(k))
+    letters = tuple((a, a * k, a * k + a) for a in range(k))
+    tied = tuple(tuple((b, prefix >> a * k + b & 1) for b in range(k)
+                       if b != a
+                       and known >> a * k + b & known >> b * k + a & 1
+                       and prefix >> a * k + b & 1 == prefix >> b * k + a & 1)
+                 for a in range(k))
+    given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
+             for e in range(k * k)]  # the values entry e may take
+    options = tuple(tuple((b, tuple((x, y, x << a * k + b | y << b * k + a)
+                                    for y in given[b * k + a]
+                                    for x in given[a * k + b]))
+                          for b in range(k) if b != a)
+                    for a in range(k))
+    alike = tuple(tuple(b for b in range(k)
+                        if b * k >= fixed and column[b] == column[a])
+                  if a * k >= fixed else (a,)
+                  for a in range(k))
+    return column, letters, letters[1:] + letters[:1], tied, options, alike
 
 
 @functools.lru_cache(maxsize=None)
