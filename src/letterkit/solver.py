@@ -3,13 +3,13 @@
 A search over letter classes (at most k cliques or co-cliques, one decoder
 orientation per mixed class pair, no forced cycle; Petkovsek 2002) decides
 k-letterability and, given a prefix of decoder entries, grows the least
-fitting decoder in row-major code order entry by entry. Its column, tie,
-option and swap tables depend only on k and the fixed entries, so they are
+fitting decoder in row-major code order entry by entry. Its column, tie
+and option tables depend only on k and the fixed entries, so they are
 built once per (k, prefix, fixed) and shared by every search, of any
-graph, that asks with the same key (``_tables``). Fitting decoders
-are closed under renaming letters, so the descent starts from the least
-renaming of the decision's witness and moves to the least renaming of each
-hit. A question's fixed pair of equal entries between letters a and b
+graph, that asks with the same key (``_tables``). Fitting decoders are
+closed under renaming letters, so the descent starts from the least
+renaming of the decision's witness and moves to the least renaming of
+each hit. A question's fixed pair of equal entries between letters a and b
 restricts b's candidates as soon as a has a member, even while b is
 still empty. Without class constraints, a letter that fails for a vertex
 is closed to its images under the automorphisms that fix the placed
@@ -166,23 +166,19 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     that no fitting lettering below this node puts v in a. An automorphism
     s of ``g`` that fixes every placed vertex maps the fitting letterings
     below the node onto themselves, with the same decoder and the same
-    letters on placed vertices; so does swapping two letters that are
-    still empty and have unfixed rows and equal ``column``s (``alike``).
-    So none puts s(v) in a, or in an empty letter a may swap with, and
-    the node's later letters and their subtrees clear s(v) from those
-    letters' ``cand``. A nogood is a proved fact, so it never removes a
-    fitting lettering: the answer, found or None, is the one the search
-    gives without nogoods, and the descent through ``_least_renaming``
-    still ends at D*. The images s(v) used are v's unplaced twins (the
-    swap of two twins fixes every other vertex) and, at the root, where
-    nothing is placed and v is 0, the orbit of 0 under Aut(g), read off
-    ``graphs._canonical``; a question with no fixed entry tries one letter
-    at the root, so it skips the orbit."""
+    letters on placed vertices. So none puts s(v) in a, and the node's
+    later letters and their subtrees clear s(v) from ``cand[a]``. A nogood
+    is a proved fact, so it never removes a fitting lettering: the answer,
+    found or None, is the one the search gives without nogoods, and the
+    descent through ``_least_renaming`` still ends at D*. The images s(v)
+    used are v's unplaced twins (the swap of two twins fixes every other
+    vertex) and, at the root, where nothing is placed and v is 0, the orbit
+    of 0 under Aut(g), read off ``graphs._canonical``; a question with no
+    fixed entry tries one letter at the root, so it skips the orbit."""
     n, rows, full = g.n, g.rows, (1 << g.n) - 1
     deadline = run.deadline
     prefix &= (1 << fixed) - 1
-    column, letters, rotated, tied, options, alike = \
-        _tables(k, prefix, fixed)
+    column, letters, rotated, tied, options = _tables(k, prefix, fixed)
     non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
     members = [(0, full, full)] * k  # members, adjacent to none, to all
     twins = None if any(cuts) else _twins(g)  # None: no nogoods
@@ -286,11 +282,9 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
             # v's images; with no fixed entry the root tries one letter
             same = twins and (twins[v] & left if placed else
                               fixed and _canonical(g)[2][0])
-            if same:  # none of them takes a, or a letter a may swap with
+            if same:  # none of them takes a
                 cand = cand[:]  # an opening's choices share one cand list
-                for b in alike[a] if not own else (a,):
-                    if b == a or not members[b][0]:
-                        cand[b] &= ~same
+                cand[a] &= ~same
         return None
 
     return place(prefix, 0, 0, [full] * k, [0] * n, [0] * n)
@@ -311,10 +305,7 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
       (a, b) = (b, a) = x;
     - ``options[a]``: per letter b != a, (b, choices) with one
       (x, y, bits) per value the entries (a, b) = x and (b, a) = y may
-      take when a opens, y outer and x inner;
-    - ``alike[a]``: a and the letters it may swap with while both are
-      empty (unfixed rows, equal ``column``s), or only a if a's row is
-      fixed."""
+      take when a opens, y outer and x inner."""
     known = (1 << fixed) - 1
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
     column = tuple(prefix >> a & stride | (known >> a & stride) << k * k
@@ -332,11 +323,7 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
                                     for x in given[a * k + b]))
                           for b in range(k) if b != a)
                     for a in range(k))
-    alike = tuple(tuple(b for b in range(k)
-                        if b * k >= fixed and column[b] == column[a])
-                  if a * k >= fixed else (a,)
-                  for a in range(k))
-    return column, letters, letters[1:] + letters[:1], tied, options, alike
+    return column, letters, letters[1:] + letters[:1], tied, options
 
 
 @functools.lru_cache(maxsize=None)
