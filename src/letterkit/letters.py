@@ -171,8 +171,36 @@ def lettering_to_json(lettering: Lettering) -> str:
     })
 
 
+def _symbols(value, what: str) -> list[str]:
+    if not isinstance(value, list) or \
+            not all(isinstance(s, str) for s in value):
+        raise ValueError(f"lettering {what} must be a list of strings")
+    return value
+
+
 def lettering_from_json(text: str) -> Lettering:
+    """The lettering ``lettering_to_json`` wrote. Malformed input raises
+    ValueError that names the problem."""
     obj = json.loads(text)
-    dec = Decoder.from_pairs(obj["alphabet"], [tuple(p) for p in obj["decoder"]])
-    word = tuple(dec.index(s) for s in obj["word"])
-    return Lettering(dec, word, tuple(obj["vertex_of_position"]))
+    if not isinstance(obj, dict):
+        raise ValueError("a lettering must be a JSON object")
+    missing = [f for f in ("alphabet", "decoder", "word", "vertex_of_position")
+               if f not in obj]
+    if missing:
+        raise ValueError(f"lettering lacks {', '.join(missing)}")
+    pairs = obj["decoder"]
+    if not isinstance(pairs, list) or any(
+            len(_symbols(p, "decoder pair")) != 2 for p in pairs):
+        raise ValueError("lettering decoder must be a list of letter pairs")
+    dec = Decoder.from_pairs(_symbols(obj["alphabet"], "alphabet"),
+                             [tuple(p) for p in pairs])
+    word = _symbols(obj["word"], "word")
+    for s in word:
+        if s not in dec.alphabet:
+            raise ValueError(f"lettering word names {s!r}, not in the "
+                             "alphabet")
+    order = obj["vertex_of_position"]
+    if not isinstance(order, list) or any(type(v) is not int for v in order):
+        raise ValueError("lettering vertex_of_position must be a list of "
+                         "integer vertex ids")
+    return Lettering(dec, tuple(map(dec.index, word)), tuple(order))

@@ -269,6 +269,27 @@ def test_lettering_json_rejects_a_pair_letter_outside_the_alphabet():
         Decoder.from_pairs("ab", [("c", "a")])
 
 
+_GOOD = {"alphabet": ["a", "b"], "decoder": [["a", "b"]],
+         "word": ["a", "b"], "vertex_of_position": [1, 0]}
+
+
+@pytest.mark.parametrize("obj, problem", [
+    ({"alphabet": ["a"]}, "lacks decoder, word, vertex_of_position"),
+    ({**_GOOD, "decoder": [[["a"], "b"]]}, "decoder pair"),
+    ({**_GOOD, "vertex_of_position": ["1", 0]}, "vertex_of_position"),
+    ({**_GOOD, "word": ["a"], "vertex_of_position": [False]},
+     "vertex_of_position"),
+    ([_GOOD], "JSON object"),
+], ids=["missing-field", "list-in-pair", "mixed-ids", "bool-id",
+        "not-an-object"])
+def test_lettering_json_rejects_malformed_input_with_value_error(obj,
+                                                                 problem):
+    assert lettering_from_json(json.dumps(_GOOD)) == \
+        Lettering(AB_DECODER, (0, 1), (1, 0))
+    with pytest.raises(ValueError, match=problem):
+        lettering_from_json(json.dumps(obj))
+
+
 def test_threshold_lettering_soundness_guard_raises(monkeypatch):
     # an explicit raise, so the guard also runs under python -O
     from letterkit import letters
