@@ -21,7 +21,9 @@ queries are:
   catalogue order. Its counters add up the ``is_k_letterable`` calls of
   every climb, and ``sha256`` hashes ``to_graph6(g) + str(k) +
   lettering_to_json(lettering)`` for each graph in turn, so two versions
-  of the solver can be shown to give the same answers;
+  of the solver can be shown to give the same answers; ``tables`` gives
+  the hits and misses of the letter-class search's table cache
+  (``solver._tables``);
 - ``compose-n7``: ``compose`` of every graph with n <= 7, in catalogue
   order, on an empty solve memo. Its counters add up the
   ``is_k_letterable`` calls of every solve; ``solves`` counts the
@@ -29,8 +31,9 @@ queries are:
   prime quotients met and ``classes`` their isomorphism classes,
   ``climbs`` the composer's weighted stacked-path searches
   (``obstructions._stacked_depth`` calls), on an empty stacked-depth memo,
-  and ``sha256`` hashes every certificate's ``to_json()`` and a newline,
-  in turn;
+  ``sha256`` hashes every certificate's ``to_json()`` and a newline,
+  in turn, and ``tables`` gives the table cache's hits and misses, as
+  for ``lettericity-n7``;
 - ``compose-acc6``: ``compose`` of the 200 inflations of acceptance
   check 6, thm51 at full scale (``claims._composer_inputs(0, 200, 40,
   random.Random(0x5EED))``, n <= 37), once on empty solve, stacked-depth
@@ -57,8 +60,9 @@ queries are:
   versions of ``canonical_code`` can be shown to keep the catalogue and
   its order.
 
-Run from the repository root, naming the queries to run (all but the
-opt-in ones by default):
+Every query starts on an empty table cache, so its counts do not depend
+on the queries run before it. Run from the repository root, naming the
+queries to run (all but the opt-in ones by default):
 
     PYTHONPATH=src python3 -m tests.solver_timing [name ...]
 """
@@ -280,6 +284,7 @@ QUERIES = {
     "catalogue-n8": _catalogue_n8,
 }
 OPT_IN = ("profile-prime", "catalogue-n8")
+TABLE_COUNTS = ("lettericity-n7", "compose-n7")
 
 
 SPLIT = ("decisions", "descent_hits", "descent_exhausted", "word_searches")
@@ -304,14 +309,18 @@ def measure(name: str) -> dict:
     fits = _timed(solver._fits, split, lambda args, hit: SPLIT[
         0 if not args[3] else 1 if hit is not None else 2])  # args[3]: fixed
     word = _timed(solver._search_word, split, lambda args, hit: SPLIT[3])
+    solver._tables.cache_clear()
     start = time.perf_counter()
     with mock.patch.object(solver, "_fits", fits), \
             mock.patch.object(solver, "_search_word", word):
         outcome, reports, extra = query()
     elapsed = time.perf_counter() - start
+    tables = solver._tables.cache_info()
     for entry in split.values():
         entry["s"] = round(entry["s"], 4)
     nodes = sum(r.nodes_expanded for r in reports)
+    if name in TABLE_COUNTS:
+        extra["tables"] = {"hits": tables.hits, "misses": tables.misses}
     return {"name": name, "outcome": outcome, "elapsed": round(elapsed, 3),
             "decoders": sum(r.decoders_tried for r in reports),
             "nodes": nodes,

@@ -759,6 +759,47 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
                                          for a in range(k)), Run())
 
 
+def _tuples_of_ints(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_tuples_of_ints, value))
+    return type(value) is int
+
+
+def test_shared_tables_give_the_same_reports_cold_and_warm(monkeypatch):
+    # every search with the same (k, prefix, fixed) shares one copy of the
+    # tables, so the reports must not depend on what was cached before,
+    # and no table may be a list a search could change under the next one
+    built, real = [], solver._tables.__wrapped__
+
+    def build(*key):
+        built.append(real(*key))
+        return built[-1]
+
+    tables = functools.lru_cache(
+        maxsize=solver._tables.cache_parameters()["maxsize"])(build)
+    monkeypatch.setattr(solver, "_tables", tables)
+    queries = [(_relabelled(cycle(8), random.Random(8)), 4, None),
+               (stacked_path(2)[0], 4, claims.r2_four_classes()),
+               (matching(3), 2, None)]
+
+    def report(g, k, constraint):
+        r = is_k_letterable(g, k, constraint)
+        return r.outcome, r.lettering, r.decoders_tried, r.nodes_expanded
+
+    cold = []
+    for query in queries:
+        tables.cache_clear()
+        cold.append(report(*query))
+    assert [r[0] for r in cold] == ["found", "exhausted", "exhausted"]
+    assert cold[0][2] > 1  # the descent asked questions too
+    tables.cache_clear()  # later queries reuse earlier queries' tables
+    assert [report(*query) for query in queries] == cold
+    misses = tables.cache_info().misses
+    assert [report(*query) for query in queries] == cold
+    assert tables.cache_info().misses == misses  # every table was warm
+    assert built and all(map(_tuples_of_ints, built))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orbit_of_vertex_0_matches_brute_force(n):
     # every vertex's orbit, as _canonical gives them, on each graph and two
