@@ -310,7 +310,6 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
     column = tuple(prefix >> a & stride | (known >> a & stride) << k * k
                    for a in range(k))
-    letters = tuple((a, a * k, a * k + a) for a in range(k))
     tied = tuple(tuple((b, prefix >> a * k + b & 1) for b in range(k)
                        if b != a
                        and known >> a * k + b & known >> b * k + a & 1
@@ -318,12 +317,29 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
                  for a in range(k))
     given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
              for e in range(k * k)]  # the values entry e may take
-    options = tuple(tuple((b, tuple((x, y, x << a * k + b | y << b * k + a)
-                                    for y in given[b * k + a]
-                                    for x in given[a * k + b]))
+    options = tuple(tuple(_options(k, a, b, given[a * k + b], given[b * k + a])
                           for b in range(k) if b != a)
                     for a in range(k))
-    return column, letters, letters[1:] + letters[:1], tied, options
+    return (column, *_letters(k), tied, options)
+
+
+@functools.lru_cache(maxsize=None)
+def _letters(k: int) -> tuple:
+    """(a, a*k, a*k + a) per letter a, in letter order and in clique-last
+    order, shared by every table of ``_tables`` for k letters."""
+    letters = tuple((a, a * k, a * k + a) for a in range(k))
+    return letters, letters[1:] + letters[:1]
+
+
+@functools.lru_cache(maxsize=None)
+def _options(k: int, a: int, b: int, xs: tuple[int, ...],
+             ys: tuple[int, ...]) -> tuple:
+    """(b, choices) for opening letter a beside b when entry (a, b) may take
+    the values ``xs`` and (b, a) the values ``ys``: one (x, y, bits) per
+    pair, y outer and x inner. At most nine per (k, a, b), shared by every
+    table of ``_tables``."""
+    return b, tuple((x, y, x << a * k + b | y << b * k + a)
+                    for y in ys for x in xs)
 
 
 @functools.lru_cache(maxsize=None)
