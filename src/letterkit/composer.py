@@ -37,8 +37,8 @@ from .graphs import (DOMINATING, ISOLATED, Graph, _bits, _canonical,
                      _record, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import _split
-from .obstructions import (ClassProfile, _stacked_depth,
-                           _weighted_induced_matching, f_impl, f_paper)
+from .obstructions import (ClassProfile, f_impl, f_paper,
+                           max_induced_matching, max_stacked_path)
 from .solver import Run, _least_lettering, lettericity
 
 
@@ -183,18 +183,18 @@ def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_stacked_depth(h: Graph, depths: tuple[int, ...]) -> int:
-    """``_stacked_depth`` of a prime quotient ``h`` weighted by its module
+    """``max_stacked_path`` of a prime quotient ``h`` weighted by its module
     depths, kept per labelled (h, depths), the last ``_MEMO_SIZE``."""
-    return _stacked_depth(h, depths)[0]
+    return max_stacked_path(h, depths)[0]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _prime_matching(h: Graph, weights: tuple[int, ...], co: bool) -> int:
-    """``_weighted_induced_matching`` of a prime quotient ``h``, or with
-    ``co`` of its complement, kept per labelled (h, weights, co), the last
-    ``_MEMO_SIZE`` of them, as the same labelled quotients recur with the
-    same module values."""
-    return _weighted_induced_matching(h.complement() if co else h, weights)
+    """``max_induced_matching`` of a prime quotient ``h``, or with ``co`` of
+    its complement, weighted by its modules' matchings, kept per labelled
+    (h, weights, co), the last ``_MEMO_SIZE`` of them, as the same labelled
+    quotients recur with the same module values."""
+    return max_induced_matching(h.complement() if co else h, weights)[0]
 
 
 def _homogeneous(g: Graph, mask: int, both: bool = False) -> bool | None:

@@ -6,14 +6,16 @@ import json
 
 from .graphs import DOMINATING, Graph, _record, threshold
 
-#: External single-character letter syntax: a-z then A-Z.
+#: The symbols of the first 52 letters, a-z then A-Z; see ``symbol``.
 LETTER_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def symbol(index: int) -> str:
-    if index >= len(LETTER_SYMBOLS):
-        raise ValueError("alphabets larger than 52 have no character syntax")
-    return LETTER_SYMBOLS[index]
+    """Letter ``index`` written out: a .. Z, then a1 .. Z1, a2 .. Z2, ..."""
+    if index < len(LETTER_SYMBOLS):
+        return LETTER_SYMBOLS[index]
+    rounds, i = divmod(index, len(LETTER_SYMBOLS))
+    return LETTER_SYMBOLS[i] + str(rounds)
 
 
 @_record

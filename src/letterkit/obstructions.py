@@ -1,6 +1,8 @@
-"""Obstruction families (matchings, co-matchings, stacked paths), the
-(p, q, r) profile record, and the alphabet-size bound functions built on
-it. ``composer.profile`` computes the profile."""
+"""Obstruction families (matchings, co-matchings as matchings of the
+complement, stacked paths) with one search function each, the (p, q, r)
+profile record, and the alphabet-size bound functions built on it.
+``composer.profile`` computes the profile, running the searches on prime
+quotients weighted by their modules' values."""
 
 from __future__ import annotations
 
@@ -9,39 +11,32 @@ from functools import lru_cache
 from .graphs import Graph, _bits, _record
 
 
-def max_induced_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+def max_induced_matching(g: Graph, weights=None
+                         ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Largest m with an induced mK2 (chosen edges pairwise non-adjacent and
     with no cross edges), plus a witness edge set.
 
-    Memoized branch-and-bound over available-vertex masks.
-    """
-    return _matching_search(g, None)
-
-
-def _weighted_induced_matching(h: Graph, weights) -> int:
-    """The largest |F| + sum of ``weights[v]`` over v in I, for F an induced
-    matching of ``h`` and I a vertex set with no neighbour in I or V(F).
-    With all weights 0 it is ``max_induced_matching(h)[0]``.
-
-    With ``weights[v]`` = mim(M_v), the size of the largest induced
-    matching of module M_v, it is mim(G) for G = H[M_1..M_h]. Take an
-    induced matching of G. If it has an edge inside M_v, it uses no vertex
-    of a module adjacent to v in H, as that vertex would be adjacent to
-    both ends; so its vertices in M_v lie on at most mim(M_v) edges inside
-    M_v, and v goes in I. Otherwise M_v holds at most one matched vertex,
-    since a second one would be adjacent to the first one's partner. These
+    With ``weights``, the largest |F| + sum of ``weights[v]`` over v in I,
+    for F an induced matching of ``g`` and I a vertex set with no neighbour
+    in I or V(F), and F alone as the witness. With ``weights[v]`` =
+    mim(M_v), the size of the largest induced matching of module M_v, it
+    is mim(G) for G = H[M_1..M_h] and H = ``g``. Take an induced matching
+    of G. If it has an edge inside M_v, it uses no vertex of a module
+    adjacent to v in H, as that vertex would be adjacent to both ends; so
+    its vertices in M_v lie on at most mim(M_v) edges inside M_v, and v
+    goes in I. Otherwise M_v holds at most one matched vertex, since a
+    second one would be adjacent to the first one's partner. These
     vertices, one per module, induce in G what their modules induce in H,
-    so their edges form F, and no vertex of I is adjacent in H to one of
-    I or V(F). Conversely one vertex per end of F and mim(M_v) edges in
-    each M_v with v in I form an induced matching of G. As co-G is co-H
+    so their edges form F, and no vertex of I is adjacent in H to one of I
+    or V(F). Conversely one vertex per end of F and mim(M_v) edges in each
+    M_v with v in I form an induced matching of G. As co-G is co-H
     inflated by the co-M_v, the search on co-H with mim(co-M_v) gives
-    mim(co-G). The search is ``max_induced_matching``'s, with one more
-    choice for the least available vertex v of positive weight: put it in
-    I and drop its closed neighbourhood."""
-    return _matching_search(h, weights)[0]
+    mim(co-G).
 
-
-def _matching_search(g: Graph, weights):
+    Memoized branch-and-bound over available-vertex masks; with weights,
+    the least available vertex v of positive weight has one more choice:
+    put it in I and drop its closed neighbourhood.
+    """
     memo: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     closed = [g.rows[v] | 1 << v for v in range(g.n)]
 
@@ -72,14 +67,12 @@ def _matching_search(g: Graph, weights):
     return best((1 << g.n) - 1)
 
 
-def max_stacked_path(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Largest r with an induced stacked path R_r, and a witness map."""
-    return _stacked_depth(g)
+def max_stacked_path(g: Graph, weights=None) -> tuple[int, tuple[int, ...]]:
+    """Largest r with an induced stacked path R_r, and a witness map.
 
-
-def _stacked_depth(g: Graph, weights=None) -> tuple[int, tuple[int, ...]]:
-    """``max_stacked_path`` of ``g``; with ``weights``, the largest R_r in
-    G = H[M_1..M_h] for H = ``g`` and R_{weights[v]} the largest in M_v.
+    With ``weights``, the largest R_r in G = H[M_1..M_h] for H = ``g`` and
+    R_{weights[v]} the largest in M_v; the witness is then the P4s of H
+    chosen below, outermost first, none for the levels a weight gives.
 
     On vertex masks X, r(X) is the larger of X's largest weight (0 with
     none) and 1 + the largest r(X & T) over induced P4s a-x-y-b of g[X],

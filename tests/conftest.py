@@ -39,7 +39,8 @@ def climb_stacked_path(g):
     """The largest r with an induced stacked path R_r in ``g`` and the
     least witness map, by climbing r with ``contains_induced``: R_{r-1}
     embeds in R_r (its levels 2..r), so the first miss ends the climb. The
-    reference for ``obstructions._stacked_depth``."""
+    reference for ``obstructions.max_stacked_path``, unweighted, and, on
+    inflations, for the composer's weighted searches."""
     from letterkit import contains_induced, stacked_path
     r, witness = 0, ()
     while 4 * (r + 1) <= g.n:

@@ -29,17 +29,17 @@ queries are:
   ``is_k_letterable`` calls of every solve; ``solves`` counts the
   composer's ``lettericity`` calls, ``quotients`` the distinct labelled
   prime quotients met and ``classes`` their isomorphism classes,
-  ``climbs`` the composer's weighted stacked-path searches
-  (``obstructions._stacked_depth`` calls), on an empty stacked-depth memo,
-  ``sha256`` hashes every certificate's ``to_json()`` and a newline,
-  in turn, and ``tables`` gives the table cache's hits and misses, as
-  for ``lettericity-n7``;
+  ``climbs`` the composer's weighted stacked-path searches (its calls of
+  ``max_stacked_path``, patched where the composer looks the name up), on
+  an empty stacked-depth memo, ``sha256`` hashes every certificate's
+  ``to_json()`` and a newline, in turn, and ``tables`` gives the table
+  cache's hits and misses, as for ``lettericity-n7``;
 - ``compose-acc6``: ``compose`` of the 200 inflations of acceptance
   check 6, thm51 at full scale (``claims._composer_inputs(0, 200, 40,
   random.Random(0x5EED))``, n <= 37), once on empty solve, stacked-depth
   and matching memos, ``cold_s``, then once more with the memos that
-  pass filled, ``warm_s``; ``sha256`` hashes the certificates' ``to_json()`` joined
-  by newlines, the digest that
+  pass filled, ``warm_s``; ``sha256`` hashes the certificates'
+  ``to_json()`` joined by newlines, the digest that
   ``test_acceptance_inflation_certificates_keep_their_bytes`` pins;
 - ``symmetry``: ``graphs._canonical`` on 6K2, K6,6 less a perfect
   matching, C12, the icosahedron, the 3 x 4 rook's graph and R3, each on
@@ -143,9 +143,9 @@ def _compose_sweep():
 
         with mock.patch.object(solver, "is_k_letterable", record), \
                 _empty_memos(met), \
-                mock.patch.object(composer, "_stacked_depth",
+                mock.patch.object(composer, "max_stacked_path",
                                   lambda h, weights: climbs.append(h) or
-                                  obstructions._stacked_depth(h, weights)), \
+                                  obstructions.max_stacked_path(h, weights)), \
                 mock.patch.object(composer, "lettericity",
                                   lambda h: solved.append(h) or
                                   solver.lettericity(h)):

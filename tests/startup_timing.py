@@ -5,7 +5,8 @@ process of its own and first imports ``letterkit.cli``. This script starts
 fresh interpreters, in turn a bare one (``python3 -c pass``) and one that
 imports ``letterkit.cli``, both with the environment the benchmark gives
 its CLI processes: the checkout's ``src`` first on ``PYTHONPATH`` and
-``LETTERKIT_THREADS`` unset. It prints one JSON line:
+``LETTERKIT_THREADS`` unset, as the benchmark unsets it (nothing in
+letterkit reads it). It prints one JSON line:
 
 - ``import_ms``: the import alone, timed inside each process;
 - ``bare_ms``: the bare interpreter from spawn to exit, which includes

@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from letterkit import (composer, cycle, from_graph6, is_isomorphic, matching,
-                       max_induced_matching, max_stacked_path, path,
-                       solver, stacked_path, to_graph6)
+from letterkit import (bull, composer, cycle, from_graph6, is_isomorphic,
+                       matching, max_induced_matching, max_stacked_path,
+                       path, solver, stacked_path, to_graph6)
 from letterkit.cli import main
 
 
@@ -49,6 +49,16 @@ def test_gen_missing_argument_is_a_usage_error(capsys):
         assert err == f"error: family {family!r} needs a size n\n"
     code, _, err = run(capsys, "gen", "--family", "threshold")
     assert code == 2 and "needs a creation sequence" in err
+
+
+def test_gen_threshold_bad_sequence_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "gen", "--family", "threshold", "--seq", "ix")
+    assert code == 2 and out == "" and "must be over i/d" in err
+
+
+def test_gen_bull(capsys):
+    code, out, _ = run(capsys, "gen", "--family", "bull")
+    assert code == 0 and from_graph6(out.strip()) == bull()
 
 
 def test_decode(capsys):
@@ -183,13 +193,14 @@ def test_lettericity_cli_raises_its_soundness_guard(tmp_path, monkeypatch):
         main(["lettericity", str(f)])
 
 
-def test_compose_past_52_letters_is_a_usage_error(tmp_path, capsys):
-    # compose raises ValueError, as letters.symbol has no syntax past Z;
-    # 60K2 needs 60 letters
+def test_compose_past_52_letters_exits_0(tmp_path, capsys):
+    # 60K2 needs 60 letters; letters past Z are written a1, b1, ...
     f = tmp_path / "m60.g6"
     f.write_text(to_graph6(matching(60)))
     code, out, err = run(capsys, "compose", str(f))
-    assert code == 2 and out == "" and "no character syntax" in err
+    assert code == 0 and err == ""
+    assert out.startswith("alphabet_size=60 ")
+
 
 def test_cli_keeps_the_solver_scale_guards(tmp_path, capsys):
     def graph_file(name, g):

@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import importlib.util
 import json
+import os
 import random
 import subprocess
 import sys
@@ -29,7 +31,7 @@ from letterkit import (
     threshold,
     verify,
 )
-from letterkit import claims, composer, obstructions, solver
+from letterkit import claims, composer, solver
 from letterkit.graphs import (DOMINATING, ISOLATED, Graph, _bits,
                               canonical_code, empty, join, stacked_path)
 from letterkit.obstructions import (ClassProfile, max_induced_matching,
@@ -342,10 +344,10 @@ def test_profile_matches_the_whole_input_searches():
 def test_compose_searches_no_matching_on_the_input(walk, monkeypatch, rng):
     _fresh_memo(monkeypatch)
     searched = []
-    real = obstructions._matching_search
-    monkeypatch.setattr(obstructions, "_matching_search",
-                        lambda g, weights: searched.append(g) or
-                        real(g, weights))
+    for module in composer, solver:  # the names each of them calls
+        monkeypatch.setattr(module, "max_induced_matching",
+                            lambda g, weights=None: searched.append(g) or
+                            max_induced_matching(g, weights))
     for _ in range(10):
         g = _nested_inflation(rng)
         searched.clear()
@@ -359,10 +361,10 @@ def test_compose_searches_no_matching_on_the_input(walk, monkeypatch, rng):
 def test_matchings_are_searched_once_per_labelled_quotient(monkeypatch):
     _fresh_memo(monkeypatch)
     searched = []
-    real = obstructions._matching_search
-    monkeypatch.setattr(obstructions, "_matching_search",
-                        lambda g, weights: searched.append(weights) or
-                        real(g, weights))
+    for module in composer, solver:
+        monkeypatch.setattr(module, "max_induced_matching",
+                            lambda g, weights=None: searched.append(weights)
+                            or max_induced_matching(g, weights))
     g = inflate(bull(), [path(4), path(3), path(1), complete(2),
                          cycle(5)])[0]
     first = compose(g)
@@ -378,16 +380,73 @@ def test_stacked_depth_climbs_once_per_quotient_and_depths(monkeypatch,
                                                           rng):
     _fresh_memo(monkeypatch)
     searched = []
-    real = obstructions._stacked_depth
-    monkeypatch.setattr(composer, "_stacked_depth",
+    monkeypatch.setattr(composer, "max_stacked_path",
                         lambda h, weights: searched.append(h) or
-                        real(h, weights))
+                        max_stacked_path(h, weights))
     # cograph inflations of one labelled C5 share the key (C5, (0,) * 5):
     # one weighted search
     for _ in range(6):
         mods = [random_cograph(rng, rng.randint(1, 6)) for _ in range(5)]
         compose(inflate(cycle(5), mods)[0])
     assert searched == [cycle(5)]
+
+
+def test_benchmark_tracer_sees_the_composers_obstruction_searches(
+        monkeypatch):
+    # perfbench's tracer wraps public functions where other modules bound
+    # them; the composer must call both searches through those names
+    spec = importlib.util.spec_from_file_location(
+        "spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    _fresh_memo(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        composer.compose(inflate(bull(), [path(4), path(3), path(1),
+                                          complete(2), cycle(5)])[0])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+
+    def above(i):  # the names of span i's ancestors
+        names, p = set(), tracer.spans[i][3]
+        while p >= 0:
+            names.add(tracer.spans[p][0])
+            p = tracer.spans[p][3]
+        return names
+
+    met = [(s[0], above(i)) for i, s in enumerate(tracer.spans)]
+    assert any(name == "obstructions.max_stacked_path" and
+               "composer.compose" in up for name, up in met)
+    assert any(name == "obstructions.max_induced_matching" and
+               "solver.lettericity" not in up for name, up in met)
+
+
+def test_class_memo_evicts_its_oldest_code(monkeypatch):
+    # with room for two codes, C5, P5 and the bull push C5 out, so co-C5,
+    # a C5 under other labels, is solved again and pushes P5 out
+    bases = [cycle(5), path(5), bull(), cycle(5).complement()]
+    inputs = [inflate(h, [complete(2)] + [path(1)] * (h.n - 1))[0]
+              for h in bases]
+
+    def run(size):
+        with pytest.MonkeyPatch.context() as mp:
+            _fresh_memo(mp)
+            mp.setattr(composer, "_MEMO_SIZE", size)
+            solved = []
+            mp.setattr(composer, "lettericity",
+                       lambda h: solved.append(h) or solver.lettericity(h))
+            certs = [compose(g).to_json() for g in inputs]
+            return certs, len(solved), set(composer._classes)
+
+    kept, solves, codes = run(composer._MEMO_SIZE)
+    assert solves == 3 and len(codes) == 3
+    certs, solves, codes = run(2)
+    assert solves == 4
+    assert codes == {canonical_code(bull()), canonical_code(cycle(5))}
+    assert certs == kept
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from letterkit import (
     verify,
 )
 from letterkit.graphs import DOMINATING, ISOLATED
+from letterkit.letters import LETTER_SYMBOLS, symbol
 
 
 # -- letter dualities and the distinguisher rule, as test oracles ----------
@@ -280,14 +281,30 @@ _GOOD = {"alphabet": ["a", "b"], "decoder": [["a", "b"]],
     ({**_GOOD, "word": ["a"], "vertex_of_position": [False]},
      "vertex_of_position"),
     ([_GOOD], "JSON object"),
+    ({**_GOOD, "word": ["a", "z"]}, "word names 'z'"),
+    ({**_GOOD, "decoder": [["a"]]}, "list of letter pairs"),
 ], ids=["missing-field", "list-in-pair", "mixed-ids", "bool-id",
-        "not-an-object"])
+        "not-an-object", "word-outside-alphabet", "one-letter-pair"])
 def test_lettering_json_rejects_malformed_input_with_value_error(obj,
                                                                  problem):
     assert lettering_from_json(json.dumps(_GOOD)) == \
         Lettering(AB_DECODER, (0, 1), (1, 0))
     with pytest.raises(ValueError, match=problem):
         lettering_from_json(json.dumps(obj))
+
+
+def test_lettering_json_round_trips_past_52_letters():
+    # letters past Z are written a1 .. Z1, then a2 ..; the first 52 keep
+    # their single characters
+    assert [symbol(i) for i in (0, 51, 52, 103, 104)] == \
+        ["a", "Z", "a1", "Z1", "a2"]
+    alphabet = tuple(symbol(i) for i in range(110))
+    assert alphabet[:52] == tuple(LETTER_SYMBOLS)
+    dec = Decoder.from_pairs(alphabet, [(alphabet[i], alphabet[i + 1])
+                                        for i in range(0, 110, 2)])
+    lett = Lettering(dec, tuple(range(110)), tuple(reversed(range(110))))
+    assert lettering_from_json(lettering_to_json(lett)) == lett
+    assert verify(matching(55), lett)
 
 
 def test_threshold_lettering_soundness_guard_raises(monkeypatch):

@@ -18,8 +18,7 @@ from letterkit import (
     stacked_path,
 )
 from letterkit.graphs import Graph, inflate
-from letterkit.obstructions import (_stacked_depth, _weighted_induced_matching,
-                                    f_impl, f_paper)
+from letterkit.obstructions import f_impl, f_paper
 from tests.conftest import climb_stacked_path, random_graph, twin_rich_graph
 
 
@@ -86,11 +85,11 @@ def test_weighted_induced_matching_against_brute_force(rng):
     for n in range(1, 7):
         for g in all_graphs(n):
             zero = [0] * n
-            assert _weighted_induced_matching(g, zero) == \
+            assert max_induced_matching(g, zero)[0] == \
                 max_induced_matching(g)[0] == \
                 brute_weighted_induced_matching(g, zero)
             weights = [rng.randint(0, 3) for _ in range(n)]
-            assert _weighted_induced_matching(g, weights) == \
+            assert max_induced_matching(g, weights)[0] == \
                 brute_weighted_induced_matching(g, weights)
 
 
@@ -149,7 +148,7 @@ def test_stacked_depth_matches_the_climb(kind, n, rnd):
         twin_rich_graph(rnd, n) if kind == "twin-rich" else \
         _stacked_inflation(rnd, n)
     g = _relabel(rnd, g)
-    r, witness = _stacked_depth(g)
+    r, witness = max_stacked_path(g)
     assert r == climb_stacked_path(g)[0]
     if r:
         _assert_stacked_witness(g, r, witness)

@@ -194,6 +194,13 @@ def test_six_matching_hits_scale_guard_at_once():
         lettericity(matching(30), budget=1.0)
 
 
+def test_is_k_letterable_rejects_k_below_1_and_the_empty_graph():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        is_k_letterable(path(3), 0)
+    with pytest.raises(ValueError, match="graph must be nonempty"):
+        is_k_letterable(Graph(0, ()), 1)
+
+
 def test_lettericity_of_the_empty_graph_raises():
     with pytest.raises(ValueError, match="graph must be nonempty"):
         lettericity(Graph(0, ()))
