@@ -36,7 +36,7 @@ import json
 from .graphs import (DOMINATING, ISOLATED, Graph, _bits, _canonical,
                      _record, to_graph6)
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
-from .modular import _split
+from .modular import _MEMO_SIZE, _split
 from .obstructions import (ClassProfile, f_impl, f_paper,
                            max_induced_matching, max_stacked_path)
 from .solver import Run, _least_lettering, lettericity
@@ -136,31 +136,32 @@ def compose(g: Graph, *,
         return _compose(g, run)
 
 
-# How many entries each memo below keeps: enough for every labelled prime
-# quotient of the graphs with n <= 7 (389 of them, in 291 classes).
-_MEMO_SIZE = 512
-
+# Each memo below keeps the last ``_MEMO_SIZE`` entries, as modular's does.
 # One solved prime quotient per isomorphism class, oldest first: the
 # canonical code maps to (k, D* as row masks).
 _classes: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
-    """``lettericity(h)`` for a labelled prime quotient, remembered for the
-    life of the process (the last ``_MEMO_SIZE`` labelled quotients), with
-    one solve per isomorphism class (the last ``_MEMO_SIZE`` canonical
-    codes in ``_classes``). A miss of the labelled memo that finds h's
-    code there takes the class's k and least fitting decoder D* and runs
+def _prime_lettering(h: Graph) -> tuple[
+        int, Lettering, str, tuple[tuple[int, int], ...]]:
+    """``lettericity(h)`` for a labelled prime quotient, with what ``build``
+    derives from it alone: h's graph6, for the recursion tree, and its
+    plan, the ordered vertex pairs (v, u) of h whose letters form a pair
+    of the decoder, in the order of ``itertools.permutations``. The entry
+    is remembered for the life of the process (the last ``_MEMO_SIZE``
+    labelled quotients), with one solve per isomorphism class (the last
+    ``_MEMO_SIZE`` canonical codes in ``_classes``). A miss of the
+    labelled memo that finds h's code there takes the class's k and least fitting decoder D* and runs
     only the least-word search on ``h``, under the enclosing run's
     deadline. Otherwise it calls ``lettericity``, looked up at each miss
     so that a patched solver sees every solve, and stores the class. A
     solve or search that raises stores nothing. Callers share the returned
     (immutable) lettering, so they must not alter it.
 
-    The result is byte for byte ``lettericity(h)``. Renaming the vertices
-    of a k-lettering gives a k-lettering of the relabelled graph with the
-    same decoder and word, so h and the class's solved H' have the same
+    The entry's (k, lettering) is byte for byte ``lettericity(h)``.
+    Renaming the vertices of a k-lettering gives a k-lettering of the
+    relabelled graph with the same decoder and word, so h and the class's solved H' have the same
     lettericity k and the same set of fitting k-letter decoders, hence
     the same least one, D*, which is the decoder ``lettericity(h)``
     returns. Its lettering is D* with the least word of ``h`` under D*,
@@ -172,13 +173,18 @@ def _prime_lettering(h: Graph) -> tuple[int, Lettering]:
     code = _canonical(h)[0]
     if code in _classes:
         k, matrix = _classes[code]
-        return k, _least_lettering(h, matrix, Run())
-    k, lett = lettericity(h)
-    if len(_classes) >= _MEMO_SIZE:
-        del _classes[next(iter(_classes))]
-    _classes[code] = k, tuple(sum(x << b for b, x in enumerate(row))
-                              for row in lett.decoder.pairs)
-    return k, lett
+        lett = _least_lettering(h, matrix, Run())
+    else:
+        k, lett = lettericity(h)
+        if len(_classes) >= _MEMO_SIZE:
+            del _classes[next(iter(_classes))]
+        _classes[code] = k, tuple(sum(x << b for b, x in enumerate(row))
+                                  for row in lett.decoder.pairs)
+    d_h = lett.decoder.pairs
+    letter_of = dict(zip(lett.vertex_of_position, lett.word))
+    plan = tuple((v, u) for v, u in itertools.permutations(range(h.n), 2)
+                 if d_h[letter_of[v]][letter_of[u]])
+    return k, lett, to_graph6(h), plan
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -321,7 +327,7 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
             node = {"case": case, "n": n,
                     "quotient": to_graph6(h), "modules": list(subtrees)}
         else:
-            ell, h_lett = _prime_lettering(h)
+            ell, h_lett, h6, plan = _prime_lettering(h)
             prime_ls.append(ell)
             d_h = h_lett.decoder.pairs
             letter_of = dict(zip(h_lett.vertex_of_position, h_lett.word))
@@ -349,14 +355,13 @@ def _compose(g: Graph, run: Run) -> CompositionCertificate:
                                      "vertex": v, "n": size, "letter": x})
                 module_words.append(w)
             module_letters = [{x for _, x in w} for w in module_words]
-            for v, u in itertools.permutations(range(h.n), 2):
-                if d_h[letter_of[v]][letter_of[u]]:
-                    pairs.update(itertools.product(module_letters[v],
-                                                   module_letters[u]))
+            for v, u in plan:
+                pairs.update(itertools.product(module_letters[v],
+                                               module_letters[u]))
             word = [e for v in h_lett.vertex_of_position
                     for e in module_words[v]]
             node = {"case": "prime", "n": n,
-                    "quotient": to_graph6(h), "quotient_lettericity": ell,
+                    "quotient": h6, "quotient_lettericity": ell,
                     "A": a_set, "B": b_set, "modules": subtrees}
 
         if removed:

@@ -81,7 +81,7 @@ def decode(decoder: Decoder, word) -> Graph:
     word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
-    if any(not 0 <= a < decoder.size for a in word):
+    if min(word) < 0 or max(word) >= len(decoder.alphabet):
         raise ValueError("word entry is not a valid letter index")
     n = len(word)
     return Graph.from_edges(n, ((i, j) for i in range(n)
@@ -99,9 +99,11 @@ class Lettering:
     vertex_of_position: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.word)
-        if any(not 0 <= a < self.decoder.size for a in self.word):
+        word = self.word
+        if word and (min(word) < 0 or
+                     max(word) >= len(self.decoder.alphabet)):
             raise ValueError("word entry is not a valid letter index")
+        n = len(word)
         if sorted(self.vertex_of_position) != list(range(n)):
             raise ValueError("vertex_of_position must be a bijection onto 0..n-1")
 

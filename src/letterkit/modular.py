@@ -9,13 +9,16 @@ or every edge, to the rest of the mask is all that lies outside u's
 (co-)component. On a connected and co-connected graph it then runs at
 most one minimal-module closure per refined part, which costs one XOR
 per member it ends with and tells whether the part lies in u's module.
-The primality check on the quotient adds its pair closures. That is
-entirely adequate at this package's scale (n <= 64 or so); the famously
+The primality check on the quotient adds its pair closures, once per
+labelled quotient in a process, as a memo keeps each verdict; the check
+that each part is a module costs one XOR per member. That is entirely
+adequate at this package's scale (n <= 64 or so); the famously
 intricate linear-time algorithms are deliberately out of scope.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .graphs import Graph, _bits, _record, bull, path, to_graph6
@@ -30,9 +33,17 @@ def is_module(g: Graph, vertex_set) -> bool:
 
 
 def _is_module(g: Graph, within: int, part: int) -> bool:
-    """True iff ``part`` is a module of g[within]."""
-    outside = within & ~part
-    return len({g.rows[v] & outside for v in _bits(part)}) <= 1
+    """True iff ``part`` is a module of g[within]: no vertex of ``within``
+    outside it is in the XOR of the least member's row with another's."""
+    if not part:
+        return True
+    rows, left = g.rows, part & part - 1  # the least member's own XOR is 0
+    base, split = rows[(part ^ left).bit_length() - 1], 0
+    while left:
+        low = left & -left
+        left ^= low
+        split |= base ^ rows[low.bit_length() - 1]
+    return not split & within & ~part
 
 
 def _module_closure(g: Graph, within: int, seed: int, stop: int = 0) -> int:
@@ -75,6 +86,21 @@ def is_prime(g: Graph) -> bool:
                                (1 << v) - 1 ^ 1 << u) != full:
                 return False
     return True
+
+
+# How many entries each memo of labelled quotients keeps, here and in the
+# composer: enough for every labelled prime quotient of the graphs with
+# n <= 7 (389 of them, in 291 classes).
+_MEMO_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _quotient_is_prime(h: Graph) -> bool:
+    """``is_prime(h)`` for a quotient built by ``_split``, kept per labelled
+    quotient for the life of the process (the last ``_MEMO_SIZE``), as the
+    same few labelled quotients recur at many nodes. The public
+    ``is_prime`` keeps nothing: its callers rarely ask twice."""
+    return is_prime(h)
 
 
 @_record
@@ -134,7 +160,13 @@ def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
     proper, and that closure then lies in M_u, so each part it meets does
     too and needs no closure of its own. Each part therefore takes at most
     one closure, which stops at the parts found outside M_u; M_u is what
-    those parts leave."""
+    those parts leave.
+
+    Two guards check the closure argument on every call: H must be prime,
+    a verdict read from ``_quotient_is_prime``, so each labelled quotient
+    runs its pair closures once per process, and every part must be a
+    module of g[within], which is checked afresh, as the same H can be
+    built from other parts."""
     rows, avoiding = g.rows, _avoiding(g, within)
     for part in avoiding:
         rest = within & ~part
@@ -155,7 +187,7 @@ def _split(g: Graph, within: int) -> tuple[Graph, list[int]]:
                 inside |= closure
         parts.insert(0, within & ~stop)
     h = g.induced((p & -p).bit_length() - 1 for p in parts)
-    if h.n < 2 or not is_prime(h):  # guards the closure argument
+    if h.n < 2 or not _quotient_is_prime(h):
         raise AssertionError("quotient H is one vertex or not prime")
     for part in parts:
         if not _is_module(g, within, part):
@@ -256,11 +288,13 @@ def classify_vertex(h: Graph, v: int) -> VertexRole:
 def verify_role(h: Graph, v: int, role: VertexRole) -> bool:
     """Independent check that a classification witness is genuine: its
     vertices are distinct, ``v`` sits at the role's place, and each one's
-    row in ``h``, cut to the witness, is its pattern row in ``h``'s ids."""
+    row in ``h``, cut to the witness, is its pattern row in ``h``'s ids.
+    A witness id that is not an int in 0..h.n-1 (a bool is not) fails."""
     pattern, place = _PATTERNS.get(role.role, ((), 0))
     w = role.witness
-    if not pattern or len(w) != len(pattern) or len(set(w)) != len(w) \
-            or w[place] != v:
+    if not pattern or len(w) != len(pattern) or \
+            set(map(type, w)) != {int} or min(w) < 0 or max(w) >= h.n or \
+            len(set(w)) != len(w) or w[place] != v:
         return False
     rows, inside = h.rows, 0
     for u in w:

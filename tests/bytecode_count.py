@@ -10,7 +10,9 @@ workload's own check, and prints one JSON line: the workload, seed and
 item count, ``total``, the opcodes executed, ``outputs``, a SHA-256 over
 the items' check signatures in item order (equal outputs give equal
 digests), and ``top``, the 12 functions that executed the most, as
-``[module.qualname, count]``.
+``[module.qualname, count]``. It then runs the same items a second time in
+the same process, once the memos have filled, checks that they give the
+same outputs, and prints that pass's count as ``warm_total``.
 
 Each run is a fresh process, so the composer's solve memo starts empty
 and a second run of the same command prints the same counts.
@@ -69,40 +71,50 @@ def count(workload: str, seed: int, items: int | None,
         workloads.warm_decoder_tables(kmax)
     else:
         chosen = [_suite_item(suite)]
-    counts: Counter = Counter()
     names: dict = {}
 
-    def on_opcode(frame, event, arg):
-        if event == "opcode":
-            counts[frame.f_code] += 1
-        return on_opcode
+    def traced_pass() -> tuple[Counter, list]:
+        counts: Counter = Counter()
 
-    def on_call(frame, event, arg):
-        code = frame.f_code
-        if code not in names:  # co_qualname is new in Python 3.11
-            names[code] = (f"{frame.f_globals.get('__name__')}."
-                           f"{getattr(code, 'co_qualname', code.co_name)}")
-        frame.f_trace_lines = False
-        frame.f_trace_opcodes = True
-        return on_opcode
+        def on_opcode(frame, event, arg):
+            if event == "opcode":
+                counts[frame.f_code] += 1
+            return on_opcode
 
-    signatures = []
-    for name, run, check in chosen:
-        sys.settrace(on_call)
-        try:
-            out = run(None)
-        finally:
-            sys.settrace(None)
-        signatures.append(check(out))
-        if signatures[-1] is None:
-            raise SystemExit(f"{workload} item {name!r} gave a wrong output")
+        def on_call(frame, event, arg):
+            code = frame.f_code
+            if code not in names:  # co_qualname is new in Python 3.11
+                names[code] = (f"{frame.f_globals.get('__name__')}."
+                               f"{getattr(code, 'co_qualname', code.co_name)}")
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            return on_opcode
+
+        signatures = []
+        for name, run, check in chosen:
+            sys.settrace(on_call)
+            try:
+                out = run(None)
+            finally:
+                sys.settrace(None)
+            signatures.append(check(out))
+            if signatures[-1] is None:
+                raise SystemExit(
+                    f"{workload} item {name!r} gave a wrong output")
+        return counts, signatures
+
+    counts, signatures = traced_pass()
+    warm, again = traced_pass()
+    if again != signatures:
+        raise SystemExit(f"{workload}: the warm pass gave other outputs")
     per_function: Counter = Counter()
     for code, n in counts.items():
         per_function[names[code]] += n
     outputs = hashlib.sha256(json.dumps(signatures).encode()).hexdigest()
     return {"workload": workload, **({"suite": suite} if suite else {}),
             "seed": seed, "items": len(chosen),
-            "total": sum(counts.values()), "outputs": outputs,
+            "total": sum(counts.values()),
+            "warm_total": sum(warm.values()), "outputs": outputs,
             "top": [[name, n] for name, n in per_function.most_common(TOP)]}
 
 

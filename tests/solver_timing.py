@@ -114,7 +114,8 @@ def _lettericity_sweep():
 
 @contextlib.contextmanager
 def _empty_memos(met: list):
-    """Give the composer empty solve, stacked-depth and matching memos for
+    """Give the composer empty solve (each entry with its quotient's
+    lettering, graph6 and pair plan), stacked-depth and matching memos for
     the block, and append each labelled prime quotient it meets to
     ``met``."""
     memo, depth, matching = (functools.lru_cache(

@@ -33,7 +33,8 @@ from letterkit import (
 )
 from letterkit import claims, composer, solver
 from letterkit.graphs import (DOMINATING, ISOLATED, Graph, _bits,
-                              canonical_code, empty, join, stacked_path)
+                              canonical_code, empty, join, stacked_path,
+                              to_graph6)
 from letterkit.obstructions import (ClassProfile, max_induced_matching,
                                     max_stacked_path)
 from tests.conftest import (climb_stacked_path, masked_graph, random_cograph,
@@ -509,7 +510,8 @@ def _nested_primes():
 
 
 def _fresh_memo(monkeypatch):
-    """Give the composer an empty prime-quotient memo with an empty class
+    """Give the composer an empty prime-quotient memo, whose entries hold
+    each quotient's lettering, graph6 and pair plan, with an empty class
     table, and empty stacked-depth and matching memos, for this test."""
     memo = functools.lru_cache(maxsize=composer._MEMO_SIZE)(
         composer._prime_lettering.__wrapped__)
@@ -617,7 +619,7 @@ def test_memo_solves_each_quotient_class_once(monkeypatch):
     assert relabelled != cycle(5)
     compose(inflate(relabelled, [path(3)] + [path(1)] * 4)[0])
     assert solved == [cycle(5)]
-    assert memo(relabelled) == real(relabelled)
+    assert memo(relabelled)[:2] == real(relabelled)
     # a new class is solved; P5 has C5's vertex count but other degrees
     compose(inflate(path(5), [path(3)] + [path(1)] * 4)[0])
     assert solved == [cycle(5), path(5)]
@@ -652,10 +654,19 @@ def test_memo_letters_a_relabelled_class_as_lettericity_does(n, rnd):
         real = composer.lettericity
         mp.setattr(composer, "lettericity",
                    lambda h: solved.append(h) or real(h))
-        assert memo(g) == real(g)
+        assert memo(g)[:2] == real(g)
         # the class is stored: the relabelling runs a word search only
-        assert memo(relabelled) == real(relabelled)
+        assert memo(relabelled)[:2] == real(relabelled)
         assert solved == [g]
+    for h in g, relabelled:
+        _, lett, h6, plan = memo(h)
+        assert h6 == to_graph6(h)
+        # the plan's pairs (v, u) with v first in the word are h's edges
+        place = {v: i for i, v in enumerate(lett.vertex_of_position)}
+        assert len(plan) == len(set(plan))
+        assert {(v, u) for v, u in plan if place[v] < place[u]} == \
+            {(v, u) if place[v] < place[u] else (u, v)
+             for v, u in h.edges()}
 
 
 def _memo_inputs():
@@ -759,16 +770,18 @@ def test_bytecode_count_repeats_on_a_cold_pass():
 
     first, second = (count("compose-inflations", "--items", "3")
                      for _ in range(2))
-    assert set(first) == {"workload", "seed", "items", "total", "outputs",
-                          "top"}
+    assert set(first) == {"workload", "seed", "items", "total",
+                          "warm_total", "outputs", "top"}
     assert (first["workload"], first["seed"], first["items"]) == \
         ("compose-inflations", 1, 3)
     counts = [n for _, n in first["top"]]
     assert len(counts) == 12 and counts == sorted(counts, reverse=True)
     assert all("." in name for name, _ in first["top"])  # module.qualname
     assert 0 < sum(counts) <= first["total"]
-    assert (second["total"], second["outputs"]) == \
-        (first["total"], first["outputs"])
+    assert (second["total"], second["warm_total"], second["outputs"]) == \
+        (first["total"], first["warm_total"], first["outputs"])
+    # the second pass finds the quotients solved and checked
+    assert 0 < first["warm_total"] < first["total"]
     assert len(first["outputs"]) == 64
     # a verify-paper suite runs in the script's own process
     suite = count("verify-paper", "--suite", "prop41")

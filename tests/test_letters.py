@@ -104,8 +104,12 @@ def test_decode_examples():
 def test_decode_rejects_bad_input():
     with pytest.raises(ValueError):
         decode(ID_DECODER, ())
-    with pytest.raises(ValueError):
-        decode(ID_DECODER, (0, 5))
+    # a letter index below 0 or past the alphabet, in decode and Lettering
+    for word in (0, 5), (0, 2), (-1, 0), (1, -1, 0):
+        with pytest.raises(ValueError, match="letter index"):
+            decode(ID_DECODER, word)
+        with pytest.raises(ValueError, match="letter index"):
+            Lettering(ID_DECODER, word, tuple(range(len(word))))
 
 
 def test_verify():

@@ -37,6 +37,16 @@ from tests.conftest import (component, masked_graph, random_graph,
                             reconstruct, twin_rich_graph)
 
 
+@pytest.fixture
+def prime_memo():
+    """``_split``'s primality memo, empty, and emptied again after the test,
+    for tests that patch the closure or the refinement: a verdict reached
+    under a wrong closure must not reach a later test."""
+    modular._quotient_is_prime.cache_clear()
+    yield modular._quotient_is_prime
+    modular._quotient_is_prime.cache_clear()
+
+
 def exhaustive_is_prime(g):
     """Oracle: scan every vertex subset for a proper module."""
     for size in range(2, g.n):
@@ -73,6 +83,29 @@ def test_is_module_matches_definition(n, rnd):
     want = all(len({g.adjacent(x, v) for v in members}) <= 1
                for x in range(g.n) if x not in members)
     assert is_module(g, members) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6),
+       st.sampled_from(["any", "block", "empty", "singleton", "within"]),
+       st.randoms(use_true_random=False))
+def test_is_module_within_a_mask_matches_the_set_definition(n, kind, rnd):
+    # the guard's one pass of row XORs against the definition: every member
+    # sees the same vertices of ``within`` outside the part. A block of the
+    # inflation, cut to the mask, is a module of g[within].
+    g, blocks = inflate(random_graph(rnd, n, rnd.random()),
+                        [random_graph(rnd, rnd.randint(1, 12 // n), 0.5)
+                         for _ in range(n)])
+    within = rnd.getrandbits(g.n)
+    inside = _bits(within)
+    part = {"any": sum(1 << v for v in inside if rnd.random() < 0.5),
+            "block": sum(1 << v for v in rnd.choice(blocks)) & within,
+            "empty": 0,
+            "singleton": 1 << rnd.choice(inside) if inside else 0,
+            "within": within}[kind]
+    outside = within & ~part
+    want = len({g.rows[v] & outside for v in _bits(part)}) <= 1
+    assert _is_module(g, within, part) == want
 
 
 def _modules(g):
@@ -209,7 +242,7 @@ def _one_round_closure(g, within, seed_mask, stop=0):
     return mask
 
 
-def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
+def test_quotient_guards_catch_a_wrong_closure(prime_memo, monkeypatch):
     # connected and co-connected, with the proper module {0, 1}
     g = inflate(path(4), [complete(2)] + [path(1)] * 3)[0]
     real = modular._module_closure
@@ -230,6 +263,34 @@ def test_quotient_guards_catch_a_wrong_closure(monkeypatch):
                         within if h is g else real(h, within, seed))
     with pytest.raises(AssertionError, match="one vertex or not prime"):
         quotient(g)
+
+
+def test_split_checks_the_parts_of_a_quotient_known_to_be_prime(
+        prime_memo, monkeypatch):
+    assert _split(path(4), 0b1111) == (path(4), [1, 2, 4, 8])
+    # a wrong refinement of P5 into {1}, {2} and {3, 4} gives the parts
+    # {0}, {1}, {2}, {3, 4}, on whose least members P5 induces the labelled
+    # P4 found prime above; the memo's verdict holds, the part check fails
+    monkeypatch.setattr(modular, "_avoiding",
+                        lambda g, within: [0b10, 0b100, 0b11000])
+    with pytest.raises(AssertionError, match="part is not a module"):
+        _split(path(5), 0b11111)
+    assert prime_memo.cache_info().hits == 1
+
+
+def test_split_raises_on_every_call_for_a_quotient_that_is_not_prime(
+        prime_memo, monkeypatch):
+    # a closure too large on g gives singleton parts, so H = g, which has
+    # the module {0, 1}; the memo keeps that verdict, and each call raises
+    g = inflate(path(4), [complete(2)] + [path(1)] * 3)[0]
+    real = modular._module_closure
+    monkeypatch.setattr(modular, "_module_closure",
+                        lambda h, within, seed, stop=0:
+                        within if h is g else real(h, within, seed))
+    for _ in range(3):
+        with pytest.raises(AssertionError, match="one vertex or not prime"):
+            _split(g, (1 << g.n) - 1)
+    assert prime_memo.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 @settings(max_examples=300, deadline=None)
@@ -300,9 +361,13 @@ def _part_step_closures(g, within):
     def counted(h, *args):
         calls.append(h is g)
         return real(h, *args)
+    modular._quotient_is_prime.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modular, "_module_closure", counted)
-        _split(g, within)
+        try:
+            _split(g, within)
+        finally:
+            modular._quotient_is_prime.cache_clear()
     return sum(calls)
 
 
@@ -434,6 +499,17 @@ def test_verify_role_rejects_bogus_witness():
     assert not verify_role(bull(), 0, VertexRole(P4_END, (0, 1, 2, 3, 4)))
     assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2)))
     assert not verify_role(path(4), 0, VertexRole("P4", (0, 1, 2, 3)))
+    # ids outside 0..n-1, and ids that are not ints, fail and never raise
+    assert not verify_role(path(4), 9, VertexRole(P4_END, (9, 0, 1, 2)))
+    assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2, -1)))
+    assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2, 4)))
+    assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1.0, 2, 3)))
+    assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2, "3")))
+    assert not verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2, [3])))
+    # False and True decode as 0 and 1, but are not vertex ids
+    assert verify_role(path(4), 0, VertexRole(P4_END, (0, 1, 2, 3)))
+    assert not verify_role(path(4), 0,
+                           VertexRole(P4_END, (False, True, 2, 3)))
 
 
 def _pairwise_verify_role(h, v, role):
