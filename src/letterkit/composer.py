@@ -152,21 +152,22 @@ def _prime_lettering(h: Graph) -> tuple[
     is remembered for the life of the process (the last ``_MEMO_SIZE``
     labelled quotients), with one solve per isomorphism class (the last
     ``_MEMO_SIZE`` canonical codes in ``_classes``). A miss of the
-    labelled memo that finds h's code there takes the class's k and least fitting decoder D* and runs
-    only the least-word search on ``h``, under the enclosing run's
-    deadline. Otherwise it calls ``lettericity``, looked up at each miss
-    so that a patched solver sees every solve, and stores the class. A
-    solve or search that raises stores nothing. Callers share the returned
-    (immutable) lettering, so they must not alter it.
+    labelled memo that finds h's code there takes the class's k and least
+    fitting decoder D* and runs only the least-word search on ``h``,
+    under the enclosing run's deadline. Otherwise it calls
+    ``lettericity``, looked up at each miss so that a patched solver sees
+    every solve, and stores the class. A solve or search that raises
+    stores nothing. Callers share the returned (immutable) entry, so they
+    must not alter it.
 
     The entry's (k, lettering) is byte for byte ``lettericity(h)``.
     Renaming the vertices of a k-lettering gives a k-lettering of the
-    relabelled graph with the same decoder and word, so h and the class's solved H' have the same
-    lettericity k and the same set of fitting k-letter decoders, hence
-    the same least one, D*, which is the decoder ``lettericity(h)``
-    returns. Its lettering is D* with the least word of ``h`` under D*,
-    found by ``solver._least_lettering``, the very tail that
-    ``is_k_letterable`` runs on ``h``.
+    relabelled graph with the same decoder and word, so h and the class's
+    solved H' have the same lettericity k and the same set of fitting
+    k-letter decoders, hence the same least one, D*, which is the decoder
+    ``lettericity(h)`` returns. Its lettering is D* with the least word of
+    ``h`` under D*, found by ``solver._least_lettering``, the very tail
+    that ``is_k_letterable`` runs on ``h``.
 
     The memo lives here, not in ``solver.lettericity``, whose ``budget``
     must raise whatever was solved before."""

@@ -63,7 +63,7 @@ def _suite_item(suite: str):
 def count(workload: str, seed: int, items: int | None,
           suite: str | None = None) -> dict:
     """Count the opcodes of pass 0's first ``items`` items (all for None),
-    or of the verify-paper ``suite``."""
+    or of the verify-paper ``suite``: once cold, then once more warm."""
     if suite is None:
         workloads = _workloads()
         build, kmax, _ = workloads.WORKLOADS[workload]
