@@ -3,19 +3,26 @@
 ``letterkit verify-paper`` runs them at a scale that finishes in seconds;
 ``tests/test_acceptance.py`` runs them at full scale. Each check returns a
 dict with ``"pass"`` and the counts that explain its work (or the failing
-graph). A check takes no budget: run it inside a :class:`solver.Run`, and
-every solver and composer call it makes stops at that run's deadline.
+graph). A check takes no budget: run it inside a :class:`letterkit.run.Run`,
+and every solver and composer call it makes stops at that run's deadline.
 
-The checks call letterkit through module attributes (``solver.lettericity``,
-not a name bound at import), so a test or a tracer that replaces a module
-attribute sees every call.
+Each check imports the modules it calls in its own body, so a process
+that runs one check (a ``verify-paper`` suite) loads only what that check
+needs; this module imports only ``graphs``. The checks call letterkit
+through module attributes (``solver.lettericity``, not a name bound at
+import), so a test or a tracer that replaces a module attribute sees
+every call.
 """
 
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from . import composer, graphs, letters, modular, solver
+from . import graphs
+
+if TYPE_CHECKING:
+    from . import solver
 
 
 def random_cograph(rng: random.Random, n: int) -> graphs.Graph:
@@ -30,6 +37,7 @@ def random_cograph(rng: random.Random, n: int) -> graphs.Graph:
 def matching_lettericity() -> dict:
     """Prop. 4.1: mK2 has lettericity m (m <= 3), and 3K2 has no
     2-lettering."""
+    from . import solver
     ok = all(solver.lettericity(graphs.matching(m))[0] == m
              for m in (1, 2, 3))
     ok = ok and solver.is_k_letterable(
@@ -40,6 +48,7 @@ def matching_lettericity() -> dict:
 def r2_four_classes() -> solver.LetterClassConstraint:
     """The four vertex classes of Prop. 4.3 on ``stacked_path(2)``:
     {s_{1,j}, s_{2,j}} and {c_{1,j}, c_{2,j}} for j = 1, 2."""
+    from . import solver
     labels = graphs.stacked_path(2)[1]
     return solver.LetterClassConstraint.of(
         *({labels.id_of(role, level, slot) for level in (1, 2)}
@@ -49,6 +58,7 @@ def r2_four_classes() -> solver.LetterClassConstraint:
 def constrained_stacked() -> dict:
     """Prop. 4.3: the stacked path R2 has no 4-lettering that gives each of
     its four vertex classes one letter."""
+    from . import solver
     report = solver.is_k_letterable(graphs.stacked_path(2)[0], 4,
                                     r2_four_classes())
     return {"pass": report.outcome == "exhausted",
@@ -59,7 +69,9 @@ def constrained_stacked() -> dict:
 def prime_classification() -> dict:
     """Thm. 3.2: every vertex of a prime graph (4 <= n <= 7) has a role
     (P4 end or middle, bull nose) that its witness confirms."""
-    checked, run = 0, solver.Run()
+    from . import modular
+    from .run import Run
+    checked, run = 0, Run()
     for n in range(4, 8):
         for g in graphs.all_graphs(n):
             run.check("claim check")
@@ -92,6 +104,7 @@ def composer_bound(max_n: int, inflations: int, max_module: int,
     F_impl, on every graph with n <= ``max_n`` and on ``inflations`` random
     inflations of P4, the bull or C5 drawn from ``seed``. Each module is a
     random cograph on 1..min(``max_module``, 40 // base.n) vertices."""
+    from . import composer, letters
     count = 0
     for g in _composer_inputs(max_n, inflations, max_module,
                               random.Random(seed)):
@@ -106,6 +119,7 @@ def composer_bound(max_n: int, inflations: int, max_module: int,
 def complement_duality(max_n: int) -> dict:
     """A graph and its complement have the same lettericity, on every graph
     with n <= ``max_n``."""
+    from . import solver
     count = 0
     for n in range(1, max_n + 1):
         for g in graphs.all_graphs(n):

@@ -5,6 +5,12 @@ verification suite.
 Exit codes: 0 success/pass, 1 check failure, 2 usage error. Budget
 exhaustion is reported as its own status (and exits 1, since the run did
 not complete).
+
+Every command runs in a process of its own, so this module imports at
+module level only what every command needs: ``graphs`` (the parser's
+``--family`` choices), the run context that wraps each command, and
+``claims``. Each command imports the rest in its own body, and each claim
+does the same, so a process compiles only the modules its command runs.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import json
 import sys
 import time
 
-from . import claims, composer, graphs, letters, modular, obstructions, solver
+from . import claims, graphs
+from .run import BudgetExceeded, Run
 
 
 def _read_graph(path: str) -> graphs.Graph:
@@ -51,6 +58,7 @@ def _parse_seq(seq: str | None):
 
 
 def _cmd_decode(args) -> int:
+    from . import letters
     dec = letters.Decoder.from_shorthand(args.decoder, args.word)
     word = tuple(dec.index(c) for c in args.word)
     g = letters.decode(dec, word)
@@ -59,6 +67,7 @@ def _cmd_decode(args) -> int:
 
 
 def _parse_classes(path: str):
+    from . import solver
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not all(
@@ -69,6 +78,7 @@ def _parse_classes(path: str):
 
 
 def _cmd_lettericity(args) -> int:
+    from . import letters, solver
     g = _read_graph(args.graph)
     if args.classes or args.max_k is not None:
         k = args.max_k if args.max_k is not None else min(g.n, solver.MAX_K)
@@ -87,6 +97,7 @@ def _cmd_lettericity(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import modular
     g = _read_graph(args.graph)
     if args.tree:
         print(json.dumps(modular.decomposition_tree(g)))
@@ -96,6 +107,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from . import composer, obstructions
     g = _read_graph(args.graph)
     prof = composer.profile(g)
     out = {"p": prof.p, "q": prof.q, "r": prof.r}
@@ -108,6 +120,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from . import composer
     g = _read_graph(args.graph)
     cert = composer.compose(g)
     if args.json:
@@ -148,7 +161,7 @@ def _cmd_verify_paper(args) -> int:
         start = time.monotonic()
         try:
             result = _SUITES[name](args.seed)
-        except solver.BudgetExceeded:
+        except BudgetExceeded:
             result = {"status": "budget-exhausted"}
         else:
             result["status"] = "pass" if result.pop("pass") else "FAIL"
@@ -224,9 +237,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        with solver.Run(getattr(args, "budget", None)):
+        with Run(getattr(args, "budget", None)):
             return args.func(args)
-    except solver.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         print(json.dumps({"status": "budget-exhausted", "detail": str(exc)}))
         return 1
     except (ValueError, OSError) as exc:  # ScaleError is a ValueError

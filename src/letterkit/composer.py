@@ -39,7 +39,8 @@ from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .modular import _MEMO_SIZE, _split
 from .obstructions import (ClassProfile, f_impl, f_paper,
                            max_induced_matching, max_stacked_path)
-from .solver import Run, _least_lettering, lettericity
+from .run import Run
+from .solver import _least_lettering, lettericity
 
 
 def _peel(g: Graph, mask: int) -> tuple[tuple[tuple[int, str], ...], int]:

@@ -99,12 +99,13 @@ class Lettering:
     vertex_of_position: tuple[int, ...]
 
     def __post_init__(self):
-        word = self.word
-        if word and (min(word) < 0 or
+        # letter indices and vertex ids are ints, and a bool is not one
+        word, order = self.word, self.vertex_of_position
+        if word and (set(map(type, word)) != {int} or min(word) < 0 or
                      max(word) >= len(self.decoder.alphabet)):
             raise ValueError("word entry is not a valid letter index")
-        n = len(word)
-        if sorted(self.vertex_of_position) != list(range(n)):
+        if order and set(map(type, order)) != {int} or \
+                sorted(order) != list(range(len(word))):
             raise ValueError("vertex_of_position must be a bijection onto 0..n-1")
 
     @property

@@ -17,72 +17,29 @@ vertices: its twins, and at the root its orbit under Aut(g), which the
 canonical labelling's search finds (``graphs._canonical``). A word search
 over one candidate vertex bitmask per letter then finds the least
 decoder's least word.
+
+Every search runs under the enclosing :class:`Run`, the run context of
+``letterkit.run``; ``solver.Run`` and ``solver.BudgetExceeded`` are that
+module's objects, re-exported.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
 import json
-import math
 import operator
 import time
 
 from .graphs import Graph, ScaleError, _canonical, _record, _twins
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
+from .run import BudgetExceeded, Run  # noqa: F401  re-exported
 
 
 # The solver's scale guards, n <= MAX_N and k <= MAX_K, read at each call.
 MAX_N = 12
 MAX_K = 5
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a search runs past its wall-clock budget."""
-
-
-_ENCLOSING: contextvars.ContextVar[Run | None] = \
-    contextvars.ContextVar("letterkit_run", default=None)
-
-
-class Run:
-    """A search's deadline and node count.
-
-    The deadline (a ``time.monotonic()`` value, or None for none) is the
-    earlier of the enclosing run's, that is the innermost run entered with
-    ``with``, and ``budget`` seconds from now. So a nested call cannot
-    outlive its caller's budget, and ``Run()`` reads the enclosing deadline.
-    A NaN budget raises ValueError: it would compare false with every time
-    and so switch every deadline off.
-    """
-
-    __slots__ = ("deadline", "nodes", "_token")
-
-    def __init__(self, budget: float | None = None):
-        enclosing = _ENCLOSING.get()
-        self.deadline = None if enclosing is None else enclosing.deadline
-        if budget is not None:
-            if math.isnan(budget):
-                raise ValueError("budget must be a number of seconds, not NaN")
-            own = time.monotonic() + budget
-            self.deadline = own if self.deadline is None else \
-                min(self.deadline, own)
-        self.nodes = 0
-
-    def check(self, what: str) -> None:
-        """Raise :class:`BudgetExceeded`, naming ``what`` ran out, once no
-        time is left."""
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise BudgetExceeded(f"{what} ran past its budget")
-
-    def __enter__(self) -> Run:
-        self._token = _ENCLOSING.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ENCLOSING.reset(self._token)
 
 
 @_record

@@ -12,9 +12,12 @@ letterkit reads it). It prints one JSON line:
 - ``bare_ms``: the bare interpreter from spawn to exit, which includes
   the host's ``site`` hooks and which letterkit cannot change;
 
-each as ``[first quartile, median, third quartile]`` over the runs, and
+each as ``[first quartile, median, third quartile]`` over the runs;
 ``added``, the modules the import adds to ``sys.modules`` (the
-difference taken inside the process, so ``site`` hooks do not count).
+difference taken inside the process, so ``site`` hooks do not count);
+and ``suite_modules``, for each suite of ``verify-paper``, the
+``letterkit.*`` modules that a fresh process running that suite alone
+has loaded by its end.
 
 Run from the repository root (15 runs of each by default):
 
@@ -43,6 +46,14 @@ elapsed = time.perf_counter() - start
 print(elapsed, *sorted(set(sys.modules) - before))
 """
 
+# runs the verify-paper suite named by its argument, as the CLI does
+SUITE = """\
+import sys
+from letterkit import cli
+cli.main(["verify-paper", "--suite", sys.argv[1]])
+print(*sorted(m for m in sys.modules if m.startswith("letterkit.")))
+"""
+
 
 def child_env() -> dict[str, str]:
     env = dict(os.environ)
@@ -52,10 +63,11 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def spawn(code: str) -> tuple[float, str]:
-    """Seconds from spawn to exit of ``python3 -c code``, and its output."""
+def spawn(code: str, *args: str) -> tuple[float, str]:
+    """Seconds from spawn to exit of ``python3 -c code args``, and its
+    output."""
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT,
                           env=child_env(), capture_output=True, text=True,
                           check=True)
     return time.perf_counter() - start, proc.stdout
@@ -65,14 +77,25 @@ def quartiles_ms(values: list[float]) -> list[float]:
     return [round(q * 1000, 1) for q in statistics.quantiles(values, n=4)]
 
 
+def run_suite(suite: str) -> tuple[str, list[str]]:
+    """The line a fresh process running ``verify-paper --suite suite``
+    prints, and the ``letterkit.*`` modules it has loaded by its end."""
+    line, modules = spawn(SUITE, suite)[1].splitlines()
+    return line, modules.split()
+
+
 def measure(runs: int) -> dict:
+    from letterkit import cli
+
     imports, bare, added = [], [], None
     for _ in range(runs):
         bare.append(spawn("pass")[0])
         elapsed, *added = spawn(IMPORT)[1].split()
         imports.append(float(elapsed))
     return {"runs": runs, "import_ms": quartiles_ms(imports),
-            "bare_ms": quartiles_ms(bare), "added": added}
+            "bare_ms": quartiles_ms(bare), "added": added,
+            "suite_modules": {suite: run_suite(suite)[1]
+                              for suite in sorted(cli._SUITES)}}
 
 
 def main(argv: list[str]) -> None:

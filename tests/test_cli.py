@@ -7,6 +7,7 @@ from letterkit import (bull, composer, cycle, from_graph6, is_isomorphic,
                        matching, max_induced_matching, max_stacked_path,
                        path, solver, stacked_path, to_graph6)
 from letterkit.cli import main
+from tests import startup_timing
 
 
 def run(capsys, *argv):
@@ -346,3 +347,28 @@ def test_malformed_graph6(tmp_path, capsys):
     f.write_text("B")
     code, _, err = run(capsys, "lettericity", str(f))
     assert code == 2 and "error" in err
+
+
+# -- what each CLI process loads --------------------------------------------
+# each runs in a fresh process, where nothing of letterkit is loaded yet
+
+_SEARCH_MODULES = {"letterkit.composer", "letterkit.modular",
+                   "letterkit.solver", "letterkit.letters",
+                   "letterkit.obstructions"}
+
+
+def test_importing_the_cli_loads_no_search_module():
+    _, out = startup_timing.spawn(startup_timing.IMPORT)
+    added = set(out.split()[1:])
+    assert "letterkit.cli" in added
+    assert not _SEARCH_MODULES & added
+
+
+@pytest.mark.parametrize("suite, unloaded", [
+    ("thm32", {"letterkit.solver", "letterkit.composer"}),
+    ("dualities", {"letterkit.composer", "letterkit.modular"})])
+def test_a_suite_loads_only_the_modules_it_runs(suite, unloaded):
+    line, modules = startup_timing.run_suite(suite)
+    assert json.loads(line)["status"] == "pass"
+    assert "letterkit.claims" in modules
+    assert not unloaded & set(modules)

@@ -530,8 +530,8 @@ def _record_time_left(monkeypatch, clock=None):
     """Wrap the composer's solver call, on an empty memo; returns the list
     of (seconds left before the deadline the call runs under, or None for
     none; seconds spent inside the call) it fills. With ``clock``, a
-    one-item list that stands for the solver's clock, each call takes two
-    seconds of it."""
+    one-item list that stands for the clock ``Run`` reads, each call takes
+    two seconds of it."""
     _fresh_memo(monkeypatch)
     calls = []
     real = composer.lettericity
@@ -572,7 +572,7 @@ def test_compose_without_budget_passes_none(monkeypatch):
 def test_compose_raises_once_the_budget_is_spent(monkeypatch):
     # a fake clock that stands still but for the two seconds of each solve
     clock = [0]
-    monkeypatch.setattr(solver, "time",
+    monkeypatch.setattr("letterkit.run.time",
                         SimpleNamespace(monotonic=lambda: clock[0]))
     calls = _record_time_left(monkeypatch, clock)
     # the outer solve has 3.5 s left and the first module's solve 1.5 s;
@@ -595,7 +595,7 @@ def test_compose_budget_cannot_outlive_the_enclosing_run():
 
 def test_compose_budget_bounds_the_final_profile(monkeypatch):
     ticks = iter(range(1000))
-    monkeypatch.setattr(solver, "time",
+    monkeypatch.setattr("letterkit.run.time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     # readings: the deadline (0), the top of build (1: 0.5 s left), the
     # check after the lettering is verified (2: none left)

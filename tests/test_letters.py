@@ -112,6 +112,22 @@ def test_decode_rejects_bad_input():
             Lettering(ID_DECODER, word, tuple(range(len(word))))
 
 
+@pytest.mark.parametrize("word, order", [
+    ((0, 1), (True, False)), ((True, False), (0, 1)),
+    ((0, 1), (0, 1.0)), ((0.0, 1), (0, 1))])
+def test_lettering_rejects_ids_and_indices_that_are_not_ints(word, order):
+    # a bool sorts and compares as 0 or 1, but its JSON is true or false,
+    # which lettering_from_json rejects
+    with pytest.raises(ValueError):
+        Lettering(AB_DECODER, word, order)
+
+
+def test_lettering_of_ints_round_trips_through_json():
+    lett = Lettering(AB_DECODER, (0, 1), (1, 0))
+    assert verify(path(2), lett)
+    assert lettering_from_json(lettering_to_json(lett)) == lett
+
+
 def test_verify():
     lett = Lettering(ID_DECODER, (0, 1), (0, 1))
     assert verify(matching(1), lett)

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -24,11 +26,12 @@ def test_no_assert_statements_in_src():
 
 
 def test_only_solver_and_cli_read_the_clock():
-    # deadlines live in solver.Run; cli reads the clock for "elapsed" only
+    # deadlines live in run.Run; solver and cli read the clock for
+    # "elapsed" only
     root = pathlib.Path(letterkit.__file__).parent
     readers = sorted(path.name for path in root.rglob("*.py")
                      if "time.monotonic" in path.read_text())
-    assert readers == ["cli.py", "solver.py"]
+    assert readers == ["cli.py", "run.py", "solver.py"]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -90,3 +93,49 @@ def test_records_take_each_field_once():
                          ((1, 2), {"p": 3}), ((1, 2, 3), {"s": 4})]:
         with pytest.raises(TypeError):
             ClassProfile(*args, **kwargs)
+
+
+# the package's public names: its six submodules, and what they export
+_PUBLIC = [
+    "BoundParams", "BudgetExceeded", "ClassProfile", "CompositionCertificate",
+    "Decoder", "Graph", "LetterClassConstraint", "Lettering",
+    "QuotientDecomposition", "Run", "SolveReport", "StackedPathLabels",
+    "VertexRole", "all_graphs", "bounds", "bull", "classify_vertex",
+    "co_matching", "complete", "compose", "composer", "contains_induced",
+    "cycle", "decode", "disjoint_union", "from_graph6", "generate", "graphs",
+    "inflate", "is_isomorphic", "is_k_letterable", "is_module", "is_prime",
+    "join", "lettericity", "lettering_from_json", "lettering_to_json",
+    "letters", "matching", "max_induced_matching", "max_stacked_path",
+    "modular", "obstructions", "path", "profile", "quotient", "ramsey",
+    "solver", "stacked_path", "threshold", "threshold_lettering", "to_dot",
+    "to_graph6", "verify"]
+
+
+def test_the_public_surface_is_each_home_modules_objects():
+    assert letterkit.__all__ == _PUBLIC and len(_PUBLIC) == 54
+    for name in _PUBLIC:
+        obj = getattr(letterkit, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is importlib.import_module(f"letterkit.{name}")
+        else:
+            home = importlib.import_module(obj.__module__)
+            assert getattr(home, name) is obj
+    assert letterkit.Run is letterkit.solver.Run
+    assert letterkit.BudgetExceeded is letterkit.solver.BudgetExceeded
+    assert set(_PUBLIC) <= set(dir(letterkit))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from letterkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(_PUBLIC)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        letterkit.nope
+
+
+def test_the_benchmark_still_finds_the_cli_cograph_generator():
+    from letterkit.cli import _random_cograph
+    assert _random_cograph is letterkit.claims.random_cograph
