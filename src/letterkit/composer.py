@@ -19,7 +19,7 @@ is solved once per process: a labelled quotient met before reuses its
 lettering, and one with the canonical code of a solved quotient reuses
 its decoder and runs only the least-word search on its own labels (see
 ``_prime_lettering``). A remembered solve is not run again, not even
-under a later call's budget. ``compose`` and ``profile`` read (p, q, r)
+under a later call's deadline. ``compose`` and ``profile`` read (p, q, r)
 off the decomposition, searching only prime quotients for stacked paths
 and matchings, weighted by module values and kept per labelled quotient.
 The result is an upper-bound constructor: no attempt is made to minimize
@@ -111,30 +111,6 @@ class CompositionCertificate:
             "recursion_tree": self.recursion_tree,
             "bound_check": self.bound_check,
         })
-
-
-def compose(g: Graph, *,
-            budget: float | None = None) -> CompositionCertificate:
-    """Produce a verified lettering of ``g`` with alphabet accounting.
-
-    Every prime quotient met in the recursion must fit the exact solver's
-    scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
-    :class:`ScaleError` is raised. The certificate records the maximum
-    quotient lettericity encountered and compares the alphabet against the
-    bound tables. Its profile, read off in the same pass, equals
-    ``profile(g)``. ``budget`` is wall-clock seconds for the whole call, which runs
-    in a :class:`Run`: every build step, prime-quotient solve and the final
-    bound check stop at its deadline (the enclosing run's, if that is
-    earlier) and raise :class:`BudgetExceeded`.
-    Each isomorphism class of prime quotients is solved once per
-    process; a class solved by an earlier call is reused without running
-    its solve again under this call's budget, and only a new labelling's
-    least-word search runs under it.
-    """
-    if g.n == 0:
-        raise ValueError("graph must be nonempty")
-    with Run(budget) as run:
-        return _compose(g, run)
 
 
 # Each memo below keeps the last ``_MEMO_SIZE`` entries, as modular's does.
@@ -276,7 +252,24 @@ def profile(g: Graph) -> ClassProfile:
     return ClassProfile(m + 1, cm + 1, r + 1)
 
 
-def _compose(g: Graph, run: Run) -> CompositionCertificate:
+def compose(g: Graph) -> CompositionCertificate:
+    """Produce a verified lettering of ``g`` with alphabet accounting.
+
+    Every prime quotient met in the recursion must fit the exact solver's
+    scale guards (``solver.MAX_N`` vertices, ``solver.MAX_K`` letters), or
+    :class:`ScaleError` is raised. The certificate records the maximum
+    quotient lettericity encountered and compares the alphabet against the
+    bound tables. Its profile, read off in the same pass, equals
+    ``profile(g)``. Every build step, prime-quotient solve and the final
+    bound check stop at the enclosing :class:`Run`'s deadline and raise
+    :class:`BudgetExceeded`: bound a call with ``with Run(seconds):``.
+    Each isomorphism class of prime quotients is solved once per process,
+    so a class solved by an earlier call runs no solve under this call's
+    deadline; only a new labelling's least-word search runs under it.
+    """
+    if g.n == 0:
+        raise ValueError("graph must be nonempty")
+    run = Run()
     alloc = itertools.count().__next__  # fresh global letter ids
     pairs: set[tuple[int, int]] = set()
     prime_ls: list[int] = []

@@ -75,14 +75,20 @@ class Decoder:
         return Decoder.from_pairs(letters, pairs)
 
 
+def _check_word(word: tuple, decoder: Decoder) -> None:
+    """Raise ValueError unless ``word`` holds int letters of ``decoder``."""
+    if word and (set(map(type, word)) != {int} or min(word) < 0 or
+                 max(word) >= len(decoder.alphabet)):
+        raise ValueError("word entry is not a valid letter index")
+
+
 def decode(decoder: Decoder, word) -> Graph:
     """The letter graph of ``word``: positions i < j are adjacent iff the
     ordered pair (word[i], word[j]) is in the decoder."""
     word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
-    if min(word) < 0 or max(word) >= len(decoder.alphabet):
-        raise ValueError("word entry is not a valid letter index")
+    _check_word(word, decoder)
     n = len(word)
     return Graph.from_edges(n, ((i, j) for i in range(n)
                                 for j in range(i + 1, n)
@@ -101,9 +107,7 @@ class Lettering:
     def __post_init__(self):
         # letter indices and vertex ids are ints, and a bool is not one
         word, order = self.word, self.vertex_of_position
-        if word and (set(map(type, word)) != {int} or min(word) < 0 or
-                     max(word) >= len(self.decoder.alphabet)):
-            raise ValueError("word entry is not a valid letter index")
+        _check_word(word, self.decoder)
         if order and set(map(type, order)) != {int} or \
                 sorted(order) != list(range(len(word))):
             raise ValueError("vertex_of_position must be a bijection onto 0..n-1")
@@ -205,7 +209,6 @@ def lettering_from_json(text: str) -> Lettering:
             raise ValueError(f"lettering word names {s!r}, not in the "
                              "alphabet")
     order = obj["vertex_of_position"]
-    if not isinstance(order, list) or any(type(v) is not int for v in order):
-        raise ValueError("lettering vertex_of_position must be a list of "
-                         "integer vertex ids")
+    if not isinstance(order, list):  # Lettering checks its entries
+        raise ValueError("lettering vertex_of_position must be a list")
     return Lettering(dec, tuple(map(dec.index, word)), tuple(order))

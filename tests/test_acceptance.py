@@ -11,6 +11,7 @@ import random
 import time
 
 from letterkit import (
+    Run,
     claims,
     is_k_letterable,
     is_prime,
@@ -112,6 +113,7 @@ def test_09_r3_not_four_letterable():
     # stretch criterion: complete 4-letter exhaustion on the 12-vertex R3
     g = stacked_path(3)[0]
     start = time.monotonic()
-    rep = is_k_letterable(g, 4, budget=3600)
+    with Run(3600):
+        rep = is_k_letterable(g, 4)
     report(9, "R3 has no 4-lettering", rep.outcome == "exhausted",
            time.monotonic() - start, 3600)

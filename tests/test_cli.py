@@ -1,5 +1,6 @@
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -246,6 +247,24 @@ def test_verify_paper_default_run_results(capsys):
     ]
 
 
+def test_verify_paper_elapsed_is_the_suites_run(capsys, monkeypatch):
+    # a fake clock that stands still but for two seconds per solve
+    from letterkit import solver
+    clock, real = [0], solver.is_k_letterable
+    monkeypatch.setattr("letterkit.run.time",
+                        SimpleNamespace(monotonic=lambda: clock[0]))
+
+    def timed(*args):
+        clock[0] += 2
+        return real(*args)
+
+    monkeypatch.setattr(solver, "is_k_letterable", timed)
+    code, out, _ = run(capsys, "verify-paper", "--suite", "prop41")
+    assert code == 0 and clock[0] > 0
+    assert json.loads(out) == {"check": "prop41", "status": "pass",
+                               "elapsed": clock[0]}
+
+
 def test_verify_paper_unknown_suite(capsys):
     code, _, err = run(capsys, "verify-paper", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
@@ -274,7 +293,7 @@ def _record_solver_time_left(monkeypatch, pause=0.0):
     real = solver.is_k_letterable
 
     def recording(*args, **kwargs):
-        deadline = solver.Run(kwargs.get("budget")).deadline
+        deadline = solver.Run().deadline
         left.append(None if deadline is None else
                     deadline - time.monotonic())
         time.sleep(pause)

@@ -553,7 +553,8 @@ def _record_time_left(monkeypatch, clock=None):
 def test_compose_budget_bounds_the_whole_call(monkeypatch):
     calls = _record_time_left(monkeypatch)
     budget = 100.0
-    cert = compose(_nested_primes(), budget=budget)
+    with Run(budget):
+        cert = compose(_nested_primes())
     assert verify(_nested_primes(), cert.lettering)
     assert len(calls) == 5
     assert calls[0][0] <= budget
@@ -577,30 +578,31 @@ def test_compose_raises_once_the_budget_is_spent(monkeypatch):
     calls = _record_time_left(monkeypatch, clock)
     # the outer solve has 3.5 s left and the first module's solve 1.5 s;
     # the second module's build finds none left
-    with pytest.raises(BudgetExceeded):
-        compose(_nested_primes(), budget=3.5)
+    with Run(3.5), pytest.raises(BudgetExceeded):
+        compose(_nested_primes())
     assert [b for b, _ in calls] == [3.5, 1.5]
 
 
 def test_compose_zero_budget_raises_before_any_work():
     # matching(3) is a disjoint union: no prime quotient is ever solved
-    with pytest.raises(BudgetExceeded):
-        compose(matching(3), budget=0.0)
+    with Run(0.0), pytest.raises(BudgetExceeded):
+        compose(matching(3))
 
 
 def test_compose_budget_cannot_outlive_the_enclosing_run():
-    with Run(1e-9), pytest.raises(BudgetExceeded):
-        compose(matching(3), budget=600)
+    with Run(1e-9), Run(600), pytest.raises(BudgetExceeded):
+        compose(matching(3))
 
 
 def test_compose_budget_bounds_the_final_profile(monkeypatch):
     ticks = iter(range(1000))
     monkeypatch.setattr("letterkit.run.time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
-    # readings: the deadline (0), the top of build (1: 0.5 s left), the
-    # check after the lettering is verified (2: none left)
-    with pytest.raises(BudgetExceeded):
-        compose(complete(3), budget=1.5)
+    # readings: the budget's run (0), compose's own run (1), the top of
+    # build (2: 0.5 s left), the check after the lettering is verified (3:
+    # none left)
+    with Run(2.5), pytest.raises(BudgetExceeded):
+        compose(complete(3))
 
 
 def test_memo_solves_each_quotient_class_once(monkeypatch):
@@ -634,8 +636,8 @@ def test_memo_hit_searches_under_the_callers_deadline(monkeypatch):
     monkeypatch.setattr(composer, "_least_lettering",
                         lambda h, matrix, run: deadlines.append(run.deadline)
                         or real(h, matrix, run))
-    with Run(50) as outer:
-        compose(cycle(5).complement(), budget=100)
+    with Run(50) as outer, Run(100):
+        compose(cycle(5).complement())
     assert deadlines == [outer.deadline]
 
 

@@ -104,8 +104,9 @@ def test_decode_examples():
 def test_decode_rejects_bad_input():
     with pytest.raises(ValueError):
         decode(ID_DECODER, ())
-    # a letter index below 0 or past the alphabet, in decode and Lettering
-    for word in (0, 5), (0, 2), (-1, 0), (1, -1, 0):
+    # a letter index below 0, past the alphabet or not an int (a bool is
+    # not one), in decode and Lettering
+    for word in (0, 5), (0, 2), (-1, 0), (1, -1, 0), (True, False), (0.0, 1):
         with pytest.raises(ValueError, match="letter index"):
             decode(ID_DECODER, word)
         with pytest.raises(ValueError, match="letter index"):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -116,7 +117,9 @@ def test_empty_constraint_agrees_with_unconstrained():
 
 def test_every_class_id_is_checked_before_the_search():
     # {0, 1, 2} is mixed in P3, which alone would exhaust at once
-    for classes in (({0, 1, 2}, {9}), ({9}, {0, 1, 2}), ({0, 1, 2}, {-1})):
+    # an id that is not an int, a bool included, is as bad as one past n
+    for classes in (({0, 1, 2}, {9}), ({9}, {0, 1, 2}), ({0, 1, 2}, {-1}),
+                    ({0.5},), ({"a"},), ({True}, {2})):
         with pytest.raises(ValueError, match="bad vertex ids"):
             is_k_letterable(path(3), 2, LetterClassConstraint.of(*classes))
 
@@ -208,8 +211,8 @@ def test_lettericity_of_the_empty_graph_raises():
 
 def test_budget():
     g = stacked_path(2)[0]
-    with pytest.raises(BudgetExceeded):
-        is_k_letterable(g, 4, budget=1e-9)
+    with Run(1e-9), pytest.raises(BudgetExceeded):
+        is_k_letterable(g, 4)
 
 
 def test_lettericity_budget_bounds_the_climb():
@@ -237,6 +240,29 @@ def test_report_serialization():
     assert obj["outcome"] == "found"
     assert obj["lettering"]["word"] == ["b", "a", "b", "a"]
     assert obj["decoders_tried"] >= 1
+
+
+@pytest.mark.parametrize("g, k, outcome", [
+    (cycle(5), 3, "found"), (matching(3), 2, "exhausted")])
+def test_the_run_supplies_elapsed_and_the_counters(monkeypatch, g, k,
+                                                   outcome):
+    # a fake clock that stands still but for a quarter second per search
+    clock, calls = [0.0], []
+    monkeypatch.setattr("letterkit.run.time",
+                        SimpleNamespace(monotonic=lambda: clock[0]))
+    real = solver._fits
+
+    def counted(*args):
+        calls.append(args)
+        clock[0] += 0.25
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_fits", counted)
+    report = is_k_letterable(g, k)
+    assert report.outcome == outcome
+    assert report.decoders_tried == len(calls) >= 1
+    assert report.elapsed == 0.25 * len(calls)
+    assert report.nodes_expanded > 0
 
 
 def test_lettericity_at_most_vertex_count():
@@ -1004,6 +1030,6 @@ def test_k5_search_matches_full_space(g, tried):
 def test_k5_exhaustion_stops_at_its_budget():
     # R3 has no 5-lettering; the full search takes about ten seconds
     start = time.monotonic()
-    with pytest.raises(BudgetExceeded):
-        is_k_letterable(stacked_path(3)[0], 5, budget=0.5)
+    with Run(0.5), pytest.raises(BudgetExceeded):
+        is_k_letterable(stacked_path(3)[0], 5)
     assert time.monotonic() - start < 3.0
