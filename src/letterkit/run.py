@@ -32,10 +32,12 @@ class Run:
     caller's budget, and ``Run()`` reads the enclosing deadline. A NaN
     budget raises ValueError: it would compare false with every time and so
     switch every deadline off. The solver counts ``nodes`` (placements and
-    word-search nodes) and ``decoders_tried`` (letter-class searches).
+    word-search nodes) and ``decoders_tried`` (letter-class searches). A
+    run may be entered again while it is entered; each exit restores the
+    run that was enclosing at its own entry.
     """
 
-    __slots__ = ("start", "deadline", "nodes", "decoders_tried", "_token")
+    __slots__ = ("start", "deadline", "nodes", "decoders_tried", "_tokens")
 
     def __init__(self, budget: float | None = None):
         enclosing = _ENCLOSING.get()
@@ -48,6 +50,7 @@ class Run:
             self.deadline = own if self.deadline is None else \
                 min(self.deadline, own)
         self.nodes = self.decoders_tried = 0
+        self._tokens = []  # one per ``with`` entered and not yet left
 
     @property
     def elapsed(self) -> float:
@@ -60,8 +63,8 @@ class Run:
             raise BudgetExceeded(f"{what} ran past its budget")
 
     def __enter__(self) -> Run:
-        self._token = _ENCLOSING.set(self)
+        self._tokens.append(_ENCLOSING.set(self))
         return self
 
     def __exit__(self, *exc) -> None:
-        _ENCLOSING.reset(self._token)
+        _ENCLOSING.reset(self._tokens.pop())

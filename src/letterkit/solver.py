@@ -16,7 +16,12 @@ is closed to its images under the automorphisms that fix the placed
 vertices: its twins, and at the root its orbit under Aut(g), which the
 canonical labelling's search finds (``graphs._canonical``). A word search
 over one candidate vertex bitmask per letter then finds the least
-decoder's least word.
+decoder's least word. Once a candidate position has shown a large dead
+subtree, the word search puts each later candidate there to a completion
+check: the same letter-class search with every entry fixed to that
+decoder, from the word's prefix. The check decides whether any word
+completes the prefix, so it skips only subtrees with no word, and the
+least word, every lettering and every certificate stay as they were.
 
 Every search runs in a :class:`Run` of its own (``letterkit.run``) under
 the enclosing one's deadline; ``solver.Run`` and ``solver.BudgetExceeded``
@@ -39,16 +44,25 @@ from .run import BudgetExceeded, Run  # noqa: F401  re-exported
 # The solver's scale guards, n <= MAX_N and k <= MAX_K, read at each call.
 MAX_N = 12
 MAX_K = 5
+# The dead-subtree size, in nodes, from which a word search checks the
+# later candidates at a position for a completion (``_search_word``).
+_CHECK_AFTER = 128
 
 
 @_record
 class LetterClassConstraint:
     """Disjoint vertex classes; each class must share one letter and
-    distinct classes must use distinct letters."""
+    distinct classes must use distinct letters. An id that is not an int
+    (a bool included) or is negative raises the "bad vertex ids"
+    ValueError before the classes are checked for overlaps; the solver
+    checks each id against the graph's size."""
 
     classes: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if any(type(v) is not int or v < 0  # a bool is no id
+               for cls in self.classes for v in cls):
+            raise ValueError("constraint class contains bad vertex ids")
         seen: set[int] = set()
         for cls in self.classes:
             if not cls:
@@ -132,6 +146,18 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     of 0 under Aut(g), read off ``graphs._canonical``; a question with no
     fixed entry tries one letter at the root, so it skips the orbit."""
     run.decoders_tried += 1
+    return _placements(g, k, prefix, fixed, cuts, run)(0, [(1 << g.n) - 1] * k)
+
+
+def _placements(g: Graph, k: int, prefix: int, fixed: int,
+                cuts: list[tuple[int, int] | None], run: Run):
+    """The letter-class search of ``_fits``, set up once for its key:
+    ``search(placed, cand)`` runs it from every letter empty, the vertices
+    of the mask ``placed`` already placed (nothing joins them, so they must
+    be accounted for in ``cand``) and ``cand`` as the start masks, and
+    returns a fitting code or None. A search counts its placements as
+    ``run``'s ``nodes``, but no decoder; ``_search_word`` sets one up per
+    word search for its completion check."""
     n, rows, full = g.n, g.rows, (1 << g.n) - 1
     deadline = run.deadline
     prefix &= (1 << fixed) - 1
@@ -244,7 +270,11 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
                 cand[a] &= ~same
         return None
 
-    return place(prefix, 0, 0, [full] * k, [0] * n, [0] * n)
+    def search(placed: int, cand: list[int]):
+        members[:] = [(0, full, full)] * k  # a hit left the last one's
+        return place(prefix, placed, 0, cand, [0] * n, [0] * n)
+
+    return search
 
 
 @functools.lru_cache(maxsize=256)
@@ -345,6 +375,28 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     ``cuts[v][b != a]`` (see ``_class_cuts``). The candidates for letter a
     are the bits of ``cand[a] & allowed[a]``, lowest first. Each candidate
     tried counts one ``run`` node.
+
+    Once a candidate at a position has led to a dead subtree of at least
+    ``_CHECK_AFTER`` nodes, each later candidate there is first put to a
+    completion check: the letter-class search of ``_fits`` with every
+    entry fixed to ``matrix`` (``_placements``, set up once per word
+    search), from the prefix and the candidate placed and ``cand[b] &
+    allowed[b]`` of the state it leaves as the start masks, under the
+    class cuts. A word that completes the prefix gives each unplaced
+    vertex a letter within those masks, under the same entries and cuts,
+    and orders them with no cycle, so the check finds a fitting lettering.
+    A check that finds none thus skips only a subtree with no word. The
+    candidates left are tried in the same order, so the first word found
+    is still the least one. The twin nogood stays sound inside a check:
+    twins u and w have equal rows but for each other, so every placed
+    vertex puts them on the same side and the start masks hold both or
+    neither; the swap of u and w fixes the placed vertices and the start
+    masks, which is all ``_fits``'s argument asks. With class cuts there
+    are no nogoods, and the root's orbit is never used, as something is
+    placed. A check places vertices at about four times a word-search
+    node's cost, and the small dead subtrees of graphs with n <= 8 cost
+    less than the checks that would replace them, hence the gate. The
+    check's placements count as ``run`` nodes; it counts no decoder.
     """
     rows = g.rows
     full = (1 << g.n) - 1
@@ -356,15 +408,18 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
         return None  # a class has no letter of its kind
     keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
     deadline = run.deadline
+    complete = None  # the completion check, set up when first needed
 
     word: list[int] = []
     placed: list[int] = []
 
     def dfs(cand: list[int], allowed: list[int], rest: int) -> bool:
+        nonlocal complete
         if not rest:
             return True
         if deadline is not None:
             run.check("lettering search")
+        dead = False  # a candidate here has led to a large dead subtree
         for a in range(k):
             todo = cand[a] & allowed[a]
             if not todo:
@@ -390,14 +445,26 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                     continue
                 nxt = [m & row if keep else m & row_non
                        for m, keep in zip(cand, keeps)]
+                cut = cuts[v]
+                kept = [m & cut[b != a] for b, m in enumerate(allowed)] \
+                    if cut else allowed
+                if dead:
+                    if complete is None:
+                        complete = _placements(g, k, sum(
+                            m << i * k for i, m in enumerate(matrix)),
+                            k * k, cuts, run)
+                    if complete(full & ~left, list(map(operator.and_, nxt,
+                                                       kept))) is None:
+                        continue  # no word completes this prefix
                 placed.append(v)
                 word.append(a)
-                cut = cuts[v]
-                if dfs(nxt, [m & cut[b != a] for b, m in enumerate(allowed)]
-                       if cut else allowed, left):
+                spent = run.nodes
+                if dfs(nxt, kept, left):
                     return True
                 word.pop()
                 placed.pop()
+                if run.nodes - spent >= _CHECK_AFTER:
+                    dead = True
         return False
 
     if dfs([full] * k, allowed, full):
@@ -412,12 +479,12 @@ def _class_cuts(g: Graph, constraint: LetterClassConstraint | None
     (kept on v's letter, kept on every other letter). Placing v clears the
     other classes' members from its letter and C's members from every other
     letter, so each class shares one letter and distinct classes use
-    distinct letters. Every id is checked first (ValueError); the result is
-    None if a class mixes edges and non-edges, as a letter's members are a
-    clique or a co-clique."""
+    distinct letters. An id past ``g``'s last vertex raises ValueError
+    first (the constraint has already rejected ids that are not ints >=
+    0); the result is None if a class mixes edges and non-edges, as a
+    letter's members are a clique or a co-clique."""
     classes = () if constraint is None else constraint.classes
-    if any(type(v) is not int or not 0 <= v < g.n  # a bool is no id
-           for cls in classes for v in cls):
+    if any(v >= g.n for cls in classes for v in cls):  # ints >= 0 by now
         raise ValueError("constraint class contains bad vertex ids")
     every = sum(1 << v for cls in classes for v in cls)
     cuts: list[tuple[int, int] | None] = [None] * g.n

@@ -5,9 +5,12 @@ decoders tried (letter-class searches), the nodes expanded, the
 microseconds per node and ``split``, the calls and seconds of each kind
 of search: ``decisions`` (letter-class searches with no fixed entries),
 ``descent_hits`` and ``descent_exhausted`` (the descent's questions,
-by answer) and ``word_searches``. The split times each call with its own
-clock readings, so ``elapsed`` includes a little of that overhead. The
-queries are:
+by answer), ``word_searches`` and ``completion_checks``, the letter-class
+searches a word search runs to skip a candidate with no word below it
+(``solver._search_word``). A check is word-search work: its seconds are
+also part of ``word_searches``', and it is no descent question. The
+split times each call with its own clock readings, so ``elapsed``
+includes a little of that overhead. The queries are:
 
 - ``r3-k4`` and ``r3-k5``: the stacked path R3 (12 vertices) at k = 4
   and k = 5, both exhausted;
@@ -288,7 +291,8 @@ OPT_IN = ("profile-prime", "catalogue-n8")
 TABLE_COUNTS = ("lettericity-n7", "compose-n7")
 
 
-SPLIT = ("decisions", "descent_hits", "descent_exhausted", "word_searches")
+SPLIT = ("decisions", "descent_hits", "descent_exhausted", "word_searches",
+         "completion_checks")
 
 
 def _timed(real, split, kind_of):
@@ -309,11 +313,25 @@ def measure(name: str) -> dict:
     split = {kind: {"calls": 0, "s": 0.0} for kind in SPLIT}
     fits = _timed(solver._fits, split, lambda args, hit: SPLIT[
         0 if not args[3] else 1 if hit is not None else 2])  # args[3]: fixed
-    word = _timed(solver._search_word, split, lambda args, hit: SPLIT[3])
+    timed_word = _timed(solver._search_word, split, lambda args, hit: SPLIT[3])
+    real_placements, inside = solver._placements, []  # inside a word search
+
+    def word(*args):
+        inside.append(None)
+        try:
+            return timed_word(*args)
+        finally:
+            inside.pop()
+
+    def placements(*args):  # sets up _fits' search, or a completion check
+        search = real_placements(*args)
+        return _timed(search, split, lambda args, hit: SPLIT[4]) \
+            if inside else search
     solver._tables.cache_clear()
     start = time.perf_counter()
     with mock.patch.object(solver, "_fits", fits), \
-            mock.patch.object(solver, "_search_word", word):
+            mock.patch.object(solver, "_search_word", word), \
+            mock.patch.object(solver, "_placements", placements):
         outcome, reports, extra = query()
     elapsed = time.perf_counter() - start
     tables = solver._tables.cache_info()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -117,11 +118,15 @@ def test_empty_constraint_agrees_with_unconstrained():
 
 def test_every_class_id_is_checked_before_the_search():
     # {0, 1, 2} is mixed in P3, which alone would exhaust at once
-    # an id that is not an int, a bool included, is as bad as one past n
-    for classes in (({0, 1, 2}, {9}), ({9}, {0, 1, 2}), ({0, 1, 2}, {-1}),
-                    ({0.5},), ({"a"},), ({True}, {2})):
+    for classes in (({0, 1, 2}, {9}), ({9}, {0, 1, 2})):
         with pytest.raises(ValueError, match="bad vertex ids"):
             is_k_letterable(path(3), 2, LetterClassConstraint.of(*classes))
+    # an id that is not an int >= 0, a bool included, fails as the
+    # constraint is built, before its overlap check, where True met {1}
+    for classes in (({0, 1, 2}, {-1}), ({0.5},), ({"a"},), ({True}, {2}),
+                    ({True}, {1}), ({0, 1}, {1, -3})):
+        with pytest.raises(ValueError, match="bad vertex ids"):
+            LetterClassConstraint.of(*classes)
 
 
 def test_a_failed_word_search_fails_the_soundness_guard(monkeypatch):
@@ -234,6 +239,22 @@ def test_nan_budget_is_rejected():
         lettericity(cycle(6), budget=-1.0)
 
 
+def test_a_run_may_be_entered_again_while_entered():
+    # each exit restores the run enclosing its own entry; with one token
+    # slot the outer exit raised RuntimeError, as its token was spent
+    outer, again = Run(100), Run(50)
+    with outer:
+        with outer:
+            assert Run().deadline == outer.deadline
+        assert Run().deadline == outer.deadline
+        with again:
+            with outer, again:
+                assert Run().deadline == again.deadline
+            assert Run().deadline == again.deadline
+        assert Run().deadline == outer.deadline
+    assert Run().deadline is None
+
+
 def test_report_serialization():
     report = is_k_letterable(path(4), 2)
     obj = json.loads(report.to_json())
@@ -314,7 +335,7 @@ def test_golden_solver_outputs():
     assert got["counters"] == want["counters"]
 
 
-def test_solver_timing_script_reports_a_query(capsys):
+def test_solver_timing_script_reports_a_query(capsys, monkeypatch):
     from tests import solver_timing
     solver_timing.main(["r3-k4"])
     line = json.loads(capsys.readouterr().out)
@@ -326,12 +347,25 @@ def test_solver_timing_script_reports_a_query(capsys):
     split = line["split"]  # the one decision exhausts, so no descent
     assert {kind: entry["calls"] for kind, entry in split.items()} == {
         "decisions": 1, "descent_hits": 0, "descent_exhausted": 0,
-        "word_searches": 0}
+        "word_searches": 0, "completion_checks": 0}
     assert 0 < split["decisions"]["s"] <= line["elapsed"] + 5e-4  # ms
     assert line["us_per_node"] == pytest.approx(
         line["elapsed"] / line["nodes"] * 1e6, rel=0.05)
     with pytest.raises(SystemExit, match="unknown query r3"):
         solver_timing.main(["r3"])
+    # a found query: its word search's completion checks are word-search
+    # work, counted apart, and no descent question
+    g = next(_exact_p10_labellings())
+    monkeypatch.setitem(solver_timing.QUERIES, "p10",
+                        lambda: solver_timing._single(g, 4))
+    solver_timing.main(["p10"])
+    line = json.loads(capsys.readouterr().out)
+    split = line["split"]
+    assert line["outcome"] == "found" and split["word_searches"]["calls"] == 1
+    assert sum(split[kind]["calls"] for kind in solver_timing.SPLIT[:3]) == \
+        line["decoders"]
+    assert split["completion_checks"]["calls"] > 0
+    assert split["completion_checks"]["s"] <= split["word_searches"]["s"]
 
 
 def test_lettericity_sweep_n7_keeps_its_answers_and_search_tree():
@@ -487,11 +521,16 @@ def _uniform_classes(g: Graph, rnd, count: int):
     return classes
 
 
-def _both_searches(g: Graph, k: int, matrix, classes):
-    """Both searches' words and node counts, under the enclosing deadline."""
+def _both_searches(g: Graph, k: int, matrix, classes, check_after=None):
+    """Both searches' words and node counts, under the enclosing deadline;
+    ``_search_word`` checks for a completion after a dead subtree of
+    ``check_after`` nodes (``solver._CHECK_AFTER`` for None)."""
     class_of, class_kind = _class_arrays(g, classes)
     new, ref = Run(), [0]
-    return [(_search_word(g, k, matrix, _cuts(g, classes), new), new.nodes),
+    with mock.patch.object(solver, "_CHECK_AFTER", solver._CHECK_AFTER
+                           if check_after is None else check_after):
+        word = _search_word(g, k, matrix, _cuts(g, classes), new)
+    return [(word, new.nodes),
             (_reference_search_word(g, k, matrix, class_of, class_kind,
                                     ref, new.deadline), ref[0])]
 
@@ -508,9 +547,12 @@ def test_search_word_matches_reference(n, k, n_classes, rnd):
         # some draws up to n = 9, k = 4 search for minutes
         with Run(2):
             new, ref = _both_searches(g, k, matrix, classes)
+            eager, _ = _both_searches(g, k, matrix, classes, check_after=0)
     except BudgetExceeded:
         reject()
-    assert new == ref
+    # the same word, or None; the completion check skips subtrees with no
+    # word, so the new search may try fewer nodes than the reference
+    assert new[0] == eager[0] == ref[0]
 
 
 def test_search_word_edge_cases():
@@ -528,6 +570,77 @@ def test_search_word_edge_cases():
                               [frozenset({0, 1})])
     assert new == ref
     assert new[0] is not None
+
+
+def _exact_p10_labellings():
+    """P10 as passes 0, 1 and 2 of seed 1 of the benchmark's exact workload
+    label it: each pass draws C8's labels, then P10's
+    (``perfbench/workloads.py``)."""
+    from tests.bytecode_count import _workloads
+    workloads = _workloads()
+    for i in range(3):
+        rng = random.Random(1 * workloads.PASS_STRIDE + i)
+        workloads._relabel(cycle(8), rng)
+        yield workloads._relabel(path(10), rng)[0]
+
+
+def _least_decoder(g: Graph, k: int, classes=()) -> tuple[int, ...]:
+    """D*, the decoder of the least k-lettering of ``g``, as row masks."""
+    report = is_k_letterable(g, k, LetterClassConstraint.of(*classes))
+    pairs = report.lettering.decoder.pairs
+    return tuple(sum(1 << b for b in range(k) if pairs[a][b])
+                 for a in range(k))
+
+
+def test_p10_word_search_places_at_most_a_fifth_of_the_reference_dfs():
+    # the depth-first search without completion checks tries 5,800-7,900
+    # candidates on these labellings, in dead subtrees but for ten
+    for g in _exact_p10_labellings():
+        new, ref = _both_searches(g, 4, _least_decoder(g, 4), [])
+        assert new[0] == ref[0] is not None
+        assert new[1] * 5 <= ref[1]
+
+
+def _check_states(g: Graph, k: int, matrix, classes):
+    """The placed mask and start masks of each completion check that a word
+    search of ``g`` under ``matrix`` makes when it checks after every dead
+    subtree."""
+    states, real = [], solver._placements
+
+    def recording(*args):
+        search = real(*args)
+        return lambda placed, cand: states.append((placed, cand[:])) or \
+            search(placed, cand)
+
+    with mock.patch.object(solver, "_placements", recording), \
+            mock.patch.object(solver, "_CHECK_AFTER", 0):
+        assert _search_word(g, k, matrix, _cuts(g, classes), Run())
+    return states
+
+
+def test_a_reused_completion_check_answers_as_a_fresh_one():
+    # a hit returns before the search restores its letters' members, so a
+    # reused search must empty them itself; P10, a twin-rich inflation of
+    # C5 (nogoods on) and the stacked path R2 with two classes (cuts on)
+    r2, labels = stacked_path(2)
+    cases = [(g, 4, []) for g in _exact_p10_labellings()]
+    cases.append((inflate(cycle(5), [complete(2), path(1), co_matching(1),
+                                     path(3), path(1)])[0], 4, []))
+    cases.append((r2, 5, [frozenset(labels.id_of(role, level, 1)
+                                    for level in (1, 2))
+                          for role in ("s", "c")]))
+    answers = set()
+    for g, k, classes in cases:
+        matrix = _least_decoder(g, k, classes)
+        code = sum(row << a * k for a, row in enumerate(matrix))
+        cuts = _cuts(g, classes)
+        reused = solver._placements(g, k, code, k * k, cuts, Run())
+        for placed, cand in _check_states(g, k, matrix, classes):
+            fresh = solver._placements(g, k, code, k * k, cuts, Run())
+            hit = reused(placed, cand[:])
+            assert hit == fresh(placed, cand[:]) in (None, code)
+            answers.add(hit is None)
+    assert answers == {False, True}
 
 
 # -- the decoder walk that the letter-class search replaced ------------------

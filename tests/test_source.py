@@ -25,7 +25,7 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def test_only_solver_and_cli_read_the_clock():
+def test_only_run_reads_the_clock():
     # deadlines and "elapsed" both live in run.Run: the solver and the cli
     # read them off a Run, so run.py is the one reader of the clock left
     root = pathlib.Path(letterkit.__file__).parent
