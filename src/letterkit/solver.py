@@ -16,12 +16,9 @@ is closed to its images under the automorphisms that fix the placed
 vertices: its twins, and at the root its orbit under Aut(g), which the
 canonical labelling's search finds (``graphs._canonical``). A word search
 over one candidate vertex bitmask per letter then finds the least
-decoder's least word. Once a candidate position has shown a large dead
-subtree, the word search puts each later candidate there to a completion
-check: the same letter-class search with every entry fixed to that
-decoder, from the word's prefix. The check decides whether any word
-completes the prefix, so it skips only subtrees with no word, and the
-least word, every lettering and every certificate stay as they were.
+decoder's least word; after a large dead subtree at a word position, it
+skips each later candidate there that a completion check, the same
+letter-class search with every entry fixed, shows has no word below it.
 
 Every search runs in a :class:`Run` of its own (``letterkit.run``) under
 the enclosing one's deadline; ``solver.Run`` and ``solver.BudgetExceeded``
@@ -52,10 +49,8 @@ _CHECK_AFTER = 128
 @_record
 class LetterClassConstraint:
     """Disjoint vertex classes; each class must share one letter and
-    distinct classes must use distinct letters. An id that is not an int
-    (a bool included) or is negative raises the "bad vertex ids"
-    ValueError before the classes are checked for overlaps; the solver
-    checks each id against the graph's size."""
+    distinct classes must use distinct letters. Ids must be ints >= 0, not
+    bools ("bad vertex ids" ValueError, before the overlap check)."""
 
     classes: tuple[frozenset[int], ...]
 
