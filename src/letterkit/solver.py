@@ -19,6 +19,8 @@ over one candidate vertex bitmask per letter then finds the least
 decoder's least word; after a large dead subtree at a word position, it
 skips each later candidate there that a completion check, the same
 letter-class search with every entry fixed, shows has no word below it.
+Only subtrees with no word are skipped, so the least word is unchanged,
+and the twin nogood stays sound in a check (``_search_word``).
 
 Every search runs in a :class:`Run` of its own (``letterkit.run``) under
 the enclosing one's deadline; ``solver.Run`` and ``solver.BudgetExceeded``
