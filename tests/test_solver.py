@@ -379,6 +379,37 @@ def test_lettericity_sweep_n7_keeps_its_answers_and_search_tree():
     assert sum(r.nodes_expanded for r in reports) == 555_795
 
 
+def test_exact_workload_searches_keep_their_trees():
+    # (k, outcome, decoders_tried, nodes_expanded) of every is_k_letterable
+    # call of the climbs on pass 0 of seed 1 of the exact workload, and of
+    # R3 at k = 3 and 4: the search trees of the benchmark's slowest items
+    want = {
+        "C8": [(2, "exhausted", 1, 19), (3, "exhausted", 1, 291),
+               (4, "found", 5, 2341)],
+        "P10": [(3, "exhausted", 1, 353), (4, "found", 4, 2214)],
+        "R2": [(1, "exhausted", 1, 2), (2, "exhausted", 1, 21),
+               (3, "exhausted", 1, 430), (4, "found", 8, 3626)],
+        "co-R2": [(1, "exhausted", 1, 2), (2, "exhausted", 1, 21),
+                  (3, "exhausted", 1, 408), (4, "found", 7, 1898)]}
+    real, calls = solver.is_k_letterable, []
+
+    def record(g, k, *args):
+        report = real(g, k, *args)
+        calls.append((k, report.outcome, report.decoders_tried,
+                      report.nodes_expanded))
+        return report
+
+    for name, g in _exact_lettericity_graphs(0).items():
+        calls.clear()
+        with mock.patch.object(solver, "is_k_letterable", record):
+            lettericity(g)
+        assert calls == want[name], name
+    r3 = stacked_path(3)[0]
+    assert [(r.outcome, r.decoders_tried, r.nodes_expanded)
+            for r in (is_k_letterable(r3, 3), is_k_letterable(r3, 4))] == \
+        [("exhausted", 1, 310), ("exhausted", 1, 12_029)]
+
+
 def test_golden_section_rewrite_leaves_other_sections_alone():
     from tests.golden_solver import merge
     old = {"counters": {"g": [1]}, "letterings": {"g": "a"}}
@@ -572,16 +603,23 @@ def test_search_word_edge_cases():
     assert new[0] is not None
 
 
-def _exact_p10_labellings():
-    """P10 as passes 0, 1 and 2 of seed 1 of the benchmark's exact workload
-    label it: each pass draws C8's labels, then P10's
-    (``perfbench/workloads.py``)."""
+def _exact_lettericity_graphs(pass_index: int) -> dict[str, Graph]:
+    """C8, P10, R2 and co-R2 as pass ``pass_index`` of seed 1 of the
+    benchmark's exact workload labels them, drawing their labels in that
+    order (``perfbench/workloads.py``)."""
     from tests.bytecode_count import _workloads
     workloads = _workloads()
+    rng = random.Random(1 * workloads.PASS_STRIDE + pass_index)
+    r2 = stacked_path(2)[0]
+    return {name: workloads._relabel(g, rng)[0] for name, g in (
+        ("C8", cycle(8)), ("P10", path(10)), ("R2", r2),
+        ("co-R2", r2.complement()))}
+
+
+def _exact_p10_labellings():
+    """P10 as passes 0, 1 and 2 of seed 1 of the exact workload label it."""
     for i in range(3):
-        rng = random.Random(1 * workloads.PASS_STRIDE + i)
-        workloads._relabel(cycle(8), rng)
-        yield workloads._relabel(path(10), rng)[0]
+        yield _exact_lettericity_graphs(i)["P10"]
 
 
 def _least_decoder(g: Graph, k: int, classes=()) -> tuple[int, ...]:
@@ -903,6 +941,199 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
         assert got & known == prefix & known
         solver._least_lettering(g, tuple(got >> a * k & (1 << k) - 1
                                          for a in range(k)), Run())
+
+
+# -- _placements against the search it was rewritten from --------------------
+
+def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
+                          cuts: list[tuple[int, int] | None], run: Run):
+    """``solver._placements`` as it was before its placements were made
+    cheaper, verbatim but for its tables (``_reference_tables``), the same
+    search tree at more Python work per placement."""
+    n, rows, full = g.n, g.rows, (1 << g.n) - 1
+    deadline = run.deadline
+    prefix &= (1 << fixed) - 1
+    column, letters, rotated, tied, options = _reference_tables(k, prefix,
+                                                                fixed)
+    non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
+    members = [(0, full, full)] * k  # members, adjacent to none, to all
+    twins = None if any(cuts) else solver._twins(g)  # None: no nogoods
+
+    def place(code: int, placed: int, near: int, cand: list[int],
+              succ: list[int], pred: list[int]):
+        left = full & ~placed
+        if not left:
+            return code
+        if deadline is not None:
+            run.check("lettering search")
+        one = two = three = 0  # in at least one, two, three masks
+        for m in cand:
+            one, two, three = one | m, two | one & m, three | two & m
+        if one & left != left:
+            return None
+        v = (one & ~two & left) or (two & ~three & left) or left
+        v = ((v & near or v) & -(v & near or v)).bit_length() - 1
+        cut, bit, row = cuts[v], 1 << v, rows[v]
+        sides, opened = (non[v], row), []
+        first = members[0][0]  # (0, 0) leads the code: try clique a last
+        for a, ak, aa in rotated if not fixed and row & first and \
+                0 < first == first & -first else letters:
+            own, none, every = members[a]
+            if not cand[a] & bit or not own and ak >= fixed and (
+                    column[a] in opened or opened.append(column[a])):
+                continue  # v can't join a, or a is a twin of a letter tried
+            here = code
+            if own and not own & own - 1 and row & own and aa >= fixed:
+                here |= 1 << aa  # the second member sets entry (a, a)
+            members[a] = own | bit, none & sides[0], every & sides[1]
+            nxt = cand[:]
+            for b, x in tied[a]:  # fixed entries bind an empty b too
+                if not members[b][0]:
+                    nxt[b] &= sides[x]
+            if own or aa < fixed:
+                nxt[a] &= members[a][1 + (here >> aa & 1)]
+            if cut:  # one letter per class
+                nxt = [m & cut[b != a] for b, m in enumerate(nxt)]
+            if own:  # a join: each entry to a letter with members is set
+                after, before, out, into = 0, 0, here >> ak, here >> a
+                for b, m in enumerate(members):
+                    if b == a or not m[0]:
+                        continue
+                    x = out >> b & 1
+                    if x != into >> b * k & 1:
+                        after |= m[0] & sides[x]
+                        before |= m[0] & sides[1 - x]
+                    else:
+                        nxt[b] &= sides[x]
+                choices = (here, nxt, after, before),
+            else:  # an opening: a's options with each letter b with members
+                choices = [(here, nxt, 0, 0)]
+                for b, table in options[a]:
+                    m = members[b]
+                    if not m[0]:
+                        continue
+                    split, grown = (m[0] & sides[0], m[0] & sides[1]), []
+                    for now, base, after, before in choices:
+                        for x, y, bits in table:
+                            if x != y:
+                                grown.append((now | bits, base, after |
+                                              split[x], before | split[y]))
+                            elif m[1 + x] >> v & 1:  # b's members on side x
+                                eq = base[:]
+                                eq[b] &= sides[x]
+                                eq[a] &= m[1 + x]
+                                grown.append((now | bits, eq, after, before))
+                    choices = grown
+            for now, nxt, after, before in choices:
+                run.nodes += 1
+                rest = after  # close after: add succ[u] for each u in it
+                while rest:
+                    low = rest & -rest
+                    after |= succ[low.bit_length() - 1]
+                    rest ^= low
+                if after & before:
+                    continue  # the forced order has a cycle
+                nsucc, npred = succ, pred
+                if after | before:
+                    nsucc, npred, rest = succ[:], pred[:], before
+                    while rest:  # close before: add pred[u] for each u
+                        low = rest & -rest
+                        before |= pred[low.bit_length() - 1]
+                        rest ^= low
+                    rest = before  # before precedes v and after
+                    while rest:
+                        low = rest & -rest
+                        nsucc[low.bit_length() - 1] |= after | bit
+                        rest ^= low
+                    rest = after  # after follows before and v
+                    while rest:
+                        low = rest & -rest
+                        npred[low.bit_length() - 1] |= before | bit
+                        rest ^= low
+                    nsucc[v], npred[v] = after, before
+                hit = place(now, placed | bit, near | row, nxt, nsucc, npred)
+                if hit is not None:
+                    return hit
+            members[a] = own, none, every
+            # v's images; with no fixed entry the root tries one letter
+            same = twins and (twins[v] & left if placed else
+                              fixed and _canonical(g)[2][0])
+            if same:  # none of them takes a
+                cand = cand[:]  # an opening's choices share one cand list
+                cand[a] &= ~same
+        return None
+
+    def search(placed: int, cand: list[int]):
+        members[:] = [(0, full, full)] * k  # a hit left the last one's
+        return place(prefix, placed, 0, cand, [0] * n, [0] * n)
+
+    return search
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tables(k: int, prefix: int, fixed: int) -> tuple:
+    """The tables ``_reference_placements`` reads, as ``solver._tables``
+    built them before: each letter's column of fixed entries, (a, a*k,
+    a*k + a) per letter in letter and in clique-last order, the fixed
+    pairs of equal entries per letter, and the options of opening a
+    letter beside each other letter."""
+    known = (1 << fixed) - 1
+    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
+    column = tuple(prefix >> a & stride | (known >> a & stride) << k * k
+                   for a in range(k))
+    tied = tuple(tuple((b, prefix >> a * k + b & 1) for b in range(k)
+                       if b != a
+                       and known >> a * k + b & known >> b * k + a & 1
+                       and prefix >> a * k + b & 1 == prefix >> b * k + a & 1)
+                 for a in range(k))
+    given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
+             for e in range(k * k)]  # the values entry e may take
+    options = tuple(tuple(
+        (b, tuple((x, y, x << a * k + b | y << b * k + a)
+                  for y in given[b * k + a] for x in given[a * k + b]))
+        for b in range(k) if b != a) for a in range(k))
+    letters = tuple((a, a * k, a * k + a) for a in range(k))
+    return column, letters, letters[1:] + letters[:1], tied, options
+
+
+def _same_placements(g: Graph, k: int, prefix: int, fixed: int,
+                     cuts, placed: int, cand: list[int]) -> None:
+    """Both searches from one start state give the same code and count
+    the same placements."""
+    new, ref = Run(), Run()
+    got = solver._placements(g, k, prefix, fixed, cuts, new)(placed,
+                                                               cand[:])
+    want = _reference_placements(g, k, prefix, fixed, cuts, ref)(placed,
+                                                                  cand[:])
+    assert (got, new.nodes, new.decoders_tried) == \
+        (want, ref.nodes, ref.decoders_tried)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 4), st.just(0) | st.integers(1, 3),
+       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
+       st.randoms(use_true_random=False))
+def test_placements_match_reference(n, k, n_classes, draw, rnd):
+    # from the empty state, with any prefix and number of fixed entries;
+    # then, once a code fits, from the start states of the completion
+    # checks that a word search under it makes
+    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
+        draw(rnd)
+    fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
+    classes = _uniform_classes(g, rnd, n_classes)
+    cuts = _cuts(g, classes)
+    full = (1 << g.n) - 1
+    try:
+        with Run(2):
+            _same_placements(g, k, prefix, fixed, cuts, 0, [full] * k)
+            code = solver._fits(g, k, prefix, fixed, cuts, Run())
+            if code is None:
+                return
+            matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
+            for placed, cand in _check_states(g, k, matrix, classes)[:20]:
+                _same_placements(g, k, code, k * k, cuts, placed, cand)
+    except BudgetExceeded:
+        reject()
 
 
 def _tuples_of_ints(value) -> bool:
