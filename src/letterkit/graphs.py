@@ -427,6 +427,14 @@ def _twins(g: Graph) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
+def _nons(g: Graph) -> tuple[int, ...]:
+    """For each vertex v of ``g``, its non-neighbours as a bitmask, v's
+    other side from its row. Kept for the last 64 graphs."""
+    full = (1 << g.n) - 1
+    return tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows))
+
+
+@lru_cache(maxsize=64)
 def _canonical(g: Graph) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """``canonical_code(g)``, a vertex ordering that reaches it, and each
     vertex's orbit under Aut(g) as a bitmask, by branch and bound over

@@ -34,7 +34,7 @@ import itertools
 import json
 import operator
 
-from .graphs import Graph, ScaleError, _canonical, _record, _twins
+from .graphs import Graph, ScaleError, _canonical, _nons, _record, _twins
 from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
 from .obstructions import max_induced_matching
 from .run import BudgetExceeded, Run  # noqa: F401  re-exported
@@ -112,7 +112,7 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     ``cand[a]`` to its x side, when it came or when a opened. So a vertex
     that joins a letter with members has exactly one choice of entries and
     no side to check; only opening an empty letter chooses entries. Its
-    choices come from the option tables of ``_tables``, which depend on
+    choices come from the letter specs of ``_tables``, which depend on
     ``g`` not at all and are built once per (k, prefix, fixed), not once
     per call; they are expanded letter by letter in ``itertools.product``
     order: the first letter with members varies slowest, and for each,
@@ -154,124 +154,185 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     be accounted for in ``cand``) and ``cand`` as the start masks, and
     returns a fitting code or None. A search counts its placements as
     ``run``'s ``nodes``, but no decoder; ``_search_word`` sets one up per
-    word search for its completion check."""
-    n, rows, full = g.n, g.rows, (1 << g.n) - 1
+    word search for its completion check.
+
+    ``owns[a]`` is letter a's members. ``rows`` and ``_nons``, built once
+    per graph, give each vertex's two sides. The letter specs of
+    ``_tables`` carry each letter's join plan, (b, bit of (a, b), bit of
+    (b, a)) per other letter b, and the mask of letters whose openings
+    repeat a's. Set bits are walked a byte at a time through ``_LOW`` and
+    ``_HIGH``. A placement closes ``after`` and tests it for a cycle, a
+    join before it restricts ``cand[a]``; the child adds the placed vertex
+    ``last`` to ``succ`` and ``pred``. No letter keeps the masks of the
+    vertices on one side of all its members: ``cand`` only shrinks down
+    the tree, and once entry (a, a) = x is known each member of a has cut
+    ``cand[a]`` to its x side (the first one when the second came), so a
+    join cuts ``cand[a]`` to v's x side alone. Only an opening with equal
+    entries x to a letter b walks b's members for their x sides. The
+    placements are counted on a local and added to ``run.nodes`` when the
+    search returns or raises; with a deadline the clock is read on a
+    search's first call and then once per 64 placements."""
+    n, full = g.n, (1 << g.n) - 1
+    rows, nons = g.rows, _nons(g)
     deadline = run.deadline
     prefix &= (1 << fixed) - 1
-    column, letters, rotated, tied, options = _tables(k, prefix, fixed)
-    non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
-    members = [(0, full, full)] * k  # members, adjacent to none, to all
+    letters, rotated = _tables(k, prefix, fixed)
+    owns = [0] * k  # each letter's members
     twins = None if any(cuts) else _twins(g)  # None: no nogoods
+    nodes = due = 0  # placements tried; the count at which to read the clock
 
-    def place(code: int, placed: int, near: int, cand: list[int],
-              succ: list[int], pred: list[int]):
-        left = full & ~placed
+    def place(code: int, left: int, near: int, cand: list[int],
+              succ: list[int], pred: list[int], last: int, after: int,
+              before: int):
+        nonlocal nodes, due
         if not left:
             return code
-        if deadline is not None:
+        if after | before:  # order last; after came closed, close before
+            for u in _LOW[before & 255] + _HIGH[before >> 8]:
+                before |= pred[u]  # add pred[u] for each u in it
+            succ, pred = succ[:], pred[:]
+            tail, head = after | 1 << last, before | 1 << last
+            for u in _LOW[before & 255] + _HIGH[before >> 8]:
+                succ[u] |= tail  # before precedes last and after
+            for u in _LOW[after & 255] + _HIGH[after >> 8]:
+                pred[u] |= head  # after follows before and last
+            succ[last], pred[last] = after, before
+        if nodes >= due:
             run.check("lettering search")
+            due = nodes + 64
         one = two = three = 0  # in at least one, two, three masks
         for m in cand:
-            one, two, three = one | m, two | one & m, three | two & m
+            three |= two & m
+            two |= one & m
+            one |= m
         if one & left != left:
             return None
         v = (one & ~two & left) or (two & ~three & left) or left
-        v = ((v & near or v) & -(v & near or v)).bit_length() - 1
-        cut, bit, row = cuts[v], 1 << v, rows[v]
-        sides, opened = (non[v], row), []
-        first = members[0][0]  # (0, 0) leads the code: try clique a last
-        for a, ak, aa in rotated if not fixed and row & first and \
-                0 < first == first & -first else letters:
-            own, none, every = members[a]
-            if not cand[a] & bit or not own and ak >= fixed and (
-                    column[a] in opened or opened.append(column[a])):
-                continue  # v can't join a, or a is a twin of a letter tried
-            here = code
-            if own and not own & own - 1 and row & own and aa >= fixed:
-                here |= 1 << aa  # the second member sets entry (a, a)
-            members[a] = own | bit, none & sides[0], every & sides[1]
-            nxt = cand[:]
-            for b, x in tied[a]:  # fixed entries bind an empty b too
-                if not members[b][0]:
-                    nxt[b] &= sides[x]
-            if own or aa < fixed:
-                nxt[a] &= members[a][1 + (here >> aa & 1)]
-            if cut:  # one letter per class
-                nxt = [m & cut[b != a] for b, m in enumerate(nxt)]
+        v = v & near or v
+        v = (v & -v).bit_length() - 1
+        non, row, cut, bit = nons[v], rows[v], cuts[v], 1 << v
+        # v's images, which each failed letter is closed to: its unplaced
+        # twins, or at the root of a question -1 for its orbit, read once a
+        # letter fails; with no fixed entry the root tries one letter
+        same = twins and (twins[v] & left if left != full else fixed and -1)
+        opened = 0  # the letters whose openings repeat one tried
+        # (0, 0) leads a decision's code: try clique a last
+        for a, spec in rotated if not fixed and row & owns[0] and \
+                not owns[0] & owns[0] - 1 else letters:
+            if not cand[a] & bit:
+                continue  # v can't join a
+            own = owns[a]
+            dup, aa, set_aa, tied, plan, options = spec
+            if not own and opened & dup:
+                continue  # a is a twin of a letter tried
+            nxt = cand[:] if cut is None else \
+                [m & cut[b != a] for b, m in enumerate(cand)]  # one per class
+            if tied:  # fixed entries bind an empty b too
+                for b, x in tied:
+                    if not owns[b]:
+                        nxt[b] &= row if x else non
             if own:  # a join: each entry to a letter with members is set
-                after, before, out, into = 0, 0, here >> ak, here >> a
-                for b, m in enumerate(members):
-                    if b == a or not m[0]:
+                after = before = 0
+                for b, ab, ba in plan:
+                    m = owns[b]
+                    if not m:
                         continue
-                    x = out >> b & 1
-                    if x != into >> b * k & 1:
-                        after |= m[0] & sides[x]
-                        before |= m[0] & sides[1 - x]
+                    if code & ab:
+                        if code & ba:
+                            nxt[b] &= row
+                        else:
+                            after |= m & row
+                            before |= m & non
+                    elif code & ba:
+                        after |= m & non
+                        before |= m & row
                     else:
-                        nxt[b] &= sides[x]
-                choices = (here, nxt, after, before),
+                        nxt[b] &= non
+                nodes += 1
+                for u in _LOW[after & 255] + _HIGH[after >> 8]:
+                    after |= succ[u]  # close after: add succ[u] for each u
+                if not after & before:  # else the order has a cycle
+                    now = code
+                    if set_aa and not own & own - 1:
+                        # the second member sets entry (a, a)
+                        u = own.bit_length() - 1  # the first member
+                        if row & own:
+                            now |= set_aa
+                            nxt[a] &= row & rows[u]
+                        else:
+                            nxt[a] &= non & nons[u]
+                    else:  # cand[a] is on that side of the others already
+                        nxt[a] &= row if code & aa else non
+                    owns[a] = own | bit
+                    hit = place(now, left ^ bit, near | row, nxt, succ,
+                                pred, v, after, before)
+                    owns[a] = own
+                    if hit is not None:
+                        return hit
             else:  # an opening: a's options with each letter b with members
-                choices = [(here, nxt, 0, 0)]
-                for b, table in options[a]:
-                    m = members[b]
-                    if not m[0]:
+                opened |= dup
+                if not set_aa:
+                    nxt[a] &= row if code & aa else non
+                choices = [(code, nxt, 0, 0)]
+                for b, table in options:
+                    m = owns[b]
+                    if not m:
                         continue
-                    split, grown = (m[0] & sides[0], m[0] & sides[1]), []
+                    split, grown, keep = (m & non, m & row), [], None
                     for now, base, after, before in choices:
                         for x, y, bits in table:
                             if x != y:
                                 grown.append((now | bits, base, after |
                                               split[x], before | split[y]))
-                            elif m[1 + x] >> v & 1:  # b's members on side x
+                            elif split[x] == m:  # b's members on side x
+                                if keep is None:  # a's must be too
+                                    keep = full
+                                    for u in _LOW[m & 255] + _HIGH[m >> 8]:
+                                        keep &= rows[u] if x else nons[u]
                                 eq = base[:]
-                                eq[b] &= sides[x]
-                                eq[a] &= m[1 + x]
+                                eq[b] &= row if x else non
+                                eq[a] &= keep
                                 grown.append((now | bits, eq, after, before))
                     choices = grown
-            for now, nxt, after, before in choices:
-                run.nodes += 1
-                rest = after  # close after: add succ[u] for each u in it
-                while rest:
-                    low = rest & -rest
-                    after |= succ[low.bit_length() - 1]
-                    rest ^= low
-                if after & before:
-                    continue  # the forced order has a cycle
-                nsucc, npred = succ, pred
-                if after | before:
-                    nsucc, npred, rest = succ[:], pred[:], before
-                    while rest:  # close before: add pred[u] for each u
-                        low = rest & -rest
-                        before |= pred[low.bit_length() - 1]
-                        rest ^= low
-                    rest = before  # before precedes v and after
-                    while rest:
-                        low = rest & -rest
-                        nsucc[low.bit_length() - 1] |= after | bit
-                        rest ^= low
-                    rest = after  # after follows before and v
-                    while rest:
-                        low = rest & -rest
-                        npred[low.bit_length() - 1] |= before | bit
-                        rest ^= low
-                    nsucc[v], npred[v] = after, before
-                hit = place(now, placed | bit, near | row, nxt, nsucc, npred)
-                if hit is not None:
-                    return hit
-            members[a] = own, none, every
-            # v's images; with no fixed entry the root tries one letter
-            same = twins and (twins[v] & left if placed else
-                              fixed and _canonical(g)[2][0])
-            if same:  # none of them takes a
+                owns[a] = bit
+                for now, nxt, after, before in choices:
+                    nodes += 1
+                    for u in _LOW[after & 255] + _HIGH[after >> 8]:
+                        after |= succ[u]
+                    if after & before:
+                        continue  # the forced order has a cycle
+                    hit = place(now, left ^ bit, near | row, nxt, succ, pred,
+                                v, after, before)
+                    if hit is not None:
+                        return hit
+                owns[a] = 0
+            if same:  # none of v's images takes a
+                if same < 0:
+                    same = _canonical(g)[2][0]
                 cand = cand[:]  # an opening's choices share one cand list
                 cand[a] &= ~same
         return None
 
     def search(placed: int, cand: list[int]):
-        members[:] = [(0, full, full)] * k  # a hit left the last one's
-        return place(prefix, placed, 0, cand, [0] * n, [0] * n)
+        nonlocal nodes, due
+        owns[:] = [0] * k  # a hit left its letters' members
+        nodes, due = 0, 0 if deadline is not None else float("inf")
+        try:
+            return place(prefix, full & ~placed, 0, cand, [0] * n, [0] * n,
+                         0, 0, 0)
+        finally:
+            run.nodes += nodes
 
     return search
+
+
+# The set bits of each value of a mask's low byte and of its second byte,
+# as vertex ids, built by doubling; they cover graphs of up to 16 vertices,
+# past the scale guard MAX_N
+_LOW = _HIGH = ((),)
+for _bit in range(8):
+    _LOW += tuple(bits + (_bit,) for bits in _LOW)
+    _HIGH += tuple(bits + (_bit + 8,) for bits in _HIGH)
 
 
 @functools.lru_cache(maxsize=256)
@@ -279,40 +340,46 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
     """The graph-free tables of ``_fits`` for k letters and the decoder
     entries ``prefix`` fixes on its ``fixed`` low bits (``prefix`` has no
     other bit set), as tuples, so the decision, each descent question and
-    each later search with the same key share one copy:
+    each later search with the same key share one copy: (a, spec) per
+    letter a, in letter order and, for the decision, in clique-last order
+    (a question's is letter order), the spec being
 
-    - ``column[a]``: a's column of fixed entries, their values below bit
-      k*k and the mask of those fixed above it;
-    - ``letters``, and ``rotated`` in clique-last order: (a, a*k, a*k + a)
-      per letter a;
-    - ``tied[a]``: (b, x) for each fixed pair of equal entries
+    - ``dup``: 0 if a's row has a fixed entry, else the mask of the
+      letters whose rows have none and whose columns of fixed entries
+      equal a's; once one of them opened at a node, opening another
+      repeats it;
+    - ``aa`` and ``set_aa``: the bit of entry (a, a), and that bit again
+      if the entry is free (the second member sets it), else 0;
+    - ``tied``: (b, x) for each fixed pair of equal entries
       (a, b) = (b, a) = x;
-    - ``options[a]``: per letter b != a, (b, choices) with one
-      (x, y, bits) per value the entries (a, b) = x and (b, a) = y may
-      take when a opens, y outer and x inner."""
+    - ``plan``: (b, bit of (a, b), bit of (b, a)) for each letter b != a;
+    - ``options``: per letter b != a, (b, choices) with one (x, y, bits)
+      per value the entries (a, b) = x and (b, a) = y may take when a
+      opens, y outer and x inner."""
     known = (1 << fixed) - 1
     stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
-    column = tuple(prefix >> a & stride | (known >> a & stride) << k * k
-                   for a in range(k))
-    tied = tuple(tuple((b, prefix >> a * k + b & 1) for b in range(k)
-                       if b != a
-                       and known >> a * k + b & known >> b * k + a & 1
-                       and prefix >> a * k + b & 1 == prefix >> b * k + a & 1)
-                 for a in range(k))
+    column = [prefix >> a & stride | (known >> a & stride) << k * k
+              for a in range(k)]  # a's fixed entries and which are fixed
     given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
              for e in range(k * k)]  # the values entry e may take
-    options = tuple(tuple(_options(k, a, b, given[a * k + b], given[b * k + a])
-                          for b in range(k) if b != a)
-                    for a in range(k))
-    return (column, *_letters(k), tied, options)
+    letters = tuple((a, (
+        sum(1 << b for b in range(k)
+            if a * k >= fixed <= b * k and column[b] == column[a]),
+        1 << a * k + a, (1 << a * k + a) * (a * k + a >= fixed),
+        tuple((b, given[a * k + b][0]) for b in range(k) if b != a
+              and given[a * k + b] == given[b * k + a] != (0, 1)),
+        _plan(k, a),
+        tuple(_options(k, a, b, given[a * k + b], given[b * k + a])
+              for b in range(k) if b != a))) for a in range(k))
+    return letters, letters if fixed else letters[1:] + letters[:1]
 
 
 @functools.lru_cache(maxsize=None)
-def _letters(k: int) -> tuple:
-    """(a, a*k, a*k + a) per letter a, in letter order and in clique-last
-    order, shared by every table of ``_tables`` for k letters."""
-    letters = tuple((a, a * k, a * k + a) for a in range(k))
-    return letters, letters[1:] + letters[:1]
+def _plan(k: int, a: int) -> tuple:
+    """(b, bit of (a, b), bit of (b, a)) for each letter b != a: the entries
+    a join of letter a reads, shared by every table of ``_tables``."""
+    return tuple((b, 1 << a * k + b, 1 << b * k + a)
+                 for b in range(k) if b != a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,11 +462,9 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     less than the checks that would replace them, hence the gate. The
     check's placements count as ``run`` nodes; it counts no decoder.
     """
-    rows = g.rows
-    full = (1 << g.n) - 1
-    non = [full & ~rows[v] & ~(1 << v) for v in range(g.n)]
+    rows, nons, full = g.rows, _nons(g), (1 << g.n) - 1
     allowed = [full & ~sum(1 << v for v, cut in enumerate(cuts) if cut and
-                           ~cut[1] & (rows, non)[matrix[a] >> a & 1][v])
+                           ~cut[1] & (rows, nons)[matrix[a] >> a & 1][v])
                for a in range(k)] if any(cuts) else [full] * k
     if functools.reduce(operator.or_, allowed) != full:
         return None  # a class has no letter of its kind
@@ -423,7 +488,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                 continue
             keeps = keeps_row[a]
             # the vertices left in some mask after placing any v with a are
-            # (rows[v] & on) | (non[v] & off)
+            # (row & on) | (row_non & off)
             on = off = 0
             for m, keep in zip(cand, keeps):
                 if keep:
@@ -436,7 +501,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                 v = low.bit_length() - 1
                 run.nodes += 1
                 # place v with letter a
-                row, row_non = rows[v], non[v]
+                row, row_non = rows[v], nons[v]
                 left = rest ^ low
                 if row & on | row_non & off != left:
                     continue
