@@ -356,15 +356,11 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
     - ``options``: per letter b != a, (b, choices) with one (x, y, bits)
       per value the entries (a, b) = x and (b, a) = y may take when a
       opens, y outer and x inner."""
-    known = (1 << fixed) - 1
-    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
-    column = [prefix >> a & stride | (known >> a & stride) << k * k
-              for a in range(k)]  # a's fixed entries and which are fixed
-    given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
+    given = [(prefix >> e & 1,) if e < fixed else (0, 1)
              for e in range(k * k)]  # the values entry e may take
     letters = tuple((a, (
-        sum(1 << b for b in range(k)
-            if a * k >= fixed <= b * k and column[b] == column[a]),
+        sum(1 << b for b in range(k)  # given[a::k] is a's column
+            if a * k >= fixed <= b * k and given[b::k] == given[a::k]),
         1 << a * k + a, (1 << a * k + a) * (a * k + a >= fixed),
         tuple((b, given[a * k + b][0]) for b in range(k) if b != a
               and given[a * k + b] == given[b * k + a] != (0, 1)),
