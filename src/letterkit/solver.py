@@ -14,13 +14,17 @@ restricts b's candidates as soon as a has a member, even while b is
 still empty. Without class constraints, a letter that fails for a vertex
 is closed to its images under the automorphisms that fix the placed
 vertices: its twins, and at the root its orbit under Aut(g), which the
-canonical labelling's search finds (``graphs._canonical``). A word search
-over one candidate vertex bitmask per letter then finds the least
-decoder's least word; after a large dead subtree at a word position, it
-skips each later candidate there that a completion check, the same
-letter-class search with every entry fixed, shows has no word below it.
-Only subtrees with no word are skipped, so the least word is unchanged,
-and the twin nogood stays sound in a check (``_search_word``).
+canonical labelling's search finds (``graphs._canonical``). Reversing the
+word under the transposed decoder letters the same graph, so while every
+entry set is symmetric, an opening skips each choice whose first
+asymmetric pair is (0, 1): the subtree mirrors that of its (1, 0) twin,
+tried before it (``_fits``; Crawford, Ginsberg, Luks and Roy, KR 1996).
+A word search over one candidate vertex bitmask per letter then finds the
+least decoder's least word; after a large dead subtree at a word
+position, it skips each later candidate there that a completion check,
+the same letter-class search with every entry fixed, shows has no word
+below it. Only subtrees with no word are skipped, so the least word is
+unchanged, and the twin nogood stays sound in a check (``_search_word``).
 
 Every search runs in a :class:`Run` of its own (``letterkit.run``) under
 the enclosing one's deadline; ``solver.Run`` and ``solver.BudgetExceeded``
@@ -141,7 +145,29 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     used are v's unplaced twins (the swap of two twins fixes every other
     vertex) and, at the root, where nothing is placed and v is 0, the orbit
     of 0 under Aut(g), read off ``graphs._canonical``; a question with no
-    fixed entry tries one letter at the root, so it skips the orbit."""
+    fixed entry tries one letter at the root, so it skips the orbit.
+
+    Mirrors. Reversing a word and transposing its decoder letters the same
+    graph with the same letter per vertex (Petkovsek 2002), and keeps each
+    class on a letter of its own. A search whose fixed entries are closed
+    under transposition, with equal values, starts with a flag set: its
+    fixed entries are none or entry (0, 0) alone, since any other prefix
+    of the row-major code that leaves a pair free fixes (0, 1) but not
+    (1, 0). The flag holds at a node while every entry set is symmetric.
+    Only an asymmetric pair, (M[a][b], M[b][a]) = (1, 0) or (0, 1), forces
+    an order, so such a node has none, and its fitting completions are
+    closed under the mirror. There an opening drops each choice whose
+    first asymmetric pair, at the lowest b in ``options`` order, is
+    (0, 1). Its mirror, the choice with every asymmetric pair swapped, has
+    (1, 0) there and the same symmetric pairs before it, so it comes first
+    (the lowest b varies slowest, and x inner puts (1, 0) before (0, 1)).
+    The two subtrees hold mirrored completions, so either both are empty
+    or the search returns in the first. A nogood is a proved fact about
+    the node's completions, so it changes neither. A choice with an
+    asymmetric pair has a nonempty ``after`` or ``before``, and its child
+    clears the flag; a join sets no asymmetric pair. So the answer and the
+    code returned are those of the search without the rule, and only the
+    placements fall (about half of an exhausted decision's)."""
     run.decoders_tried += 1
     return _placements(g, k, prefix, fixed, cuts, run)(0, [(1 << g.n) - 1] * k)
 
@@ -163,15 +189,17 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     repeat a's. Set bits are walked a byte at a time through ``_LOW`` and
     ``_HIGH``. A placement closes ``after`` and tests it for a cycle, a
     join before it restricts ``cand[a]``; the child adds the placed vertex
-    ``last`` to ``succ`` and ``pred``. No letter keeps the masks of the
-    vertices on one side of all its members: ``cand`` only shrinks down
-    the tree, and once entry (a, a) = x is known each member of a has cut
-    ``cand[a]`` to its x side (the first one when the second came), so a
-    join cuts ``cand[a]`` to v's x side alone. Only an opening with equal
-    entries x to a letter b walks b's members for their x sides. The
-    placements are counted on a local and added to ``run.nodes`` when the
-    search returns or raises; with a deadline the clock is read on a
-    search's first call and then once per 64 placements."""
+    ``last`` to ``succ`` and ``pred``; ``sym`` is the mirror flag of
+    ``_fits``, set at the start when ``fixed`` is 0 or 1. No letter keeps
+    the masks of the vertices on one side of all its members: ``cand``
+    only shrinks down the tree, and once entry (a, a) = x is known each
+    member of a has cut ``cand[a]`` to its x side (the first one when the
+    second came), so a join cuts ``cand[a]`` to v's x side alone. Only an
+    opening with equal entries x to a letter b walks b's members for their
+    x sides. The placements are counted on a local and added to
+    ``run.nodes`` when the search returns or raises; with a deadline the
+    clock is read on a search's first call and then once per 64
+    placements."""
     n, full = g.n, (1 << g.n) - 1
     rows, nons = g.rows, _nons(g)
     deadline = run.deadline
@@ -183,7 +211,7 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
 
     def place(code: int, left: int, near: int, cand: list[int],
               succ: list[int], pred: list[int], last: int, after: int,
-              before: int):
+              before: int, sym: int):
         nonlocal nodes, due
         if not left:
             return code
@@ -265,7 +293,7 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                         nxt[a] &= row if code & aa else non
                     owns[a] = own | bit
                     hit = place(now, left ^ bit, near | row, nxt, succ,
-                                pred, v, after, before)
+                                pred, v, after, before, sym)
                     owns[a] = own
                     if hit is not None:
                         return hit
@@ -282,6 +310,8 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                     for now, base, after, before in choices:
                         for x, y, bits in table:
                             if x != y:
+                                if x < y and sym and not after | before:
+                                    continue  # mirrors its (1, 0) twin
                                 grown.append((now | bits, base, after |
                                               split[x], before | split[y]))
                             elif split[x] == m:  # b's members on side x
@@ -302,7 +332,7 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                     if after & before:
                         continue  # the forced order has a cycle
                     hit = place(now, left ^ bit, near | row, nxt, succ, pred,
-                                v, after, before)
+                                v, after, before, sym and not after | before)
                     if hit is not None:
                         return hit
                 owns[a] = 0
@@ -319,7 +349,7 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
         nodes, due = 0, 0 if deadline is not None else float("inf")
         try:
             return place(prefix, full & ~placed, 0, cand, [0] * n, [0] * n,
-                         0, 0, 0)
+                         0, 0, 0, fixed < 2)
         finally:
             run.nodes += nodes
 
@@ -465,18 +495,21 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     if functools.reduce(operator.or_, allowed) != full:
         return None  # a class has no letter of its kind
     keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
-    deadline = run.deadline
+    # with a deadline, the clock is read on the first call and then once
+    # per 64 nodes (completion checks' placements included)
+    due = 0 if run.deadline is not None else float("inf")
     complete = None  # the completion check, set up when first needed
 
     word: list[int] = []
     placed: list[int] = []
 
     def dfs(cand: list[int], allowed: list[int], rest: int) -> bool:
-        nonlocal complete
+        nonlocal complete, due
         if not rest:
             return True
-        if deadline is not None:
+        if run.nodes >= due:
             run.check("lettering search")
+            due = run.nodes + 64
         dead = False  # a candidate here has led to a large dead subtree
         for a in range(k):
             todo = cand[a] & allowed[a]

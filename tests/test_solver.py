@@ -603,6 +603,43 @@ def test_search_word_edge_cases():
     assert new[0] is not None
 
 
+class _ClockReads(Run):
+    """A run that records its node count at each reading of the clock, and
+    is past its deadline from its ``late``-th reading on."""
+
+    __slots__ = ("reads", "late")
+
+    def __init__(self, late: float = math.inf):
+        super().__init__()
+        self.reads, self.late = [], late
+
+    def check(self, what: str) -> None:
+        self.reads.append(self.nodes)
+        if len(self.reads) >= self.late:
+            self.deadline = -math.inf
+        super().check(what)
+
+
+def test_word_search_reads_the_clock_once_per_64_nodes():
+    # P10's least word, with completion checks off, so that every reading
+    # is the word search's own: the first call reads the clock, and then
+    # each one at least 64 nodes after the last
+    g = next(_exact_p10_labellings())
+    matrix, cuts = _least_decoder(g, 4), [None] * g.n
+    with mock.patch.object(solver, "_CHECK_AFTER", math.inf):
+        with Run(600):
+            run, late = _ClockReads(), _ClockReads(late=3)
+            assert _search_word(g, 4, matrix, cuts, run) is not None
+            with pytest.raises(BudgetExceeded):  # past it mid-search
+                _search_word(g, 4, matrix, cuts, late)
+        free = _ClockReads()  # no deadline: no reading
+        assert _search_word(g, 4, matrix, cuts, free) is not None
+    reads = run.reads
+    assert reads[0] == 0 and len(reads) > 10
+    assert all(b - a >= 64 for a, b in zip(reads, reads[1:]))
+    assert late.reads == reads[:3] and free.reads == []
+
+
 def _exact_lettericity_graphs(pass_index: int) -> dict[str, Graph]:
     """C8, P10, R2 and co-R2 as pass ``pass_index`` of seed 1 of the
     benchmark's exact workload labels them, drawing their labels in that
@@ -932,7 +969,8 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
     except BudgetExceeded:
         reject()
     if max(class_of, default=-1) >= 0:  # classes switch nogoods off
-        assert (got, new.nodes) == (want, ref.nodes)
+        assert got == want
+        _same_or_mirror_pruned(k, prefix, fixed, new.nodes, ref.nodes)
         return
     # nogoods prune the tree, so another fitting code may be found first
     assert (got is None) == (want is None)
@@ -943,13 +981,35 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
                                          for a in range(k)), Run())
 
 
+def _mirror_closed(k: int, prefix: int, fixed: int) -> bool:
+    """Whether the fixed entries are closed under transposition with equal
+    values, the starts where the letter-class search drops the choices
+    that mirror a choice tried before them."""
+    def given(e):
+        return prefix >> e & 1 if e < fixed else None
+
+    return all(given(a * k + b) == given(b * k + a)
+               for a in range(k) for b in range(a))
+
+
+def _same_or_mirror_pruned(k: int, prefix: int, fixed: int, nodes: int,
+                           reference: int) -> None:
+    """A search and a reference without the mirror rule, from the same
+    start, count the same placements, or, where the rule acts, no more."""
+    if _mirror_closed(k, prefix, fixed):
+        assert nodes <= reference
+    else:
+        assert nodes == reference
+
+
 # -- _placements against the search it was rewritten from --------------------
 
 def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
                           cuts: list[tuple[int, int] | None], run: Run):
     """``solver._placements`` as it was before its placements were made
     cheaper, verbatim but for its tables (``_reference_tables``), the same
-    search tree at more Python work per placement."""
+    search tree at more Python work per placement and without the mirror
+    rule, which drops a choice whose subtree mirrors one tried before it."""
     n, rows, full = g.n, g.rows, (1 << g.n) - 1
     deadline = run.deadline
     prefix &= (1 << fixed) - 1
@@ -1099,14 +1159,14 @@ def _reference_tables(k: int, prefix: int, fixed: int) -> tuple:
 def _same_placements(g: Graph, k: int, prefix: int, fixed: int,
                      cuts, placed: int, cand: list[int]) -> None:
     """Both searches from one start state give the same code and count
-    the same placements."""
+    the same placements, or no more where the mirror rule acts."""
     new, ref = Run(), Run()
     got = solver._placements(g, k, prefix, fixed, cuts, new)(placed,
                                                                cand[:])
     want = _reference_placements(g, k, prefix, fixed, cuts, ref)(placed,
                                                                   cand[:])
-    assert (got, new.nodes, new.decoders_tried) == \
-        (want, ref.nodes, ref.decoders_tried)
+    assert (got, new.decoders_tried) == (want, ref.decoders_tried)
+    _same_or_mirror_pruned(k, prefix, fixed, new.nodes, ref.nodes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1134,6 +1194,57 @@ def test_placements_match_reference(n, k, n_classes, draw, rnd):
                 _same_placements(g, k, code, k * k, cuts, placed, cand)
     except BudgetExceeded:
         reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.just(0) | st.integers(1, 3),
+       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_mirror_pruned_decision_returns_the_unpruned_code(n, k, n_classes,
+                                                          draw, question,
+                                                          rnd):
+    # a decision, or the descent's question about entry (0, 0): the starts
+    # whose fixed entries are closed under transposition, where the mirror
+    # rule drops choices; the unpruned reference has the same nogoods
+    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
+        draw(rnd)
+    classes = _uniform_classes(g, rnd, n_classes)
+    cuts = _cuts(g, classes)
+    new, ref = Run(), Run()
+    try:
+        with Run(2):
+            got = solver._fits(g, k, 0, int(question), cuts, new)
+            want = _reference_placements(g, k, 0, int(question), cuts, ref)(
+                0, [(1 << g.n) - 1] * k)
+    except BudgetExceeded:
+        reject()
+    assert got == want
+    assert new.nodes <= ref.nodes
+
+
+def test_mirror_rule_halves_the_exhausted_decisions():
+    # R3 and 5K2 at k = 4: below the root's few symmetric placements,
+    # each choice with an asymmetric pair has its mirror, so the rule drops
+    # about half of the placements (12,029 to 6017 and 16,162 to 8090)
+    for g, k in ((stacked_path(3)[0], 4), (matching(5), 4)):
+        new, ref = Run(), Run()
+        cuts = [None] * g.n
+        assert solver._fits(g, k, 0, 0, cuts, new) is None
+        assert _reference_placements(g, k, 0, 0, cuts, ref)(
+            0, [(1 << g.n) - 1] * k) is None
+        assert ref.nodes < 2 * new.nodes <= ref.nodes * 1.01
+
+
+def test_mirror_rule_keeps_openings_with_both_orientations():
+    # each first fitting code at k = 3 opens letter 2 with (1, 0) to letter
+    # 0 and (0, 1) to letter 1, a choice whose mirror is dropped but which
+    # itself is kept: only a choice whose first asymmetric pair is (0, 1)
+    # has its mirror tried before it
+    for rows, code in (((102, 53, 107, 116, 106, 31, 29), 379),
+                       ((156, 144, 217, 149, 207, 128, 20, 63), 123),
+                       ((90, 109, 26, 39, 5, 10, 3), 122)):
+        g = Graph(len(rows), rows)
+        assert solver._fits(g, 3, 0, 0, [None] * g.n, Run()) == code
 
 
 def _tuples_of_ints(value) -> bool:
@@ -1372,8 +1483,8 @@ def test_k5_search_matches_full_space(g, tried):
 
 
 def test_k5_exhaustion_stops_at_its_budget():
-    # R3 has no 5-lettering; the full search takes about ten seconds
+    # R3 has no 5-lettering; the full search takes about a second
     start = time.monotonic()
-    with Run(0.5), pytest.raises(BudgetExceeded):
+    with Run(0.2), pytest.raises(BudgetExceeded):
         is_k_letterable(stacked_path(3)[0], 5)
     assert time.monotonic() - start < 3.0
