@@ -241,7 +241,7 @@ def test_verify_paper_default_run_results(capsys):
         {"check": "dualities", "graphs_checked": 52, "status": "pass"},
         {"check": "prop41", "status": "pass"},
         {"check": "prop43", "decoders_tried": 1,
-         "nodes_expanded": 155, "status": "pass"},
+         "nodes_expanded": 79, "status": "pass"},
         {"check": "thm32", "vertices_checked": 2000, "status": "pass"},
         {"check": "thm51", "graphs_checked": 233, "status": "pass"},
     ]
