@@ -310,7 +310,7 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                     for now, base, after, before in choices:
                         for x, y, bits in table:
                             if x != y:
-                                if x < y and sym and not after | before:
+                                if sym and x < y and not after | before:
                                     continue  # mirrors its (1, 0) twin
                                 grown.append((now | bits, base, after |
                                               split[x], before | split[y]))
