@@ -3,10 +3,10 @@
 The script runs each of these in child processes of its own, with the
 checkout's ``src`` first on ``PYTHONPATH``, and only reads their output:
 
-- ``perfbench/run.py`` on each workload of ``BENCHMARK.json``: ``--runs``
-  untraced runs, on seeds ``--seed``, ``--seed`` + 1, ..., for the
-  median and quartiles of each end-to-end metric, and one traced run
-  (``--trace 1``) on ``--seed`` for the per-layer metrics;
+- ``perfbench/run.py --seconds 20`` on each workload of
+  ``BENCHMARK.json``: ten untraced runs, on seeds 1 to 10, for the median
+  and quartiles of each end-to-end metric, and one traced run
+  (``--trace 1``) on seed 1 for the per-layer metrics;
 - ``tests.solver_timing`` on its default queries but ``5k2-k5``;
 - ``tests.startup_timing``;
 - ``tests.bytecode_count`` on ``exact``, ``compose-small`` and
@@ -23,8 +23,8 @@ workload, each with its ``failed_frac``, ``solver_timing`` per query,
 ``startup`` and ``bytecodes`` per workload. An end-to-end metric is
 ``{"median", "q1", "q3", "values"}`` over the runs.
 
-Run from the repository root; with the defaults (ten untraced runs of a
-20 s budget per workload) it takes about five minutes on a 2-vCPU host:
+Run from the repository root; it takes about three minutes on a 2-vCPU
+host:
 
     PYTHONPATH=src python3 -m tests.bench_record BENCH_41.json
 
@@ -77,9 +77,22 @@ def _commit(root: str) -> dict:
         return {"commit": None, "dirty": None}
 
 
-def record(root: str, workloads: list[str], runs: int, seed: int,
-           seconds: float, queries: list[str], items: int | None,
-           startup_runs: int) -> dict:
+def record(root: str, workloads: list[str] | None = None, runs: int = 10,
+           seed: int = 1, seconds: float = 20.0,
+           queries: list[str] | None = None, items: int | None = None,
+           startup_runs: int = 15) -> dict:
+    """The recording of checkout ``root``: ``runs`` untraced runs and one
+    traced run of ``seconds`` on each of ``workloads`` (all of
+    ``BENCHMARK.json``'s by default), the solver ``queries`` (the default
+    ones but ``5k2-k5`` by default), ``startup_runs`` fresh processes of
+    ``tests.startup_timing``, and the opcodes of the first ``items`` items
+    (all for None) of each in-process workload among ``workloads``."""
+    if workloads is None:
+        with open(os.path.join(root, "BENCHMARK.json")) as fh:
+            workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    if queries is None:
+        from tests.solver_timing import OPT_IN, QUERIES
+        queries = [q for q in QUERIES if q not in OPT_IN and q != "5k2-k5"]
     bench = ["perfbench/run.py", "--seconds", str(seconds)]
     out = {**_commit(root), "python": sys.version.split()[0],
            "dont_write_bytecode": bool(os.environ.get(
@@ -114,27 +127,12 @@ def record(root: str, workloads: list[str], runs: int, seed: int,
 
 
 def main(argv: list[str]) -> None:
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        every = [w["name"] for w in json.load(fh)["workloads"]]
-    from tests.solver_timing import OPT_IN, QUERIES
     parser = argparse.ArgumentParser(prog="python3 -m tests.bench_record")
     parser.add_argument("out", help="the file to write, BENCH_<PR>.json")
     parser.add_argument("--root", default=ROOT,
                         help="the checkout to record (default: this one)")
-    parser.add_argument("--workloads", nargs="+", choices=every,
-                        default=every)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--queries", nargs="+", default=[
-        q for q in QUERIES if q not in OPT_IN and q != "5k2-k5"])
-    parser.add_argument("--items", type=int, default=None,
-                        help="bytecode-count only the first N items")
-    parser.add_argument("--startup-runs", type=int, default=15)
     args = parser.parse_args(argv)
-    data = record(os.path.abspath(args.root), args.workloads, args.runs,
-                  args.seed, args.seconds, args.queries, args.items,
-                  args.startup_runs)
+    data = record(os.path.abspath(args.root))
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
