@@ -57,7 +57,7 @@ def _run(root: str, argv: list[str]) -> list[dict]:
             if line.startswith("{")]
 
 
-def summary(values: list[float]) -> dict:
+def _summary(values: list[float]) -> dict:
     """The median and quartiles of ``values``, and the values."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
@@ -105,7 +105,7 @@ def record(root: str, workloads: list[str] | None = None, runs: int = 10,
                  for i in range(runs)]
         metrics = [lines[-1]["metrics"] for lines in plain]
         out["end_to_end"][workload] = {
-            name: summary([m[name]["value"] for m in metrics])
+            name: _summary([m[name]["value"] for m in metrics])
             for name in metrics[0]}
         out["end_to_end"][workload]["failed_frac"] = [
             lines[-2]["failed_frac"] for lines in plain]
