@@ -1,4 +1,4 @@
-"""Record one point of the performance trajectory as ``BENCH_<PR>.json``.
+"""Record one point of the performance trajectory as a JSON file.
 
 The script runs each of these in child processes of its own, with the
 checkout's ``src`` first on ``PYTHONPATH``, and only reads their output:
@@ -26,7 +26,9 @@ workload, each with its ``failed_frac``, ``solver_timing`` per query,
 Run from the repository root; it takes about three minutes on a 2-vCPU
 host:
 
-    PYTHONPATH=src python3 -m tests.bench_record BENCH_41.json
+    PYTHONPATH=src python3 -m tests.bench_record BENCH_<n>.json
+
+where n numbers the change recorded.
 
 ``--root DIR`` records another checkout, say an earlier commit cloned
 beside this one, with that checkout's own benchmark and scripts.
@@ -128,7 +130,7 @@ def record(root: str, workloads: list[str] | None = None, runs: int = 10,
 
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(prog="python3 -m tests.bench_record")
-    parser.add_argument("out", help="the file to write, BENCH_<PR>.json")
+    parser.add_argument("out", help="the JSON file to write")
     parser.add_argument("--root", default=ROOT,
                         help="the checkout to record (default: this one)")
     args = parser.parse_args(argv)
