@@ -1210,9 +1210,9 @@ def test_mirror_pruned_decision_returns_the_unpruned_code(n, k, n_classes,
         draw(rnd)
     classes = _uniform_classes(g, rnd, n_classes)
     cuts = _cuts(g, classes)
-    new, ref = Run(), Run()
     try:
         with Run(2):
+            new, ref = Run(), Run()  # under the enclosing deadline
             got = solver._fits(g, k, 0, int(question), cuts, new)
             want = _reference_placements(g, k, 0, int(question), cuts, ref)(
                 0, [(1 << g.n) - 1] * k)
