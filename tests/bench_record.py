@@ -31,7 +31,8 @@ host:
 where n numbers the change recorded.
 
 ``--root DIR`` records another checkout, say an earlier commit cloned
-beside this one, with that checkout's own benchmark and scripts.
+beside this one, with that checkout's own benchmark and scripts; its
+``tests.solver_timing`` names its own default queries.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BYTECODE_WORKLOADS = ("exact", "compose-small", "compose-inflations")
+SEED = 1  # the first untraced run's, the traced run's and the opcodes' seed
+# prints the default queries of the checkout it runs in, but 5k2-k5
+DEFAULT_QUERIES = ("import json; from tests.solver_timing import OPT_IN, "
+                   "QUERIES; print(json.dumps({'queries': [q for q in "
+                   "QUERIES if q not in OPT_IN and q != '5k2-k5']}))")
 
 
 def _run(root: str, argv: list[str]) -> list[dict]:
@@ -80,38 +86,38 @@ def _commit(root: str) -> dict:
 
 
 def record(root: str, workloads: list[str] | None = None, runs: int = 10,
-           seed: int = 1, seconds: float = 20.0,
+           seconds: float = 20.0,
            queries: list[str] | None = None, items: int | None = None,
            startup_runs: int = 15) -> dict:
-    """The recording of checkout ``root``: ``runs`` untraced runs and one
-    traced run of ``seconds`` on each of ``workloads`` (all of
-    ``BENCHMARK.json``'s by default), the solver ``queries`` (the default
-    ones but ``5k2-k5`` by default), ``startup_runs`` fresh processes of
+    """The recording of checkout ``root``: ``runs`` untraced runs, on
+    seeds ``SEED`` on, and one traced run on ``SEED``, each of ``seconds``,
+    on each of ``workloads`` (all of ``BENCHMARK.json``'s by default), the
+    solver ``queries`` (by default ``root``'s default ones but
+    ``5k2-k5``), ``startup_runs`` fresh processes of
     ``tests.startup_timing``, and the opcodes of the first ``items`` items
     (all for None) of each in-process workload among ``workloads``."""
     if workloads is None:
         with open(os.path.join(root, "BENCHMARK.json")) as fh:
             workloads = [w["name"] for w in json.load(fh)["workloads"]]
     if queries is None:
-        from tests.solver_timing import OPT_IN, QUERIES
-        queries = [q for q in QUERIES if q not in OPT_IN and q != "5k2-k5"]
+        queries = _run(root, ["-c", DEFAULT_QUERIES])[-1]["queries"]
     bench = ["perfbench/run.py", "--seconds", str(seconds)]
     out = {**_commit(root), "python": sys.version.split()[0],
            "dont_write_bytecode": bool(os.environ.get(
                "PYTHONDONTWRITEBYTECODE")),
-           "seed": seed, "runs": runs, "seconds": seconds,
+           "seed": SEED, "runs": runs, "seconds": seconds,
            "end_to_end": {}, "per_layer": {}}
     for workload in workloads:
         args = [*bench, "--workload", workload]
-        plain = [_run(root, [*args, "--seed", str(seed + i), "--trace", "0"])
-                 for i in range(runs)]
+        plain = [_run(root, [*args, "--seed", str(SEED + i), "--trace",
+                             "0"]) for i in range(runs)]
         metrics = [lines[-1]["metrics"] for lines in plain]
         out["end_to_end"][workload] = {
             name: _summary([m[name]["value"] for m in metrics])
             for name in metrics[0]}
         out["end_to_end"][workload]["failed_frac"] = [
             lines[-2]["failed_frac"] for lines in plain]
-        traced = _run(root, [*args, "--seed", str(seed), "--trace", "1"])
+        traced = _run(root, [*args, "--seed", str(SEED), "--trace", "1"])
         out["per_layer"][workload] = {
             name: m["value"] for name, m in traced[-1]["metrics"].items()}
         out["per_layer"][workload]["failed_frac"] = traced[-2]["failed_frac"]
@@ -121,8 +127,9 @@ def record(root: str, workloads: list[str] | None = None, runs: int = 10,
                                  str(startup_runs)])[-1]
     out["bytecodes"] = {}
     for workload in (w for w in BYTECODE_WORKLOADS if w in workloads):
-        line = _run(root, ["-m", "tests.bytecode_count", workload, "--seed",
-                           "1", *(["--items", str(items)] if items else [])])
+        line = _run(root, ["-m", "tests.bytecode_count", workload,
+                           "--seed", str(SEED),
+                           *(["--items", str(items)] if items else [])])
         out["bytecodes"][workload] = {key: line[-1][key] for key in (
             "items", "total", "warm_total", "outputs")}
     return out

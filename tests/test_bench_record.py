@@ -40,3 +40,13 @@ def test_bench_record_writes_every_field_on_a_short_run():
     assert set(counted) == {"items", "total", "warm_total", "outputs"}
     assert counted["items"] == 1 and counted["total"] > 0
     assert re.fullmatch("[0-9a-f]{64}", counted["outputs"])
+
+
+def test_bench_record_reads_the_default_queries_of_the_recorded_checkout():
+    # the recorded checkout's own tests.solver_timing names them, so a
+    # recording of another checkout never asks for queries it lacks
+    from tests.solver_timing import OPT_IN, QUERIES
+    queries = bench_record._run(bench_record.ROOT, [
+        "-c", bench_record.DEFAULT_QUERIES])[-1]["queries"]
+    assert queries == [q for q in QUERIES if q not in OPT_IN and
+                       q != "5k2-k5"]
