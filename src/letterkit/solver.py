@@ -178,9 +178,10 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     ``search(placed, cand)`` runs it from every letter empty, the vertices
     of the mask ``placed`` already placed (nothing joins them, so they must
     be accounted for in ``cand``) and ``cand`` as the start masks, and
-    returns a fitting code or None. A search counts its placements as
-    ``run``'s ``nodes``, but no decoder; ``_search_word`` sets one up per
-    word search for its completion check.
+    returns a fitting code or None. It copies a mask list before it cuts
+    one, as ``_search_word``, which sets one up per word search for its
+    completion check, reuses the list it passes. A search counts its
+    placements as ``run``'s ``nodes``, but no decoder.
 
     ``owns[a]`` is letter a's members. ``rows`` and ``_nons``, built once
     per graph, give each vertex's two sides. The letter specs of
@@ -455,26 +456,24 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     ids ascending) decoding to ``g`` under ``matrix``; None if exhausted.
 
     The state is one candidate vertex mask per letter: ``cand[b]`` holds the
-    unplaced vertices that may still take letter b. Placing v with letter a
-    keeps in ``cand[b]`` only v's neighbours when ``matrix[a]`` has bit b
-    (a later b must then be adjacent to v) and only its non-neighbours
-    otherwise. A branch is dead once some unplaced vertex is left in no
-    mask. The class constraint is a second mask per letter, ``allowed``:
-    a class of two or more starts out of the letters whose entry (a, a) is
-    not its kind, and placing v in a keeps in ``allowed[b]`` only
-    ``cuts[v][b != a]`` (see ``_class_cuts``). The candidates for letter a
-    are the bits of ``cand[a] & allowed[a]``, lowest first. Each candidate
+    unplaced vertices that may still take letter b, tried lowest first.
+    Placing v with letter a keeps in ``cand[b]`` only v's neighbours when
+    ``matrix[a]`` has bit b (a later b must then be adjacent to v) and only
+    its non-neighbours otherwise, and, as ``_placements`` does, only
+    ``cuts[v][b != a]`` (see ``_class_cuts``); a class of two or more
+    starts out of the letters whose entry (a, a) is not its kind. A branch
+    is dead once some unplaced vertex is left in no mask. Each candidate
     tried counts one ``run`` node.
 
     Once a candidate at a position has led to a dead subtree of at least
     ``_CHECK_AFTER`` nodes, each later candidate there is first put to a
     completion check: the letter-class search of ``_fits`` with every
     entry fixed to ``matrix`` (``_placements``, set up once per word
-    search), from the prefix and the candidate placed and ``cand[b] &
-    allowed[b]`` of the state it leaves as the start masks, under the
-    class cuts. A word that completes the prefix gives each unplaced
-    vertex a letter within those masks, under the same entries and cuts,
-    and orders them with no cycle, so the check finds a fitting lettering.
+    search), from the prefix and the candidate placed, with the masks they
+    leave as the start masks, under the class cuts. A word that completes
+    the prefix gives each unplaced vertex a letter within those masks,
+    under the same entries and cuts, and orders them with no cycle, so the
+    check finds a fitting lettering.
     A check that finds none thus skips only a subtree with no word. The
     candidates left are tried in the same order, so the first word found
     is still the least one. The twin nogood stays sound inside a check:
@@ -489,10 +488,10 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     check's placements count as ``run`` nodes; it counts no decoder.
     """
     rows, nons, full = g.rows, _nons(g), (1 << g.n) - 1
-    allowed = [full & ~sum(1 << v for v, cut in enumerate(cuts) if cut and
-                           ~cut[1] & (rows, nons)[matrix[a] >> a & 1][v])
-               for a in range(k)] if any(cuts) else [full] * k
-    if functools.reduce(operator.or_, allowed) != full:
+    start = [full & ~sum(1 << v for v, cut in enumerate(cuts) if cut and
+                         ~cut[1] & (rows, nons)[matrix[a] >> a & 1][v])
+             for a in range(k)] if any(cuts) else [full] * k
+    if functools.reduce(operator.or_, start) != full:
         return None  # a class has no letter of its kind
     keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
     # with a deadline, the clock is read on the first call and then once
@@ -503,7 +502,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     word: list[int] = []
     placed: list[int] = []
 
-    def dfs(cand: list[int], allowed: list[int], rest: int) -> bool:
+    def dfs(cand: list[int], rest: int) -> bool:
         nonlocal complete, due
         if not rest:
             return True
@@ -512,7 +511,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
             due = run.nodes + 64
         dead = False  # a candidate here has led to a large dead subtree
         for a in range(k):
-            todo = cand[a] & allowed[a]
+            todo = cand[a]
             if not todo:
                 continue
             keeps = keeps_row[a]
@@ -537,20 +536,19 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                 nxt = [m & row if keep else m & row_non
                        for m, keep in zip(cand, keeps)]
                 cut = cuts[v]
-                kept = [m & cut[b != a] for b, m in enumerate(allowed)] \
-                    if cut else allowed
+                if cut:
+                    nxt = [m & cut[b != a] for b, m in enumerate(nxt)]
                 if dead:
                     if complete is None:
                         complete = _placements(g, k, sum(
                             m << i * k for i, m in enumerate(matrix)),
                             k * k, cuts, run)
-                    if complete(full & ~left, list(map(operator.and_, nxt,
-                                                       kept))) is None:
+                    if complete(full & ~left, nxt) is None:
                         continue  # no word completes this prefix
                 placed.append(v)
                 word.append(a)
                 spent = run.nodes
-                if dfs(nxt, kept, left):
+                if dfs(nxt, left):
                     return True
                 word.pop()
                 placed.pop()
@@ -558,7 +556,7 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                     dead = True
         return False
 
-    if dfs([full] * k, allowed, full):
+    if dfs(start, full):
         return word, placed
     return None
 
