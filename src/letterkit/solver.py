@@ -666,6 +666,10 @@ def lettericity(g: Graph, *,
         low = max(1, max_induced_matching(g)[0],
                   max_induced_matching(g.complement())[0])
         for k in range(low, g.n + 1):
+            if k > MAX_K:  # name the highest k exhausted, or the bound
+                raise ScaleError((f"k = {k - 1} exhausted" if k > low else
+                                  f"the matching lower bound is {low}") +
+                                 f"; the solver scale guard is k <= {MAX_K}")
             report = is_k_letterable(g, k)
             if report.outcome == "found":
                 return k, report.lettering

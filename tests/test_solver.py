@@ -194,12 +194,22 @@ def test_climb_starts_at_matching_bound(monkeypatch):
 
 def test_six_matching_hits_scale_guard_at_once():
     # 6K2 needs 6 letters; the climb starts there instead of spending
-    # its budget (BudgetExceeded) on an exhaustive k = 5 search
-    with pytest.raises(ScaleError):
+    # its budget (BudgetExceeded) on an exhaustive k = 5 search, and says
+    # that the bound, not a k asked for, passes the guard
+    with pytest.raises(ScaleError, match=r"^the matching lower bound is 6; "
+                       r"the solver scale guard is k <= 5$"):
         lettericity(matching(6), budget=1.0)
     # too many vertices: the guard fires before the lower bound is sought
     with pytest.raises(ScaleError):
         lettericity(matching(30), budget=1.0)
+
+
+def test_climb_past_the_guard_names_the_highest_k_exhausted(monkeypatch):
+    # C5 needs 3 letters; its bound is 1, so the climb exhausts k = 1, 2
+    monkeypatch.setattr(solver, "MAX_K", 2)
+    with pytest.raises(ScaleError, match=r"^k = 2 exhausted; the solver "
+                       r"scale guard is k <= 2$"):
+        lettericity(cycle(5))
 
 
 def test_is_k_letterable_rejects_k_below_1_and_the_empty_graph():
