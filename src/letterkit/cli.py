@@ -89,8 +89,7 @@ def _cmd_lettericity(args) -> int:
     k, lett = solver.lettericity(g)
     if args.json:
         print(json.dumps({"lettericity": k,
-                          "lettering": json.loads(
-                              letters.lettering_to_json(lett))}))
+                          "lettering": letters._lettering_dict(lett)}))
     else:
         print(k)
     return 0

@@ -35,7 +35,7 @@ import json
 
 from .graphs import (DOMINATING, ISOLATED, Graph, _bits, _canonical,
                      _record, to_graph6)
-from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
+from .letters import Decoder, Lettering, _lettering_dict, symbol, verify
 from .modular import _MEMO_SIZE, _split
 from .obstructions import (ClassProfile, f_impl, f_paper,
                            max_induced_matching, max_stacked_path)
@@ -106,7 +106,7 @@ class CompositionCertificate:
 
     def to_json(self) -> str:
         return json.dumps({
-            "lettering": json.loads(lettering_to_json(self.lettering)),
+            "lettering": _lettering_dict(self.lettering),
             "alphabet_size": self.alphabet_size,
             "recursion_tree": self.recursion_tree,
             "bound_check": self.bound_check,

@@ -170,14 +170,18 @@ def threshold_lettering(creation_sequence) -> Lettering:
 
 # -- JSON schema ------------------------------------------------------------
 
-def lettering_to_json(lettering: Lettering) -> str:
+def _lettering_dict(lettering: Lettering) -> dict:
     dec = lettering.decoder
-    return json.dumps({
+    return {
         "alphabet": list(dec.alphabet),
         "decoder": [list(p) for p in dec.pair_list()],
         "word": [dec.alphabet[a] for a in lettering.word],
         "vertex_of_position": list(lettering.vertex_of_position),
-    })
+    }
+
+
+def lettering_to_json(lettering: Lettering) -> str:
+    return json.dumps(_lettering_dict(lettering))
 
 
 def _symbols(value, what: str) -> list[str]:

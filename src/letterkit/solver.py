@@ -39,7 +39,7 @@ import json
 import operator
 
 from .graphs import Graph, ScaleError, _canonical, _nons, _record, _twins
-from .letters import Decoder, Lettering, lettering_to_json, symbol, verify
+from .letters import Decoder, Lettering, _lettering_dict, symbol, verify
 from .obstructions import max_induced_matching
 from .run import BudgetExceeded, Run  # noqa: F401  re-exported
 
@@ -90,14 +90,10 @@ class SolveReport:
     elapsed: float
 
     def to_json(self) -> str:
-        obj = {
-            "outcome": self.outcome,
-            "decoders_tried": self.decoders_tried,
-            "nodes_expanded": self.nodes_expanded,
-            "elapsed": self.elapsed,
-        }
+        obj = {"outcome": self.outcome, "decoders_tried": self.decoders_tried,
+               "nodes_expanded": self.nodes_expanded, "elapsed": self.elapsed}
         if self.lettering is not None:
-            obj["lettering"] = json.loads(lettering_to_json(self.lettering))
+            obj["lettering"] = _lettering_dict(self.lettering)
         return json.dumps(obj)
 
 
