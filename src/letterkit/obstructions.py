@@ -208,8 +208,6 @@ class BoundParams:
 
 
 def bounds(m: int, p: int, q: int, r: int) -> BoundParams:
-    _check_args(p, q, r)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    # g_bound checks p, q and r first, then f_impl checks m
     return BoundParams(m, p, q, r, g_bound(p, q, r), f_paper(p, q, r),
                        f_impl(m, p, q, r))
