@@ -174,10 +174,10 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     ``search(placed, cand)`` runs it from every letter empty, the vertices
     of the mask ``placed`` already placed (nothing joins them, so they must
     be accounted for in ``cand``) and ``cand`` as the start masks, and
-    returns a fitting code or None. It copies a mask list before it cuts
-    one, as ``_search_word``, which sets one up per word search for its
-    completion check, reuses the list it passes. A search counts its
-    placements as ``run``'s ``nodes``, but no decoder.
+    returns a fitting code or None. A node copies a mask list before it
+    cuts it, because ``_search_word``, which sets one up per word search
+    for its completion check, reuses the list it passes. A search counts
+    its placements as ``run``'s ``nodes``, but no decoder.
 
     ``owns[a]`` is letter a's members. ``rows`` and ``_nons``, built once
     per graph, give each vertex's two sides. The letter specs of

@@ -597,14 +597,14 @@ def test_search_word_matches_reference(n, k, n_classes, rnd):
     # word, so the new search may try fewer nodes than the reference
     assert new[0] == eager[0] == off[0] == ref[0]
     # with no check, the dead-branch test, which sees the class cuts,
-    # prunes only more than the reference's, which does not
+    # prunes at least as much as the reference's, which does not
     assert off[1] <= ref[1]
 
 
 def test_word_search_dead_branch_test_sees_the_class_cuts():
     # the cuts act on the candidate masks, so a branch that leaves a class
-    # member in no letter it may take is dead at once; a dead-branch test
-    # blind to them tried 1,374 nodes here (1,768 with no check)
+    # member in no letter it may take is dead at once; the reference, whose
+    # dead-branch test is blind to them, tries 1,768 nodes
     g = from_graph6("G}~Z~w")
     classes = [frozenset({7}), frozenset({1, 2, 6})]
     new, ref = _both_searches(g, 3, (6, 6, 7), classes)
