@@ -248,7 +248,10 @@ def profile(g: Graph) -> ClassProfile:
             return _homogeneous_stats(mask.bit_count(), complete)
         return _node_stats(h, [walk(p) for p in parts])
 
-    r, m, cm = walk((1 << g.n) - 1)
+    try:
+        r, m, cm = walk((1 << g.n) - 1)
+    finally:
+        del walk  # walk refers to itself: free it at return or raise
     return ClassProfile(m + 1, cm + 1, r + 1)
 
 
@@ -365,7 +368,10 @@ def compose(g: Graph) -> CompositionCertificate:
                     "peeled": len(removed)}
         return word, node, _node_stats(h, stats)
 
-    word, tree, (r, m, cm) = build((1 << g.n) - 1)
+    try:
+        word, tree, (r, m, cm) = build((1 << g.n) - 1)
+    finally:
+        del build  # build refers to itself: free it at return or raise
     lett = _finalize(word, pairs)
     if not verify(g, lett):  # soundness guard
         raise AssertionError("composed lettering failed verification")

@@ -384,7 +384,10 @@ def contains_induced(g: Graph, pattern: Graph):
             phi.pop()
         return False
 
-    return tuple(phi) if extend(0, domains) else None
+    try:
+        return tuple(phi) if extend(0, domains) else None
+    finally:
+        del extend  # extend refers to itself: free it at return or raise
 
 
 # -- canonical forms and exhaustive enumeration ---------------------------

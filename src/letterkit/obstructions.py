@@ -64,7 +64,10 @@ def max_induced_matching(g: Graph, weights=None
         memo[mask] = res
         return res
 
-    return best((1 << g.n) - 1)
+    try:
+        return best((1 << g.n) - 1)
+    finally:
+        del best  # best refers to itself: free it at return or raise
 
 
 def max_stacked_path(g: Graph, weights=None) -> tuple[int, tuple[int, ...]]:
@@ -91,8 +94,12 @@ def max_stacked_path(g: Graph, weights=None) -> tuple[int, tuple[int, ...]]:
     def top(mask: int) -> int:  # the largest weight in mask
         return mask & heavy and max(weights[v] for v in _bits(mask & heavy))
 
-    @lru_cache(maxsize=None)
+    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+
     def best(mask: int):
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
         res = top(mask), ()
         for x in _bits(mask):  # x-y is the P4's middle edge, x < y
             for y in _bits(rows[x] & mask & -(2 << x)):
@@ -107,9 +114,13 @@ def max_stacked_path(g: Graph, weights=None) -> tuple[int, tuple[int, ...]]:
                             r, levels = best(nose)
                             if r + 1 > res[0]:
                                 res = r + 1, (a, x, y, b) + levels
+        memo[mask] = res
         return res
 
-    return best((1 << g.n) - 1)
+    try:
+        return best((1 << g.n) - 1)
+    finally:
+        del best  # best refers to itself: free it at return or raise
 
 
 @_record

@@ -196,7 +196,9 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     x sides. The placements are counted on a local and added to
     ``run.nodes`` when the search returns or raises; with a deadline the
     clock is read on a search's first call and then once per 64
-    placements."""
+    placements. ``place`` takes itself as its first argument, so nothing
+    of the search refers to itself and reference counting frees it with
+    ``search``."""
     n, full = g.n, (1 << g.n) - 1
     rows, nons = g.rows, _nons(g)
     deadline = run.deadline
@@ -206,7 +208,7 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     twins = None if any(cuts) else _twins(g)  # None: no nogoods
     nodes = due = 0  # placements tried; the count at which to read the clock
 
-    def place(code: int, left: int, near: int, cand: list[int],
+    def place(place, code: int, left: int, near: int, cand: list[int],
               succ: list[int], pred: list[int], last: int, after: int,
               before: int, sym: int):
         nonlocal nodes, due
@@ -289,8 +291,8 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                     else:  # cand[a] is on that side of the others already
                         nxt[a] &= row if code & aa else non
                     owns[a] = own | bit
-                    hit = place(now, left ^ bit, near | row, nxt, succ,
-                                pred, v, after, before, sym)
+                    hit = place(place, now, left ^ bit, near | row, nxt,
+                                succ, pred, v, after, before, sym)
                     owns[a] = own
                     if hit is not None:
                         return hit
@@ -328,8 +330,9 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                         after |= succ[u]
                     if after & before:
                         continue  # the forced order has a cycle
-                    hit = place(now, left ^ bit, near | row, nxt, succ, pred,
-                                v, after, before, sym and not after | before)
+                    hit = place(place, now, left ^ bit, near | row, nxt,
+                                succ, pred, v, after, before,
+                                sym and not after | before)
                     if hit is not None:
                         return hit
                 owns[a] = 0
@@ -345,8 +348,8 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
         owns[:] = [0] * k  # a hit left its letters' members
         nodes, due = 0, 0 if deadline is not None else float("inf")
         try:
-            return place(prefix, full & ~placed, 0, cand, [0] * n, [0] * n,
-                         0, 0, 0, fixed < 2)
+            return place(place, prefix, full & ~placed, 0, cand, [0] * n,
+                         [0] * n, 0, 0, 0, fixed < 2)
         finally:
             run.nodes += nodes
 
@@ -552,9 +555,10 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                     dead = True
         return False
 
-    if dfs(start, full):
-        return word, placed
-    return None
+    try:
+        return (word, placed) if dfs(start, full) else None
+    finally:
+        del dfs  # dfs refers to itself: free it at return or raise
 
 
 def _class_cuts(g: Graph, constraint: LetterClassConstraint | None

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import importlib
 import pathlib
 import types
@@ -7,9 +8,13 @@ import types
 import pytest
 
 import letterkit
-from letterkit import (ClassProfile, CompositionCertificate, Decoder, Graph,
-                       LetterClassConstraint, Lettering, SolveReport, bounds,
-                       classify_vertex, compose, path, quotient, stacked_path)
+from letterkit import (BudgetExceeded, ClassProfile, CompositionCertificate,
+                       Decoder, Graph, LetterClassConstraint, Lettering, Run,
+                       SolveReport, bounds, bull, claims, classify_vertex,
+                       compose, contains_induced, cycle, inflate,
+                       is_k_letterable, lettericity, matching,
+                       max_induced_matching, max_stacked_path, path, profile,
+                       quotient, stacked_path)
 from letterkit.graphs import _record
 from tests import startup_timing
 
@@ -32,6 +37,97 @@ def test_only_run_reads_the_clock():
     readers = sorted(path.name for path in root.rglob("*.py")
                      if "time.monotonic" in path.read_text())
     assert readers == ["run.py"]
+
+
+def _nested_functions(fn):
+    """The functions defined in ``fn``'s own body, not those nested deeper."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _frees_itself(outer, inner):
+    """Whether ``inner``, defined in ``outer``, takes itself as its first
+    argument, or ``outer`` calls it only inside a try whose finally clause
+    deletes it."""
+    if inner.args.args and inner.args.args[0].arg == inner.name:
+        return True
+    calls = [node for node in ast.walk(outer) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == inner.name]
+    for node in ast.walk(outer):
+        if isinstance(node, ast.Try) and any(
+                isinstance(d, ast.Delete) and any(
+                    isinstance(t, ast.Name) and t.id == inner.name
+                    for t in d.targets) for d in node.finalbody):
+            inside = {id(n) for stmt in node.body for n in ast.walk(stmt)}
+            inside |= {id(n) for n in ast.walk(inner)}
+            return all(id(call) in inside for call in calls)
+    return False
+
+
+def test_no_nested_function_keeps_itself_alive():
+    # a nested function that calls itself by name holds itself through its
+    # closure, so it, its cells and all they hold wait for the cyclic
+    # collector; each one takes itself as an argument or is deleted in a
+    # finally clause of the function that defines it
+    root = pathlib.Path(letterkit.__file__).parent
+    found = {}
+    for module in sorted(root.rglob("*.py")):
+        for outer in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in _nested_functions(outer):
+                if any(isinstance(node, ast.Call) and
+                       isinstance(node.func, ast.Name) and
+                       node.func.id == inner.name
+                       for node in ast.walk(inner)):
+                    found[f"{outer.name}.{inner.name}"] = \
+                        _frees_itself(outer, inner)
+    assert found == dict.fromkeys([
+        "max_induced_matching.best", "max_stacked_path.best",
+        "contains_induced.extend", "profile.walk", "compose.build",
+        "_placements.place", "_search_word.dfs"], True)
+
+
+def _searches():
+    r2, bull_inflation = stacked_path(2)[0], inflate(cycle(5), [
+        bull(), path(4), path(1), matching(2), path(3)])[0]
+    weights = [2, 0, 1, 3, 1]
+
+    def past_the_budget():
+        with pytest.raises(BudgetExceeded), Run(0.0):
+            compose(cycle(6))
+    return [pytest.param(call, id=name) for name, call in [
+        ("lettericity", lambda: lettericity(cycle(7))),
+        ("is_k_letterable with classes",
+         lambda: is_k_letterable(r2, 4, claims.r2_four_classes())),
+        ("compose", lambda: compose(bull_inflation)),
+        ("profile", lambda: profile(bull_inflation)),
+        ("weighted max_induced_matching",
+         lambda: max_induced_matching(cycle(5), weights)),
+        ("weighted max_stacked_path",
+         lambda: max_stacked_path(cycle(5), weights)),
+        ("contains_induced", lambda: contains_induced(r2, path(5))),
+        ("constrained_stacked", claims.constrained_stacked),
+        ("compose past its budget", past_the_budget)]]
+
+
+@pytest.mark.parametrize("call", _searches())
+def test_a_call_leaves_nothing_for_the_cyclic_collector(call):
+    # reference counting frees every search's state at return: with the
+    # collector off, a collection after the call finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
