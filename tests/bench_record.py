@@ -7,7 +7,8 @@ checkout's ``src`` first on ``PYTHONPATH``, and only reads their output:
   ``BENCHMARK.json``: ten untraced runs, on seeds 1 to 10, for the median
   and quartiles of each end-to-end metric, and one traced run
   (``--trace 1``) on seed 1 for the per-layer metrics;
-- ``tests.solver_timing`` on its default queries but ``5k2-k5``;
+- ``tests.solver_timing`` on its default queries but ``5k2-k5``, each
+  line with its cyclic collections and their seconds (``gc``);
 - ``tests.startup_timing``;
 - ``tests.bytecode_count`` on ``exact``, ``compose-small`` and
   ``compose-inflations`` at seed 1: the cold and warm opcode totals and

@@ -1,7 +1,9 @@
 """Bytecodes executed by one cold pass of a benchmark workload.
 
 The time of a pass that takes a tenth of a second moves with the host's
-speed state; the number of bytecodes it executes does not. This script
+speed state; the number of bytecodes it executes does not. The cyclic
+garbage collector runs in C between bytecodes, so its time is in no
+count here; ``tests.solver_timing`` reports its runs. This script
 builds pass 0's items of a workload through ``perfbench/workloads.py``
 (loaded from its file, unchanged) and warms the decoder tables as the
 benchmark's set-up does. It then runs each item once under

@@ -10,7 +10,11 @@ searches a word search runs to skip a candidate with no word below it
 (``solver._search_word``). A check is word-search work: its seconds are
 also part of ``word_searches``', and it is no descent question. The
 split times each call with its own clock readings, so ``elapsed``
-includes a little of that overhead. The queries are:
+includes a little of that overhead. ``gc`` gives the cyclic garbage
+collector's runs during the query, ``collections`` and their seconds
+``s``, read through ``gc.callbacks``; a full collection before each query
+empties the young generation, so the count does not depend on the queries
+before it. The queries are:
 
 - ``r3-k4`` and ``r3-k5``: the stacked path R3 (12 vertices) at k = 4
   and k = 5, both exhausted;
@@ -74,6 +78,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -327,13 +332,27 @@ def measure(name: str) -> dict:
         search = real_placements(*args)
         return _timed(search, split, lambda args, hit: SPLIT[4]) \
             if inside else search
+    collected, began = {"collections": 0, "s": 0.0}, []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            began.append(time.perf_counter())
+        else:
+            collected["collections"] += 1
+            collected["s"] += time.perf_counter() - began.pop()
     solver._tables.cache_clear()
+    gc.collect()
+    gc.callbacks.append(on_gc)
     start = time.perf_counter()
-    with mock.patch.object(solver, "_fits", fits), \
-            mock.patch.object(solver, "_search_word", word), \
-            mock.patch.object(solver, "_placements", placements):
-        outcome, reports, extra = query()
+    try:
+        with mock.patch.object(solver, "_fits", fits), \
+                mock.patch.object(solver, "_search_word", word), \
+                mock.patch.object(solver, "_placements", placements):
+            outcome, reports, extra = query()
+    finally:
+        gc.callbacks.remove(on_gc)
     elapsed = time.perf_counter() - start
+    collected["s"] = round(collected["s"], 4)
     tables = solver._tables.cache_info()
     for entry in split.values():
         entry["s"] = round(entry["s"], 4)
@@ -344,7 +363,7 @@ def measure(name: str) -> dict:
             "decoders": sum(r.decoders_tried for r in reports),
             "nodes": nodes,
             "us_per_node": round(elapsed / nodes * 1e6, 3) if nodes else None,
-            "split": split, **extra}
+            "split": split, "gc": collected, **extra}
 
 
 def main(names: list[str]) -> None:

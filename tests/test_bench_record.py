@@ -34,6 +34,10 @@ def test_bench_record_writes_every_field_on_a_short_run():
     assert layers["failed_frac"] == 0 and layers["solver.nodes_expanded"] > 0
     query = data["solver_timing"]["r3-k4"]
     assert (query["outcome"], query["decoders"]) == ("exhausted", 1)
+    collected = query["gc"]
+    assert set(collected) == {"collections", "s"}
+    assert collected["collections"] >= 0 and collected["s"] >= 0
+    assert collected["s"] == 0 or collected["collections"] > 0
     assert len(data["startup"]["import_ms"]) == 3
     assert data["startup"]["runs"] == 2
     counted = data["bytecodes"]["exact"]

@@ -350,7 +350,7 @@ def test_solver_timing_script_reports_a_query(capsys, monkeypatch):
     solver_timing.main(["r3-k4"])
     line = json.loads(capsys.readouterr().out)
     assert set(line) == {"name", "outcome", "elapsed", "decoders", "nodes",
-                         "us_per_node", "split"}
+                         "us_per_node", "split", "gc"}
     assert (line["name"], line["outcome"], line["decoders"]) == \
         ("r3-k4", "exhausted", 1)
     assert line["nodes"] > 0 and line["elapsed"] > 0
