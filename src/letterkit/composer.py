@@ -115,8 +115,8 @@ class CompositionCertificate:
 
 # Each memo below keeps the last ``_MEMO_SIZE`` entries, as modular's does.
 # One solved prime quotient per isomorphism class, oldest first: the
-# canonical code maps to (k, D* as row masks).
-_classes: dict[int, tuple[int, tuple[int, ...]]] = {}
+# canonical code maps to k and D*'s code (bit a*k + b is entry (a, b)).
+_classes: dict[int, tuple[int, int]] = {}
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -150,14 +150,14 @@ def _prime_lettering(h: Graph) -> tuple[
     must raise whatever was solved before."""
     code = _canonical(h)[0]
     if code in _classes:
-        k, matrix = _classes[code]
-        lett = _least_lettering(h, matrix, Run())
+        k, least = _classes[code]
+        lett = _least_lettering(h, k, least, Run())
     else:
         k, lett = lettericity(h)
         if len(_classes) >= _MEMO_SIZE:
             del _classes[next(iter(_classes))]
-        _classes[code] = k, tuple(sum(x << b for b, x in enumerate(row))
-                                  for row in lett.decoder.pairs)
+        _classes[code] = k, sum(x << i for i, x in enumerate(
+            itertools.chain(*lett.decoder.pairs)))
     d_h = lett.decoder.pairs
     letter_of = dict(zip(lett.vertex_of_position, lett.word))
     plan = tuple((v, u) for v, u in itertools.permutations(range(h.n), 2)

@@ -165,19 +165,20 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     code returned are those of the search without the rule, and only the
     placements fall (about half of an exhausted decision's)."""
     run.decoders_tried += 1
-    return _placements(g, k, prefix, fixed, cuts, run)(0, [(1 << g.n) - 1] * k)
+    return _placements(g, k, prefix, fixed, cuts, run, 0,
+                       [(1 << g.n) - 1] * k)
 
 
 def _placements(g: Graph, k: int, prefix: int, fixed: int,
-                cuts: list[tuple[int, int] | None], run: Run):
-    """The letter-class search of ``_fits``, set up once for its key:
-    ``search(placed, cand)`` runs it from every letter empty, the vertices
-    of the mask ``placed`` already placed (nothing joins them, so they must
-    be accounted for in ``cand``) and ``cand`` as the start masks, and
-    returns a fitting code or None. A node copies a mask list before it
-    cuts it, because ``_search_word``, which sets one up per word search
-    for its completion check, reuses the list it passes. A search counts
-    its placements as ``run``'s ``nodes``, but no decoder.
+                cuts: list[tuple[int, int] | None], run: Run, placed: int,
+                cand: list[int]) -> int | None:
+    """The letter-class search of ``_fits``, run once from every letter
+    empty, the vertices of the mask ``placed`` already placed (nothing
+    joins them, so they must be accounted for in ``cand``) and ``cand`` as
+    the start masks: a fitting code or None. A node copies a mask list
+    before it cuts it, because ``_search_word``'s completion check passes
+    the list its word search goes on with. The search counts its
+    placements as ``run``'s ``nodes``, but no decoder.
 
     ``owns[a]`` is letter a's members. ``rows`` and ``_nons``, built once
     per graph, give each vertex's two sides. The letter specs of
@@ -195,20 +196,17 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     opening with equal entries x to a letter b walks b's members for their
     x sides. The placements are counted on a local and added to
     ``run.nodes`` when the search returns or raises; with a deadline the
-    clock is read on a search's first call and then once per 64
-    placements. ``place`` takes itself as its first argument, so nothing
-    of the search refers to itself and reference counting frees it with
-    ``search``."""
+    clock is read on the first placement and then once per 64."""
     n, full = g.n, (1 << g.n) - 1
     rows, nons = g.rows, _nons(g)
-    deadline = run.deadline
     prefix &= (1 << fixed) - 1
     letters, rotated = _tables(k, prefix, fixed)
     owns = [0] * k  # each letter's members
     twins = None if any(cuts) else _twins(g)  # None: no nogoods
-    nodes = due = 0  # placements tried; the count at which to read the clock
+    # placements tried; the count at which to read the clock
+    nodes, due = 0, 0 if run.deadline is not None else float("inf")
 
-    def place(place, code: int, left: int, near: int, cand: list[int],
+    def place(code: int, left: int, near: int, cand: list[int],
               succ: list[int], pred: list[int], last: int, after: int,
               before: int, sym: int):
         nonlocal nodes, due
@@ -291,8 +289,8 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                     else:  # cand[a] is on that side of the others already
                         nxt[a] &= row if code & aa else non
                     owns[a] = own | bit
-                    hit = place(place, now, left ^ bit, near | row, nxt,
-                                succ, pred, v, after, before, sym)
+                    hit = place(now, left ^ bit, near | row, nxt, succ,
+                                pred, v, after, before, sym)
                     owns[a] = own
                     if hit is not None:
                         return hit
@@ -330,8 +328,8 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                         after |= succ[u]
                     if after & before:
                         continue  # the forced order has a cycle
-                    hit = place(place, now, left ^ bit, near | row, nxt,
-                                succ, pred, v, after, before,
+                    hit = place(now, left ^ bit, near | row, nxt, succ,
+                                pred, v, after, before,
                                 sym and not after | before)
                     if hit is not None:
                         return hit
@@ -343,17 +341,12 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
                 cand[a] &= ~same
         return None
 
-    def search(placed: int, cand: list[int]):
-        nonlocal nodes, due
-        owns[:] = [0] * k  # a hit left its letters' members
-        nodes, due = 0, 0 if deadline is not None else float("inf")
-        try:
-            return place(place, prefix, full & ~placed, 0, cand, [0] * n,
-                         [0] * n, 0, 0, 0, fixed < 2)
-        finally:
-            run.nodes += nodes
-
-    return search
+    try:
+        return place(prefix, full & ~placed, 0, cand, [0] * n, [0] * n, 0, 0,
+                     0, fixed < 2)
+    finally:
+        run.nodes += nodes
+        del place  # place refers to itself: free it at return or raise
 
 
 # The set bits of each value of a mask's low byte and of its second byte,
@@ -449,15 +442,16 @@ def _least_renaming(code: int, k: int) -> int:
 
 # -- word search -------------------------------------------------------------
 
-def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
+def _search_word(g: Graph, k: int, code: int,
                  cuts: list[tuple[int, int] | None], run: Run):
     """Find the lexicographically least word (letters ascending, then vertex
-    ids ascending) decoding to ``g`` under ``matrix``; None if exhausted.
+    ids ascending) decoding to ``g`` under the decoder ``code`` (bit a*k + b
+    is entry (a, b)); None if exhausted.
 
     The state is one candidate vertex mask per letter: ``cand[b]`` holds the
     unplaced vertices that may still take letter b, tried lowest first.
     Placing v with letter a keeps in ``cand[b]`` only v's neighbours when
-    ``matrix[a]`` has bit b (a later b must then be adjacent to v) and only
+    entry (a, b) is 1 (a later b must then be adjacent to v) and only
     its non-neighbours otherwise, and, as ``_placements`` does, only
     ``cuts[v][b != a]`` (see ``_class_cuts``); a class of two or more
     starts out of the letters whose entry (a, a) is not its kind. A branch
@@ -467,9 +461,10 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     Once a candidate at a position has led to a dead subtree of at least
     ``_CHECK_AFTER`` nodes, each later candidate there is first put to a
     completion check: the letter-class search of ``_fits`` with every
-    entry fixed to ``matrix`` (``_placements``, set up once per word
-    search), from the prefix and the candidate placed, with the masks they
-    leave as the start masks, under the class cuts. A word that completes
+    entry fixed to ``code`` (``_placements``), from the prefix and the
+    candidate placed, with the masks ``nxt`` they leave as the start masks,
+    under the class cuts; the check cuts copies of ``nxt``, so the word
+    search goes on with it once the check passes. A word that completes
     the prefix gives each unplaced vertex a letter within those masks,
     under the same entries and cuts, and orders them with no cycle, so the
     check finds a fitting lettering.
@@ -488,21 +483,20 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
     """
     rows, nons, full = g.rows, _nons(g), (1 << g.n) - 1
     start = [full & ~sum(1 << v for v, cut in enumerate(cuts) if cut and
-                         ~cut[1] & (rows, nons)[matrix[a] >> a & 1][v])
+                         ~cut[1] & (rows, nons)[code >> a * k + a & 1][v])
              for a in range(k)] if any(cuts) else [full] * k
     if functools.reduce(operator.or_, start) != full:
         return None  # a class has no letter of its kind
-    keeps_row = [[matrix[a] >> b & 1 for b in range(k)] for a in range(k)]
+    keeps_row = [[code >> a * k + b & 1 for b in range(k)] for a in range(k)]
     # with a deadline, the clock is read on the first call and then once
     # per 64 nodes (completion checks' placements included)
     due = 0 if run.deadline is not None else float("inf")
-    complete = None  # the completion check, set up when first needed
 
     word: list[int] = []
     placed: list[int] = []
 
     def dfs(cand: list[int], rest: int) -> bool:
-        nonlocal complete, due
+        nonlocal due
         if not rest:
             return True
         if run.nodes >= due:
@@ -537,13 +531,9 @@ def _search_word(g: Graph, k: int, matrix: tuple[int, ...],
                 cut = cuts[v]
                 if cut:
                     nxt = [m & cut[b != a] for b, m in enumerate(nxt)]
-                if dead:
-                    if complete is None:
-                        complete = _placements(g, k, sum(
-                            m << i * k for i, m in enumerate(matrix)),
-                            k * k, cuts, run)
-                    if complete(full & ~left, nxt) is None:
-                        continue  # no word completes this prefix
+                if dead and _placements(g, k, code, k * k, cuts, run,
+                                        full & ~left, nxt) is None:
+                    continue  # no word completes this prefix
                 placed.append(v)
                 word.append(a)
                 spent = run.nodes
@@ -620,24 +610,22 @@ def is_k_letterable(g: Graph, k: int,
             if code >> e & 1:
                 hit = _fits(g, k, code ^ 1 << e, e + 1, cuts, run)
                 code = code if hit is None else _least_renaming(hit, k)
-        matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
-        lett = _least_lettering(g, matrix, run, cuts)
+        lett = _least_lettering(g, k, code, run, cuts)
     return SolveReport("exhausted" if lett is None else "found", lett,
                        run.decoders_tried, run.nodes, run.elapsed)
 
 
-def _least_lettering(g: Graph, matrix: tuple[int, ...], run: Run,
+def _least_lettering(g: Graph, k: int, code: int, run: Run,
                      cuts: list[tuple[int, int] | None] | None = None
                      ) -> Lettering:
-    """The lettering of ``g`` by the least word under the decoder
-    ``matrix`` (bit b of row a is entry (a, b)), checked by ``verify``:
+    """The lettering of ``g`` by the least word under the k-letter decoder
+    ``code`` (bit a*k + b is entry (a, b)), checked by ``verify``:
     the tail of ``is_k_letterable`` once the decoder is known. The word
     search runs under ``run`` with the class ``cuts``; none by default. A
     search that finds no word fails the check too."""
-    k = len(matrix)
-    hit = _search_word(g, k, matrix, cuts or [None] * g.n, run)
+    hit = _search_word(g, k, code, cuts or [None] * g.n, run)
     dec = Decoder(tuple(symbol(i) for i in range(k)),
-                  tuple(tuple(bool(matrix[a] >> b & 1) for b in range(k))
+                  tuple(tuple(bool(code >> a * k + b & 1) for b in range(k))
                         for a in range(k)))
     lett = None if hit is None else Lettering(dec, *map(tuple, hit))
     if lett is None or not verify(g, lett):

@@ -320,6 +320,7 @@ def measure(name: str) -> dict:
         0 if not args[3] else 1 if hit is not None else 2])  # args[3]: fixed
     timed_word = _timed(solver._search_word, split, lambda args, hit: SPLIT[3])
     real_placements, inside = solver._placements, []  # inside a word search
+    check = _timed(real_placements, split, lambda args, hit: SPLIT[4])
 
     def word(*args):
         inside.append(None)
@@ -328,10 +329,8 @@ def measure(name: str) -> dict:
         finally:
             inside.pop()
 
-    def placements(*args):  # sets up _fits' search, or a completion check
-        search = real_placements(*args)
-        return _timed(search, split, lambda args, hit: SPLIT[4]) \
-            if inside else search
+    def placements(*args):  # _fits' search, or a completion check
+        return (check if inside else real_placements)(*args)
     collected, began = {"collections": 0, "s": 0.0}, []
 
     def on_gc(phase, info):

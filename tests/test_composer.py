@@ -634,8 +634,8 @@ def test_memo_hit_searches_under_the_callers_deadline(monkeypatch):
     deadlines = []
     real = composer._least_lettering
     monkeypatch.setattr(composer, "_least_lettering",
-                        lambda h, matrix, run: deadlines.append(run.deadline)
-                        or real(h, matrix, run))
+                        lambda h, k, code, run: deadlines.append(run.deadline)
+                        or real(h, k, code, run))
     with Run(50) as outer, Run(100):
         compose(cycle(5).complement())
     assert deadlines == [outer.deadline]

@@ -364,13 +364,16 @@ def test_solver_timing_script_reports_a_query(capsys, monkeypatch):
     with pytest.raises(SystemExit, match="unknown query r3"):
         solver_timing.main(["r3"])
     # a found query: its word search's completion checks are word-search
-    # work, counted apart, and no descent question
+    # work, counted apart, and no descent question; timing them leaves the
+    # search as it is unpatched
     g = next(_exact_p10_labellings())
     monkeypatch.setitem(solver_timing.QUERIES, "p10",
                         lambda: solver_timing._single(g, 4))
     solver_timing.main(["p10"])
     line = json.loads(capsys.readouterr().out)
-    split = line["split"]
+    split, plain = line["split"], is_k_letterable(g, 4)
+    assert (line["nodes"], line["decoders"]) == \
+        (plain.nodes_expanded, plain.decoders_tried)
     assert line["outcome"] == "found" and split["word_searches"]["calls"] == 1
     assert sum(split[kind]["calls"] for kind in solver_timing.SPLIT[:3]) == \
         line["decoders"]
@@ -562,6 +565,12 @@ def _uniform_classes(g: Graph, rnd, count: int):
     return classes
 
 
+def _code(matrix: tuple[int, ...]) -> int:
+    """The solver's code of the decoder with row masks ``matrix`` (bit b of
+    row a is entry (a, b)): bit a*k + b is entry (a, b)."""
+    return sum(row << a * len(matrix) for a, row in enumerate(matrix))
+
+
 def _both_searches(g: Graph, k: int, matrix, classes, check_after=None):
     """Both searches' words and node counts, under the enclosing deadline;
     ``_search_word`` checks for a completion after a dead subtree of
@@ -570,7 +579,7 @@ def _both_searches(g: Graph, k: int, matrix, classes, check_after=None):
     new, ref = Run(), [0]
     with mock.patch.object(solver, "_CHECK_AFTER", solver._CHECK_AFTER
                            if check_after is None else check_after):
-        word = _search_word(g, k, matrix, _cuts(g, classes), new)
+        word = _search_word(g, k, _code(matrix), _cuts(g, classes), new)
     return [(word, new.nodes),
             (_reference_search_word(g, k, matrix, class_of, class_kind,
                                     ref, new.deadline), ref[0])]
@@ -651,15 +660,15 @@ def test_word_search_reads_the_clock_once_per_64_nodes():
     # is the word search's own: the first call reads the clock, and then
     # each one at least 64 nodes after the last
     g = next(_exact_p10_labellings())
-    matrix, cuts = _least_decoder(g, 4), [None] * g.n
+    code, cuts = _code(_least_decoder(g, 4)), [None] * g.n
     with mock.patch.object(solver, "_CHECK_AFTER", math.inf):
         with Run(600):
             run, late = _ClockReads(), _ClockReads(late=3)
-            assert _search_word(g, 4, matrix, cuts, run) is not None
+            assert _search_word(g, 4, code, cuts, run) is not None
             with pytest.raises(BudgetExceeded):  # past it mid-search
-                _search_word(g, 4, matrix, cuts, late)
+                _search_word(g, 4, code, cuts, late)
         free = _ClockReads()  # no deadline: no reading
-        assert _search_word(g, 4, matrix, cuts, free) is not None
+        assert _search_word(g, 4, code, cuts, free) is not None
     reads = run.reads
     assert reads[0] == 0 and len(reads) > 10
     assert all(b - a >= 64 for a, b in zip(reads, reads[1:]))
@@ -702,46 +711,20 @@ def test_p10_word_search_places_at_most_a_fifth_of_the_reference_dfs():
         assert new[1] * 5 <= ref[1]
 
 
-def _check_states(g: Graph, k: int, matrix, classes):
+def _check_states(g: Graph, k: int, code: int, classes):
     """The placed mask and start masks of each completion check that a word
-    search of ``g`` under ``matrix`` makes when it checks after every dead
-    subtree."""
+    search of ``g`` under the decoder ``code`` makes when it checks after
+    every dead subtree."""
     states, real = [], solver._placements
 
-    def recording(*args):
-        search = real(*args)
-        return lambda placed, cand: states.append((placed, cand[:])) or \
-            search(placed, cand)
+    def recording(*args):  # the check's placed mask and start masks last
+        states.append((args[-2], args[-1][:]))
+        return real(*args)
 
     with mock.patch.object(solver, "_placements", recording), \
             mock.patch.object(solver, "_CHECK_AFTER", 0):
-        assert _search_word(g, k, matrix, _cuts(g, classes), Run())
+        assert _search_word(g, k, code, _cuts(g, classes), Run())
     return states
-
-
-def test_a_reused_completion_check_answers_as_a_fresh_one():
-    # a hit returns before the search restores its letters' members, so a
-    # reused search must empty them itself; P10, a twin-rich inflation of
-    # C5 (nogoods on) and the stacked path R2 with two classes (cuts on)
-    r2, labels = stacked_path(2)
-    cases = [(g, 4, []) for g in _exact_p10_labellings()]
-    cases.append((inflate(cycle(5), [complete(2), path(1), co_matching(1),
-                                     path(3), path(1)])[0], 4, []))
-    cases.append((r2, 5, [frozenset(labels.id_of(role, level, 1)
-                                    for level in (1, 2))
-                          for role in ("s", "c")]))
-    answers = set()
-    for g, k, classes in cases:
-        matrix = _least_decoder(g, k, classes)
-        code = sum(row << a * k for a, row in enumerate(matrix))
-        cuts = _cuts(g, classes)
-        reused = solver._placements(g, k, code, k * k, cuts, Run())
-        for placed, cand in _check_states(g, k, matrix, classes):
-            fresh = solver._placements(g, k, code, k * k, cuts, Run())
-            hit = reused(placed, cand[:])
-            assert hit == fresh(placed, cand[:]) in (None, code)
-            answers.add(hit is None)
-    assert answers == {False, True}
 
 
 # -- the decoder walk that the letter-class search replaced ------------------
@@ -808,7 +791,7 @@ def _decoder_walk(g: Graph, k: int, classes=(), matrices=None):
     cuts, tried, run = _cuts(g, classes), 0, Run()
     for matrix in _kept_matrices(k) if matrices is None else matrices:
         tried += 1
-        hit = _search_word(g, k, matrix, cuts, run)
+        hit = _search_word(g, k, _code(matrix), cuts, run)
         if hit is not None:
             dec = Decoder(tuple(symbol(i) for i in range(k)),
                           tuple(tuple(bool(matrix[a] >> b & 1)
@@ -1003,8 +986,7 @@ def test_fits_matches_reference(n, k, n_classes, draw, rnd):
     if got is not None:
         known = (1 << fixed) - 1
         assert got & known == prefix & known
-        solver._least_lettering(g, tuple(got >> a * k & (1 << k) - 1
-                                         for a in range(k)), Run())
+        solver._least_lettering(g, k, got, Run())
 
 
 def _same_or_mirror_pruned(fixed: int, nodes: int, reference: int) -> None:
@@ -1179,8 +1161,7 @@ def _same_placements(g: Graph, k: int, prefix: int, fixed: int,
     """Both searches from one start state give the same code and count
     the same placements, or no more where the mirror rule acts."""
     new, ref = Run(), Run()
-    got = solver._placements(g, k, prefix, fixed, cuts, new)(placed,
-                                                               cand[:])
+    got = solver._placements(g, k, prefix, fixed, cuts, new, placed, cand[:])
     want = _reference_placements(g, k, prefix, fixed, cuts, ref)(placed,
                                                                   cand[:])
     assert (got, new.decoders_tried) == (want, ref.decoders_tried)
@@ -1207,8 +1188,7 @@ def test_placements_match_reference(n, k, n_classes, draw, rnd):
             code = solver._fits(g, k, prefix, fixed, cuts, Run())
             if code is None:
                 return
-            matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
-            for placed, cand in _check_states(g, k, matrix, classes)[:20]:
+            for placed, cand in _check_states(g, k, code, classes)[:20]:
                 _same_placements(g, k, code, k * k, cuts, placed, cand)
     except BudgetExceeded:
         reject()

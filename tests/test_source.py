@@ -4,6 +4,7 @@ import gc
 import importlib
 import pathlib
 import types
+from unittest import mock
 
 import pytest
 
@@ -14,7 +15,7 @@ from letterkit import (BudgetExceeded, ClassProfile, CompositionCertificate,
                        compose, contains_induced, cycle, inflate,
                        is_k_letterable, lettericity, matching,
                        max_induced_matching, max_stacked_path, path, profile,
-                       quotient, stacked_path)
+                       quotient, solver, stacked_path)
 from letterkit.graphs import _record
 from tests import startup_timing
 
@@ -51,11 +52,8 @@ def _nested_functions(fn):
 
 
 def _frees_itself(outer, inner):
-    """Whether ``inner``, defined in ``outer``, takes itself as its first
-    argument, or ``outer`` calls it only inside a try whose finally clause
-    deletes it."""
-    if inner.args.args and inner.args.args[0].arg == inner.name:
-        return True
+    """Whether ``outer`` calls ``inner``, which it defines, only inside a try
+    whose finally clause deletes it."""
     calls = [node for node in ast.walk(outer) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name)
              and node.func.id == inner.name]
@@ -73,8 +71,8 @@ def _frees_itself(outer, inner):
 def test_no_nested_function_keeps_itself_alive():
     # a nested function that calls itself by name holds itself through its
     # closure, so it, its cells and all they hold wait for the cyclic
-    # collector; each one takes itself as an argument or is deleted in a
-    # finally clause of the function that defines it
+    # collector; each one is deleted in a finally clause of the function
+    # that defines it
     root = pathlib.Path(letterkit.__file__).parent
     found = {}
     for module in sorted(root.rglob("*.py")):
@@ -102,6 +100,10 @@ def _searches():
     def past_the_budget():
         with pytest.raises(BudgetExceeded), Run(0.0):
             compose(cycle(6))
+
+    def with_completion_checks():  # P7's word searches run eight
+        with mock.patch.object(solver, "_CHECK_AFTER", 0):
+            lettericity(path(7))
     return [pytest.param(call, id=name) for name, call in [
         ("lettericity", lambda: lettericity(cycle(7))),
         ("is_k_letterable with classes",
@@ -114,7 +116,8 @@ def _searches():
          lambda: max_stacked_path(cycle(5), weights)),
         ("contains_induced", lambda: contains_induced(r2, path(5))),
         ("constrained_stacked", claims.constrained_stacked),
-        ("compose past its budget", past_the_budget)]]
+        ("compose past its budget", past_the_budget),
+        ("lettericity with completion checks", with_completion_checks)]]
 
 
 @pytest.mark.parametrize("call", _searches())
