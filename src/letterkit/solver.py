@@ -19,6 +19,11 @@ word under the transposed decoder letters the same graph, so while every
 entry set is symmetric, an opening skips each choice whose first
 asymmetric pair is (0, 1): the subtree mirrors that of its (1, 0) twin,
 tried before it (``_fits``; Crawford, Ginsberg, Luks and Roy, KR 1996).
+Two empty letters whose swap maps the fixed entries onto themselves are
+interchangeable, so an opening skips the second once the first has
+failed (``_tables``' ``dup``; Van Hentenryck, Flener, Pearson and Agren,
+IJCAI 2003), and each node places a vertex with the fewest candidate
+letters, counted up to three (Haralick and Elliott, AI 1980).
 A word search over one candidate vertex bitmask per letter then finds the
 least decoder's least word; after a large dead subtree at a word
 position, it skips each later candidate there that a completion check,
@@ -163,7 +168,23 @@ def _fits(g: Graph, k: int, prefix: int, fixed: int,
     asymmetric pair has a nonempty ``after`` or ``before``, and its child
     clears the flag; a join sets no asymmetric pair. So the answer and the
     code returned are those of the search without the rule, and only the
-    placements fall (about half of an exhausted decision's)."""
+    placements fall (about half of an exhausted decision's).
+
+    Swaps. Let the swap of letters a and b map each fixed entry onto a
+    fixed entry of the same value and each free entry onto a free one
+    (``dup`` of ``_tables``): two whole fixed rows with the same pattern,
+    such as rows 0 and 1 all zero, or two free rows whose columns of
+    fixed entries agree. At a node where both are empty the swap fixes
+    the letter of every placed vertex, every entry set and each class's
+    letter, so it maps the node's fitting completions onto themselves,
+    those in which v opens b onto those in which v opens a. Once v's
+    openings of a have all failed, b's subtree is empty too and is
+    skipped; as with mirrors, the answer is that of the search without
+    the rule, and a nogood, a proved fact, changes neither. A completion
+    check (every entry fixed) pairs no letters: its start masks carry
+    the letters of the word prefix's vertices, so two letters empty in
+    the search need not be empty in the lettering, and the swap need not
+    map its completions onto themselves."""
     run.decoders_tried += 1
     return _placements(g, k, prefix, fixed, cuts, run, 0,
                        [(1 << g.n) - 1] * k)
@@ -188,7 +209,12 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     ``_HIGH``. A placement closes ``after`` and tests it for a cycle, a
     join before it restricts ``cand[a]``; the child adds the placed vertex
     ``last`` to ``succ`` and ``pred``; ``sym`` is the mirror flag of
-    ``_fits``, set at the start when ``fixed`` is 0 or 1. No letter keeps
+    ``_fits``, set at the start when ``fixed`` is 0 or 1. The vertex
+    placed is the lowest of those in one ``cand`` mask, else in two, else
+    in three or more but not in every one (k >= 4), else of all left
+    (fail-first), a neighbour of a placed vertex (``near``) first; the
+    order moves the tree but no answer, and the descent still ends at
+    D*. No letter keeps
     the masks of the vertices on one side of all its members: ``cand``
     only shrinks down the tree, and once entry (a, a) = x is known each
     member of a has cut ``cand[a]`` to its x side (the first one when the
@@ -232,7 +258,8 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
             one |= m
         if one & left != left:
             return None
-        v = (one & ~two & left) or (two & ~three & left) or left
+        v = (one & ~two & left) or (two & ~three & left) or \
+            (three & ~functools.reduce(operator.and_, cand) & left) or left
         v = v & near or v
         v = (v & -v).bit_length() - 1
         non, row, cut, bit = nons[v], rows[v], cuts[v], 1 << v
@@ -367,10 +394,15 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
     letter a, in letter order and, for the decision, in clique-last order
     (a question's is letter order), the spec being
 
-    - ``dup``: 0 if a's row has a fixed entry, else the mask of the
-      letters whose rows have none and whose columns of fixed entries
-      equal a's; once one of them opened at a node, opening another
-      repeats it;
+    - ``dup``: the mask of the letters b whose swap with a maps each
+      entry's ``given`` values onto themselves; once one of them opened
+      at a node, opening another while it is empty repeats it (the swap
+      argument of ``_fits``). The swap maps row a onto row b, and the
+      fixed entries are a row-major prefix, so only two free rows pair,
+      when their columns agree, or two whole fixed rows, when the swapped
+      entries (``_swap``) equal ``given``; the one partly fixed row pairs
+      with none. 0 when every entry is fixed, the key of a completion
+      check, whose start masks tell letters apart;
     - ``aa`` and ``set_aa``: the bit of entry (a, a), and that bit again
       if the entry is free (the second member sets it), else 0;
     - ``tied``: (b, x) for each fixed pair of equal entries
@@ -381,9 +413,14 @@ def _tables(k: int, prefix: int, fixed: int) -> tuple:
       opens, y outer and x inner."""
     given = [(prefix >> e & 1,) if e < fixed else (0, 1)
              for e in range(k * k)]  # the values entry e may take
+    free = range(-(-fixed // k), k)  # the letters whose rows are all free
+    whole = range(fixed // k if fixed < k * k else 0)  # all fixed
     letters = tuple((a, (
-        sum(1 << b for b in range(k)  # given[a::k] is a's column
-            if a * k >= fixed <= b * k and given[b::k] == given[a::k]),
+        sum(1 << b for b in free if given[b::k] == given[a::k])  # a column
+        if a in free else
+        sum(1 << b for b in whole
+            if list(map(given.__getitem__, _swap(k, a, b))) == given)
+        if a in whole else 0,
         1 << a * k + a, (1 << a * k + a) * (a * k + a >= fixed),
         tuple((b, given[a * k + b][0]) for b in range(k) if b != a
               and given[a * k + b] == given[b * k + a] != (0, 1)),
@@ -399,6 +436,16 @@ def _plan(k: int, a: int) -> tuple:
     a join of letter a reads, shared by every table of ``_tables``."""
     return tuple((b, 1 << a * k + b, 1 << b * k + a)
                  for b in range(k) if b != a)
+
+
+@functools.lru_cache(maxsize=None)
+def _swap(k: int, a: int, b: int) -> tuple[int, ...]:
+    """The row-major entries of a k-letter code with letters a and b
+    swapped: entry (i, j) is the old entry (s(i), s(j)), s the swap.
+    Shared by every table of ``_tables``."""
+    s = [*range(k)]
+    s[a], s[b] = b, a
+    return tuple(x * k + y for x in s for y in s)
 
 
 @functools.lru_cache(maxsize=None)

@@ -874,13 +874,14 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
     ones fix the adjacency. Entries are set once both letters have members;
     a fixed pair of equal entries x between a and b binds b's candidates to
     the x side of each member of a even while b is empty. A vertex in no
-    ``cand`` mask or a cycle in ``succ`` cuts the branch. Each placement
-    tried counts one ``run`` node."""
+    ``cand`` mask or a cycle in ``succ`` cuts the branch. The next vertex
+    is one in one mask, else two, else three or more but not all, and of
+    the empty letters whose swap maps the fixed entries onto themselves
+    (``_swap_classes``) only the first is opened. Each placement tried
+    counts one ``run`` node."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
     deadline = run.deadline
-    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
-    column = [(prefix & known) >> a & stride | (known >> a & stride) << k * k
-              for a in range(k)]
+    swap = _swap_classes(k, prefix, fixed)
     cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
            range(max(class_of, default=-1) + 1)]
     members = [(0, full, full)] * k  # members, adjacent to none, to all
@@ -899,9 +900,11 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
         one = two = three = 0  # in at least one, two, three masks
         for m in cand:
             one, two, three = one | m, two | one & m, three | two & m
+        every = functools.reduce(operator.and_, cand)
         if one & left != left:
             return None
-        v = (one & ~two & left) or (two & ~three & left) or left
+        v = (one & ~two & left) or (two & ~three & left) or \
+            (three & ~every & left) or left
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
         c, bit = class_of[v], 1 << v
         sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
@@ -909,8 +912,8 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
         for a in (*range(1, k), 0) if not fixed and rows[v] & first and \
                 0 < first == first & -first else range(k):
             own, none, every = members[a]
-            if not cand[a] >> v & 1 or not own and a * k >= fixed and (
-                    column[a] in opened or opened.add(column[a])):
+            if not cand[a] >> v & 1 or not own and (
+                    swap[a] in opened or opened.add(swap[a])):
                 continue  # v can't join a, or a is a twin of a letter tried
             here = code | bool(0 < own == own & -own and a * k + a >= fixed
                                and rows[v] & own) << a * k + a
@@ -1007,14 +1010,16 @@ def _same_or_mirror_pruned(fixed: int, nodes: int, reference: int) -> None:
 def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
                           cuts: list[tuple[int, int] | None], run: Run):
     """``solver._placements`` as it was before its placements were made
-    cheaper, verbatim but for its tables (``_reference_tables``), the same
-    search tree at more Python work per placement and without the mirror
-    rule, which drops a choice whose subtree mirrors one tried before it."""
+    cheaper, verbatim but for its tables (``_reference_tables``), its
+    vertex choice (the fewest masks, counted up to three) and its swap
+    classes, which follow the search it checks: the same search tree at
+    more Python work per placement and without the mirror rule, which
+    drops a choice whose subtree mirrors one tried before it."""
     n, rows, full = g.n, g.rows, (1 << g.n) - 1
     deadline = run.deadline
     prefix &= (1 << fixed) - 1
-    column, letters, rotated, tied, options = _reference_tables(k, prefix,
-                                                                fixed)
+    swap, letters, rotated, tied, options = _reference_tables(k, prefix,
+                                                              fixed)
     non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
     members = [(0, full, full)] * k  # members, adjacent to none, to all
     twins = None if any(cuts) else solver._twins(g)  # None: no nogoods
@@ -1029,9 +1034,11 @@ def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
         one = two = three = 0  # in at least one, two, three masks
         for m in cand:
             one, two, three = one | m, two | one & m, three | two & m
+        every = functools.reduce(operator.and_, cand)
         if one & left != left:
             return None
-        v = (one & ~two & left) or (two & ~three & left) or left
+        v = (one & ~two & left) or (two & ~three & left) or \
+            (three & ~every & left) or left
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
         cut, bit, row = cuts[v], 1 << v, rows[v]
         sides, opened = (non[v], row), []
@@ -1039,8 +1046,8 @@ def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
         for a, ak, aa in rotated if not fixed and row & first and \
                 0 < first == first & -first else letters:
             own, none, every = members[a]
-            if not cand[a] & bit or not own and ak >= fixed and (
-                    column[a] in opened or opened.append(column[a])):
+            if not cand[a] & bit or not own and (
+                    swap[a] in opened or opened.append(swap[a])):
                 continue  # v can't join a, or a is a twin of a letter tried
             here = code
             if own and not own & own - 1 and row & own and aa >= fixed:
@@ -1133,14 +1140,11 @@ def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
 @functools.lru_cache(maxsize=None)
 def _reference_tables(k: int, prefix: int, fixed: int) -> tuple:
     """The tables ``_reference_placements`` reads, as ``solver._tables``
-    built them before: each letter's column of fixed entries, (a, a*k,
-    a*k + a) per letter in letter and in clique-last order, the fixed
+    built them before: each letter's swap class (``_swap_classes``), (a,
+    a*k, a*k + a) per letter in letter and in clique-last order, the fixed
     pairs of equal entries per letter, and the options of opening a
     letter beside each other letter."""
     known = (1 << fixed) - 1
-    stride = ((1 << k * k) - 1) // ((1 << k) - 1)  # bit i*k for each row i
-    column = tuple(prefix >> a & stride | (known >> a & stride) << k * k
-                   for a in range(k))
     tied = tuple(tuple((b, prefix >> a * k + b & 1) for b in range(k)
                        if b != a
                        and known >> a * k + b & known >> b * k + a & 1
@@ -1153,7 +1157,33 @@ def _reference_tables(k: int, prefix: int, fixed: int) -> tuple:
                   for y in given[b * k + a] for x in given[a * k + b]))
         for b in range(k) if b != a) for a in range(k))
     letters = tuple((a, a * k, a * k + a) for a in range(k))
-    return column, letters, letters[1:] + letters[:1], tied, options
+    return (_swap_classes(k, prefix, fixed), letters, letters[1:] +
+            letters[:1], tied, options)
+
+
+def _swap_classes(k: int, prefix: int, fixed: int) -> tuple[int, ...]:
+    """Per letter a, the mask of the letters b such that swapping a and b
+    maps each fixed entry of ``prefix`` (its ``fixed`` low bits) onto a
+    fixed entry of the same value and each free entry onto a free one; a
+    alone when every entry is fixed, as a completion check's start masks
+    already tell the letters apart."""
+    known = (1 << fixed) - 1
+
+    def entry(a: int, b: int) -> tuple[int, int]:  # (fixed, value)
+        e = a * k + b
+        return known >> e & 1, prefix >> e & known >> e & 1
+
+    classes = []
+    for a in range(k):
+        mask = 1 << a
+        for b in range(k):
+            s = list(range(k))
+            s[a], s[b] = b, a
+            if fixed < k * k and all(entry(i, j) == entry(s[i], s[j])
+                                     for i in range(k) for j in range(k)):
+                mask |= 1 << b
+        classes.append(mask)
+    return tuple(classes)
 
 
 def _same_placements(g: Graph, k: int, prefix: int, fixed: int,
@@ -1223,7 +1253,7 @@ def test_mirror_pruned_decision_returns_the_unpruned_code(n, k, n_classes,
 def test_mirror_rule_halves_the_exhausted_decisions():
     # R3 and 5K2 at k = 4: below the root's few symmetric placements,
     # each choice with an asymmetric pair has its mirror, so the rule drops
-    # about half of the placements (12,029 to 6017 and 16,162 to 8090)
+    # about half of the placements (10,617 to 5311 and 16,162 to 8090)
     for g, k in ((stacked_path(3)[0], 4), (matching(5), 4)):
         new, ref = Run(), Run()
         cuts = [None] * g.n
@@ -1243,6 +1273,94 @@ def test_mirror_rule_keeps_openings_with_both_orientations():
                        ((90, 109, 26, 39, 5, 10, 3), 122)):
         g = Graph(len(rows), rows)
         assert solver._fits(g, 3, 0, 0, [None] * g.n, Run()) == code
+
+
+def test_swap_classes_pair_letters_with_equal_fixed_rows():
+    # rows 0 and 1 all zero make letters 0 and 1 interchangeable, as the
+    # free rows 2 and 3 make 2 and 3; rows 0 and 1 pair only if the swap
+    # maps (0, 1) onto an equal (1, 0); a fully fixed code (a completion
+    # check's key) pairs no letters
+    def dups(*key):
+        return [spec[0] for _, spec in solver._tables(*key)[0]]
+
+    assert dups(4, 0, 8) == [0b0011, 0b0011, 0b1100, 0b1100]
+    assert dups(3, 0b011011, 6) == [0b011, 0b011, 0b100]
+    assert dups(3, 0b010011, 6) == [0b001, 0b010, 0b100]
+    assert dups(4, 0, 16) == [0] * 4 and dups(3, 0b011011, 9) == [0] * 3
+    assert dups(4, 0, 0) == [0b1111] * 4
+    # P10's question at k = 4 with rows 0 and 1 all zero, exhausted, opens
+    # one of letters 0 and 1 where the old rule opened both (635 against
+    # 953 placements)
+    g = path(10)
+    new, old = Run(), Run()
+    assert solver._fits(g, 4, 0, 8, [None] * g.n, new) is None
+    with mock.patch.object(solver, "_tables", _old_dup_tables):
+        assert solver._fits(g, 4, 0, 8, [None] * g.n, old) is None
+    assert new.nodes < old.nodes
+
+
+@functools.lru_cache(maxsize=None)
+def _old_dup_tables(k: int, prefix: int, fixed: int) -> tuple:
+    """``solver._tables`` with the ``dup`` rule it had before: the letters
+    whose rows have no fixed entry and whose columns of fixed entries are
+    equal."""
+    given = [(prefix >> e & 1,) if e < fixed else (0, 1)
+             for e in range(k * k)]
+    letters = tuple((a, (sum(1 << b for b in range(k) if a * k >= fixed <=
+                             b * k and given[b::k] == given[a::k]),
+                         *spec[1:]))
+                    for a, spec in _TABLES(k, prefix, fixed)[0])
+    return letters, letters if fixed else letters[1:] + letters[:1]
+
+
+_TABLES = solver._tables.__wrapped__  # uncached, and unpatched in a test
+
+
+def _prefix_with_interchangeable_rows(k: int, rnd) -> tuple[int, int]:
+    """A prefix and its number of fixed entries: r >= 2 full rows and up
+    to k - 1 entries of the next, such that swapping two of the full
+    rows' letters, a and b, maps the entries onto themselves; rows a and
+    b are all zero half the time."""
+    r = rnd.randint(2, k)
+    a, b = rnd.sample(range(r), 2)
+    m = [[rnd.getrandbits(1) for _ in range(k)] for _ in range(k)]
+    if rnd.random() < 0.5:
+        m[a] = [0] * k
+    for i in range(k):  # column b equals column a
+        m[i][b] = m[i][a]
+    m[b] = [m[a][{a: b, b: a}.get(j, j)] for j in range(k)]
+    fixed = min(k * k, r * k + rnd.randrange(k))
+    return sum(m[i][j] << i * k + j for i in range(k) for j in range(k)
+               if i * k + j < fixed), fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(2, 4), st.just(0) | st.integers(1, 3),
+       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
+       st.randoms(use_true_random=False))
+def test_swap_rule_finds_a_code_exactly_when_the_old_rule_does(
+        n, k, n_classes, draw, rnd):
+    # prefixes whose full rows share a pattern, which the old rule, pairing
+    # only letters with no fixed entry, never made interchangeable
+    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
+        draw(rnd)
+    prefix, fixed = _prefix_with_interchangeable_rows(k, rnd)
+    cuts = _cuts(g, _uniform_classes(g, rnd, n_classes))
+    try:
+        with Run(2):
+            new, old = Run(), Run()
+            got = solver._fits(g, k, prefix, fixed, cuts, new)
+            with mock.patch.object(solver, "_tables", _old_dup_tables):
+                want = solver._fits(g, k, prefix, fixed, cuts, old)
+    except BudgetExceeded:
+        reject()
+    assert (got is None) == (want is None)
+    if any(cuts):  # no nogoods: the old tree less the skipped subtrees
+        assert got == want and new.nodes <= old.nodes
+    if got is not None:
+        known = (1 << fixed) - 1
+        assert got & known == prefix & known
+        solver._least_lettering(g, k, got, Run(), cuts)
 
 
 def _tuples_of_ints(value) -> bool:
