@@ -1320,15 +1320,18 @@ def _prefix_with_interchangeable_rows(k: int, rnd) -> tuple[int, int]:
     """A prefix and its number of fixed entries: r >= 2 full rows and up
     to k - 1 entries of the next, such that swapping two of the full
     rows' letters, a and b, maps the entries onto themselves; rows a and
-    b are all zero half the time."""
+    b are all zero half the time. A quarter of the time each, the columns
+    or the rows of a and b are left apart: near misses, which a rule
+    that pairs too many letters would pair."""
     r = rnd.randint(2, k)
     a, b = rnd.sample(range(r), 2)
     m = [[rnd.getrandbits(1) for _ in range(k)] for _ in range(k)]
     if rnd.random() < 0.5:
         m[a] = [0] * k
-    for i in range(k):  # column b equals column a
-        m[i][b] = m[i][a]
-    m[b] = [m[a][{a: b, b: a}.get(j, j)] for j in range(k)]
+    for i in range(k) if rnd.random() < 0.75 else ():
+        m[i][b] = m[i][a]  # column b equals column a
+    if rnd.random() < 0.75:
+        m[b] = [m[a][{a: b, b: a}.get(j, j)] for j in range(k)]
     fixed = min(k * k, r * k + rnd.randrange(k))
     return sum(m[i][j] << i * k + j for i in range(k) for j in range(k)
                if i * k + j < fixed), fixed
