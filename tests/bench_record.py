@@ -15,13 +15,21 @@ checkout's ``src`` first on ``PYTHONPATH``, and only reads their output:
   the outputs digest. These repeat exactly on any host, so two files
   compare across the host's speed states.
 
+It also counts the parser tokens of each ``src/letterkit/*.py`` module
+of the checkout (``tokenize`` without comments, blank lines and the
+encoding token). Where ``PYTHONDONTWRITEBYTECODE`` is set each benchmark
+child compiles the sources it imports, and compiling a module of more
+than 4,096 tokens doubles the parser's token arrays, which shows in
+``peak_rss_mb``.
+
 It writes one JSON object: ``commit`` (``git rev-parse HEAD`` of the
 checkout, or None outside git) and ``dirty`` (whether its tracked files
 differ from it), ``python``, ``dont_write_bytecode`` (whether
 ``PYTHONDONTWRITEBYTECODE`` is set, as it makes every benchmark child
 compile the sources it imports), ``end_to_end`` and ``per_layer`` per
 workload, each with its ``failed_frac``, ``solver_timing`` per query,
-``startup`` and ``bytecodes`` per workload. An end-to-end metric is
+``startup``, ``bytecodes`` per workload and ``source_tokens``, the
+token count per module file name. An end-to-end metric is
 ``{"median", "q1", "q3", "values"}`` over the runs.
 
 Run from the repository root; it takes about three minutes on a 2-vCPU
@@ -44,6 +52,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BYTECODE_WORKLOADS = ("exact", "compose-small", "compose-inflations")
@@ -84,6 +93,21 @@ def _commit(root: str) -> dict:
             git("status", "--porcelain", "--untracked-files=no"))}
     except (OSError, subprocess.CalledProcessError):
         return {"commit": None, "dirty": None}
+
+
+def source_tokens(root: str) -> dict[str, int]:
+    """The parser tokens of each module of ``root``'s ``src/letterkit``,
+    by file name: every token but comments, blank lines and the encoding
+    token."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    package = os.path.join(root, "src", "letterkit")
+    counts = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                counts[name] = sum(tok.type not in skip for tok in
+                                   tokenize.tokenize(fh.readline))
+    return counts
 
 
 def record(root: str, workloads: list[str] | None = None, runs: int = 10,
@@ -133,6 +157,7 @@ def record(root: str, workloads: list[str] | None = None, runs: int = 10,
                            *(["--items", str(items)] if items else [])])
         out["bytecodes"][workload] = {key: line[-1][key] for key in (
             "items", "total", "warm_total", "outputs")}
+    out["source_tokens"] = source_tokens(root)
     return out
 
 

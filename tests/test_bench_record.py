@@ -17,7 +17,7 @@ def test_bench_record_writes_every_field_on_a_short_run():
     assert set(data) == {"commit", "dirty", "python", "dont_write_bytecode",
                          "seed", "runs", "seconds", "end_to_end",
                          "per_layer", "solver_timing", "startup",
-                         "bytecodes"}
+                         "bytecodes", "source_tokens"}
     assert data["commit"] is None or re.fullmatch("[0-9a-f]{40}",
                                                   data["commit"])
     assert (data["seed"], data["runs"]) == (1, 2)
@@ -44,6 +44,26 @@ def test_bench_record_writes_every_field_on_a_short_run():
     assert set(counted) == {"items", "total", "warm_total", "outputs"}
     assert counted["items"] == 1 and counted["total"] > 0
     assert re.fullmatch("[0-9a-f]{64}", counted["outputs"])
+    tokens = data["source_tokens"]
+    package = os.path.join(bench_record.ROOT, "src", "letterkit")
+    assert set(tokens) == {name for name in os.listdir(package)
+                           if name.endswith(".py")}
+    assert all(type(count) is int and count > 0 for count in
+               tokens.values())
+
+
+def test_source_tokens_skip_comments_and_blank_lines(tmp_path):
+    # the count the parser sees: a comment, a blank line or a docstring's
+    # length moves nothing, another operand does
+    package = tmp_path / "src" / "letterkit"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\nx = 1\n')
+    (package / "b.py").write_text('"""A longer doc."""\n\n# note\n'
+                                  'x = 1  # note\n')
+    (package / "c.py").write_text('"""Doc."""\nx = y + 1\n')
+    (package / "notes.txt").write_text("x = 1\n")
+    counts = bench_record.source_tokens(str(tmp_path))
+    assert counts == {"a.py": 7, "b.py": 7, "c.py": 9}
 
 
 def test_bench_record_reads_the_default_queries_of_the_recorded_checkout():
