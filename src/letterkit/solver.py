@@ -214,15 +214,15 @@ def _placements(g: Graph, k: int, prefix: int, fixed: int,
     in three or more but not in every one (k >= 4), else of all left
     (fail-first), a neighbour of a placed vertex (``near``) first; the
     order moves the tree but no answer, and the descent still ends at
-    D*. No letter keeps
-    the masks of the vertices on one side of all its members: ``cand``
-    only shrinks down the tree, and once entry (a, a) = x is known each
-    member of a has cut ``cand[a]`` to its x side (the first one when the
-    second came), so a join cuts ``cand[a]`` to v's x side alone. Only an
-    opening with equal entries x to a letter b walks b's members for their
-    x sides. The placements are counted on a local and added to
-    ``run.nodes`` when the search returns or raises; with a deadline the
-    clock is read on the first placement and then once per 64."""
+    D*. No letter keeps the masks of the vertices on one side of all its
+    members: ``cand`` only shrinks down the tree, and once entry (a, a) =
+    x is known each member of a has cut ``cand[a]`` to its x side (the
+    first one when the second came), so a join cuts ``cand[a]`` to v's x
+    side alone. Only an opening with equal entries x to a letter b walks
+    b's members for their x sides. The placements are counted on a local
+    and added to ``run.nodes`` when the search returns or raises; with a
+    deadline the clock is read on the first placement and then once per
+    64."""
     n, full = g.n, (1 << g.n) - 1
     rows, nons = g.rows, _nons(g)
     prefix &= (1 << fixed) - 1

@@ -1321,8 +1321,9 @@ def _prefix_with_interchangeable_rows(k: int, rnd) -> tuple[int, int]:
     to k - 1 entries of the next, such that swapping two of the full
     rows' letters, a and b, maps the entries onto themselves; rows a and
     b are all zero half the time. A quarter of the time each, the columns
-    or the rows of a and b are left apart: near misses, which a rule
-    that pairs too many letters would pair."""
+    of a and b are left apart, and row b is left apart or is a plain copy
+    of row a, not its swap: near misses, which a rule that pairs too many
+    letters would pair."""
     r = rnd.randint(2, k)
     a, b = rnd.sample(range(r), 2)
     m = [[rnd.getrandbits(1) for _ in range(k)] for _ in range(k)]
@@ -1330,8 +1331,10 @@ def _prefix_with_interchangeable_rows(k: int, rnd) -> tuple[int, int]:
         m[a] = [0] * k
     for i in range(k) if rnd.random() < 0.75 else ():
         m[i][b] = m[i][a]  # column b equals column a
-    if rnd.random() < 0.75:
-        m[b] = [m[a][{a: b, b: a}.get(j, j)] for j in range(k)]
+    row = rnd.randrange(4)  # 0 or 1: the swap of row a, 2: a copy, 3: apart
+    if row < 3:
+        m[b] = [m[a][{a: b, b: a}.get(j, j) if row < 2 else j]
+                for j in range(k)]
     fixed = min(k * k, r * k + rnd.randrange(k))
     return sum(m[i][j] << i * k + j for i in range(k) for j in range(k)
                if i * k + j < fixed), fixed
