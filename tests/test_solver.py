@@ -900,11 +900,10 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
         one = two = three = 0  # in at least one, two, three masks
         for m in cand:
             one, two, three = one | m, two | one & m, three | two & m
-        every = functools.reduce(operator.and_, cand)
         if one & left != left:
             return None
         v = (one & ~two & left) or (two & ~three & left) or \
-            (three & ~every & left) or left
+            (three & ~functools.reduce(operator.and_, cand) & left) or left
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
         c, bit = class_of[v], 1 << v
         sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
@@ -1034,11 +1033,10 @@ def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
         one = two = three = 0  # in at least one, two, three masks
         for m in cand:
             one, two, three = one | m, two | one & m, three | two & m
-        every = functools.reduce(operator.and_, cand)
         if one & left != left:
             return None
         v = (one & ~two & left) or (two & ~three & left) or \
-            (three & ~every & left) or left
+            (three & ~functools.reduce(operator.and_, cand) & left) or left
         v = ((v & near or v) & -(v & near or v)).bit_length() - 1
         cut, bit, row = cuts[v], 1 << v, rows[v]
         sides, opened = (non[v], row), []
