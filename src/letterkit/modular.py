@@ -25,10 +25,12 @@ from .graphs import Graph, _bits, _record, bull, path, to_graph6
 
 
 def is_module(g: Graph, vertex_set) -> bool:
-    """True iff all members share the same neighborhood outside the set."""
+    """True iff all members share the same neighborhood outside the set.
+    An id that is not an int in 0..g.n-1 (a bool is not) raises
+    ValueError."""
     members = set(vertex_set)
-    if not all(0 <= v < g.n for v in members):
-        raise ValueError("vertex id out of range")
+    if not all(type(v) is int and 0 <= v < g.n for v in members):
+        raise ValueError(f"vertex ids must be ints in 0..{g.n - 1}")
     return _is_module(g, (1 << g.n) - 1, sum(1 << v for v in members))
 
 
@@ -256,12 +258,13 @@ def classify_vertex(h: Graph, v: int) -> VertexRole:
 
     Witnesses are in path order (P4 roles: v first for endpoints, second
     for midpoints) or path-then-nose order for the bull, and are the first
-    found scanning candidate ids in ascending order.
+    found scanning candidate ids in ascending order. A ``v`` that is not an
+    int in 0..h.n-1 (a bool is not) raises ValueError.
     """
     if h.n < 4:
         raise ValueError("classification needs at least 4 vertices")
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} is not in 0..{h.n - 1}")
+    if type(v) is not int or not 0 <= v < h.n:
+        raise ValueError(f"vertex {v!r} is not in 0..{h.n - 1}")
     # each position walks its candidate mask lowest bit first, so the
     # first witness is the one an ascending scan over id tuples finds
     rows, bit = h.rows, 1 << v

@@ -13,6 +13,15 @@ def random_graph(rng: random.Random, n: int, p: float):
                                 if rng.random() < p])
 
 
+def relabelled(g, rng: random.Random):
+    """``g`` with its vertices renamed by a permutation that ``rng``
+    shuffles."""
+    from letterkit import Graph
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def twin_rich_graph(rng: random.Random, n: int):
     """A random graph on 2..min(n, 4) vertices with each vertex inflated
     by a random graph, n >= 2 vertices in all, so that many vertex pairs

@@ -31,7 +31,7 @@ from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _canonical,
                               _extend, _refine_colors, canonical_code, empty,
                               generate)
 from tests import catalogue
-from tests.conftest import random_cograph, stacked_path_inductive
+from tests.conftest import random_cograph, relabelled, stacked_path_inductive
 from tests.startup_timing import child_env
 
 
@@ -207,12 +207,6 @@ def _reference_canonical_code(g: Graph) -> int:
     return (g.n << g.n * g.n) | (best or 0)
 
 
-def _relabelled(g: Graph, rnd) -> Graph:
-    perm = list(range(g.n))
-    rnd.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _check_canonical(g: Graph):
     code, order, _ = _canonical(g)
     assert code == canonical_code(g) == _reference_canonical_code(g)
@@ -229,7 +223,7 @@ def test_canonical_code_matches_the_ordering_walk_up_to_6_vertices():
     for n in range(7):
         for g in all_graphs(n):
             for _ in range(3):
-                _check_canonical(_relabelled(g, rnd))
+                _check_canonical(relabelled(g, rnd))
 
 
 @settings(max_examples=50, deadline=None)
@@ -275,7 +269,7 @@ def test_is_isomorphic_matches_relabelled_symmetric_graphs():
     petersen = Graph.from_edges(10, nx.petersen_graph().edges())
     rnd = random.Random(10)
     for g in (cycle(10), petersen, _clebsch()):
-        h = _relabelled(g, rnd)
+        h = relabelled(g, rnd)
         assert nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, h))
         assert is_isomorphic(g, h)
 

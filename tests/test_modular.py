@@ -62,8 +62,10 @@ def test_is_module_basics():
     assert is_module(g, {2})
     assert is_module(g, set(range(4)))
     assert not is_module(g, {0, 3})  # endpoints see different midpoints
-    with pytest.raises(ValueError):
-        is_module(g, {9})
+    # an id that is not an int, a bool included, is no vertex
+    for ids in ({9}, {-1}, {0.5}, {True}, {"a"}):
+        with pytest.raises(ValueError, match="must be ints in 0..3"):
+            is_module(g, ids)
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,9 +441,11 @@ def test_classify_vertex_rejects_a_graph_that_is_not_prime():
                            2).role == P4_MID
 
 
-@pytest.mark.parametrize("v", [-1, 5, 7])
+@pytest.mark.parametrize("v", [-1, 5, 7, True, 1.0, "a"])
 def test_classify_vertex_rejects_a_vertex_out_of_range(v):
-    with pytest.raises(ValueError, match=f"vertex {v} is not in 0..4"):
+    # True once gave the witness (0, True, 2, 3), which verify_role rejects,
+    # and 1.0 raised TypeError
+    with pytest.raises(ValueError, match=f"vertex {v!r} is not in 0..4"):
         classify_vertex(bull(), v)
 
 

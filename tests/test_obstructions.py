@@ -17,9 +17,10 @@ from letterkit import (
     ramsey,
     stacked_path,
 )
-from letterkit.graphs import Graph, inflate
+from letterkit.graphs import inflate
 from letterkit.obstructions import f_impl, f_paper
-from tests.conftest import climb_stacked_path, random_graph, twin_rich_graph
+from tests.conftest import (climb_stacked_path, random_graph, relabelled,
+                            twin_rich_graph)
 
 
 def brute_max_induced_matching(g):
@@ -109,12 +110,6 @@ def _assert_stacked_witness(g, r, witness):
         assert pattern.adjacent(i, j) == g.adjacent(witness[i], witness[j])
 
 
-def _relabel(rng, g):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def test_max_stacked_path_witness_is_an_induced_copy(rng):
     for n in range(4, 8):
         for g in all_graphs(n):
@@ -123,7 +118,7 @@ def test_max_stacked_path_witness_is_an_induced_copy(rng):
                 _assert_stacked_witness(g, r, witness)
     for r in (1, 2, 3):
         for _ in range(5):
-            g = _relabel(rng, stacked_path(r)[0])
+            g = relabelled(stacked_path(r)[0], rng)
             found, witness = max_stacked_path(g)
             assert found == r
             _assert_stacked_witness(g, r, witness)
@@ -147,7 +142,7 @@ def test_stacked_depth_matches_the_climb(kind, n, rnd):
     g = random_graph(rnd, n, rnd.random()) if kind == "random" else \
         twin_rich_graph(rnd, n) if kind == "twin-rich" else \
         _stacked_inflation(rnd, n)
-    g = _relabel(rnd, g)
+    g = relabelled(g, rnd)
     r, witness = max_stacked_path(g)
     assert r == climb_stacked_path(g)[0]
     if r:

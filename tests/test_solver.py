@@ -11,7 +11,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from letterkit import (
@@ -37,7 +37,7 @@ from letterkit import claims, solver
 from letterkit.graphs import Graph, ScaleError, _canonical, from_graph6
 from letterkit.letters import Decoder, Lettering, symbol
 from letterkit.solver import _search_word
-from tests.conftest import random_cograph, random_graph
+from tests.conftest import random_cograph, random_graph, relabelled
 from tests.startup_timing import child_env
 
 
@@ -571,6 +571,14 @@ def _code(matrix: tuple[int, ...]) -> int:
     return sum(row << a * len(matrix) for a, row in enumerate(matrix))
 
 
+def _decoder(matrix: tuple[int, ...]) -> Decoder:
+    """The decoder with row masks ``matrix`` on the letters a, b, ..."""
+    k = len(matrix)
+    return Decoder(tuple(symbol(i) for i in range(k)),
+                   tuple(tuple(bool(matrix[a] >> b & 1) for b in range(k))
+                         for a in range(k)))
+
+
 def _both_searches(g: Graph, k: int, matrix, classes, check_after=None):
     """Both searches' words and node counts, under the enclosing deadline;
     ``_search_word`` checks for a completion after a dead subtree of
@@ -793,10 +801,7 @@ def _decoder_walk(g: Graph, k: int, classes=(), matrices=None):
         tried += 1
         hit = _search_word(g, k, _code(matrix), cuts, run)
         if hit is not None:
-            dec = Decoder(tuple(symbol(i) for i in range(k)),
-                          tuple(tuple(bool(matrix[a] >> b & 1)
-                                      for b in range(k)) for a in range(k)))
-            return Lettering(dec, tuple(hit[0]), tuple(hit[1])), tried
+            return Lettering(_decoder(matrix), *map(tuple, hit)), tried
     return None, tried
 
 
@@ -812,12 +817,6 @@ def _matches_decoder_walk(g: Graph, k: int, classes) -> None:
     assert report.lettering == want
 
 
-def _relabelled(g: Graph, rnd) -> Graph:
-    label = list(range(g.n))
-    rnd.shuffle(label)
-    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
-
-
 def _twin_rich_graph(rnd) -> Graph:
     """A relabelled inflation of P4, the bull or C5 with small cograph
     modules, or a relabelled matching or co-matching; n <= 8."""
@@ -830,7 +829,7 @@ def _twin_rich_graph(rnd) -> Graph:
         g = inflate(h, [random_cograph(rnd, size) for size in sizes])[0]
     else:
         g = (matching, co_matching)[kind - 3](rnd.randint(1, 4))
-    return _relabelled(g, rnd)
+    return relabelled(g, rnd)
 
 
 def _symmetric_graph(rnd) -> Graph:
@@ -842,7 +841,7 @@ def _symmetric_graph(rnd) -> Graph:
              co_matching(rnd.randint(1, 4)))[kind]
     else:
         g = stacked_path(kind - 2)[0]
-    return _relabelled(g, rnd)
+    return relabelled(g, rnd)
 
 
 @settings(max_examples=100, deadline=None)
@@ -863,25 +862,25 @@ def test_letter_class_search_matches_decoder_walk_on_twin_rich_graphs(
     _matches_decoder_walk(g, k, _uniform_classes(g, rnd, n_classes))
 
 
-# -- _fits against the letter-class search it replaced ------------------------
+# -- _fits and _placements against a search with no pruning rule --------------
 
 def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
-                    class_of: list[int], run: Run) -> int | None:
+                    class_of: list[int], run: Run, placed: int = 0,
+                    cand: list[int] | None = None) -> int | None:
     """A decoder code (bit a*k + b is entry (a, b), unset entries 0) that
     agrees with ``prefix`` on its ``fixed`` low bits and fits a k-lettering
-    of ``g``, or None. Entries (M[a][b], M[b][a]) = (1, 0) put u in a before
-    w in b if uw is an edge and after it if not, (0, 1) the reverse; equal
-    ones fix the adjacency. Entries are set once both letters have members;
-    a fixed pair of equal entries x between a and b binds b's candidates to
-    the x side of each member of a even while b is empty. A vertex in no
-    ``cand`` mask or a cycle in ``succ`` cuts the branch. The next vertex
-    is one in one mask, else two, else three or more but not all, and of
-    the empty letters whose swap maps the fixed entries onto themselves
-    (``_swap_classes``) only the first is opened. Each placement tried
-    counts one ``run`` node."""
+    of ``g`` in which each vertex outside ``placed`` takes a letter whose
+    start mask in ``cand`` holds it, or None: the letter-class search with
+    no pruning rule. It places the lowest vertex left next, in each letter
+    in turn, and an opening tries every value of each free pair of entries
+    to each letter with members. (M[a][b], M[b][a]) = (1, 0) puts u in a
+    before w in b if uw is an edge and after it if not, (0, 1) the reverse;
+    equal ones fix the adjacency. Entries are set once both letters have
+    members; a fixed pair of equal entries x between a and b binds b's
+    candidates to the x side of each member of a even while b is empty. A
+    vertex in no ``cand`` mask or a cycle in ``succ`` cuts the branch. Each
+    placement tried counts one ``run`` node."""
     n, rows, full, known = g.n, g.rows, (1 << g.n) - 1, (1 << fixed) - 1
-    deadline = run.deadline
-    swap = _swap_classes(k, prefix, fixed)
     cls = [sum(1 << v for v in range(n) if class_of[v] == c) for c in
            range(max(class_of, default=-1) + 1)]
     members = [(0, full, full)] * k  # members, adjacent to none, to all
@@ -890,30 +889,19 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
              and prefix >> a * k + b & 1 == prefix >> b * k + a & 1]
             for a in range(k)]  # fixed equal entries (a, b) = (b, a) = x
 
-    def place(code: int, placed: int, near: int, cand: list[int],
-              succ: list[int]):
-        left = full & ~placed
+    def place(code: int, left: int, cand: list[int], succ: list[int]):
         if not left:
             return code
-        if deadline is not None:
-            run.check("lettering search")
-        one = two = three = 0  # in at least one, two, three masks
-        for m in cand:
-            one, two, three = one | m, two | one & m, three | two & m
-        if one & left != left:
+        run.check("lettering search")
+        if functools.reduce(operator.or_, cand) & left != left:
             return None
-        v = (one & ~two & left) or (two & ~three & left) or \
-            (three & ~functools.reduce(operator.and_, cand) & left) or left
-        v = ((v & near or v) & -(v & near or v)).bit_length() - 1
+        v = (left & -left).bit_length() - 1
         c, bit = class_of[v], 1 << v
-        sides, opened = (full & ~rows[v] & ~bit, rows[v]), set()
-        first = members[0][0]  # (0, 0) leads the code: try clique a last
-        for a in (*range(1, k), 0) if not fixed and rows[v] & first and \
-                0 < first == first & -first else range(k):
+        sides = (full & ~rows[v] & ~bit, rows[v])
+        for a in range(k):
             own, none, every = members[a]
-            if not cand[a] >> v & 1 or not own and (
-                    swap[a] in opened or opened.add(swap[a])):
-                continue  # v can't join a, or a is a twin of a letter tried
+            if not cand[a] >> v & 1:
+                continue
             here = code | bool(0 < own == own & -own and a * k + a >= fixed
                                and rows[v] & own) << a * k + a
             choices = itertools.product(*(  # entries (a, b) and (b, a)
@@ -946,319 +934,133 @@ def _reference_fits(g: Graph, k: int, prefix: int, fixed: int,
                     after |= succ[u] if after >> u & 1 else 0
                 if after & before:
                     continue  # the forced order has a cycle
-                hit = place(now, placed | bit, near | rows[v], nxt, [
+                hit = place(now, left ^ bit, nxt, [
                     after if u == v else s | after | bit if s & before or
-                    before >> u & 1 else s for u, s in enumerate(succ)]
-                    if after | before else succ)
+                    before >> u & 1 else s for u, s in enumerate(succ)])
                 if hit is not None:
                     return hit
             members[a] = own, none, every
         return None
 
-    return place(prefix & known, 0, 0, [full] * k, [0] * n)
+    return place(prefix & known, full & ~placed, cand or [full] * k, [0] * n)
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 5), st.just(0) | st.integers(1, 3),
-       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
-       st.randoms(use_true_random=False))
-def test_fits_matches_reference(n, k, n_classes, draw, rnd):
-    # the golden file pins only the prefixes that the descent asks about;
-    # here any prefix, with any number of fixed entries, is asked; five
-    # letters only up to n = 6, where the reference search stays short
-    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
-        draw(rnd)
-    assume(k < 5 or g.n <= 6)
-    fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
-    classes = _uniform_classes(g, rnd, n_classes)
-    class_of, _ = _class_arrays(g, classes)
+def _prefix_with_interchangeable_rows(k: int, rnd) -> tuple[int, int]:
+    """A prefix and its number of fixed entries: r >= 2 full rows and up
+    to k - 1 entries of the next, such that swapping two of the full
+    rows' letters, a and b, maps the entries onto themselves; rows a and
+    b are all zero half the time. A quarter of the time each, the columns
+    of a and b are left apart, and row b is left apart or is a plain copy
+    of row a, not its swap: near misses, which a rule that pairs too many
+    letters would pair."""
+    r = rnd.randint(2, k)
+    a, b = rnd.sample(range(r), 2)
+    m = [[rnd.getrandbits(1) for _ in range(k)] for _ in range(k)]
+    if rnd.random() < 0.5:
+        m[a] = [0] * k
+    for i in range(k) if rnd.random() < 0.75 else ():
+        m[i][b] = m[i][a]  # column b equals column a
+    row = rnd.randrange(4)  # 0 or 1: the swap of row a, 2: a copy, 3: apart
+    if row < 3:
+        m[b] = [m[a][{a: b, b: a}.get(j, j) if row < 2 else j]
+                for j in range(k)]
+    fixed = min(k * k, r * k + rnd.randrange(k))
+    return sum(m[i][j] << i * k + j for i in range(k) for j in range(k)
+               if i * k + j < fixed), fixed
+
+
+@st.composite
+def _starts(draw):
+    """A graph with n <= 9, k <= 5, up to three classes, and a prefix with
+    its number of fixed entries: any prefix, a start with fewer than two
+    fixed entries, where the mirror rule acts, or one whose full rows hold
+    two interchangeable letters or a near miss, where the swap rule acts
+    (``_prefix_with_interchangeable_rows``). k = 5 is drawn only for
+    n <= 6, and a mirror start's k = 4 only for n <= 7, where the search
+    with no pruning rule stays short."""
+    n, k, n_classes, make, start, rnd = draw(st.tuples(
+        st.integers(1, 9), st.integers(1, 5), st.just(0) | st.integers(1, 3),
+        st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
+        st.sampled_from(["any", "mirror", "rows"]),
+        st.randoms(use_true_random=False)))
+    g = random_graph(rnd, n, rnd.random()) if make is random_graph else \
+        make(rnd)
+    k = min(k, 5 if g.n <= 6 else 4 if g.n <= 7 or start != "mirror" else 3)
+    if start == "rows" and k > 1:
+        prefix, fixed = _prefix_with_interchangeable_rows(k, rnd)
+    else:
+        fixed = rnd.randint(0, 1 if start == "mirror" else k * k)
+        prefix = rnd.getrandbits(k * k)
+    return g, k, prefix, fixed, _uniform_classes(g, rnd, n_classes)
+
+
+def _word_lettering(g: Graph, k: int, code: int, classes) -> Lettering | None:
+    """The lettering by the least word under the decoder ``code`` that
+    ``_reference_search_word`` finds, under the enclosing deadline."""
+    matrix = tuple(code >> a * k & (1 << k) - 1 for a in range(k))
+    hit = _reference_search_word(g, k, matrix, *_class_arrays(g, classes),
+                                 [0], Run().deadline)
+    if hit is None:
+        return None
+    return Lettering(_decoder(matrix), *map(tuple, hit))
+
+
+@settings(max_examples=450, deadline=None)
+@example((Graph(3, (6, 5, 3)), 3, 0, 7, [frozenset({1, 2}), frozenset({0})]))
+@given(_starts())
+def test_fits_matches_reference(start):
+    # decisions, questions and any prefix: _fits finds a code exactly when
+    # the search with no pruning rule does, and the code keeps the prefix
+    # and has a word. In the example, K3 with seven entries fixed to 0,
+    # rows 0 and 1 are equal but (2, 0) is fixed and (2, 1) free: a swap
+    # rule that pairs letters 0 and 1 for their rows alone finds no code
+    g, k, prefix, fixed, classes = start
     try:
         with Run(2):
-            new, ref = Run(), Run()
-            got = solver._fits(g, k, prefix, fixed, _cuts(g, classes), new)
-            want = _reference_fits(g, k, prefix, fixed, class_of, ref)
+            got = solver._fits(g, k, prefix, fixed, _cuts(g, classes), Run())
+            want = _reference_fits(g, k, prefix, fixed,
+                                   _class_arrays(g, classes)[0], Run())
+            lett = None if got is None else \
+                _word_lettering(g, k, got, classes)
     except BudgetExceeded:
         reject()
-    if max(class_of, default=-1) >= 0:  # classes switch nogoods off
-        assert got == want
-        _same_or_mirror_pruned(fixed, new.nodes, ref.nodes)
-        return
-    # nogoods prune the tree, so another fitting code may be found first
     assert (got is None) == (want is None)
     if got is not None:
         known = (1 << fixed) - 1
         assert got & known == prefix & known
-        solver._least_lettering(g, k, got, Run())
+        assert lett is not None and verify(g, lett)
 
 
-def _same_or_mirror_pruned(fixed: int, nodes: int, reference: int) -> None:
-    """A search and a reference without the mirror rule, from the same
-    start, count the same placements, or, where the rule acts, no more.
-    It acts from the starts with fewer than two fixed entries, the only
-    prefixes of the row-major code whose fixed entries are closed under
-    transposition and leave a pair free; a fully fixed symmetric decoder
-    leaves no choice to drop, so it is held to the same count too."""
-    if fixed < 2:
-        assert nodes <= reference
-    else:
-        assert nodes == reference
-
-
-# -- _placements against the search it was rewritten from --------------------
-
-def _reference_placements(g: Graph, k: int, prefix: int, fixed: int,
-                          cuts: list[tuple[int, int] | None], run: Run):
-    """``solver._placements`` as it was before its placements were made
-    cheaper, verbatim but for its tables (``_reference_tables``), its
-    vertex choice (the fewest masks, counted up to three) and its swap
-    classes, which follow the search it checks: the same search tree at
-    more Python work per placement and without the mirror rule, which
-    drops a choice whose subtree mirrors one tried before it."""
-    n, rows, full = g.n, g.rows, (1 << g.n) - 1
-    deadline = run.deadline
-    prefix &= (1 << fixed) - 1
-    swap, letters, rotated, tied, options = _reference_tables(k, prefix,
-                                                              fixed)
-    non = [full & ~rows[v] & ~(1 << v) for v in range(n)]
-    members = [(0, full, full)] * k  # members, adjacent to none, to all
-    twins = None if any(cuts) else solver._twins(g)  # None: no nogoods
-
-    def place(code: int, placed: int, near: int, cand: list[int],
-              succ: list[int], pred: list[int]):
-        left = full & ~placed
-        if not left:
-            return code
-        if deadline is not None:
-            run.check("lettering search")
-        one = two = three = 0  # in at least one, two, three masks
-        for m in cand:
-            one, two, three = one | m, two | one & m, three | two & m
-        if one & left != left:
-            return None
-        v = (one & ~two & left) or (two & ~three & left) or \
-            (three & ~functools.reduce(operator.and_, cand) & left) or left
-        v = ((v & near or v) & -(v & near or v)).bit_length() - 1
-        cut, bit, row = cuts[v], 1 << v, rows[v]
-        sides, opened = (non[v], row), []
-        first = members[0][0]  # (0, 0) leads the code: try clique a last
-        for a, ak, aa in rotated if not fixed and row & first and \
-                0 < first == first & -first else letters:
-            own, none, every = members[a]
-            if not cand[a] & bit or not own and (
-                    swap[a] in opened or opened.append(swap[a])):
-                continue  # v can't join a, or a is a twin of a letter tried
-            here = code
-            if own and not own & own - 1 and row & own and aa >= fixed:
-                here |= 1 << aa  # the second member sets entry (a, a)
-            members[a] = own | bit, none & sides[0], every & sides[1]
-            nxt = cand[:]
-            for b, x in tied[a]:  # fixed entries bind an empty b too
-                if not members[b][0]:
-                    nxt[b] &= sides[x]
-            if own or aa < fixed:
-                nxt[a] &= members[a][1 + (here >> aa & 1)]
-            if cut:  # one letter per class
-                nxt = [m & cut[b != a] for b, m in enumerate(nxt)]
-            if own:  # a join: each entry to a letter with members is set
-                after, before, out, into = 0, 0, here >> ak, here >> a
-                for b, m in enumerate(members):
-                    if b == a or not m[0]:
-                        continue
-                    x = out >> b & 1
-                    if x != into >> b * k & 1:
-                        after |= m[0] & sides[x]
-                        before |= m[0] & sides[1 - x]
-                    else:
-                        nxt[b] &= sides[x]
-                choices = (here, nxt, after, before),
-            else:  # an opening: a's options with each letter b with members
-                choices = [(here, nxt, 0, 0)]
-                for b, table in options[a]:
-                    m = members[b]
-                    if not m[0]:
-                        continue
-                    split, grown = (m[0] & sides[0], m[0] & sides[1]), []
-                    for now, base, after, before in choices:
-                        for x, y, bits in table:
-                            if x != y:
-                                grown.append((now | bits, base, after |
-                                              split[x], before | split[y]))
-                            elif m[1 + x] >> v & 1:  # b's members on side x
-                                eq = base[:]
-                                eq[b] &= sides[x]
-                                eq[a] &= m[1 + x]
-                                grown.append((now | bits, eq, after, before))
-                    choices = grown
-            for now, nxt, after, before in choices:
-                run.nodes += 1
-                rest = after  # close after: add succ[u] for each u in it
-                while rest:
-                    low = rest & -rest
-                    after |= succ[low.bit_length() - 1]
-                    rest ^= low
-                if after & before:
-                    continue  # the forced order has a cycle
-                nsucc, npred = succ, pred
-                if after | before:
-                    nsucc, npred, rest = succ[:], pred[:], before
-                    while rest:  # close before: add pred[u] for each u
-                        low = rest & -rest
-                        before |= pred[low.bit_length() - 1]
-                        rest ^= low
-                    rest = before  # before precedes v and after
-                    while rest:
-                        low = rest & -rest
-                        nsucc[low.bit_length() - 1] |= after | bit
-                        rest ^= low
-                    rest = after  # after follows before and v
-                    while rest:
-                        low = rest & -rest
-                        npred[low.bit_length() - 1] |= before | bit
-                        rest ^= low
-                    nsucc[v], npred[v] = after, before
-                hit = place(now, placed | bit, near | row, nxt, nsucc, npred)
-                if hit is not None:
-                    return hit
-            members[a] = own, none, every
-            # v's images; with no fixed entry the root tries one letter
-            same = twins and (twins[v] & left if placed else
-                              fixed and _canonical(g)[2][0])
-            if same:  # none of them takes a
-                cand = cand[:]  # an opening's choices share one cand list
-                cand[a] &= ~same
-        return None
-
-    def search(placed: int, cand: list[int]):
-        members[:] = [(0, full, full)] * k  # a hit left the last one's
-        return place(prefix, placed, 0, cand, [0] * n, [0] * n)
-
-    return search
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_tables(k: int, prefix: int, fixed: int) -> tuple:
-    """The tables ``_reference_placements`` reads, as ``solver._tables``
-    built them before: each letter's swap class (``_swap_classes``), (a,
-    a*k, a*k + a) per letter in letter and in clique-last order, the fixed
-    pairs of equal entries per letter, and the options of opening a
-    letter beside each other letter."""
-    known = (1 << fixed) - 1
-    tied = tuple(tuple((b, prefix >> a * k + b & 1) for b in range(k)
-                       if b != a
-                       and known >> a * k + b & known >> b * k + a & 1
-                       and prefix >> a * k + b & 1 == prefix >> b * k + a & 1)
-                 for a in range(k))
-    given = [(prefix >> e & 1,) if known >> e & 1 else (0, 1)
-             for e in range(k * k)]  # the values entry e may take
-    options = tuple(tuple(
-        (b, tuple((x, y, x << a * k + b | y << b * k + a)
-                  for y in given[b * k + a] for x in given[a * k + b]))
-        for b in range(k) if b != a) for a in range(k))
-    letters = tuple((a, a * k, a * k + a) for a in range(k))
-    return (_swap_classes(k, prefix, fixed), letters, letters[1:] +
-            letters[:1], tied, options)
-
-
-def _swap_classes(k: int, prefix: int, fixed: int) -> tuple[int, ...]:
-    """Per letter a, the mask of the letters b such that swapping a and b
-    maps each fixed entry of ``prefix`` (its ``fixed`` low bits) onto a
-    fixed entry of the same value and each free entry onto a free one; a
-    alone when every entry is fixed, as a completion check's start masks
-    already tell the letters apart."""
-    known = (1 << fixed) - 1
-
-    def entry(a: int, b: int) -> tuple[int, int]:  # (fixed, value)
-        e = a * k + b
-        return known >> e & 1, prefix >> e & known >> e & 1
-
-    classes = []
-    for a in range(k):
-        mask = 1 << a
-        for b in range(k):
-            s = list(range(k))
-            s[a], s[b] = b, a
-            if fixed < k * k and all(entry(i, j) == entry(s[i], s[j])
-                                     for i in range(k) for j in range(k)):
-                mask |= 1 << b
-        classes.append(mask)
-    return tuple(classes)
-
-
-def _same_placements(g: Graph, k: int, prefix: int, fixed: int,
-                     cuts, placed: int, cand: list[int]) -> None:
-    """Both searches from one start state give the same code and count
-    the same placements, or no more where the mirror rule acts."""
-    new, ref = Run(), Run()
-    got = solver._placements(g, k, prefix, fixed, cuts, new, placed, cand[:])
-    want = _reference_placements(g, k, prefix, fixed, cuts, ref)(placed,
-                                                                  cand[:])
-    assert (got, new.decoders_tried) == (want, ref.decoders_tried)
-    _same_or_mirror_pruned(fixed, new.nodes, ref.nodes)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 4), st.just(0) | st.integers(1, 3),
-       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
-       st.randoms(use_true_random=False))
-def test_placements_match_reference(n, k, n_classes, draw, rnd):
-    # from the empty state, with any prefix and number of fixed entries;
-    # then, once a code fits, from the start states of the completion
-    # checks that a word search under it makes
-    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
-        draw(rnd)
-    fixed, prefix = rnd.randint(0, k * k), rnd.getrandbits(k * k)
-    classes = _uniform_classes(g, rnd, n_classes)
-    cuts = _cuts(g, classes)
-    full = (1 << g.n) - 1
+@settings(max_examples=150, deadline=None)
+@given(_starts())
+def test_placements_match_reference(start):
+    # once a code fits, from the start states of the completion checks that
+    # a word search under it makes: each check passes exactly when the
+    # search with no pruning rule completes the same start
+    g, k, prefix, fixed, classes = start
+    cuts, class_of = _cuts(g, classes), _class_arrays(g, classes)[0]
     try:
         with Run(2):
-            _same_placements(g, k, prefix, fixed, cuts, 0, [full] * k)
             code = solver._fits(g, k, prefix, fixed, cuts, Run())
-            if code is None:
-                return
-            for placed, cand in _check_states(g, k, code, classes)[:20]:
-                _same_placements(g, k, code, k * k, cuts, placed, cand)
+            states = [] if code is None else \
+                _check_states(g, k, code, classes)[:20]
+            for placed, cand in states:
+                assert solver._placements(
+                    g, k, code, k * k, cuts, Run(), placed, cand[:]) == \
+                    _reference_fits(g, k, code, k * k, class_of, Run(),
+                                    placed, cand[:])
     except BudgetExceeded:
         reject()
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.just(0) | st.integers(1, 3),
-       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
-       st.booleans(), st.randoms(use_true_random=False))
-def test_mirror_pruned_decision_returns_the_unpruned_code(n, k, n_classes,
-                                                          draw, question,
-                                                          rnd):
-    # a decision, or the descent's question about entry (0, 0): the starts
-    # whose fixed entries are closed under transposition, where the mirror
-    # rule drops choices; the unpruned reference has the same nogoods
-    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
-        draw(rnd)
-    classes = _uniform_classes(g, rnd, n_classes)
-    cuts = _cuts(g, classes)
-    try:
-        with Run(2):
-            new, ref = Run(), Run()  # under the enclosing deadline
-            got = solver._fits(g, k, 0, int(question), cuts, new)
-            want = _reference_placements(g, k, 0, int(question), cuts, ref)(
-                0, [(1 << g.n) - 1] * k)
-    except BudgetExceeded:
-        reject()
-    assert got == want
-    assert new.nodes <= ref.nodes
 
 
 def test_mirror_rule_halves_the_exhausted_decisions():
-    # R3 and 5K2 at k = 4: below the root's few symmetric placements,
-    # each choice with an asymmetric pair has its mirror, so the rule drops
-    # about half of the placements (10,617 to 5311 and 16,162 to 8090)
-    for g, k in ((stacked_path(3)[0], 4), (matching(5), 4)):
-        new, ref = Run(), Run()
-        cuts = [None] * g.n
-        assert solver._fits(g, k, 0, 0, cuts, new) is None
-        assert _reference_placements(g, k, 0, 0, cuts, ref)(
-            0, [(1 << g.n) - 1] * k) is None
-        assert ref.nodes < 2 * new.nodes <= ref.nodes * 1.01
+    # 5K2 at k = 4: below the root's few symmetric placements, each choice
+    # with an asymmetric pair has its mirror, so the rule drops about half
+    # of the placements (16,162 to 8090; R3's 10,617 to 5311 is pinned
+    # with the exact workload's trees)
+    g, run = matching(5), Run()
+    assert solver._fits(g, 4, 0, 0, [None] * g.n, run) is None
+    assert run.nodes == 8090
 
 
 def test_mirror_rule_keeps_openings_with_both_orientations():
@@ -1287,84 +1089,10 @@ def test_swap_classes_pair_letters_with_equal_fixed_rows():
     assert dups(4, 0, 16) == [0] * 4 and dups(3, 0b011011, 9) == [0] * 3
     assert dups(4, 0, 0) == [0b1111] * 4
     # P10's question at k = 4 with rows 0 and 1 all zero, exhausted, opens
-    # one of letters 0 and 1 where the old rule opened both (635 against
-    # 953 placements)
-    g = path(10)
-    new, old = Run(), Run()
-    assert solver._fits(g, 4, 0, 8, [None] * g.n, new) is None
-    with mock.patch.object(solver, "_tables", _old_dup_tables):
-        assert solver._fits(g, 4, 0, 8, [None] * g.n, old) is None
-    assert new.nodes < old.nodes
-
-
-@functools.lru_cache(maxsize=None)
-def _old_dup_tables(k: int, prefix: int, fixed: int) -> tuple:
-    """``solver._tables`` with the ``dup`` rule it had before: the letters
-    whose rows have no fixed entry and whose columns of fixed entries are
-    equal."""
-    given = [(prefix >> e & 1,) if e < fixed else (0, 1)
-             for e in range(k * k)]
-    letters = tuple((a, (sum(1 << b for b in range(k) if a * k >= fixed <=
-                             b * k and given[b::k] == given[a::k]),
-                         *spec[1:]))
-                    for a, spec in _TABLES(k, prefix, fixed)[0])
-    return letters, letters if fixed else letters[1:] + letters[:1]
-
-
-_TABLES = solver._tables.__wrapped__  # uncached, and unpatched in a test
-
-
-def _prefix_with_interchangeable_rows(k: int, rnd) -> tuple[int, int]:
-    """A prefix and its number of fixed entries: r >= 2 full rows and up
-    to k - 1 entries of the next, such that swapping two of the full
-    rows' letters, a and b, maps the entries onto themselves; rows a and
-    b are all zero half the time. A quarter of the time each, the columns
-    of a and b are left apart, and row b is left apart or is a plain copy
-    of row a, not its swap: near misses, which a rule that pairs too many
-    letters would pair."""
-    r = rnd.randint(2, k)
-    a, b = rnd.sample(range(r), 2)
-    m = [[rnd.getrandbits(1) for _ in range(k)] for _ in range(k)]
-    if rnd.random() < 0.5:
-        m[a] = [0] * k
-    for i in range(k) if rnd.random() < 0.75 else ():
-        m[i][b] = m[i][a]  # column b equals column a
-    row = rnd.randrange(4)  # 0 or 1: the swap of row a, 2: a copy, 3: apart
-    if row < 3:
-        m[b] = [m[a][{a: b, b: a}.get(j, j) if row < 2 else j]
-                for j in range(k)]
-    fixed = min(k * k, r * k + rnd.randrange(k))
-    return sum(m[i][j] << i * k + j for i in range(k) for j in range(k)
-               if i * k + j < fixed), fixed
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9), st.integers(2, 4), st.just(0) | st.integers(1, 3),
-       st.sampled_from([random_graph, _twin_rich_graph, _symmetric_graph]),
-       st.randoms(use_true_random=False))
-def test_swap_rule_finds_a_code_exactly_when_the_old_rule_does(
-        n, k, n_classes, draw, rnd):
-    # prefixes whose full rows share a pattern, which the old rule, pairing
-    # only letters with no fixed entry, never made interchangeable
-    g = random_graph(rnd, n, rnd.random()) if draw is random_graph else \
-        draw(rnd)
-    prefix, fixed = _prefix_with_interchangeable_rows(k, rnd)
-    cuts = _cuts(g, _uniform_classes(g, rnd, n_classes))
-    try:
-        with Run(2):
-            new, old = Run(), Run()
-            got = solver._fits(g, k, prefix, fixed, cuts, new)
-            with mock.patch.object(solver, "_tables", _old_dup_tables):
-                want = solver._fits(g, k, prefix, fixed, cuts, old)
-    except BudgetExceeded:
-        reject()
-    assert (got is None) == (want is None)
-    if any(cuts):  # no nogoods: the old tree less the skipped subtrees
-        assert got == want and new.nodes <= old.nodes
-    if got is not None:
-        known = (1 << fixed) - 1
-        assert got & known == prefix & known
-        solver._least_lettering(g, k, got, Run(), cuts)
+    # one of letters 0 and 1 (635 placements; 953 when both were opened)
+    g, run = path(10), Run()
+    assert solver._fits(g, 4, 0, 8, [None] * g.n, run) is None
+    assert run.nodes == 635
 
 
 def _tuples_of_ints(value) -> bool:
@@ -1386,7 +1114,7 @@ def test_shared_tables_give_the_same_reports_cold_and_warm(monkeypatch):
     tables = functools.lru_cache(
         maxsize=solver._tables.cache_parameters()["maxsize"])(build)
     monkeypatch.setattr(solver, "_tables", tables)
-    queries = [(_relabelled(cycle(8), random.Random(8)), 4, None),
+    queries = [(relabelled(cycle(8), random.Random(8)), 4, None),
                (stacked_path(2)[0], 4, claims.r2_four_classes()),
                (matching(3), 2, None)]
 
@@ -1414,7 +1142,7 @@ def test_orbit_of_vertex_0_matches_brute_force(n):
     # relabellings; the solver's root nogoods read vertex 0's
     rnd = random.Random(n)
     for g in all_graphs(n):
-        for h in g, _relabelled(g, rnd), _relabelled(g, rnd):
+        for h in g, relabelled(g, rnd), relabelled(g, rnd):
             want = [0] * n
             for perm in itertools.permutations(range(n)):
                 if all(sum(1 << perm[w] for w in h.neighbors(u))
@@ -1460,7 +1188,7 @@ def test_orbits_match_networkx_on_symmetric_graphs():
     graphs += [matching(4), Graph.from_edges(8, cube.edges()),
                Graph.from_edges(10, nx.petersen_graph().edges())]
     for g in graphs:
-        h = _relabelled(g, rnd)
+        h = relabelled(g, rnd)
         assert _canonical(h)[2] == _nx_orbits(h), h
 
 

@@ -238,3 +238,13 @@ def test_unknown_names_raise_attribute_error():
 def test_the_benchmark_still_finds_the_cli_cograph_generator():
     from letterkit.cli import _random_cograph
     assert _random_cograph is letterkit.claims.random_cograph
+
+
+def test_each_mutant_names_text_that_occurs_once():
+    # tests/mutants.py applies each mutant by replacing its old text, so a
+    # rewrite of the line it names must update the table; the mutants are
+    # not run here
+    from tests import mutants
+    root = pathlib.Path(mutants.__file__).parent.parent
+    for name, (file, old, new) in mutants.MUTANTS.items():
+        assert old != new and (root / file).read_text().count(old) == 1, name
