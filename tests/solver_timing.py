@@ -30,7 +30,7 @@ before it. The queries are:
   lettering_to_json(lettering)`` for each graph in turn, so two versions
   of the solver can be shown to give the same answers; ``tables`` gives
   the hits and misses of the letter-class search's table cache
-  (``solver._tables``);
+  (``_letter_classes._tables``);
 - ``compose-n7``: ``compose`` of every graph with n <= 7, in catalogue
   order, on an empty solve memo. Its counters add up the
   ``is_k_letterable`` calls of every solve; ``solves`` counts the
@@ -48,7 +48,7 @@ before it. The queries are:
   pass filled, ``warm_s``; ``sha256`` hashes the certificates'
   ``to_json()`` joined by newlines, the digest that
   ``test_acceptance_inflation_certificates_keep_their_bytes`` pins;
-- ``symmetry``: ``graphs._canonical`` on 6K2, K6,6 less a perfect
+- ``symmetry``: ``_graph_core._canonical`` on 6K2, K6,6 less a perfect
   matching, C12, the icosahedron, the 3 x 4 rook's graph and R3, each on
   empty caches; per graph, the best of three times in milliseconds and
   the number of orbits of its automorphism group;
@@ -86,7 +86,8 @@ import sys
 import time
 from unittest import mock
 
-from letterkit import claims, composer, graphs, modular, obstructions, solver
+from letterkit import (_graph_core, _letter_classes, claims, composer, graphs,
+                       modular, obstructions, solver)
 from letterkit.letters import lettering_to_json
 
 
@@ -257,10 +258,10 @@ def _symmetry():
         for name, build in SYMMETRIC.items():
             g, best = build(), float("inf")
             for _ in range(3):
-                graphs._canonical.cache_clear()
-                graphs._twins.cache_clear()
+                _graph_core._canonical.cache_clear()
+                _graph_core._twins.cache_clear()
                 start = time.perf_counter()
-                orbits = graphs._canonical(g)[2]
+                orbits = _graph_core._canonical(g)[2]
                 best = min(best, time.perf_counter() - start)
             report[name] = {"ms": round(best * 1e3, 3),
                             "orbits": len(set(orbits))}
@@ -339,7 +340,7 @@ def measure(name: str) -> dict:
         else:
             collected["collections"] += 1
             collected["s"] += time.perf_counter() - began.pop()
-    solver._tables.cache_clear()
+    _letter_classes._tables.cache_clear()
     gc.collect()
     gc.callbacks.append(on_gc)
     start = time.perf_counter()
@@ -352,7 +353,7 @@ def measure(name: str) -> dict:
         gc.callbacks.remove(on_gc)
     elapsed = time.perf_counter() - start
     collected["s"] = round(collected["s"], 4)
-    tables = solver._tables.cache_info()
+    tables = _letter_classes._tables.cache_info()
     for entry in split.values():
         entry["s"] = round(entry["s"], 4)
     nodes = sum(r.nodes_expanded for r in reports)

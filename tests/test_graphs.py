@@ -27,9 +27,9 @@ from letterkit import (
     to_dot,
     to_graph6,
 )
-from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _canonical,
-                              _extend, _refine_colors, canonical_code, empty,
-                              generate)
+from letterkit._graph_core import _canonical, _refine_colors
+from letterkit.graphs import (DOMINATING, ISOLATED, ScaleError, _extend,
+                              canonical_code, empty, generate)
 from tests import catalogue
 from tests.conftest import random_cograph, relabelled, stacked_path_inductive
 from tests.startup_timing import child_env

@@ -33,7 +33,7 @@ from letterkit import (
     stacked_path,
     verify,
 )
-from letterkit import claims, solver
+from letterkit import _graph_core, _letter_classes, claims, solver
 from letterkit.graphs import Graph, ScaleError, _canonical, from_graph6
 from letterkit.letters import Decoder, Lettering, symbol
 from letterkit.solver import _search_word
@@ -1081,7 +1081,7 @@ def test_swap_classes_pair_letters_with_equal_fixed_rows():
     # maps (0, 1) onto an equal (1, 0); a fully fixed code (a completion
     # check's key) pairs no letters
     def dups(*key):
-        return [spec[0] for _, spec in solver._tables(*key)[0]]
+        return [spec[0] for _, spec in _letter_classes._tables(*key)[0]]
 
     assert dups(4, 0, 8) == [0b0011, 0b0011, 0b1100, 0b1100]
     assert dups(3, 0b011011, 6) == [0b011, 0b011, 0b100]
@@ -1105,15 +1105,15 @@ def test_shared_tables_give_the_same_reports_cold_and_warm(monkeypatch):
     # every search with the same (k, prefix, fixed) shares one copy of the
     # tables, so the reports must not depend on what was cached before,
     # and no table may be a list a search could change under the next one
-    built, real = [], solver._tables.__wrapped__
+    built, real = [], _letter_classes._tables.__wrapped__
 
     def build(*key):
         built.append(real(*key))
         return built[-1]
 
     tables = functools.lru_cache(
-        maxsize=solver._tables.cache_parameters()["maxsize"])(build)
-    monkeypatch.setattr(solver, "_tables", tables)
+        maxsize=_letter_classes._tables.cache_parameters()["maxsize"])(build)
+    monkeypatch.setattr(_letter_classes, "_tables", tables)
     queries = [(relabelled(cycle(8), random.Random(8)), 4, None),
                (stacked_path(2)[0], 4, claims.r2_four_classes()),
                (matching(3), 2, None)]
@@ -1210,7 +1210,7 @@ def test_orbits_match_networkx(n, symmetric, rnd):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_twins_match_their_definition(n):
     for g in all_graphs(n):
-        assert solver._twins(g) == tuple(
+        assert _graph_core._twins(g) == tuple(
             sum(1 << u for u in range(n) if u != v and
                 g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u))
             for v in range(n)), g
