@@ -24,32 +24,37 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOLVER = "src/letterkit/solver.py"
+SEARCH = "src/letterkit/_letter_classes.py"  # the letter-class search
+COMPOSER = "src/letterkit/composer.py"
 SELECTION = ("tests/test_solver.py", "tests/test_composer.py",
              "tests/test_acceptance.py", "tests/test_cli.py")
 
 MUTANTS = {
     # a join skipped as if it were a duplicate opening
-    "M1": (SOLVER, "if not own and opened & dup:", "if opened & dup:"),
+    "M1": (SEARCH, "if not own and opened & dup:", "if opened & dup:"),
     # a fixed pair of equal entries cuts an empty letter to the wrong side
-    "M2": (SOLVER, "nxt[b] &= row if x else non",
+    "M2": (SEARCH, "nxt[b] &= row if x else non",
            "nxt[b] &= non if x else row"),
     # no third fail-first level: sound, the tree moves
-    "M3": (SOLVER, "(three & ~functools.reduce(operator.and_, cand) & left)"
+    "M3": (SEARCH, "(three & ~functools.reduce(operator.and_, cand) & left)"
            " or left", "left"),
     # completion checks pair letters whose swap maps the code onto itself:
     # no wrong answer is known, the tree moves
-    "M4": (SOLVER, "whole = range(fixed // k if fixed < k * k else 0)",
+    "M4": (SEARCH, "whole = range(fixed // k if fixed < k * k else 0)",
            "whole = range(fixed // k)"),
     # the swap rule pairs two equal fixed rows that are not swaps
-    "M5": (SOLVER, "if list(map(given.__getitem__, _swap(k, a, b))) == given)",
+    "M5": (SEARCH, "if list(map(given.__getitem__, _swap(k, a, b))) == given)",
            "if given[a * k:a * k + k] == given[b * k:b * k + k])"),
     # the mirror rule drops (1, 0) instead of (0, 1): sound, the tree moves
-    "M6": (SOLVER, "if sym and x < y and", "if sym and x > y and"),
+    "M6": (SEARCH, "if sym and x < y and", "if sym and x > y and"),
     # a completion check leaves the candidate unplaced, in no mask
     "M7": (SOLVER, "full & ~left, nxt) is None", "full & ~rest, nxt) is None"),
     # a class member may take another letter than its class's
     "M8": (SOLVER, "cuts[v] = (~(every ^ m), ~m)",
            "cuts[v] = (~(every ^ m), -1)"),
+    # a disjoint union keeps the larger induced matching instead of adding
+    "M9": (COMPOSER, "return max(r1, r2), m1 + m2,",
+           "return max(r1, r2), max(m1, m2),"),
 }
 
 
