@@ -17,7 +17,7 @@ from letterkit import (BudgetExceeded, ClassProfile, CompositionCertificate,
                        max_induced_matching, max_stacked_path, path, profile,
                        quotient, solver, stacked_path)
 from letterkit.graphs import _record
-from tests import startup_timing
+from tests import bench_record, startup_timing
 
 
 def test_no_assert_statements_in_src():
@@ -222,6 +222,28 @@ def test_the_public_surface_is_each_home_modules_objects():
     assert letterkit.Run is letterkit.solver.Run
     assert letterkit.BudgetExceeded is letterkit.solver.BudgetExceeded
     assert set(_PUBLIC) <= set(dir(letterkit))
+
+
+def test_each_public_function_is_defined_in_its_home_module():
+    # perfbench's tracer wraps only the functions whose __module__ is the
+    # layer module, so a public function moved to another module and
+    # re-exported would drop out of the per-layer metrics; classes are
+    # never wrapped
+    for home, names in letterkit._HOMES.items():
+        module = importlib.import_module(f"letterkit.{home}")
+        for name in names:
+            obj = getattr(module, name)
+            if not isinstance(obj, type):
+                assert obj.__module__ == module.__name__, name
+
+
+def test_every_module_is_under_the_parsers_token_step():
+    # past 4,096 tokens the parser's token arrays double, and every process
+    # that compiles the module (each benchmark child, as it runs with
+    # PYTHONDONTWRITEBYTECODE set) peaks higher
+    counts = bench_record.source_tokens(bench_record.ROOT)
+    assert "solver.py" in counts
+    assert {name: n for name, n in counts.items() if n >= 4096} == {}
 
 
 def test_star_import_binds_every_public_name():
