@@ -74,3 +74,43 @@ def test_bench_record_reads_the_default_queries_of_the_recorded_checkout():
         "-c", bench_record.DEFAULT_QUERIES])[-1]["queries"]
     assert queries == [q for q in QUERIES if q not in OPT_IN and
                        q != "5k2-k5"]
+
+
+def test_bench_compare_prints_medians_pairs_exact_figures_and_warnings(
+        tmp_path, capsys):
+    # two small synthetic recordings, read back from their files
+    from tests import bench_compare
+
+    def recording(python, wall, tokens, thm32):
+        return {"commit": None, "dirty": None, "python": python,
+                "dont_write_bytecode": True, "seed": 1, "runs": 3,
+                "seconds": 20.0, "end_to_end": {"exact": {
+                    "wall_s": bench_record._summary(wall),
+                    "failed_frac": [0.0] * 3}},
+                "bytecodes": {"exact": {"total": 10, "warm_total": 5,
+                                        "outputs": "ab" * 32}},
+                "solver_timing": {"r3-k4": {"decoders": 1, "nodes": 5311}},
+                "source_tokens": tokens,
+                "startup": {"suite_modules": {"thm32": thm32}}}
+    old = recording("3.11.7", [1.0, 2.0, 3.0], {"graphs.py": 4719},
+                    ["letterkit.graphs"])
+    new = recording("3.12.0", [0.5, 2.5, 1.5],
+                    {"_graph_core.py": 1167, "graphs.py": 3575},
+                    ["letterkit._graph_core", "letterkit.graphs"])
+    paths = []
+    for name, data in (("old.json", old), ("new.json", new)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w") as fh:
+            json.dump(data, fh)
+    bench_compare.main(paths)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["warning: a file has no commit",
+                         "warning: python differs: '3.11.7' against "
+                         "'3.12.0'"]
+    assert "exact / wall_s: 2 [1.5, 2.5], 1.5 [1, 2], -25.0 %, 2/3" in lines
+    assert "  exact: (10, 5, 'abababab') -> (10, 5, 'abababab')" in lines
+    assert "  r3-k4: (1, 5311, '-') -> (1, 5311, '-')" in lines
+    assert "* _graph_core.py: - -> 1167" in lines
+    assert "* graphs.py: 4719 -> 3575" in lines
+    assert lines[-1] == \
+        "thm32 loads letterkit._graph_core more and nothing less"
